@@ -1,11 +1,14 @@
 """Three independent routes to the evolved metric.
 
 The conserved metric can be produced by (a) exponentiating the generating
-operator as a series (exact on linear systems), (b) Strang splitting of
-that exponential over the Hamiltonian/friction parts, and (c) pulling the
-initial metric back along the numerically integrated flow.  The routes are
-independent implementations and should agree; the splitting converges at
-second order in the step size.
+operator as a series (on linear systems, the congruence by expm(-tA)),
+(b) Strang splitting of that exponential over the Hamiltonian/friction
+parts, which is the Strang product of sub-flow pullbacks: each step follows
+the backward friction sub-flow for dt/2, the Hamiltonian sub-flow for dt
+and the friction sub-flow for dt/2 and transports the metric by the product
+of their tangent maps, and (c) pulling the initial metric back along the
+numerically integrated flow.  The routes are independent implementations
+and should agree; the splitting converges at second order in the step size.
 """
 
 import numpy as np

@@ -59,6 +59,7 @@ from .evolution import (
     SeriesPropagator,
     SplittingConfig,
     apply_J,
+    congruence,
     invariance_residual,
     pullback_metric,
     series_propagate,

@@ -313,13 +313,9 @@ def _evolve_methods(cfg: SystemConfig, V, fsys) -> list[str]:
 
 def _initial_matrix(cfg: SystemConfig, M0: MetricField) -> np.ndarray:
     entries = M0.entry_exprs()
-    if entries is not None:
-        for row in entries:
-            for e in row:
-                if free_vars(e):
-                    raise ConfigError("metric evolution needs a constant initial metric")
-        return M0.value(np.zeros(cfg.chart.dim), 0.0)
-    # friction-analytic starts from its own t0 value
+    if entries is not None and any(free_vars(e) for row in entries for e in row):
+        raise ConfigError("metric evolution needs a constant initial metric")
+    # friction-analytic (no entry expressions) starts from its own t0 value
     return M0.value(np.zeros(cfg.chart.dim), 0.0)
 
 
@@ -369,7 +365,7 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
                 if t == 0.0:
                     W = W0
                 else:
-                    W = split_propagate(V, W0, cfg_split, x=x, order=cfg.series_order)
+                    W = split_propagate(V, W0, cfg_split, x=x)
 
                 def split_value(coords, time, _V=V, _W0=W0):
                     if time == 0.0:

@@ -155,6 +155,23 @@ class VectorFieldSpec:
         )
 
     @cached_property
+    def constant_jacobian(self) -> np.ndarray | None:
+        """The Jacobian as a read-only array when every entry is constant
+        (affine fields), otherwise None."""
+        if any(free_vars(e) for row in self.jacobian_exprs for e in row):
+            return None
+        A = np.array([[evaluate(e, {}) for e in row] for row in self.jacobian_exprs])
+        A.setflags(write=False)
+        return A
+
+    @cached_property
+    def parts(self) -> tuple["VectorFieldSpec", "VectorFieldSpec"] | None:
+        """The split parts X1 and X2 as fields of their own, or None."""
+        if self.part1 is None:
+            return None
+        return VectorFieldSpec(self.chart, self.part1), VectorFieldSpec(self.chart, self.part2)
+
+    @cached_property
     def divergence_expr(self) -> Expr:
         acc: Expr = Num(0.0)
         for k, name in enumerate(self.chart.names):
@@ -178,6 +195,8 @@ class VectorFieldSpec:
         return np.array(self._field_fn(coords, time))
 
     def jacobian(self, coords, time: float = 0.0) -> np.ndarray:
+        if self.constant_jacobian is not None:
+            return self.constant_jacobian
         d = self.chart.dim
         return np.array(self._jac_fn(coords, time)).reshape(d, d)
 

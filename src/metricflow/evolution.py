@@ -1,14 +1,20 @@
 """Metric evolution: keep the 2-form an integral of motion.
 
 Three independent routes evolve an initial metric so that its total time
-derivative along the flow vanishes:
+derivative along the flow vanishes.  Where a route works numerically it
+transports the metric by one primitive, the congruence W = M^T w0 M by a
+tangent map M (:func:`congruence`):
 
-* an exponential series built from repeated applications of the generating
-  operator (exact on the skew-matrix space for linear fields),
-* Strang splitting of that exponential over the Hamiltonian/friction parts,
-* pullback transport: evaluate the time-t metric as M^T w0 M with M the
-  Jacobian of the backward flow (invariant by construction; this route is
-  the reference oracle).
+* an exponential series exp(tJ) built from repeated applications of the
+  generating operator J; for a linear field dx/dt = A x it is the
+  congruence by expm(-tA) (Kronecker-sum identity),
+* Strang splitting of that exponential over the Hamiltonian/friction parts
+  X = X1 + X2.  exp(hJ_X) is the pullback along the sub-flow of X (Lie
+  series), so each step follows the backward sub-flows of X2 for dt/2, X1
+  for dt and X2 for dt/2 and M is the product of their tangent maps: exact
+  matrix exponentials for affine parts, DOPRI5 otherwise,
+* pullback transport: M is the Jacobian of the backward flow (invariant by
+  construction; this route is the reference oracle).
 
 The invariance residual dw_kl/dt - d_k(w_lm X^m) + d_l(w_km X^m) measures
 how far a given field is from being conserved.
@@ -34,7 +40,6 @@ from .exprlang import (
     count_nodes,
     differentiate,
     evaluate,
-    free_vars,
     is_zero,
     simplify,
 )
@@ -44,6 +49,8 @@ from .phasespace import MetricField, PhasePoint, SKEW_TOL, _check_point, metric_
 MAX_EXPR_NODES = 1_000_000
 SERIES_STOP_NORM = 1e-14
 DEFAULT_SERIES_ORDER = 20
+# tangent maps that transport a metric are integrated at this fixed tolerance
+TRANSPORT_OPTIONS = IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
 
 
 class EvolutionError(Exception):
@@ -79,18 +86,24 @@ class SeriesInfo:
     diverging: bool
 
 
-def _components(V: VectorFieldSpec, split: str):
+def _field(V: VectorFieldSpec, split: str) -> VectorFieldSpec:
     if split == "all":
-        return V.components
-    if split == "part1":
-        if V.part1 is None:
-            raise EvolutionError("vector field has no declared split")
-        return V.part1
-    if split == "part2":
-        if V.part2 is None:
-            raise EvolutionError("vector field has no declared split")
-        return V.part2
-    raise ValueError(f"split must be all|part1|part2, got '{split}'")
+        return V
+    if split not in ("part1", "part2"):
+        raise ValueError(f"split must be all|part1|part2, got '{split}'")
+    if V.parts is None:
+        raise EvolutionError("vector field has no declared split")
+    return V.parts[split == "part2"]
+
+
+def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
+    """Transport the metric ``W0`` by the tangent map ``M``.
+
+    Returns the skew part of M^T W0 M, which is M^T W0 M itself up to
+    rounding when W0 is skew-symmetric.
+    """
+    R = M.T @ W0 @ M
+    return 0.5 * (R - R.T)
 
 
 def _entries_of(W, chart) -> list[list[Expr]]:
@@ -123,7 +136,7 @@ def apply_J(V: VectorFieldSpec, W, split: str = "all", check: bool = True) -> li
     probe points whenever ``check`` is set; the two coincide exactly when w
     is skew-symmetric.
     """
-    comps = _components(V, split)
+    comps = _field(V, split).components
     chart = V.chart
     d = chart.dim
     entries = _entries_of(W, chart)
@@ -167,50 +180,6 @@ def apply_J(V: VectorFieldSpec, W, split: str = "all", check: bool = True) -> li
     return out
 
 
-def _affine_jacobian(V: VectorFieldSpec, comps) -> np.ndarray | None:
-    """Constant Jacobian A[m, k] = d X^m / d x^k, or None if not affine."""
-    chart = V.chart
-    d = chart.dim
-    A = np.empty((d, d))
-    for m in range(d):
-        for k in range(d):
-            der = differentiate(comps[m], chart.names[k])
-            if free_vars(der):
-                return None
-            A[m, k] = evaluate(der, {})
-    return A
-
-
-def _skew_pairs(d: int):
-    return [(a, b) for a in range(d) for b in range(a + 1, d)]
-
-
-def _mat_to_vec(W: np.ndarray, pairs) -> np.ndarray:
-    return np.array([W[a, b] for a, b in pairs])
-
-
-def _vec_to_mat(v: np.ndarray, pairs, d: int) -> np.ndarray:
-    W = np.zeros((d, d))
-    for value, (a, b) in zip(v, pairs):
-        W[a, b] = value
-        W[b, a] = -value
-    return W
-
-
-def _operator_matrix(A: np.ndarray) -> np.ndarray:
-    """The evolution operator W -> -(A^T W + W A) on the skew-matrix space."""
-    d = A.shape[0]
-    pairs = _skew_pairs(d)
-    L = np.empty((len(pairs), len(pairs)))
-    for j, (a, b) in enumerate(pairs):
-        E = np.zeros((d, d))
-        E[a, b] = 1.0
-        E[b, a] = -1.0
-        img = -(A.T @ E + E @ A)
-        L[:, j] = _mat_to_vec(img, pairs)
-    return L
-
-
 def _check_constant_skew(W0) -> np.ndarray:
     W = np.array(W0, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -224,8 +193,7 @@ class SeriesPropagator:
     """Exponential-series propagator for one (field, initial metric) pair.
 
     Symbolic operator powers are computed once and shared across point
-    evaluations; linear fields get routed to an exact matrix exponential on
-    the skew-matrix space.
+    evaluations; linear fields take the exact congruence by expm(-tA).
     """
 
     def __init__(self, V: VectorFieldSpec, W0, split: str = "all"):
@@ -234,8 +202,7 @@ class SeriesPropagator:
         self.W0 = _check_constant_skew(W0)
         if self.W0.shape[0] != V.chart.dim:
             raise ValueError("initial metric does not match the chart dimension")
-        self.comps = _components(V, split)
-        self.affine_jacobian = _affine_jacobian(V, self.comps)
+        self.affine_jacobian = _field(V, split).constant_jacobian
         self._powers: list[list[list[Expr]]] = [_entries_of(self.W0, V.chart)]
 
     def _power(self, j: int) -> list[list[Expr]]:
@@ -271,11 +238,8 @@ class SeriesPropagator:
         if mode == "linear" and self.affine_jacobian is None:
             raise EvolutionError("vector field is not linear; cannot force the linear path")
         if mode in ("auto", "linear") and self.affine_jacobian is not None:
-            d = self.V.chart.dim
-            pairs = _skew_pairs(d)
-            L = _operator_matrix(self.affine_jacobian)
-            v = expm(t * L) @ _mat_to_vec(self.W0, pairs)
-            return _vec_to_mat(v, pairs, d), SeriesInfo("linear-exact", 0, 0.0, False)
+            W = congruence(expm(-t * self.affine_jacobian), self.W0)
+            return W, SeriesInfo("linear-exact", 0, 0.0, False)
         if x is None:
             raise ValueError("the generic series path needs an evaluation point")
         env = self.V.chart.env(x.coords, x.time)
@@ -316,8 +280,10 @@ def series_propagate(
 
 @dataclass(frozen=True)
 class SplitInfo:
-    path: str  # "linear-exact" | "series"
-    substep_last_term_norms: tuple[float, ...]  # empty on the exact path
+    # "linear-exact": both parts affine, congruence by the Strang product P^N;
+    # "split-pullback": congruence by the tangent map of the backward
+    # trajectory of sub-flows from the evaluation point
+    path: str
 
 
 def split_propagate(
@@ -325,15 +291,34 @@ def split_propagate(
     W0,
     cfg: SplittingConfig,
     x: PhasePoint | None = None,
-    order: int = DEFAULT_SERIES_ORDER,
 ) -> np.ndarray:
     """Strang splitting over the declared field split X = X1 + X2.
 
-    Each step applies exp(dt/2 J2) exp(dt J1) exp(dt/2 J2); sub-exponentials
-    are exact for affine parts and truncated series otherwise.
+    Each step applies exp(dt/2 J2) exp(dt J1) exp(dt/2 J2), where exp(h J_i)
+    is the pullback along the sub-flow of X_i for time h.
     """
-    W, _ = split_propagate_info(V, W0, cfg, x=x, order=order)
+    W, _ = split_propagate_info(V, W0, cfg, x=x)
     return W
+
+
+def _backward_subflow(X: VectorFieldSpec, h: float):
+    """y -> (Phi(y), D Phi(y)) for the time-(-h) flow Phi of the part field X."""
+    A = X.constant_jacobian
+    if A is None:
+
+        def step(y):
+            seg = integrate_flow(X, PhasePoint(y, 0.0), -h, TRANSPORT_OPTIONS)
+            return seg.end.coords, seg.tangent
+
+        return step
+    # affine X(y) = A y + b: exponentiate the augmented generator [[A, b], [0, 0]]
+    d = A.shape[0]
+    G = np.zeros((d + 1, d + 1))
+    G[:d, :d] = A
+    G[:d, d] = X.eval(np.zeros(d))
+    E = expm(-h * G)
+    D, c = E[:d, :d], E[:d, d]
+    return lambda y: (D @ y + c, D)
 
 
 def split_propagate_info(
@@ -341,71 +326,29 @@ def split_propagate_info(
     W0,
     cfg: SplittingConfig,
     x: PhasePoint | None = None,
-    order: int = DEFAULT_SERIES_ORDER,
 ) -> tuple[np.ndarray, SplitInfo]:
-    """As :func:`split_propagate`, also reporting per-substep truncation."""
-    if V.part1 is None or V.part2 is None:
+    """As :func:`split_propagate`, also reporting the path taken."""
+    if V.parts is None:
         raise EvolutionError("split propagation requires declared split parts")
     W = _check_constant_skew(W0)
-    d = V.chart.dim
     dt = cfg.total_time / cfg.steps
-    p1 = _components(V, "part1")
-    p2 = _components(V, "part2")
-    A1 = _affine_jacobian(V, p1)
-    A2 = _affine_jacobian(V, p2)
+    X1, X2 = V.parts
+    A1, A2 = X1.constant_jacobian, X2.constant_jacobian
     if A1 is not None and A2 is not None:
-        pairs = _skew_pairs(d)
-        E1 = expm(dt * _operator_matrix(A1))
-        E2h = expm(0.5 * dt * _operator_matrix(A2))
-        step = E2h @ E1 @ E2h
-        v = _mat_to_vec(W, pairs)
-        for _ in range(cfg.steps):
-            v = step @ v
-        return _vec_to_mat(v, pairs, d), SplitInfo("linear-exact", ())
+        half = expm(-0.5 * dt * A2)
+        P = half @ expm(-dt * A1) @ half
+        return congruence(np.linalg.matrix_power(P, cfg.steps), W), SplitInfo("linear-exact")
     if x is None:
         raise ValueError("nonlinear split propagation needs an evaluation point")
-    env = V.chart.env(x.coords, x.time)
-    entries = _entries_of(W, V.chart)
-    sub_order = min(order, 12)
-    norms = []
+    half = _backward_subflow(X2, 0.5 * dt)
+    strang = (half, _backward_subflow(X1, dt), half)
+    y = np.array(x.coords, dtype=float)
+    M = np.eye(V.chart.dim)
     for _ in range(cfg.steps):
-        for split, h in (("part2", 0.5 * dt), ("part1", dt), ("part2", 0.5 * dt)):
-            entries, last = _series_exp_entries(V, split, entries, h, sub_order, env)
-            norms.append(last)
-    value = np.array(
-        [[evaluate(entries[k][l], env) for l in range(d)] for k in range(d)]
-    )
-    return value, SplitInfo("series", tuple(norms))
-
-
-def _series_exp_entries(V, split, entries, dt, order, env):
-    """Symbolic exp(dt J_split) applied to an expression matrix.
-
-    Returns the new matrix and the last term's max-norm at the probe env.
-    """
-    d = V.chart.dim
-    total = [row[:] for row in entries]
-    power = entries
-    coeff = 1.0
-    last_norm = 0.0
-    for j in range(1, order + 1):
-        power = apply_J(V, power, split=split, check=False)
-        coeff *= dt / j
-        total = [
-            [simplify(total[k][l] + Num(coeff) * power[k][l]) for l in range(d)]
-            for k in range(d)
-        ]
-        nodes = sum(count_nodes(e) for row in total for e in row)
-        if nodes > MAX_EXPR_NODES:
-            raise ExpressionSizeError(
-                f"split substep outgrew the node budget at order {j} ({nodes} nodes)"
-            )
-        last_norm = max(
-            abs(coeff * evaluate(power[k][l], env)) for k in range(d) for l in range(d)
-        )
-        if last_norm < SERIES_STOP_NORM:
-            break
-    return total, last_norm
+        for sub_flow in strang:
+            y, D = sub_flow(y)
+            M = D @ M
+    return congruence(M, W), SplitInfo("split-pullback")
 
 
 def pullback_metric(
@@ -425,11 +368,7 @@ def pullback_metric(
     if time == 0.0:
         return metric_eval(M0, PhasePoint(x.coords, 0.0))
     seg = integrate_flow(V.negated, PhasePoint(x.coords, 0.0), time, opts)
-    x0 = seg.end.coords
-    M = seg.tangent
-    W0 = M0.value(x0, 0.0)
-    R = M.T @ W0 @ M
-    return 0.5 * (R - R.T)
+    return congruence(seg.tangent, M0.value(seg.end.coords, 0.0))
 
 
 def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np.ndarray:
@@ -481,7 +420,7 @@ def transported_d_dx(
     d = V.chart.dim
     if time == 0.0:
         return M0.d_dx(coords, time)
-    opts = opts or IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
+    opts = opts or TRANSPORT_OPTIONS
     hs = h_scale * np.maximum(1.0, np.abs(coords))
     starts = []
     for k in range(d):
@@ -500,9 +439,7 @@ def transported_d_dx(
         seg = y_end[c * block : (c + 1) * block]
         x0 = seg[:d]
         M = seg[d:].reshape(d, d)
-        W0 = M0.value(x0, 0.0)
-        R = M.T @ W0 @ M
-        values.append(0.5 * (R - R.T))
+        values.append(congruence(M, M0.value(x0, 0.0)))
     D = np.empty((d, d, d))
     for k in range(d):
         D[k] = (values[2 * k] - values[2 * k + 1]) / (2.0 * hs[k])
@@ -520,7 +457,7 @@ def transported_d_dt(
     """Time derivative of the transported metric by differences along one
     backward trajectory (dense samples share the step sequence)."""
     coords = np.asarray(coords, dtype=float)
-    opts = opts or IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
+    opts = opts or TRANSPORT_OPTIONS
     sgn = -1.0 if time < 0 else 1.0
     s = abs(time)  # backward duration; W(t) below means the metric at sgn*s
     back = V.negated if sgn > 0 else V
@@ -529,9 +466,7 @@ def transported_d_dt(
 
     def value_at(sample) -> np.ndarray:
         x0, M = sample
-        W0 = M0.value(x0, 0.0)
-        R = M.T @ W0 @ M
-        return 0.5 * (R - R.T)
+        return congruence(M, M0.value(x0, 0.0))
 
     if s > dt:
         taus = [s - dt, s + dt]

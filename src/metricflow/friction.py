@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .dynamics import VectorFieldSpec, compressibility
@@ -152,6 +151,8 @@ class FrictionSystem:
             if TIME_NAME not in free_vars(e):
                 out[j, j] = (t - t0) * evaluate(e, {})
                 continue
+            from scipy.integrate import quad  # only time-dependent friction needs it
+
             val, err = quad(
                 lambda tau: evaluate(e, {TIME_NAME: tau}), t0, t, epsabs=1e-12, epsrel=1e-12
             )

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +68,12 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return header, [dict(zip(header, row)) for row in body]
+
+
+def test_cli_import_skips_scipy_integrate():
+    code = "import sys, metricflow.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfig:
@@ -141,6 +150,33 @@ class TestEvolveMetric:
         assert len(rows) == 1
         assert "coupled" in rows[0]["warning"]
         assert float(rows[0]["invariance_residual"]) > 1.0
+
+    def test_split_of_coupled_quartic_generic_metric(self, tmp_path, capsys):
+        # the split route transports a generic W0 along sub-flows; a symbolic
+        # split of this problem outgrew the expression budget
+        rng = np.random.default_rng(3)
+        B = rng.uniform(-0.5, 0.5, (4, 4))
+        W0 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]) + B - B.T
+        path = write_config(tmp_path, {
+            "n": 2,
+            "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2",
+            "friction": 1.0,
+            "metric": [[f"{v:.17g}" for v in row] for row in W0],
+            "t_grid": [0.5],
+            "splitting": {"steps": 20},
+            "methods": ["split", "pullback"],
+            "queries": [{"point": [0.3, -0.2, 0.1, 0.4], "time": 0.0}],
+        })
+        start = time.perf_counter()
+        code = main(["evolve-metric", "--config", path])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert elapsed < 2.0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [r["method"] for r in rows] == ["split", "pullback"]
+        split, pullback = ({k: float(r[k]) for k in r if k[0] == "w" and k != "warning"} for r in rows)
+        # Strang error at 20 steps, O(dt^2)
+        assert max(abs(split[k] - pullback[k]) for k in split) < 1e-3
 
     def test_requires_constant_initial_metric(self):
         cfg = load_config(

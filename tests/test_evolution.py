@@ -174,28 +174,50 @@ class TestSplit:
     def test_nonlinear_substeps(self, quartic_system):
         V = quartic_system.vector_field
         x = PhasePoint([0.4, 0.2], 0.05)
-        W = split_propagate(V, J2, SplittingConfig(0.05, 2), x=x, order=8)
+        W = split_propagate(V, J2, SplittingConfig(0.05, 2), x=x)
         ref = pullback_metric(V, canonical_metric(V.chart), x)
         assert np.max(np.abs(W - ref)) < 1e-10
+
+    @pytest.mark.parametrize("offset", [None, ("0", "0", "0.5", "-0.3")])
+    def test_coupled_nonlinear_second_order(self, chart2, offset):
+        # coupled quartic with K = 1 and a generic W0; the offset makes the
+        # affine friction part inhomogeneous, which moves the trajectory
+        from metricflow.exprlang import as_expr, simplify
+        from metricflow.friction import FrictionSystem
+        from metricflow.phasespace import ConstantMetric
+
+        V = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", 1.0).vector_field
+        if offset is not None:
+            part2 = tuple(simplify(c + as_expr(b, chart2)) for c, b in zip(V.part2, offset))
+            comps = tuple(simplify(a + b) for a, b in zip(V.part1, part2))
+            V = VectorFieldSpec(chart2, comps, V.part1, part2)
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((4, 4))
+        W0 = B - B.T
+        x = PhasePoint([0.3, -0.2, 0.1, 0.4], 0.5)
+        ref = pullback_metric(V, ConstantMetric(chart2, W0), x, opts=IntegratorOptions(1e-12, 1e-12))
+        errs = [
+            np.max(np.abs(split_propagate(V, W0, SplittingConfig(0.5, N), x=x) - ref))
+            for N in (10, 20, 40)
+        ]
+        for i in range(2):
+            assert 1.8 <= np.log2(errs[i] / errs[i + 1]) <= 2.2
 
     def test_truncation_diagnostics(self, quartic_system, damped2_system):
         from metricflow.evolution import split_propagate_info
 
-        # exact path reports no truncation
         _, info = split_propagate_info(
             damped2_system.vector_field, canonical_metric(damped2_system.chart).matrix,
             SplittingConfig(1.0, 5),
         )
         assert info.path == "linear-exact"
-        assert info.substep_last_term_norms == ()
-        # symbolic path reports one norm per sub-exponential
+        # a nonlinear part takes the pullback along the sub-flow trajectory
+        V = quartic_system.vector_field
         x = PhasePoint([0.4, 0.2], 0.05)
-        _, info = split_propagate_info(
-            quartic_system.vector_field, J2, SplittingConfig(0.05, 2), x=x, order=8
-        )
-        assert info.path == "series"
-        assert len(info.substep_last_term_norms) == 6
-        assert all(n < 1e-10 for n in info.substep_last_term_norms)
+        W, info = split_propagate_info(V, J2, SplittingConfig(0.05, 2), x=x)
+        assert info.path == "split-pullback"
+        ref = pullback_metric(V, canonical_metric(V.chart), x)
+        assert np.max(np.abs(W - ref)) < 1e-10
 
 
 class TestPullback:
