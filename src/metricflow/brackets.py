@@ -57,18 +57,14 @@ def bracket_tensor(M: MetricField, x: PhasePoint) -> np.ndarray:
     return -inverse_metric(M, x)
 
 
-def _tensor_d_dx(M: MetricField, x: PhasePoint) -> np.ndarray:
-    """d_k of the raised tensor: d(-W^{-1}) = W^{-1} (d_k W) W^{-1}."""
-    W = M.value(x.coords, x.time)
-    Winv = np.linalg.inv(W)
+def _tensor_d_dx(M: MetricField, x: PhasePoint, P: np.ndarray) -> np.ndarray:
+    """d_k of the raised tensor P = -W^{-1}: d_k P = W^{-1} (d_k W) W^{-1} = P (d_k W) P."""
     D = M.d_dx(x.coords, x.time)
-    return np.array([Winv @ D[k] @ Winv for k in range(W.shape[0])])
+    return np.array([P @ D[k] @ P for k in range(P.shape[0])])
 
 
-def _tensor_d_dt(M: MetricField, x: PhasePoint) -> np.ndarray:
-    W = M.value(x.coords, x.time)
-    Winv = np.linalg.inv(W)
-    return Winv @ M.d_dt(x.coords, x.time) @ Winv
+def _tensor_d_dt(M: MetricField, x: PhasePoint, P: np.ndarray) -> np.ndarray:
+    return P @ M.d_dt(x.coords, x.time) @ P
 
 
 def _grad(e: Expr, chart: CoordinateChart, env) -> np.ndarray:
@@ -104,7 +100,7 @@ def bracket_jacobi_residual(A, B, C, M: MetricField, x: PhasePoint) -> float:
     _check_point(chart, x)
     env = chart.env(x.coords, x.time)
     P = bracket_tensor(M, x)
-    dP = _tensor_d_dx(M, x)
+    dP = _tensor_d_dx(M, x, P)
     obs = [_as_observable(o, chart) for o in (A, B, C)]
     grads = [_grad(o.expr, chart, env) for o in obs]
     hessians = [_hessian(o.expr, chart, env) for o in obs]
@@ -157,8 +153,8 @@ def leibniz_defect(
     env = chart.env(x.coords, x.time)
 
     P = bracket_tensor(M, x)
-    dPdt = _tensor_d_dt(M, x)
-    dPdx = _tensor_d_dx(M, x)
+    dPdt = _tensor_d_dt(M, x, P)
+    dPdx = _tensor_d_dx(M, x, P)
     Xv = V.eval(x.coords, x.time)
     J = V.jacobian(x.coords, x.time)  # J[k, m] = d X^k / d x^m
     D = dPdt + np.einsum("m,mkl->kl", Xv, dPdx) - J @ P - P @ J.T

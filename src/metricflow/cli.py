@@ -10,8 +10,6 @@ chart), and four subcommands emit machine-readable reports:
 
 Exit codes: 0 success, 10 non-Hamiltonian verdict, 20 audit failure,
 64 usage errors, 65 config or expression errors, 70 runtime failures.
-Set METRICFLOW_THREADS to evaluate sample points concurrently; outputs are
-ordered deterministically either way.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +27,7 @@ import numpy as np
 from .brackets import Observable, bracket_jacobi_residual, leibniz_defect, poisson_bracket
 from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, compressibility_integral, integrate_flow
 from .evolution import (
+    EvolutionError,
     FiniteDifferenceMetric,
     SeriesMetric,
     SplittingConfig,
@@ -39,10 +36,11 @@ from .evolution import (
     split_propagate,
 )
 from .exprlang import CoordinateChart, ExprError, free_vars
-from .friction import ApplicabilityError, FrictionSystem, analytic_metric, applicability_check
+from .friction import ApplicabilityError, FrictionError, FrictionSystem, analytic_metric, applicability_check
 from .helmholtz import classify
 from .phasespace import (
     ExprMetric,
+    MetricError,
     MetricField,
     PhasePoint,
     TransportedMetric,
@@ -200,7 +198,7 @@ def _build_system(cfg: SystemConfig):
         fsys = FrictionSystem.build(chart, cfg.hamiltonian, cfg.friction)
         V = fsys.vector_field if fsys.k_matrix is not None else None
         return V, fsys
-    except (ExprError, ValueError) as exc:
+    except (ExprError, FrictionError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -220,23 +218,6 @@ def _build_metric(cfg: SystemConfig, fsys: FrictionSystem | None) -> MetricField
         except Exception as exc:
             raise ConfigError(f"invalid metric entries: {exc}") from None
     raise ConfigError("metric must be 'canonical', 'friction-analytic' or a matrix of strings")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("METRICFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    workers = _worker_count()
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _query_points(cfg: SystemConfig) -> list[PhasePoint]:
@@ -399,21 +380,13 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
     rng = np.random.default_rng(cfg.samples_seed if seed is None else seed)
     count = cfg.samples_count
 
-    # rng draws must stay ordered for determinism; draw first, then map
     draws = []
     for _ in range(count):
         x = rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim)
         t = rng.uniform(0.0, cfg.t_max)
         draws.append(PhasePoint(x, t))
-
-    def one(pt: PhasePoint):
-        inv = float(np.max(np.abs(invariance_residual(V, M, pt))))
-        jac = jacobi_residual(M, pt)
-        return inv, jac
-
-    results = _map(one, draws)
-    max_inv = max(r[0] for r in results)
-    max_jac = max(r[1] for r in results)
+    max_inv = max(float(np.max(np.abs(invariance_residual(V, M, pt)))) for pt in draws)
+    max_jac = max(jacobi_residual(M, pt) for pt in draws)
 
     # volume law along trajectories: |ln sqrt_g + integral kappa| at endpoints
     n_traj = min(20, count)
@@ -467,7 +440,7 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
             entry["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
         return entry
 
-    payload = {"queries": _map(one, points)}
+    payload = {"queries": [one(x) for x in points]}
     return payload, EXIT_OK
 
 
@@ -534,8 +507,14 @@ def main(argv=None) -> int:
         return emit_error(EXIT_CONFIG, "config", str(exc))
     except ApplicabilityError as exc:
         return emit_error(EXIT_CONFIG, "applicability", str(exc))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        return emit_error(EXIT_CONFIG, "domain", str(exc))
     except IntegrationError as exc:
         return emit_error(EXIT_RUNTIME, "integration", str(exc))
+    except MetricError as exc:
+        return emit_error(EXIT_RUNTIME, "metric", str(exc))
+    except EvolutionError as exc:
+        return emit_error(EXIT_RUNTIME, "evolution", str(exc))
     _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return code
 

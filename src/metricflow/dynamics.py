@@ -58,6 +58,8 @@ class IntegratorOptions:
 
 
 DEFAULT_OPTIONS = IntegratorOptions()
+# tangent maps that transport a metric are integrated at this fixed tolerance
+TRANSPORT_OPTIONS = IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,17 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class FlowSegment:
-    """A numerically integrated trajectory with its tangent map."""
+    """A numerically integrated trajectory with its tangent map.
+
+    ``tangents`` holds the tangent map at each entry of ``samples``.
+    """
 
     start: PhasePoint
     end: PhasePoint
     samples: tuple[tuple[float, np.ndarray], ...]
     tangent: np.ndarray
     stats: IntegrationStats
+    tangents: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -366,7 +372,7 @@ def integrate_flow(
     identity = np.eye(d)
     if T == 0.0:
         samples = ((t0, x0.coords),)
-        return FlowSegment(x0, x0, samples, identity, IntegrationStats(0, 0, 0.0))
+        return FlowSegment(x0, x0, samples, identity, IntegrationStats(0, 0, 0.0), (identity,))
     direction = 1.0 if T > 0 else -1.0
     duration = abs(T)
     taus = []
@@ -384,7 +390,8 @@ def integrate_flow(
     samples += [(t0 + direction * tau, y[:d].copy()) for tau, y in raw_samples]
     samples.append((t1, end.coords))
     tangent = y_end[d:].reshape(d, d)
-    return FlowSegment(x0, end, tuple(samples), tangent, stats)
+    tangents = (identity, *(y[d:].reshape(d, d).copy() for _, y in raw_samples), tangent)
+    return FlowSegment(x0, end, tuple(samples), tangent, stats, tangents)
 
 
 def tangent_map(
@@ -392,50 +399,6 @@ def tangent_map(
 ) -> np.ndarray:
     """Jacobian of the time-t1 flow map with respect to ``x0``."""
     return integrate_flow(V, x0, t1, opts).tangent
-
-
-def variational_samples(
-    V: VectorFieldSpec,
-    x0: PhasePoint,
-    t1: float,
-    sample_times: Sequence[float],
-    opts: IntegratorOptions | None = None,
-):
-    """(t, x, tangent) at the requested times along one integration.
-
-    All samples come from a single step sequence, so differences between
-    nearby samples are smooth in the requested times.
-    """
-    _check_point(V.chart, x0)
-    opts = opts or DEFAULT_OPTIONS
-    d = V.chart.dim
-    t0 = x0.time
-    T = float(t1) - t0
-    if T == 0.0:
-        raise ValueError("degenerate segment")
-    direction = 1.0 if T > 0 else -1.0
-    duration = abs(T)
-    y0 = np.concatenate([x0.coords, np.eye(d).reshape(-1)])
-    f = _joint_rhs(V, direction)
-    want = []
-    out = {}
-    for ts in sample_times:
-        tau = (float(ts) - t0) * direction
-        if not 0.0 <= tau <= duration:
-            raise ValueError(f"sample time {ts} outside the segment")
-        if tau == 0.0:
-            out[float(ts)] = (x0.coords.copy(), np.eye(d))
-        elif tau == duration:
-            want.append((tau, float(ts), "end"))
-        else:
-            want.append((tau, float(ts), "mid"))
-    taus = [tau for tau, _, kind in want if kind == "mid"]
-    y_end, raw_samples, _ = _integrate(f, y0, duration, opts, taus)
-    by_tau = {tau: y for tau, y in raw_samples}
-    for tau, ts, kind in want:
-        y = y_end if kind == "end" else by_tau[tau]
-        out[ts] = (y[:d].copy(), y[d:].reshape(d, d).copy())
-    return [(float(ts), *out[float(ts)]) for ts in sample_times]
 
 
 def compressibility_integral(

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import (
-    IntegratorOptions,
-    VectorFieldSpec,
-    integrate_flow,
-    variational_samples,
-)
+from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, integrate_flow
 from .exprlang import (
     Expr,
     Num,
@@ -49,8 +44,6 @@ from .phasespace import MetricField, PhasePoint, SKEW_TOL, _check_point, metric_
 MAX_EXPR_NODES = 1_000_000
 SERIES_STOP_NORM = 1e-14
 DEFAULT_SERIES_ORDER = 20
-# tangent maps that transport a metric are integrated at this fixed tolerance
-TRANSPORT_OPTIONS = IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
 
 
 class EvolutionError(Exception):
@@ -86,16 +79,6 @@ class SeriesInfo:
     diverging: bool
 
 
-def _field(V: VectorFieldSpec, split: str) -> VectorFieldSpec:
-    if split == "all":
-        return V
-    if split not in ("part1", "part2"):
-        raise ValueError(f"split must be all|part1|part2, got '{split}'")
-    if V.parts is None:
-        raise EvolutionError("vector field has no declared split")
-    return V.parts[split == "part2"]
-
-
 def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
     """Transport the metric ``W0`` by the tangent map ``M``.
 
@@ -106,7 +89,7 @@ def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
     return 0.5 * (R - R.T)
 
 
-def _entries_of(W, chart) -> list[list[Expr]]:
+def _entries_of(W) -> list[list[Expr]]:
     if isinstance(W, MetricField):
         entries = W.entry_exprs()
         if entries is None:
@@ -127,20 +110,10 @@ def _zip_sum(terms: list[Expr]) -> Expr:
     return simplify(acc)
 
 
-def apply_J(V: VectorFieldSpec, W, split: str = "all", check: bool = True) -> list[list[Expr]]:
-    """One application of the metric evolution operator, symbolically.
-
-    Returns the matrix d_k(w_lm X^m) - d_l(w_km X^m).  The equivalent
-    symmetrized operator form (which does not presuppose which triangle of
-    w carries the data) is evaluated alongside and agreement is asserted at
-    probe points whenever ``check`` is set; the two coincide exactly when w
-    is skew-symmetric.
-    """
-    comps = _field(V, split).components
-    chart = V.chart
-    d = chart.dim
-    entries = _entries_of(W, chart)
-    names = chart.names
+def _apply_J(V: VectorFieldSpec, entries: list[list[Expr]]) -> list[list[Expr]]:
+    comps = V.components
+    d = V.chart.dim
+    names = V.chart.names
     # P[l] = sum_m w_lm X^m  (w's first index fixed)
     P = [
         _zip_sum([entries[l][m] * comps[m] for m in range(d) if not is_zero(entries[l][m])])
@@ -153,31 +126,28 @@ def apply_J(V: VectorFieldSpec, W, split: str = "all", check: bool = True) -> li
             u = simplify(dP[l][k] - dP[k][l])
             out[k][l] = u
             out[l][k] = simplify(-u)
-    if check:
-        # R[l] = sum_m X^m w_ml (w's second index fixed); the symmetrized
-        # operator is half the difference of the two assemblies.
-        R = [
-            _zip_sum([comps[m] * entries[m][l] for m in range(d) if not is_zero(entries[m][l])])
-            for l in range(d)
-        ]
-        dR = [[differentiate(R[l], names[k]) for k in range(d)] for l in range(d)]
-        rng = np.random.default_rng(2718)
-        for _ in range(5):
-            xs = rng.uniform(-1.0, 1.0, d)
-            env = chart.env(xs, rng.uniform(0.0, 1.0))
-            for k in range(d):
-                for l in range(k + 1, d):
-                    u = evaluate(out[k][l], env)
-                    s = 0.5 * (
-                        (evaluate(dP[l][k], env) - evaluate(dP[k][l], env))
-                        - (evaluate(dR[l][k], env) - evaluate(dR[k][l], env))
-                    )
-                    if abs(u - s) > 1e-10 * max(1.0, abs(u)):
-                        raise EvolutionError(
-                            "symmetrized and unsymmetrized operator forms disagree; "
-                            "the input matrix is not skew-symmetric"
-                        )
     return out
+
+
+def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
+    """One application of the metric evolution operator, symbolically.
+
+    Returns the matrix d_k(w_lm X^m) - d_l(w_km X^m), which assumes w is
+    skew-symmetric; w_kl + w_lk is checked to vanish at probe points.
+    """
+    chart = V.chart
+    d = chart.dim
+    entries = _entries_of(W)
+    rng = np.random.default_rng(2718)
+    for _ in range(5):
+        xs = rng.uniform(-1.0, 1.0, d)
+        env = chart.env(xs, rng.uniform(0.0, 1.0))
+        for k in range(d):
+            for l in range(k, d):
+                w = evaluate(entries[k][l], env)
+                if abs(w + evaluate(entries[l][k], env)) > 1e-10 * max(1.0, abs(w)):
+                    raise EvolutionError("the input matrix is not skew-symmetric")
+    return _apply_J(V, entries)
 
 
 def _check_constant_skew(W0) -> np.ndarray:
@@ -196,19 +166,19 @@ class SeriesPropagator:
     evaluations; linear fields take the exact congruence by expm(-tA).
     """
 
-    def __init__(self, V: VectorFieldSpec, W0, split: str = "all"):
+    def __init__(self, V: VectorFieldSpec, W0):
         self.V = V
-        self.split = split
         self.W0 = _check_constant_skew(W0)
         if self.W0.shape[0] != V.chart.dim:
             raise ValueError("initial metric does not match the chart dimension")
-        self.affine_jacobian = _field(V, split).constant_jacobian
-        self._powers: list[list[list[Expr]]] = [_entries_of(self.W0, V.chart)]
+        self.affine_jacobian = V.constant_jacobian
+        self._powers: list[list[list[Expr]]] = [_entries_of(self.W0)]
 
     def _power(self, j: int) -> list[list[Expr]]:
         while len(self._powers) <= j:
             prev = self._powers[-1]
-            nxt = apply_J(self.V, prev, split=self.split, check=len(self._powers) == 1)
+            # W0 passed _check_constant_skew and every power is skew by construction
+            nxt = _apply_J(self.V, prev)
             nodes = sum(count_nodes(e) for row in nxt for e in row)
             if nodes > MAX_EXPR_NODES:
                 raise ExpressionSizeError(
@@ -464,29 +434,20 @@ def transported_d_dt(
     dt = h_scale * max(1.0, s)
     start = PhasePoint(coords, 0.0)
 
-    def value_at(sample) -> np.ndarray:
-        x0, M = sample
-        return congruence(M, M0.value(x0, 0.0))
+    def value_at(seg, i) -> np.ndarray:
+        return congruence(seg.tangents[i], M0.value(seg.samples[i][1], 0.0))
 
     if s > dt:
-        taus = [s - dt, s + dt]
-        samples = variational_samples(back, start, s + dt, taus, opts)
-        Wm = value_at(samples[0][1:])
-        Wp = value_at(samples[1][1:])
-        return sgn * (Wp - Wm) / (2.0 * dt)
+        seg = integrate_flow(back, start, s + dt, opts, [s - dt])
+        return sgn * (value_at(seg, 2) - value_at(seg, 1)) / (2.0 * dt)
     # near t = 0 use a one-sided second-order stencil on [s, s+2dt]
     if s == 0.0:
+        seg = integrate_flow(back, start, 2.0 * dt, opts, [dt])
         W0v = metric_eval(M0, PhasePoint(coords, 0.0))
-        taus = [dt, 2.0 * dt]
-        samples = variational_samples(back, start, 2.0 * dt, taus, opts)
-        W1 = value_at(samples[0][1:])
-        W2 = value_at(samples[1][1:])
-        return sgn * (-3.0 * W0v + 4.0 * W1 - W2) / (2.0 * dt)
-    taus = [s, s + dt, s + 2.0 * dt]
-    samples = variational_samples(back, start, s + 2.0 * dt, taus, opts)
-    W0v = value_at(samples[0][1:])
-    W1 = value_at(samples[1][1:])
-    W2 = value_at(samples[2][1:])
+        W1, W2 = value_at(seg, 1), value_at(seg, 2)
+    else:
+        seg = integrate_flow(back, start, s + 2.0 * dt, opts, [s, s + dt])
+        W0v, W1, W2 = (value_at(seg, i) for i in (1, 2, 3))
     return sgn * (-3.0 * W0v + 4.0 * W1 - W2) / (2.0 * dt)
 
 

@@ -184,12 +184,12 @@ class TransportedMetric(MetricField):
     """
 
     def __init__(self, initial: MetricField, field, opts=None):
-        from .dynamics import IntegratorOptions
+        from .dynamics import TRANSPORT_OPTIONS
 
         self.chart = initial.chart
         self.initial = initial
         self.field = field
-        self.opts = opts or IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
+        self.opts = opts or TRANSPORT_OPTIONS
         self._cache: dict[tuple[bytes, float], np.ndarray] = {}
 
     def value(self, coords, time):

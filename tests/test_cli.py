@@ -14,6 +14,7 @@ from metricflow.cli import (
     EXIT_CONFIG,
     EXIT_NON_HAMILTONIAN,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     cmd_audit,
     cmd_bracket,
@@ -261,14 +262,52 @@ class TestMainEntry:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, DAMPED_CANONICAL)
-        out1 = tmp_path / "serial.json"
-        main(["audit", "--config", path, "--out", str(out1)])
+    @pytest.mark.parametrize(
+        "command",
+        [["audit"], ["bracket", "--A", "q1", "--B", "p1", "--C", "q1*p1"]],
+        ids=["audit", "bracket"],
+    )
+    def test_threads_variable_is_ignored(self, tmp_path, monkeypatch, command):
+        # METRICFLOW_THREADS is no longer read; output stays deterministic
+        data = {**DAMPED_CANONICAL, "queries": [{"point": [0.3, 0.7], "time": 0.5}, {"point": [-0.2, 0.1]}]}
+        path = write_config(tmp_path, data)
+        monkeypatch.delenv("METRICFLOW_THREADS", raising=False)
+        out1 = tmp_path / "unset.json"
+        main([command[0], "--config", path, "--out", str(out1), *command[1:]])
         monkeypatch.setenv("METRICFLOW_THREADS", "4")
-        out2 = tmp_path / "threaded.json"
-        main(["audit", "--config", path, "--out", str(out2)])
+        out2 = tmp_path / "four.json"
+        main([command[0], "--config", path, "--out", str(out2), *command[1:]])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "data, argv, code",
+        [
+            (
+                {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "metric": [["0", "0"], ["0", "0"]],
+                 "queries": [{"point": [0.1, 0.2]}]},
+                ["bracket", "--A", "q1", "--B", "p1"],
+                EXIT_RUNTIME,
+            ),
+            (
+                {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "metric": [["0", "1/q1"], ["-1/q1", "0"]],
+                 "samples": {"count": 3}},
+                ["classify"],
+                EXIT_CONFIG,
+            ),
+            ({"n": 1, "hamiltonian": "q1*p1", "friction": 1.0}, ["classify"], EXIT_CONFIG),
+        ],
+        ids=["singular-metric", "metric-domain", "friction"],
+    )
+    def test_failures_exit_with_json_error(self, tmp_path, data, argv, code):
+        path = write_config(tmp_path, data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricflow.cli", argv[0], "--config", path, *argv[1:]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] and error["message"]
+        assert "Traceback" not in proc.stderr
 
     def test_seed_override_changes_samples(self, tmp_path):
         path = write_config(tmp_path, DAMPED_CANONICAL)

@@ -137,6 +137,19 @@ class TestIntegrateFlow:
         with pytest.raises(IntegrationError):
             integrate_flow(V, PhasePoint([-1.0, 0.0]), 1.0)
 
+    def test_tangents_follow_samples(self, chart2):
+        V = VectorFieldSpec.from_hamiltonian(
+            chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", np.eye(2)
+        )
+        x0 = PhasePoint([0.3, -0.2, 0.1, 0.4])
+        times = [0.25, 0.6, 1.1]
+        seg = integrate_flow(V, x0, 1.5, sample_times=times)
+        assert len(seg.tangents) == len(seg.samples) == len(times) + 2
+        assert np.array_equal(seg.tangents[0], np.eye(4))
+        assert np.array_equal(seg.tangents[-1], seg.tangent)
+        for (t, _), M in zip(seg.samples[1:-1], seg.tangents[1:-1]):
+            assert np.max(np.abs(M - tangent_map(V, x0, t))) < 1e-7
+
     def test_stats_populated(self, harmonic):
         seg = integrate_flow(harmonic, PhasePoint([1.0, 0.0]), 1.0)
         assert seg.stats.n_steps > 0

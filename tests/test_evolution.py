@@ -22,7 +22,7 @@ from metricflow import (
     split_propagate,
 )
 from metricflow.evolution import EvolutionError
-from metricflow.exprlang import evaluate
+from metricflow.exprlang import evaluate, parse
 from metricflow.friction import analytic_metric
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -69,10 +69,17 @@ class TestApplyJ:
         assert np.max(np.abs(vals)) == 0.0
 
     def test_sym_unsym_agreement_checked(self, damped):
-        # the probe inside apply_J compares the two operator assemblies;
-        # feeding a non-skew matrix trips it
+        # apply_J probes w_kl + w_lk; a non-skew matrix trips it
         with pytest.raises(EvolutionError):
             apply_J(damped, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_non_skew_expression_entries(self, damped):
+        chart = damped.chart
+        W = [[parse(e, chart) for e in row] for row in [["0", "q1"], ["q1", "0"]]]
+        with pytest.raises(EvolutionError):
+            apply_J(damped, W)
+        # the skew counterpart passes the same probe
+        apply_J(damped, [[parse(e, chart) for e in row] for row in [["0", "q1"], ["-q1", "0"]]])
 
 
 class TestSeries:
