@@ -35,7 +35,7 @@ from .evolution import (
     pullback_metric,
     split_propagate,
 )
-from .exprlang import CoordinateChart, ExprError, free_vars
+from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
 from .friction import ApplicabilityError, FrictionError, FrictionSystem, analytic_metric, applicability_check
 from .helmholtz import classify
 from .phasespace import (
@@ -503,6 +503,8 @@ def main(argv=None) -> int:
             payload, code = cmd_audit(cfg, tol=args.tol, seed=args.seed)
         else:
             payload, code = cmd_bracket(cfg, args.A, args.B, args.C)
+    except DomainError as exc:
+        return emit_error(EXIT_CONFIG, "domain", str(exc))
     except (ConfigError, ExprError) as exc:
         return emit_error(EXIT_CONFIG, "config", str(exc))
     except ApplicabilityError as exc:

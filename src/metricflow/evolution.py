@@ -30,11 +30,13 @@ from scipy.linalg import expm
 
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, integrate_flow
 from .exprlang import (
+    DomainError,
     Expr,
     Num,
     count_nodes,
     differentiate,
     evaluate,
+    evaluate_grad,
     is_zero,
     simplify,
 )
@@ -163,7 +165,10 @@ class SeriesPropagator:
     """Exponential-series propagator for one (field, initial metric) pair.
 
     Symbolic operator powers are computed once and shared across point
-    evaluations; linear fields take the exact congruence by expm(-tA).
+    evaluations; linear fields take the exact congruence by expm(-tA).  At
+    a point, each power's entries are walked once, in forward mode, for
+    their values and coordinate gradients together; the arrays are kept
+    for the most recent point only.
     """
 
     def __init__(self, V: VectorFieldSpec, W0):
@@ -173,6 +178,10 @@ class SeriesPropagator:
             raise ValueError("initial metric does not match the chart dimension")
         self.affine_jacobian = V.constant_jacobian
         self._powers: list[list[list[Expr]]] = [_entries_of(self.W0)]
+        self._point: bytes | None = None
+        self._env: dict[str, float] = {}
+        self._terms: list[tuple[np.ndarray, np.ndarray | DomainError]] = []
+        self._known: dict[int, tuple[float, tuple]] = {}
 
     def _power(self, j: int) -> list[list[Expr]]:
         while len(self._powers) <= j:
@@ -188,10 +197,44 @@ class SeriesPropagator:
             self._powers.append(nxt)
         return self._powers[j]
 
-    def _eval_power(self, j: int, env) -> np.ndarray:
-        entries = self._power(j)
+    def _at_point(self, coords, time: float, j: int) -> tuple[np.ndarray, np.ndarray | DomainError]:
+        """Power j at the point: (P, dP) with dP[k, l, m] = d_k P[l, m].
+
+        dP is the DomainError of the gradient walk instead when a partial
+        failed where the value did not.
+        """
+        # the field is autonomous and W0 constant, so the powers do not involve t
+        key = np.asarray(coords, dtype=float).tobytes()
+        if key != self._point:
+            self._point = key
+            self._env = self.V.chart.env(coords, time)
+            self._terms = []
+            self._known = {}
+        while len(self._terms) <= j:
+            self._terms.append(self._walk(self._power(len(self._terms))))
+        return self._terms[j]
+
+    def _walk(self, entries: list[list[Expr]]) -> tuple[np.ndarray, np.ndarray | DomainError]:
         d = self.V.chart.dim
-        return np.array([[evaluate(entries[k][l], env) for l in range(d)] for k in range(d)])
+        names = self.V.chart.names
+        env, known = self._env, self._known
+        P = np.empty((d, d))
+        dP: np.ndarray | DomainError = np.zeros((d, d, d))
+        for l in range(d):
+            for m in range(d):
+                e = entries[l][m]
+                try:
+                    value, grad = evaluate_grad(e, env, names, known)
+                except DomainError as exc:
+                    P[l, m] = evaluate(e, env)  # raises if the value itself fails
+                    dP = exc
+                    continue
+                P[l, m] = value
+                # power j + 1 refers to these entries through w_lm X^m
+                known[id(e)] = (value, grad)
+                if not isinstance(dP, DomainError):
+                    dP[:, l, m] = [0.0 if g is None else g for g in grad]
+        return P, dP
 
     def propagate(
         self,
@@ -212,14 +255,13 @@ class SeriesPropagator:
             return W, SeriesInfo("linear-exact", 0, 0.0, False)
         if x is None:
             raise ValueError("the generic series path needs an evaluation point")
-        env = self.V.chart.env(x.coords, x.time)
-        total = self._eval_power(0, env)
+        total = self._at_point(x.coords, x.time, 0)[0]
         coeff = 1.0
         last_norm = 0.0
         terms = 0
         for j in range(1, order + 1):
             coeff *= t / j
-            term = coeff * self._eval_power(j, env)
+            term = coeff * self._at_point(x.coords, x.time, j)[0]
             total = total + term
             terms = j
             last_norm = float(np.max(np.abs(term)))
@@ -457,7 +499,17 @@ def transported_d_dt(
 
 
 class SeriesMetric(MetricField):
-    """The series-propagated metric as a field with exact derivatives."""
+    """The series-propagated metric as a field with exact derivatives.
+
+    value, d_dt and d_dx sum the same per-point arrays of the propagator:
+    each operator power's values P_j and coordinate gradients dP_j come
+    from one forward-mode pass over its entries (:func:`evaluate_grad`),
+    so d_dx differentiates the truncated series termwise without building
+    derivative trees.  The loops keep their truncation rules: the relative
+    stop of ``propagate`` for the value, an absolute SERIES_STOP_NORM stop
+    on the last term for d_dt and d_dx.  A partial that leaves its domain
+    where the value does not (d sqrt(u)/dx at u = 0) fails d_dx only.
+    """
 
     def __init__(self, V: VectorFieldSpec, W0, order: int = DEFAULT_SERIES_ORDER, mode: str = "auto"):
         self.chart = V.chart
@@ -477,12 +529,11 @@ class SeriesMetric(MetricField):
             W = self.value(coords, time)
             return -(A.T @ W + W @ A)
         # termwise derivative of the truncated series: the index-shifted sum
-        env = self.chart.env(coords, time)
-        total = self.prop._eval_power(1, env)
+        total = self.prop._at_point(coords, time, 1)[0]
         coeff = 1.0
         for j in range(2, self.order + 1):
             coeff *= time / (j - 1)
-            term = coeff * self.prop._eval_power(j, env)
+            term = coeff * self.prop._at_point(coords, time, j)[0]
             total = total + term
             if float(np.max(np.abs(term))) < SERIES_STOP_NORM:
                 break
@@ -492,26 +543,16 @@ class SeriesMetric(MetricField):
         d = self.chart.dim
         if self.prop.affine_jacobian is not None and self.mode in ("auto", "linear"):
             return np.zeros((d, d, d))
-        # differentiate the truncated series termwise
-        env = self.chart.env(coords, time)
+        # the truncated series differentiated termwise, from the powers' gradients
         D = np.zeros((d, d, d))
         coeff = 1.0
         for j in range(0, self.order + 1):
             if j > 0:
                 coeff *= time / j
-            entries = self.prop._power(j)
-            term = coeff * np.array(
-                [
-                    [
-                        [
-                            evaluate(differentiate(entries[l][m], self.chart.names[k]), env)
-                            for m in range(d)
-                        ]
-                        for l in range(d)
-                    ]
-                    for k in range(d)
-                ]
-            )
+            dP = self.prop._at_point(coords, time, j)[1]
+            if isinstance(dP, DomainError):
+                raise dP
+            term = coeff * dP
             D = D + term
             if j > 0 and float(np.max(np.abs(term))) < SERIES_STOP_NORM:
                 break

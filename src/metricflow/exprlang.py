@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 TIME_NAME = "t"
@@ -308,6 +309,59 @@ def as_expr(value, chart: CoordinateChart) -> Expr:
     return _coerce(value)
 
 
+def _pow(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return math.inf
+
+
+def _binop_value(e: BinOp, a: float, b: float) -> float:
+    """The value of the operator node ``e`` from its operands' values."""
+    op = e.op
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0.0:
+            raise DomainError("division by zero", e)
+        return a / b
+    if op == "^":
+        try:
+            return _pow(a, b)
+        except ValueError:
+            raise DomainError("invalid power", e) from None
+    raise ExprError(f"unknown operator '{op}'")
+
+
+def _call_value(e: Call, v: float) -> float:
+    """The value of the function node ``e`` from its argument's value."""
+    f = e.func
+    if f == "sin":
+        return math.sin(v)
+    if f == "cos":
+        return math.cos(v)
+    if f == "tanh":
+        return math.tanh(v)
+    if f == "exp":
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+    if f == "log":
+        if v <= 0.0:
+            raise DomainError("log of non-positive value", e)
+        return math.log(v)
+    if f == "sqrt":
+        if v < 0.0:
+            raise DomainError("sqrt of negative value", e)
+        return math.sqrt(v)
+    raise ExprError(f"unknown function '{f}'")
+
+
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate ``e`` with IEEE-754 doubles under the given bindings.
 
@@ -324,49 +378,211 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, Neg):
         return -evaluate(e.arg, env)
     if isinstance(e, BinOp):
-        a = evaluate(e.lhs, env)
-        b = evaluate(e.rhs, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", e)
-            return a / b
-        if e.op == "^":
-            try:
-                return math.pow(a, b)
-            except ValueError:
-                raise DomainError("invalid power", e) from None
-            except OverflowError:
-                return math.inf
-        raise ExprError(f"unknown operator '{e.op}'")
+        return _binop_value(e, evaluate(e.lhs, env), evaluate(e.rhs, env))
     if isinstance(e, Call):
-        v = evaluate(e.arg, env)
-        if e.func == "sin":
-            return math.sin(v)
-        if e.func == "cos":
-            return math.cos(v)
-        if e.func == "tanh":
-            return math.tanh(v)
-        if e.func == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if e.func == "log":
-            if v <= 0.0:
-                raise DomainError("log of non-positive value", e)
-            return math.log(v)
-        if e.func == "sqrt":
-            if v < 0.0:
-                raise DomainError("sqrt of negative value", e)
-            return math.sqrt(v)
-        raise ExprError(f"unknown function '{e.func}'")
+        return _call_value(e, evaluate(e.arg, env))
     raise ExprError(f"unknown node {e!r}")
+
+
+class _Exact(float):
+    """A partial derivative that :func:`differentiate` folds to this constant."""
+
+    __slots__ = ()
+
+
+# The partials of a node form a tuple with one slot per coordinate: None
+# where differentiate simplifies the partial to the constant 0, an _Exact
+# where it folds it to another constant, a DomainError where evaluating the
+# simplified partial would raise it, the float value otherwise.  The helpers
+# apply simplify's folding and 0/1 rules to one slot: a zero factor drops a
+# failing partial, as simplify drops its subtree; any other operation keeps
+# the failure.
+
+
+def _p_add(p, q):
+    if p is None:
+        return q
+    if q is None:
+        return p
+    if type(p) is _Exact and type(q) is _Exact:
+        return _Exact(p + q) if p + q != 0.0 else None
+    if type(p) is DomainError:
+        return p
+    if type(q) is DomainError:
+        return q
+    return p + q
+
+
+def _p_neg(p):
+    if p is None or type(p) is DomainError:
+        return p
+    return _Exact(-p) if type(p) is _Exact else -p
+
+
+def _p_sub(p, q):
+    if q is None:
+        return p
+    if p is None:
+        return _p_neg(q)
+    if type(p) is _Exact and type(q) is _Exact:
+        return _Exact(p - q) if p - q != 0.0 else None
+    if type(p) is DomainError:
+        return p
+    if type(q) is DomainError:
+        return q
+    return p - q
+
+
+def _p_mul(p, c: float, c_is_num: bool):
+    """The partial p times a factor with value c, a Num node iff c_is_num."""
+    if p is None or (c_is_num and c == 0.0):
+        return None
+    if type(p) is DomainError:
+        return p
+    if type(p) is _Exact and c_is_num:
+        return _Exact(p * c) if p * c != 0.0 else None
+    return p * c
+
+
+def _p_div(p, c: float, c_is_num: bool):
+    """The partial p divided by a nonzero factor with value c."""
+    if p is None or type(p) is DomainError:
+        return p
+    if type(p) is _Exact and c_is_num:
+        return _Exact(p / c) if p / c != 0.0 else None
+    return p / c
+
+
+def _p_fail(partials, error: DomainError) -> tuple:
+    """``error`` in every slot whose partial is not exactly 0."""
+    return tuple(None if p is None else error for p in partials)
+
+
+@lru_cache(maxsize=None)
+def _partials_basis(d: int) -> tuple[tuple, tuple[tuple, ...]]:
+    """The all-zero partials (one shared object) and each coordinate's own."""
+    zeros = (None,) * d
+    return zeros, tuple(zeros[:k] + (_Exact(1.0),) + zeros[k + 1 :] for k in range(d))
+
+
+def evaluate_grad(
+    e: Expr,
+    env: Mapping[str, float],
+    names: Sequence[str],
+    known: Mapping[int, tuple[float, tuple]] | None = None,
+) -> tuple[float, tuple]:
+    """Value and coordinate gradient of ``e`` in one forward-mode pass.
+
+    The value takes exactly the floating-point operations of
+    :func:`evaluate`.  Partial k follows the rules of :func:`differentiate`
+    with respect to ``names[k]`` and is None where that derivative
+    simplifies to 0; such a partial is never evaluated, so it cannot hit a
+    domain error (d sqrt(p1)/dq1 is exactly 0, also at p1 = 0).  ``e`` is
+    expected to be simplified, as every series power is.  A domain
+    violation of the value, or of a partial that evaluate(differentiate(e,
+    name)) would meet, raises :class:`DomainError` naming the node;
+    overflow gives inf.  ``known`` maps ``id(node)`` to an earlier result
+    for that node, which is reused instead of walked.
+    """
+    index = {name: k for k, name in enumerate(names)}
+    zeros, units = _partials_basis(len(names))
+    known = known or {}
+
+    def walk(e: Expr):
+        hit = known.get(id(e))
+        if hit is not None:
+            return hit
+        if isinstance(e, Num):
+            return e.value, zeros
+        if isinstance(e, Var):
+            try:
+                value = env[e.name]
+            except KeyError:
+                raise UnboundVariableError(f"no binding for '{e.name}'") from None
+            k = index.get(e.name)
+            return value, zeros if k is None else units[k]
+        if isinstance(e, Neg):
+            a, ga = walk(e.arg)
+            return -a, ga if ga is zeros else tuple(map(_p_neg, ga))
+        if isinstance(e, BinOp):
+            return binop(e)
+        if isinstance(e, Call):
+            return call(e)
+        raise ExprError(f"unknown node {e!r}")
+
+    def binop(e: BinOp):
+        a, ga = walk(e.lhs)
+        b, gb = walk(e.rhs)
+        value = _binop_value(e, a, b)
+        op = e.op
+        an, bn = isinstance(e.lhs, Num), isinstance(e.rhs, Num)
+        if op == "^" and an and not bn and a == 0.0:
+            # differentiate leaves du/u = 0/0 unfolded for a base of the number 0
+            return value, (DomainError("division by zero in the derivative", e),) * len(zeros)
+        if ga is zeros and gb is zeros:
+            return value, zeros
+        if op == "+":
+            return value, tuple(map(_p_add, ga, gb))
+        if op == "-":
+            return value, tuple(map(_p_sub, ga, gb))
+        if op == "*":
+            return value, tuple(_p_add(_p_mul(p, b, bn), _p_mul(q, a, an)) for p, q in zip(ga, gb))
+        if op == "/":
+            if bn:
+                return value, tuple(_p_div(p, b, True) for p in ga)
+            nums = [_p_sub(_p_mul(p, b, False), _p_mul(q, a, an)) for p, q in zip(ga, gb)]
+            square = _pow(b, 2.0)
+            if square == 0.0:
+                return value, _p_fail(nums, DomainError("division by zero in the derivative", e))
+            return value, tuple(_p_div(n, square, False) for n in nums)
+        if bn:  # u^c: c u^(c-1) du
+            if b == 0.0:
+                return value, zeros
+            if b == 1.0 or all(p is None for p in ga):
+                return value, ga
+            try:
+                c = b * _pow(a, b - 1.0)
+            except ValueError:
+                return value, _p_fail(ga, DomainError("invalid power in the derivative", e))
+            return value, tuple(_p_mul(p, c, False) for p in ga)
+        # u^v: u^v (dv log u + v du/u)
+        if a > 0.0:
+            dlog = [_p_mul(q, math.log(a), an) for q in gb]
+        else:
+            dlog = _p_fail(gb, DomainError("log of non-positive value in the derivative", e))
+        if a != 0.0:
+            ddiv = [_p_mul(_p_div(p, a, False), b, False) for p in ga]
+        else:
+            ddiv = _p_fail(ga, DomainError("division by zero in the derivative", e))
+        return value, tuple(_p_mul(_p_add(q, p), value, False) for q, p in zip(dlog, ddiv))
+
+    def call(e: Call):
+        a, ga = walk(e.arg)
+        value = _call_value(e, a)
+        if ga is zeros:
+            return value, zeros
+        f = e.func
+        if f == "log":
+            return value, tuple(_p_div(p, a, False) for p in ga)
+        if f == "sqrt":
+            if value == 0.0:
+                return value, _p_fail(ga, DomainError("division by zero in the derivative", e))
+            return value, tuple(_p_div(p, 2.0 * value, False) for p in ga)
+        if f == "sin":
+            slope = math.cos(a)
+        elif f == "cos":
+            slope = -math.sin(a)
+        elif f == "tanh":
+            slope = 1.0 - _pow(value, 2.0)
+        else:  # exp
+            slope = value
+        return value, tuple(_p_mul(p, slope, False) for p in ga)
+
+    value, grad = walk(e)
+    for p in grad:
+        if type(p) is DomainError:
+            raise p
+    return value, grad
 
 
 def evaluate_at(e: Expr, chart: CoordinateChart, coords: Sequence[float], time: float = 0.0) -> float:
@@ -386,7 +602,10 @@ def _is_num(e: Expr, value: float | None = None) -> bool:
 
 
 def simplify(e: Expr) -> Expr:
-    """Bottom-up constant folding plus 0/1 identities; nothing fancier."""
+    """Bottom-up constant folding plus 0/1 identities; nothing fancier.
+
+    A node that no rule changes is returned itself, not copied.
+    """
     if isinstance(e, (Num, Var)):
         return e
     if isinstance(e, Neg):
@@ -395,15 +614,19 @@ def simplify(e: Expr) -> Expr:
             return Num(-a.value)
         if isinstance(a, Neg):
             return a.arg
-        return Neg(a)
+        return e if a is e.arg else Neg(a)
     if isinstance(e, Call):
         a = simplify(e.arg)
-        out = Call(e.func, a)
-        return _fold(out) if isinstance(a, Num) else out
+        if isinstance(a, Num):
+            return _fold(Call(e.func, a))
+        return e if a is e.arg else Call(e.func, a)
     if isinstance(e, BinOp):
         a = simplify(e.lhs)
         b = simplify(e.rhs)
         op = e.op
+        # a zero factor wins before folding, also over an inf or NaN constant
+        if op == "*" and (_is_num(a, 0.0) or _is_num(b, 0.0)):
+            return ZERO
         if isinstance(a, Num) and isinstance(b, Num):
             return _fold(BinOp(op, a, b))
         if op == "+":
@@ -417,8 +640,6 @@ def simplify(e: Expr) -> Expr:
             if _is_num(a, 0.0):
                 return simplify(Neg(b))
         elif op == "*":
-            if _is_num(a, 0.0) or _is_num(b, 0.0):
-                return ZERO
             if _is_num(a, 1.0):
                 return b
             if _is_num(b, 1.0):
@@ -430,7 +651,6 @@ def simplify(e: Expr) -> Expr:
                     return Neg(b)
                 if isinstance(b, BinOp) and b.op == "*" and isinstance(b.lhs, Num):
                     return simplify(BinOp("*", Num(a.value * b.lhs.value), b.rhs))
-                return BinOp("*", a, b)
         elif op == "/":
             if _is_num(a, 0.0):
                 return ZERO
@@ -446,7 +666,8 @@ def simplify(e: Expr) -> Expr:
                 return a
             if _is_num(b, 0.0):
                 return ONE
-        return BinOp(op, a, b)
+        # an unchanged node is returned as is, so simplified subtrees stay shared
+        return e if a is e.lhs and b is e.rhs else BinOp(op, a, b)
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -519,7 +740,8 @@ def _prec(e: Expr) -> int:
     if isinstance(e, (Var, Call)):
         return 5
     if isinstance(e, Neg):
-        return 3
+        # "-x*y" reads as (-x)*y, so a negated product binds like a product
+        return 2 if _prec(e.arg) == 2 else 3
     if isinstance(e, BinOp):
         return _PREC_BIN[e.op]
     raise ExprError(f"unknown node {e!r}")

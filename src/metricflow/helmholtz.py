@@ -21,6 +21,7 @@ from .phasespace import (
     PhasePoint,
     _check_point,
     canonical_metric,
+    degeneracy_ratio,
 )
 
 
@@ -120,7 +121,7 @@ def classify(
         raise ValueError("at least one sample point is required")
     for x in points:
         W = M.value(x.coords, x.time)
-        if abs(float(np.linalg.det(W))) < DEGENERACY_TOL:
+        if degeneracy_ratio(W) < DEGENERACY_TOL:
             import warnings
 
             from .phasespace import DegenerateMetricWarning

@@ -10,6 +10,7 @@ demand by pulling the initial metric back along the flow).
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -23,11 +24,15 @@ from .exprlang import (
     as_expr,
     compile_vector,
     differentiate,
+    evaluate,
     TIME_NAME,
 )
 
 SKEW_TOL = 1e-12
+# bound on degeneracy_ratio, which does not depend on the scale of the metric
 DEGENERACY_TOL = 1e-12
+# TransportedMetric keeps the values of this many most recently used points
+TRANSPORT_CACHE_SIZE = 256
 
 
 class MetricError(Exception):
@@ -142,35 +147,53 @@ class ExprMetric(MetricField):
     @cached_property
     def _value_fn(self):
         flat = [e for row in self.entries for e in row]
-        return compile_vector(flat, self.chart)
+        return flat, compile_vector(flat, self.chart)
 
     @cached_property
     def _d_dx_fns(self):
         fns = []
         for name in self.chart.names:
             flat = [differentiate(e, name) for row in self.entries for e in row]
-            fns.append(compile_vector(flat, self.chart))
+            fns.append((flat, compile_vector(flat, self.chart)))
         return fns
 
     @cached_property
     def _d_dt_fn(self):
         flat = [differentiate(e, TIME_NAME) for row in self.entries for e in row]
-        return compile_vector(flat, self.chart)
+        return flat, compile_vector(flat, self.chart)
+
+    def _eval(self, compiled, coords, time) -> np.ndarray:
+        """The compiled entries at the point, with :func:`evaluate`'s semantics.
+
+        An entry the compiled code fails on or returns as inf or NaN is
+        evaluated again by the interpreter, which raises a DomainError
+        naming the offending node, or gives inf on overflow.
+        """
+        flat, fn = compiled
+        d = self.chart.dim
+        with np.errstate(all="ignore"):
+            try:
+                values = np.array(fn(coords, time), dtype=float)
+            except (ArithmeticError, ValueError):
+                values = np.full(len(flat), np.nan)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            env = self.chart.env(coords, time)
+            for i in bad:
+                values[i] = evaluate(flat[i], env)
+        return values.reshape(d, d)
 
     def value(self, coords, time):
-        d = self.chart.dim
-        W = np.array(self._value_fn(coords, time)).reshape(d, d)
+        W = self._eval(self._value_fn, coords, time)
         if np.max(np.abs(W + W.T)) > SKEW_TOL:
             raise MetricError("metric entries are not skew-symmetric at the evaluated point")
         return W
 
     def d_dx(self, coords, time):
-        d = self.chart.dim
-        return np.array([np.array(fn(coords, time)).reshape(d, d) for fn in self._d_dx_fns])
+        return np.array([self._eval(compiled, coords, time) for compiled in self._d_dx_fns])
 
     def d_dt(self, coords, time):
-        d = self.chart.dim
-        return np.array(self._d_dt_fn(coords, time)).reshape(d, d)
+        return self._eval(self._d_dt_fn, coords, time)
 
 
 class TransportedMetric(MetricField):
@@ -190,7 +213,8 @@ class TransportedMetric(MetricField):
         self.initial = initial
         self.field = field
         self.opts = opts or TRANSPORT_OPTIONS
-        self._cache: dict[tuple[bytes, float], np.ndarray] = {}
+        # least recently used first, at most TRANSPORT_CACHE_SIZE entries
+        self._cache: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
 
     def value(self, coords, time):
         from .evolution import pullback_metric
@@ -198,11 +222,13 @@ class TransportedMetric(MetricField):
         coords = np.asarray(coords, dtype=float)
         key = (coords.tobytes(), float(time))
         hit = self._cache.get(key)
-        if hit is None:
-            hit = pullback_metric(
-                self.field, self.initial, PhasePoint(coords, time), opts=self.opts
-            )
-            self._cache[key] = hit
+        if hit is not None:
+            self._cache.move_to_end(key)
+            return hit
+        hit = pullback_metric(self.field, self.initial, PhasePoint(coords, time), opts=self.opts)
+        self._cache[key] = hit
+        if len(self._cache) > TRANSPORT_CACHE_SIZE:
+            self._cache.popitem(last=False)
         return hit
 
     def d_dx(self, coords, time):
@@ -239,14 +265,28 @@ def jacobi_residual(M: MetricField, x: PhasePoint) -> float:
     return float(np.max(np.abs(R)))
 
 
+def degeneracy_ratio(W: np.ndarray) -> float:
+    """|det W| relative to Hadamard's bound, the product of the column norms.
+
+    The ratio lies in [0, 1]: 1 when the columns are orthogonal, 0 when W
+    is singular.  Scaling W, or any of its columns, leaves it unchanged, so
+    one threshold (DEGENERACY_TOL) serves every scale and dimension.
+    """
+    norms = np.linalg.norm(W, axis=0)
+    if not np.all(norms > 0.0):
+        return 0.0
+    return abs(float(np.linalg.det(W / norms)))
+
+
 def metric_determinant(M: MetricField, x: PhasePoint) -> MetricDeterminant:
     """Determinant g and density sqrt(|g|), flagging near-degeneracy."""
     W = metric_eval(M, x)
     g = float(np.linalg.det(W))
-    degenerate = abs(g) < DEGENERACY_TOL
+    degenerate = degeneracy_ratio(W) < DEGENERACY_TOL
     if degenerate:
         warnings.warn(
-            f"metric determinant {g:.3e} below degeneracy threshold", DegenerateMetricWarning
+            f"metric determinant {g:.3e} is degenerate relative to the metric's scale",
+            DegenerateMetricWarning,
         )
     return MetricDeterminant(g, float(np.sqrt(abs(g))), degenerate)
 
@@ -254,8 +294,8 @@ def metric_determinant(M: MetricField, x: PhasePoint) -> MetricDeterminant:
 def inverse_metric(M: MetricField, x: PhasePoint) -> np.ndarray:
     """Matrix inverse of the metric; skew-symmetric, raises when singular."""
     W = metric_eval(M, x)
-    g = float(np.linalg.det(W))
-    if abs(g) < DEGENERACY_TOL:
+    if degeneracy_ratio(W) < DEGENERACY_TOL:
+        g = float(np.linalg.det(W))
         raise SingularMetricError(f"metric is singular at the query point (det={g:.3e})")
     inv = np.linalg.inv(W)
     I = np.eye(W.shape[0])

@@ -309,6 +309,22 @@ class TestMainEntry:
         assert error["kind"] and error["message"]
         assert "Traceback" not in proc.stderr
 
+    def test_metric_domain_error_names_the_entry(self, tmp_path):
+        # the sampled origin puts q1 = 0 into the compiled entry 1/q1
+        data = {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "friction": 0.5,
+                "metric": [["0", "1/q1"], ["-1/q1", "0"]],
+                "samples": {"count": 20, "box": 1.0, "seed": 3}}
+        path = write_config(tmp_path, data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricflow.cli", "classify", "--config", path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "domain"
+        assert "'1/q1'" in error["message"]
+        assert proc.stderr == ""
+
     def test_seed_override_changes_samples(self, tmp_path):
         path = write_config(tmp_path, DAMPED_CANONICAL)
         out1 = tmp_path / "s1.json"

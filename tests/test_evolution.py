@@ -22,7 +22,7 @@ from metricflow import (
     split_propagate,
 )
 from metricflow.evolution import EvolutionError
-from metricflow.exprlang import evaluate, parse
+from metricflow.exprlang import DomainError, evaluate, parse
 from metricflow.friction import analytic_metric
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -138,6 +138,135 @@ class TestSeries:
         monkeypatch.setattr(evolution, "MAX_EXPR_NODES", 50)
         with pytest.raises(evolution.ExpressionSizeError):
             series_propagate(V, J2, 0.1, order=10, x=PhasePoint([0.2, 0.1]))
+
+
+def termwise_symbolic_d_dx(M, coords, time):
+    """The series d_dx as it was computed before the forward-mode pass:
+    every power entry differentiated symbolically, then evaluated."""
+    from metricflow.evolution import SERIES_STOP_NORM
+    from metricflow.exprlang import differentiate
+
+    d = M.chart.dim
+    env = M.chart.env(coords, time)
+    D = np.zeros((d, d, d))
+    coeff = 1.0
+    for j in range(0, M.order + 1):
+        if j > 0:
+            coeff *= time / j
+        entries = M.prop._power(j)
+        term = coeff * np.array(
+            [
+                [
+                    [evaluate(differentiate(entries[l][m], M.chart.names[k]), env) for m in range(d)]
+                    for l in range(d)
+                ]
+                for k in range(d)
+            ]
+        )
+        D = D + term
+        if j > 0 and float(np.max(np.abs(term))) < SERIES_STOP_NORM:
+            break
+    return D
+
+
+class TestSeriesForwardMode:
+    @staticmethod
+    def van_der_pol(chart1):
+        return VectorFieldSpec.from_components(chart1, ["p1", "(1 - q1^2)*p1 - q1"])
+
+    @staticmethod
+    def quartic_generic(chart2):
+        from metricflow import FrictionSystem
+
+        V = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", 1.0).vector_field
+        B = np.random.default_rng(5).standard_normal((4, 4))
+        return V, B - B.T
+
+    def test_d_dx_makes_no_differentiate_calls(self, chart1, monkeypatch):
+        import metricflow.evolution as evolution
+        import metricflow.exprlang as exprlang
+        from metricflow.evolution import SeriesMetric
+
+        M = SeriesMetric(self.van_der_pol(chart1), J2, order=6, mode="generic")
+        M.prop._power(6)  # the symbolic powers themselves are built by differentiation
+        calls = []
+
+        def counting(e, var, _orig=exprlang.differentiate):
+            calls.append(var)
+            return _orig(e, var)
+
+        monkeypatch.setattr(exprlang, "differentiate", counting)
+        monkeypatch.setattr(evolution, "differentiate", counting)
+        for coords in ([0.3, -0.4], [0.7, 0.1]):
+            M.value(coords, 0.5)
+            M.d_dt(coords, 0.5)
+            M.d_dx(coords, 0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["van_der_pol", "quartic_generic"])
+    def test_d_dx_matches_termwise_symbolic(self, case, chart1, chart2):
+        from metricflow.evolution import SeriesMetric
+
+        if case == "van_der_pol":
+            V, W0, order, coords = self.van_der_pol(chart1), J2, 6, [0.3, -0.4]
+        else:
+            (V, W0), order, coords = self.quartic_generic(chart2), 4, [0.2, -0.3, 0.4, 0.1]
+        M = SeriesMetric(V, W0, order=order, mode="generic")
+        for time in (0.0, 0.5, -0.3):
+            D = M.d_dx(coords, time)
+            ref = termwise_symbolic_d_dx(M, np.array(coords), time)
+            assert np.max(np.abs(D - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_value_and_d_dt_unchanged_bitwise(self, chart1):
+        from metricflow.evolution import SERIES_STOP_NORM, SeriesMetric
+
+        M = SeriesMetric(self.van_der_pol(chart1), J2, order=6, mode="generic")
+        coords, time = [0.3, -0.4], 0.5
+        env = chart1.env(coords, time)
+        powers = [
+            np.array([[evaluate(e, env) for e in row] for row in M.prop._power(j)]) for j in range(7)
+        ]
+        total = powers[1]
+        coeff = 1.0
+        for j in range(2, 7):
+            coeff *= time / (j - 1)
+            term = coeff * powers[j]
+            total = total + term
+            if float(np.max(np.abs(term))) < SERIES_STOP_NORM:
+                break
+        assert np.array_equal(M.d_dt(coords, time), total)
+        for j in range(7):
+            assert np.array_equal(M.prop._at_point(coords, time, j)[0], powers[j])
+
+    def test_exact_zero_partial_of_sqrt(self, chart1):
+        from metricflow.exprlang import differentiate, evaluate_grad
+
+        env = chart1.env([0.3, 0.0])
+        # d sqrt(p1)/dq1 simplifies to 0, so it is 0 at p1 = 0, not 0/0
+        assert evaluate(differentiate(parse("sqrt(p1)", chart1), "q1"), env) == 0.0
+        value, grad = evaluate_grad(parse("sqrt(p1)", chart1), env, ("q1",))
+        assert value == 0.0 and grad == (None,)
+        value, grad = evaluate_grad(parse("q1*sqrt(p1) + q1", chart1), env, ("q1",))
+        assert value == 0.3 and grad == (1.0,)
+        # the p1 partial divides by 2 sqrt(p1) = 0, as the symbolic derivative does
+        with pytest.raises(DomainError):
+            evaluate_grad(parse("sqrt(p1)", chart1), env, chart1.names)
+
+    def test_gradient_domain_failure_reaches_d_dx_only(self, chart1):
+        from metricflow.evolution import SeriesMetric
+
+        # power 1 holds d(sqrt(p1) q1)/dq1 = sqrt(p1): finite at p1 = 0, its
+        # p1 partial is not (power 2 would hold that partial as a value)
+        V = VectorFieldSpec.from_components(chart1, ["q1*sqrt(p1)", "-q1"])
+        M = SeriesMetric(V, J2, order=1, mode="generic")
+        coords = [0.3, 0.0]
+        env = chart1.env(coords, 0.2)
+        P1 = np.array([[evaluate(e, env) for e in row] for row in M.prop._power(1)])
+        assert np.array_equal(M.value(coords, 0.2), J2 + 0.2 * P1)
+        with pytest.raises(DomainError):
+            termwise_symbolic_d_dx(M, np.array(coords), 0.2)
+        with pytest.raises(DomainError):
+            M.d_dx(coords, 0.2)
 
 
 class TestSplit:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from metricflow import (
     MetricError,
     PhasePoint,
     SingularMetricError,
+    TransportedMetric,
+    VectorFieldSpec,
     canonical_metric,
     inverse_metric,
     jacobi_residual,
@@ -146,6 +150,19 @@ class TestDeterminant:
             det = metric_determinant(M, PhasePoint([0.0, 0.0]))
         assert det.degenerate
 
+    def test_small_scale_is_not_degenerate(self):
+        # 0.01 * canonical at n = 8 has det 1e-32 but orthogonal columns
+        chart = CoordinateChart(8)
+        M = ConstantMetric(chart, 0.01 * canonical_metric(chart).matrix)
+        x = PhasePoint(np.zeros(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateMetricWarning)
+            det = metric_determinant(M, x)
+        assert det.g == pytest.approx(1e-32, rel=1e-12)
+        assert not det.degenerate
+        inv = inverse_metric(M, x)
+        assert np.max(np.abs(M.matrix @ inv - np.eye(16))) < 1e-12
+
     def test_nonnegative_determinant(self):
         # skew determinants are perfect squares
         chart = CoordinateChart(2)
@@ -238,3 +255,24 @@ class TestInverse:
             inv = inverse_metric(M, x)
             assert np.max(np.abs(W @ inv - np.eye(4))) < 1e-10
             assert np.max(np.abs(inv + inv.T)) < 1e-12
+
+
+class TestTransportedCache:
+    def test_cache_is_bounded(self, monkeypatch):
+        import metricflow.phasespace as phasespace
+
+        monkeypatch.setattr(phasespace, "TRANSPORT_CACHE_SIZE", 4)
+        chart = CoordinateChart(1)
+        V = VectorFieldSpec.from_components(chart, ["p1", "-q1 - q1^2*p1/4"])
+        M = TransportedMetric(canonical_metric(chart), V)
+        fresh = TransportedMetric(canonical_metric(chart), V)
+        points = [np.array([0.1 * i, -0.2]) for i in range(5)]
+        values = [M.value(c, 0.3).copy() for c in points]
+        assert len(M._cache) == 4
+        # the first point was evicted, the last one is still cached
+        assert (points[0].tobytes(), 0.3) not in M._cache
+        assert M.value(points[-1], 0.3) is M._cache[(points[-1].tobytes(), 0.3)]
+        for c, v in zip(points, values):
+            assert np.array_equal(M.value(c, 0.3), v)
+            assert np.array_equal(fresh.value(c, 0.3), v)
+            assert len(M._cache) <= 4

@@ -1,13 +1,21 @@
-"""Property tests: congruence transport against the operator-matrix oracle.
+"""Property tests.
 
-On a linear field dx/dt = A x the evolution operator W -> -(A^T W + W A)
-acts linearly on the skew-matrix space.  The oracle below exponentiates that
-operator as a (d(d-1)/2)^2 matrix; the library instead transports W0 by the
-congruence expm(-tA)^T W0 expm(-tA).  The two constructions share no code.
+Congruence transport against the operator-matrix oracle: on a linear field
+dx/dt = A x the evolution operator W -> -(A^T W + W A) acts linearly on the
+skew-matrix space.  The oracle below exponentiates that operator as a
+(d(d-1)/2)^2 matrix; the library instead transports W0 by the congruence
+expm(-tA)^T W0 expm(-tA).  The two constructions share no code.
+
+Expression language on random trees: printing and parsing keep the value,
+differentiate agrees with sympy, and the forward-mode value and gradient
+agree with evaluate and with evaluate of differentiate.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
@@ -20,7 +28,22 @@ from metricflow import (
     series_propagate,
     split_propagate,
 )
-from metricflow.exprlang import as_expr
+from metricflow.exprlang import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    DomainError,
+    Neg,
+    Num,
+    Var,
+    as_expr,
+    differentiate,
+    evaluate,
+    evaluate_grad,
+    parse,
+    simplify,
+    to_string,
+)
 
 QUARTIC = "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2"
 VAN_DER_POL = ["p1", "(1 - q1^2)*p1 - q1"]
@@ -136,3 +159,101 @@ def test_constant_jacobian_absent_for_nonlinear_fields():
     assert X1.constant_jacobian is None
     assert np.array_equal(X2.constant_jacobian, np.diag([0.0, 0.0, -1.0, -1.0]))
 
+
+
+# ---------------------------------------------------------------------------
+# Random expression trees over the chart q1, p1 and t.
+
+CHART1 = CoordinateChart(1)
+points = st.tuples(*[st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])] * 3)
+
+
+def trees(functions=FUNCTIONS, ops="+-*/^", numbers=(-1.5, 0.0, 0.5, 1.0, 2.0, 3.0), leaves=10):
+    leaf = st.one_of(
+        st.sampled_from([Var("q1"), Var("p1"), Var("t")]),
+        st.sampled_from(numbers).map(Num),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from(ops), children, children),
+            st.builds(Call, st.sampled_from(functions), children),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=leaves)
+
+
+def outcome(fn):
+    """The value of fn(), or the type of the expression error it raises."""
+    try:
+        return fn()
+    except (DomainError, ValueError) as exc:
+        return type(exc)
+
+
+def same_value(a, b, rel=0.0) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(), points)
+# a negated product as a divisor once printed as q1/-q1*q1
+@example(BinOp("/", Var("q1"), Neg(BinOp("*", Var("q1"), Var("q1")))), (-1.5, 0.0, 0.0))
+def test_printing_round_trip_keeps_the_value(e, point):
+    env = CHART1.env(point[:2], point[2])
+    back = parse(to_string(e), CHART1)
+    assert same_value(outcome(lambda: evaluate(back, env)), outcome(lambda: evaluate(e, env)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(functions=("sin", "exp"), ops="+-*", numbers=(-1.5, 0.5, 1.0, 2.0, 3.0), leaves=8),
+       st.lists(st.sampled_from([2.0, 3.0]), max_size=2),
+       points)
+# exp(exp(exp(2))) overflows to inf; its derivative is 0, not inf*0
+@example(Call("exp", Call("exp", Call("exp", Num(2.0)))), [], (0.5, 0.5, 0.0))
+def test_differentiate_agrees_with_sympy(e, exponents, point):
+    sympy = pytest.importorskip("sympy")
+    for k in exponents:
+        e = BinOp("^", e, Num(k))
+    q1, p1, t = sympy.symbols("q1 p1 t")
+    symbolic = sympy.sympify(to_string(e).replace("^", "**"), locals={"q1": q1, "p1": p1, "t": t})
+    env = CHART1.env(point[:2], point[2])
+    for name, sym in (("q1", q1), ("p1", p1)):
+        ref = float(sympy.diff(symbolic, sym).evalf(subs={q1: point[0], p1: point[1], t: point[2]}))
+        got = evaluate(differentiate(e, name), env)
+        assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@settings(max_examples=500, deadline=None)
+@given(trees(), points)
+# d(q1 - q1)/dq1 folds to 0, so d sqrt(q1 - q1)/dq1 is 0, not 0/0
+@example(Call("sqrt", BinOp("-", Var("q1"), Var("q1"))), (0.5, 0.5, 0.0))
+# differentiate leaves 0/0 in the derivative of 0^t
+@example(BinOp("^", Num(0.0), Var("t")), (0.5, 0.5, 1.0))
+# log(1) = 0 drops d(q1^q1)/dq1, whose log(q1) fails at q1 = -1
+@example(BinOp("^", Num(1.0), BinOp("^", Var("q1"), Var("q1"))), (-1.0, 0.5, 0.0))
+def test_forward_mode_matches_evaluate_and_differentiate(tree, point):
+    # differentiate simplifies, and evaluate_grad expects a simplified tree
+    e = simplify(tree)
+    env = CHART1.env(point[:2], point[2])
+    value = outcome(lambda: evaluate(e, env))
+    partials = [outcome(lambda: evaluate(differentiate(e, name), env)) for name in CHART1.names]
+    got = outcome(lambda: evaluate_grad(e, env, CHART1.names))
+    if isinstance(value, type) or any(isinstance(p, type) for p in partials):
+        # a domain violation in the value or in any partial fails the pass
+        assert isinstance(got, type)
+        return
+    assert not isinstance(got, type), got
+    got_value, grad = got
+    assert same_value(got_value, value)  # bit-identical
+    for g, ref in zip(grad, partials):
+        assert same_value(0.0 if g is None else float(g), ref, rel=1e-12)
+        if g is None:
+            assert ref == 0.0
