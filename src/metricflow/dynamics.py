@@ -22,6 +22,7 @@ from .exprlang import (
     TIME_NAME,
     Var,
     as_expr,
+    compile_batch,
     compile_vector,
     differentiate,
     evaluate,
@@ -194,6 +195,14 @@ class VectorFieldSpec:
         return compile_vector(flat, self.chart)
 
     @cached_property
+    def _field_batch(self):
+        return compile_batch(self.components, self.chart)
+
+    @cached_property
+    def _jac_batch(self):
+        return compile_batch([e for row in self.jacobian_exprs for e in row], self.chart)
+
+    @cached_property
     def _div_fn(self):
         return compile_vector([self.divergence_expr], self.chart)
 
@@ -205,6 +214,18 @@ class VectorFieldSpec:
             return self.constant_jacobian
         d = self.chart.dim
         return np.array(self._jac_fn(coords, time)).reshape(d, d)
+
+    def eval_batch(self, X: np.ndarray, time: float = 0.0) -> np.ndarray:
+        """The field at the B columns of X (shape (d, B)), shape (d, B)."""
+        return self._field_batch(X, time)
+
+    def jacobian_batch(self, X: np.ndarray, time: float = 0.0) -> np.ndarray:
+        """The Jacobians at the B columns of X, shape (B, d, d); for affine
+        fields the constant (d, d) Jacobian, which broadcasts."""
+        if self.constant_jacobian is not None:
+            return self.constant_jacobian
+        d = self.chart.dim
+        return np.ascontiguousarray(self._jac_batch(X, time).T).reshape(-1, d, d)
 
     def divergence(self, coords, time: float = 0.0) -> float:
         return self._div_fn(coords, time)[0]

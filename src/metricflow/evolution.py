@@ -394,25 +394,25 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference derivatives for transported metrics.  The perturbed
-# backward flows are integrated jointly (one step sequence) so difference
-# quotients are not dominated by independent integration noise.
+# Finite-difference derivatives for transported metrics.  The 2d perturbed
+# backward flows are integrated jointly as one stacked state (one step
+# sequence), so difference quotients are not dominated by independent
+# integration noise.  Each right-hand side evaluates the field at all copies
+# in one batch and multiplies their Jacobians into the tangent blocks with
+# one stacked matmul.
 
 
-def _stacked_rhs(V: VectorFieldSpec, copies: int, sign: float):
+def _stacked_rhs(V: VectorFieldSpec, copies: int):
     d = V.chart.dim
-    block = d + d * d
 
     def f(tau, s):
-        out = np.empty_like(s)
-        for c in range(copies):
-            seg = s[c * block : (c + 1) * block]
-            xc = seg[:d]
-            Mc = seg[d:].reshape(d, d)
-            A = V.jacobian(xc)
-            out[c * block : c * block + d] = sign * V.eval(xc)
-            out[c * block + d : (c + 1) * block] = sign * (A @ Mc).reshape(-1)
-        return out
+        S = s.reshape(copies, d + d * d)
+        X = S[:, :d].T
+        out = np.empty_like(S)
+        out[:, :d] = V.eval_batch(X).T
+        tangents = S[:, d:].reshape(copies, d, d)
+        out[:, d:] = np.matmul(V.jacobian_batch(X), tangents).reshape(copies, d * d)
+        return out.reshape(-1)
 
     return f
 
@@ -444,7 +444,7 @@ def transported_d_dx(
     I = np.eye(d).reshape(-1)
     y0 = np.concatenate([np.concatenate([xp, I]) for xp in starts])
     back = V.negated if time > 0 else V
-    y_end, _, _ = _integrate(_stacked_rhs(back, copies, 1.0), y0, abs(time), opts)
+    y_end, _, _ = _integrate(_stacked_rhs(back, copies), y0, abs(time), opts)
     block = d + d * d
     values = []
     for c in range(copies):

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 TIME_NAME = "t"
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
@@ -340,10 +342,10 @@ def _binop_value(e: BinOp, a: float, b: float) -> float:
 def _call_value(e: Call, v: float) -> float:
     """The value of the function node ``e`` from its argument's value."""
     f = e.func
-    if f == "sin":
-        return math.sin(v)
-    if f == "cos":
-        return math.cos(v)
+    if f in ("sin", "cos"):
+        if math.isinf(v):
+            raise DomainError(f"{f} of infinite value", e)
+        return math.sin(v) if f == "sin" else math.cos(v)
     if f == "tanh":
         return math.tanh(v)
     if f == "exp":
@@ -748,7 +750,7 @@ def _prec(e: Expr) -> int:
 
 
 def _format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -818,6 +820,9 @@ def is_zero(e: Expr) -> bool:
 
 _COMPILE_GLOBALS = {
     "__builtins__": {},
+    # constants folded to inf or NaN print as these names
+    "inf": math.inf,
+    "nan": math.nan,
     "_sin": math.sin,
     "_cos": math.cos,
     "_exp": math.exp,
@@ -857,3 +862,60 @@ def compile_vector(exprs: Iterable[Expr], chart: CoordinateChart):
     body = ", ".join(_codegen(e, chart) for e in exprs)
     src = f"lambda x, t: [{body}]"
     return eval(src, dict(_COMPILE_GLOBALS))
+
+
+# The batched companion of compile_vector runs the same generated code on the
+# rows of x with shape (d, B).  Arithmetic and sqrt are numpy ufuncs, which
+# round as Python floats do; ^ and the other functions apply the math module
+# elementwise, because numpy's SIMD exp, log, tanh and pow can differ from it
+# in the last bits.  So every entry equals the scalar code's, bit for bit.
+
+
+def _elementwise(fn, nin: int):
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+_BATCH_GLOBALS = {
+    **_COMPILE_GLOBALS,
+    **{f"_{name}": _elementwise(getattr(math, name), 1) for name in ("sin", "cos", "exp", "log", "tanh")},
+    "_sqrt": np.sqrt,
+    "_pow": _elementwise(math.pow, 2),
+    "_empty": np.empty,
+}
+
+
+def compile_batch(exprs: Iterable[Expr], chart: CoordinateChart):
+    """Compile ``exprs`` to fn(x, t) over the columns of x, shape (d, B).
+
+    Returns an array of shape (len(exprs), B); constant entries broadcast.
+    Columns whose values come out non-finite are run again through
+    :func:`compile_vector`'s code, so that it raises the same exception or
+    gives the same inf.  A floating-point exception, which may flag an inf
+    or NaN that a later operation hid (1/(1/x) at x = 0), sends every column
+    there.
+    """
+    exprs = list(exprs)
+    scalar = compile_vector(exprs, chart)
+    rows = "".join(f"    out[{i}] = {_codegen(e, chart)}\n" for i, e in enumerate(exprs))
+    namespace = dict(_BATCH_GLOBALS)
+    exec(f"def batch(x, t):\n    out = _empty(({len(exprs)}, x.shape[1]))\n{rows}    return out\n", namespace)
+    batch = namespace["batch"]
+
+    def fn(x: np.ndarray, t: float) -> np.ndarray:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                out = batch(x, t)
+            finite = np.isfinite(out)
+            if finite.all():
+                return out
+            redo = np.flatnonzero(~finite.all(axis=0))
+        except (ArithmeticError, ValueError):
+            # the exception does not say which columns; run them all again
+            out = np.empty((len(exprs), x.shape[1]))
+            redo = range(x.shape[1])
+        for b in redo:
+            out[:, b] = scalar(x[:, b].tolist(), t)
+        return out
+
+    return fn

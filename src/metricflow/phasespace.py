@@ -196,14 +196,33 @@ class ExprMetric(MetricField):
         return self._eval(self._d_dt_fn, coords, time)
 
 
+def _lru_get(cache: OrderedDict, key, compute) -> np.ndarray:
+    """The cached array for ``key``, else compute() stored read-only, keeping
+    at most TRANSPORT_CACHE_SIZE entries (least recently used first)."""
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+        return hit
+    hit = compute()
+    hit.setflags(write=False)
+    cache[key] = hit
+    if len(cache) > TRANSPORT_CACHE_SIZE:
+        cache.popitem(last=False)
+    return hit
+
+
 class TransportedMetric(MetricField):
     """Representation (d): an initial metric transported along a flow.
 
     Values are produced on demand by pulling the time-0 metric back along
     the trajectory through the queried point (an integration per query; the
-    cost is the caller's).  Derivatives use central finite differences with
-    jointly integrated perturbations so the difference quotients are not
-    polluted by independent step-size sequences.
+    cost is the caller's).  Spatial derivatives are central differences over
+    2d perturbed copies of that backward flow, integrated as one batch with
+    one step sequence so that the difference quotients are not polluted by
+    independent step-size sequences.  Values and spatial derivatives are
+    memoized per (coords, time), each in its own LRU of TRANSPORT_CACHE_SIZE
+    read-only arrays: the Jacobi and the invariance residual at one point
+    share one derivative.
     """
 
     def __init__(self, initial: MetricField, field, opts=None):
@@ -213,28 +232,28 @@ class TransportedMetric(MetricField):
         self.initial = initial
         self.field = field
         self.opts = opts or TRANSPORT_OPTIONS
-        # least recently used first, at most TRANSPORT_CACHE_SIZE entries
         self._cache: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
+        self._d_dx_cache: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
 
     def value(self, coords, time):
         from .evolution import pullback_metric
 
         coords = np.asarray(coords, dtype=float)
-        key = (coords.tobytes(), float(time))
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        hit = pullback_metric(self.field, self.initial, PhasePoint(coords, time), opts=self.opts)
-        self._cache[key] = hit
-        if len(self._cache) > TRANSPORT_CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return hit
+        return _lru_get(
+            self._cache,
+            (coords.tobytes(), float(time)),
+            lambda: pullback_metric(self.field, self.initial, PhasePoint(coords, time), opts=self.opts),
+        )
 
     def d_dx(self, coords, time):
         from .evolution import transported_d_dx
 
-        return transported_d_dx(self.field, self.initial, coords, time, self.opts)
+        coords = np.asarray(coords, dtype=float)
+        return _lru_get(
+            self._d_dx_cache,
+            (coords.tobytes(), float(time)),
+            lambda: transported_d_dx(self.field, self.initial, coords, time, self.opts),
+        )
 
     def d_dt(self, coords, time):
         from .evolution import transported_d_dt

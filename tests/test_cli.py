@@ -325,6 +325,23 @@ class TestMainEntry:
         assert "'1/q1'" in error["message"]
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("entry", ["sin(exp(1000))", "cos(-exp(1000*q1))"])
+    def test_trig_of_overflow_names_the_entry(self, tmp_path, entry):
+        # exp overflows to inf, where sin and cos are undefined
+        data = {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "friction": 0.5,
+                "metric": [["0", entry], [f"-{entry}", "0"]],
+                "samples": {"count": 20, "box": 1.0, "seed": 3}}
+        path = write_config(tmp_path, data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricflow.cli", "classify", "--config", path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "domain"
+        assert error["message"] == f"{entry[:3]} of infinite value in '{entry}'"
+        assert "Traceback" not in proc.stderr
+
     def test_seed_override_changes_samples(self, tmp_path):
         path = write_config(tmp_path, DAMPED_CANONICAL)
         out1 = tmp_path / "s1.json"

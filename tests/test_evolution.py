@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metricflow import (
+    ConstantMetric,
     IntegratorOptions,
     PhasePoint,
     SeriesDivergenceWarning,
@@ -455,3 +456,147 @@ class TestRouteAgreement:
             det = metric_determinant(M, seg.end)
             s = compressibility_integral(V, x0, t)
             assert abs(np.log(det.sqrt_g) + s) < 1e-6
+
+
+def per_copy_transported_d_dx(V, M0, coords, time, h_scale=1e-5):
+    """The stencil as it was before batching: one Python loop over the 2d
+    perturbed copies inside the right-hand side."""
+    from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate
+    from metricflow.evolution import congruence
+
+    coords = np.asarray(coords, dtype=float)
+    d = V.chart.dim
+    hs = h_scale * np.maximum(1.0, np.abs(coords))
+    starts = []
+    for k in range(d):
+        for sign in (+1.0, -1.0):
+            xp = coords.copy()
+            xp[k] += sign * hs[k]
+            starts.append(xp)
+    copies = len(starts)
+    block = d + d * d
+    back = V.negated if time > 0 else V
+
+    def f(tau, s):
+        out = np.empty_like(s)
+        for c in range(copies):
+            seg = s[c * block : (c + 1) * block]
+            xc = seg[:d]
+            Mc = seg[d:].reshape(d, d)
+            out[c * block : c * block + d] = back.eval(xc)
+            out[c * block + d : (c + 1) * block] = (back.jacobian(xc) @ Mc).reshape(-1)
+        return out
+
+    y0 = np.concatenate([np.concatenate([xp, np.eye(d).reshape(-1)]) for xp in starts])
+    y_end, _, _ = _integrate(f, y0, abs(time), TRANSPORT_OPTIONS)
+    values = []
+    for c in range(copies):
+        seg = y_end[c * block : (c + 1) * block]
+        values.append(congruence(seg[d:].reshape(d, d), M0.value(seg[:d], 0.0)))
+    return np.array([(values[2 * k] - values[2 * k + 1]) / (2.0 * hs[k]) for k in range(d)])
+
+
+class TestTransportStencil:
+    @staticmethod
+    def affine_chain():
+        from metricflow import CoordinateChart, FrictionSystem
+
+        chart = CoordinateChart(4)
+        H = "(p1^2+p2^2+p3^2+p4^2)/2 + (q1^2 + (q2-q1)^2 + (q3-q2)^2 + (q4-q3)^2 + q4^2)/2"
+        return FrictionSystem.build(chart, H, [0.1, 0.2, 0.3, 0.4]).vector_field
+
+    @staticmethod
+    def coupled_quartic(chart2):
+        from metricflow import FrictionSystem
+
+        return FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", 1.0).vector_field
+
+    def test_stacked_rhs_makes_no_per_point_calls(self, chart2, monkeypatch):
+        from metricflow.evolution import transported_d_dx
+
+        calls = []
+        for name in ("eval", "jacobian"):
+            def counting(self, *args, _name=name, _orig=getattr(VectorFieldSpec, name)):
+                calls.append(_name)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(VectorFieldSpec, name, counting)
+        for V in (self.affine_chain(), self.coupled_quartic(chart2)):
+            d = V.chart.dim
+            x = np.linspace(-0.4, 0.5, d)
+            transported_d_dx(V, canonical_metric(V.chart), x, 0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [0.5, -0.3])
+    def test_affine_chain_matches_per_copy_loop_exactly(self, t):
+        from metricflow.evolution import transported_d_dx
+
+        V = self.affine_chain()
+        assert V.constant_jacobian is not None
+        M0 = canonical_metric(V.chart)
+        x = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.25, 0.7, -0.1])
+        assert np.array_equal(transported_d_dx(V, M0, x, t), per_copy_transported_d_dx(V, M0, x, t))
+
+    @pytest.mark.parametrize("t", [0.5, -0.3])
+    def test_coupled_quartic_matches_per_copy_loop(self, chart2, t):
+        from metricflow.evolution import transported_d_dx
+
+        V = self.coupled_quartic(chart2)
+        assert V.constant_jacobian is None  # the batched Jacobian entries
+        B = np.random.default_rng(5).standard_normal((4, 4))
+        M0 = ConstantMetric(chart2, B - B.T)
+        x = np.array([0.3, -0.2, 0.1, 0.4])
+        got = transported_d_dx(V, M0, x, t)
+        ref = per_copy_transported_d_dx(V, M0, x, t)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_evolve_metric_derives_once_per_row(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        import metricflow.evolution as evolution
+        from metricflow.cli import main
+
+        calls = []
+
+        def counting(*args, _orig=evolution.transported_d_dx):
+            calls.append(args[3])
+            return _orig(*args)
+
+        monkeypatch.setattr(evolution, "transported_d_dx", counting)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2",
+            "friction": 1.0,
+            "metric": "canonical",
+            "t_grid": [0.0, 0.5, -0.3],
+            "methods": ["pullback"],
+            "queries": [{"point": [0.3, -0.2, 0.1, 0.4], "time": 0.0}],
+        }))
+        assert main(["evolve-metric", "--config", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        # the Jacobi and the invariance residual of a row share one derivative
+        assert calls == [0.0, 0.5, -0.3]
+
+    def test_derivative_memo_is_bounded_and_read_only(self, chart1, monkeypatch):
+        import metricflow.phasespace as phasespace
+
+        monkeypatch.setattr(phasespace, "TRANSPORT_CACHE_SIZE", 4)
+        V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1/4"])
+        M = TransportedMetric(canonical_metric(chart1), V)
+        fresh = TransportedMetric(canonical_metric(chart1), V)
+        points = [np.array([0.1 * i, -0.2]) for i in range(5)]
+        derivs = [M.d_dx(c, 0.3) for c in points]
+        assert len(M._d_dx_cache) == 4
+        # the first point was evicted, the last one is still memoized
+        assert (points[0].tobytes(), 0.3) not in M._d_dx_cache
+        assert M.d_dx(points[-1], 0.3) is derivs[-1]
+        assert not derivs[-1].flags.writeable
+        with pytest.raises(ValueError):
+            derivs[-1][0, 0, 1] = 1.0
+        # the values keep their own cache
+        assert len(M._cache) == 0
+        for c, D in zip(points, derivs):
+            assert np.array_equal(M.d_dx(c, 0.3), D)
+            assert np.array_equal(fresh.d_dx(c, 0.3), D)
+            assert len(M._d_dx_cache) <= 4

@@ -12,10 +12,12 @@ from metricflow.exprlang import (
     UnknownIdentifierError,
     Var,
     compile_scalar,
+    compile_vector,
     count_nodes,
     differentiate,
     evaluate,
     evaluate_at,
+    evaluate_grad,
     free_vars,
     parse,
     simplify,
@@ -140,6 +142,23 @@ class TestEvaluate:
         e = parse("sin(q1*p2) + exp(q2/2) - tanh(p1)", chart)
         env = chart.env([0.3, -0.4, 0.9, 1.2], 0.5)
         assert evaluate(e, env) == evaluate(e, env)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("sin(exp(1000))", "sin of infinite value in 'sin(exp(1000))'"),
+         ("cos(-exp(q1))", "cos of infinite value in 'cos(-exp(q1))'")],
+    )
+    def test_trig_of_infinity(self, text, message):
+        # exp overflows to inf, where sin and cos are undefined
+        chart = CoordinateChart(1)
+        e = parse(text, chart)
+        env = chart.env([1000.0, 0.0])
+        for evaluator in (lambda: evaluate(e, env), lambda: evaluate_grad(e, env, chart.names)):
+            with pytest.raises(DomainError) as info:
+                evaluator()
+            assert str(info.value) == message
+        # simplify folds exp(1000) to inf but keeps the sin or cos unfolded
+        assert simplify(e).func == e.func
 
 
 class TestDifferentiate:
@@ -299,6 +318,13 @@ class TestCompile:
                 assert fn(coords, time) == pytest.approx(
                     evaluate_at(e, chart, coords, time), abs=0, rel=1e-15
                 )
+
+    def test_folded_infinite_constant(self):
+        # d(q1*exp(1000))/dq1 folds to the constant inf
+        chart = CoordinateChart(1)
+        e = differentiate(parse("q1*exp(1000)", chart), "q1")
+        assert e == Num(float("inf"))
+        assert compile_vector([e, -e], chart)([0.5, 0.5], 0.0) == [float("inf"), -float("inf")]
 
 
 def test_free_vars_and_count():
