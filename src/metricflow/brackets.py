@@ -92,9 +92,8 @@ def poisson_bracket(A, B, M: MetricField, x: PhasePoint) -> float:
 def bracket_jacobi_residual(A, B, C, M: MetricField, x: PhasePoint) -> float:
     """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at ``x``.
 
-    Inner-bracket gradients use the exact derivative of the raised tensor
-    for closed-form metric representations and finite differences for
-    transported ones.
+    Inner-bracket gradients use the exact derivative of the raised tensor,
+    from the metric representation's spatial derivative.
     """
     chart = M.chart
     _check_point(chart, x)

@@ -28,12 +28,9 @@ from .brackets import Observable, bracket_jacobi_residual, leibniz_defect, poiss
 from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, compressibility_integral, integrate_flow
 from .evolution import (
     EvolutionError,
-    FiniteDifferenceMetric,
     SeriesMetric,
-    SplittingConfig,
+    SplitMetric,
     invariance_residual,
-    pullback_metric,
-    split_propagate,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
 from .friction import ApplicabilityError, FrictionError, FrictionSystem, analytic_metric, applicability_check
@@ -303,24 +300,26 @@ def _initial_matrix(cfg: SystemConfig, M0: MetricField) -> np.ndarray:
 def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     V, fsys = _build_system(cfg)
     methods = _evolve_methods(cfg, V, fsys)
-    chart = cfg.chart
-    d = chart.dim
+    d = cfg.chart.dim
     M0 = _build_metric(cfg, fsys)
     W0 = _initial_matrix(cfg, M0)
     x_eval = _eval_point(cfg)
     grid = cfg.t_grid if t_grid is None else [float(t) for t in t_grid]
 
     warning_text = ""
-    analytic_field = None
+    fields: dict[str, MetricField] = {}
     if fsys is not None:
         check = applicability_check(fsys)
         if not check.ok:
             warning_text = check.detail
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            analytic_field = analytic_metric(fsys, allow_inapplicable=True)
-    series_field = SeriesMetric(V, W0, order=cfg.series_order, mode=cfg.series_mode) if V else None
-    transported = TransportedMetric(M0, V, opts=cfg.integrator) if V else None
+            fields["analytic"] = analytic_metric(fsys, allow_inapplicable=True)
+    if V is not None:
+        fields["series"] = SeriesMetric(V, W0, order=cfg.series_order, mode=cfg.series_mode)
+        if V.parts is not None:
+            fields["split"] = SplitMetric(V, W0, cfg.splitting_steps)
+        fields["pullback"] = TransportedMetric(M0, V, opts=cfg.integrator)
 
     pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
     header = ["t", "method"] + [f"w{k + 1}_{l + 1}" for k, l in pairs] + [
@@ -333,31 +332,9 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     for t in grid:
         x = PhasePoint(x_eval, t)
         for method in methods:
-            warn_cell = ""
-            if method == "analytic":
-                W = analytic_field.value(x_eval, t)
-                fieldM = analytic_field
-                warn_cell = warning_text
-            elif method == "series":
-                W = series_field.value(x_eval, t)
-                fieldM = series_field
-            elif method == "split":
-                cfg_split = SplittingConfig(total_time=t, steps=cfg.splitting_steps)
-                if t == 0.0:
-                    W = W0
-                else:
-                    W = split_propagate(V, W0, cfg_split, x=x)
-
-                def split_value(coords, time, _V=V, _W0=W0):
-                    if time == 0.0:
-                        return _W0
-                    c = SplittingConfig(total_time=time, steps=cfg.splitting_steps)
-                    return split_propagate(_V, _W0, c, x=PhasePoint(coords, time))
-
-                fieldM = FiniteDifferenceMetric(chart, split_value)
-            elif method == "pullback":
-                W = pullback_metric(V, M0, x, opts=cfg.integrator)
-                fieldM = transported
+            fieldM = fields[method]
+            W = fieldM.value(x_eval, t)
+            warn_cell = warning_text if method == "analytic" else ""
             sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
             jac = jacobi_residual(fieldM, x)
             inv = float(np.max(np.abs(invariance_residual(V, fieldM, x)))) if V else float("nan")

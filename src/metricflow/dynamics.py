@@ -3,8 +3,9 @@
 The vector field is autonomous (components may not reference ``t``); flows
 are integrated with an embedded Dormand-Prince 5(4) pair with adaptive
 steps, cubic Hermite dense output and jointly integrated variational
-equations for the tangent map.  Backward flow reuses the forward code path
-on the negated field.
+equations for the tangent map.  Backward flow integrates the field forward
+with its sign reversed.  :func:`flow_jet` also integrates the
+second-order variational equation, for the derivatives of the tangent map.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from .exprlang import (
     Num,
     TIME_NAME,
     Var,
+    DomainError,
     as_expr,
-    compile_batch,
     compile_vector,
     differentiate,
     evaluate,
+    evaluate_entries,
     free_vars,
     simplify,
 )
@@ -72,17 +74,13 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class FlowSegment:
-    """A numerically integrated trajectory with its tangent map.
-
-    ``tangents`` holds the tangent map at each entry of ``samples``.
-    """
+    """A numerically integrated trajectory with its tangent map."""
 
     start: PhasePoint
     end: PhasePoint
     samples: tuple[tuple[float, np.ndarray], ...]
     tangent: np.ndarray
     stats: IntegrationStats
-    tangents: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,6 @@ class VectorFieldSpec:
         return cls(chart, components, tuple(part1), tuple(part2))
 
     @cached_property
-    def negated(self) -> "VectorFieldSpec":
-        neg = tuple(simplify(-c) for c in self.components)
-        return VectorFieldSpec(self.chart, neg)
-
-    @cached_property
     def jacobian_exprs(self) -> tuple[tuple[Expr, ...], ...]:
         return tuple(
             tuple(differentiate(c, name) for name in self.chart.names)
@@ -187,48 +180,49 @@ class VectorFieldSpec:
 
     @cached_property
     def _field_fn(self):
-        return compile_vector(self.components, self.chart)
+        return self.components, compile_vector(self.components, self.chart)
 
     @cached_property
     def _jac_fn(self):
         flat = [e for row in self.jacobian_exprs for e in row]
-        return compile_vector(flat, self.chart)
+        return flat, compile_vector(flat, self.chart)
 
     @cached_property
-    def _field_batch(self):
-        return compile_batch(self.components, self.chart)
-
-    @cached_property
-    def _jac_batch(self):
-        return compile_batch([e for row in self.jacobian_exprs for e in row], self.chart)
+    def _hess_fn(self):
+        names = self.chart.names
+        flat = [differentiate(e, name) for row in self.jacobian_exprs for e in row for name in names]
+        return flat, compile_vector(flat, self.chart)
 
     @cached_property
     def _div_fn(self):
-        return compile_vector([self.divergence_expr], self.chart)
+        return (self.divergence_expr,), compile_vector([self.divergence_expr], self.chart)
+
+    def _run(self, compiled, coords, time) -> np.ndarray:
+        """The compiled entries at the point.  Where the compiled code fails,
+        :func:`evaluate_entries` raises a DomainError naming the node."""
+        exprs, fn = compiled
+        try:
+            return np.array(fn(coords, time))
+        except (ArithmeticError, ValueError):
+            return evaluate_entries(exprs, self.chart, coords, time)
 
     def eval(self, coords, time: float = 0.0) -> np.ndarray:
-        return np.array(self._field_fn(coords, time))
+        return self._run(self._field_fn, coords, time)
 
     def jacobian(self, coords, time: float = 0.0) -> np.ndarray:
         if self.constant_jacobian is not None:
             return self.constant_jacobian
         d = self.chart.dim
-        return np.array(self._jac_fn(coords, time)).reshape(d, d)
+        return self._run(self._jac_fn, coords, time).reshape(d, d)
 
-    def eval_batch(self, X: np.ndarray, time: float = 0.0) -> np.ndarray:
-        """The field at the B columns of X (shape (d, B)), shape (d, B)."""
-        return self._field_batch(X, time)
-
-    def jacobian_batch(self, X: np.ndarray, time: float = 0.0) -> np.ndarray:
-        """The Jacobians at the B columns of X, shape (B, d, d); for affine
-        fields the constant (d, d) Jacobian, which broadcasts."""
-        if self.constant_jacobian is not None:
-            return self.constant_jacobian
+    def hessian(self, coords, time: float = 0.0) -> np.ndarray:
+        """Second derivatives T[i, a, b] = d^2 X^i / dx_a dx_b, compiled on
+        first use."""
         d = self.chart.dim
-        return np.ascontiguousarray(self._jac_batch(X, time).T).reshape(-1, d, d)
+        return self._run(self._hess_fn, coords, time).reshape(d, d, d)
 
     def divergence(self, coords, time: float = 0.0) -> float:
-        return self._div_fn(coords, time)[0]
+        return self._run(self._div_fn, coords, time)[0]
 
 
 def eval_field(V: VectorFieldSpec, x: PhasePoint) -> np.ndarray:
@@ -261,6 +255,8 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 _EPS = np.finfo(float).eps
+# a stage whose state leaves the field's domain raises one of these
+_STAGE_ERRORS = (OverflowError, ValueError, ZeroDivisionError, DomainError)
 
 
 def _hermite(tau, t0, y0, f0, t1, y1, f1):
@@ -283,7 +279,7 @@ def _initial_step(f, y0, f0, duration, atol, rtol):
         y1 = y0 + h0 * f0
         f1 = f(h0, y1)
         d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except _STAGE_ERRORS:
         return min(h0 * 1e-3, duration)
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
@@ -307,7 +303,7 @@ def _integrate(
     y = np.array(y0, dtype=float)
     try:
         fy = np.asarray(f(t, y), dtype=float)
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+    except _STAGE_ERRORS as exc:
         raise IntegrationError(f"cannot evaluate the field at the start state: {exc}") from exc
     h = _initial_step(f, y, fy, duration, atol, rtol)
     pending = sorted(tau for tau in sample_times if 0.0 < tau < duration)
@@ -328,7 +324,7 @@ def _integrate(
                 K[i] = np.asarray(f(t + _DP_C[i] * h, yi), dtype=float)
             y5 = y + h * sum(b * K[i] for i, b in enumerate(_DP_B5[:6]))
             K[6] = np.asarray(f(t + h, y5), dtype=float)
-        except (OverflowError, ValueError, ZeroDivisionError):
+        except _STAGE_ERRORS:
             # stage left the field's domain; retry with a smaller step
             n_reject += 1
             h *= 0.2
@@ -360,14 +356,22 @@ def _integrate(
     return y, samples, stats
 
 
-def _joint_rhs(V: VectorFieldSpec, sign: float):
+def _joint_rhs(V: VectorFieldSpec, sign: float, second_order: bool = False):
+    """The flow, its tangent map M and, with ``second_order``, the
+    derivatives H[i, j, k] = d_k M_ij, which obey
+    H_k' = D^2X(y)[M e_k, M] + DX(y) H_k."""
     d = V.chart.dim
+    dd = d * d
 
     def f(tau, s):
         x = s[:d]
-        M = s[d:].reshape(d, d)
+        M = s[d : d + dd].reshape(d, d)
         A = V.jacobian(x)
-        return sign * np.concatenate([V.eval(x), (A @ M).reshape(-1)])
+        parts = [V.eval(x), (A @ M).reshape(-1)]
+        if second_order:
+            H = s[d + dd :].reshape(d, dd)
+            parts.append((M.T @ (V.hessian(x) @ M)).reshape(-1) + (A @ H).reshape(-1))
+        return sign * np.concatenate(parts)
 
     return f
 
@@ -381,8 +385,8 @@ def integrate_flow(
 ) -> FlowSegment:
     """Integrate the flow (and tangent map) from ``x0`` to time ``t1``.
 
-    ``t1`` may precede ``x0.time``; backward segments integrate the negated
-    field forward.  Requested ``sample_times`` are filled by dense
+    ``t1`` may precede ``x0.time``; backward segments integrate the field
+    with its sign reversed.  Requested ``sample_times`` are filled by dense
     interpolation of the accepted steps.
     """
     _check_point(V.chart, x0)
@@ -390,10 +394,9 @@ def integrate_flow(
     d = V.chart.dim
     t0 = x0.time
     T = float(t1) - t0
-    identity = np.eye(d)
     if T == 0.0:
         samples = ((t0, x0.coords),)
-        return FlowSegment(x0, x0, samples, identity, IntegrationStats(0, 0, 0.0), (identity,))
+        return FlowSegment(x0, x0, samples, np.eye(d), IntegrationStats(0, 0, 0.0))
     direction = 1.0 if T > 0 else -1.0
     duration = abs(T)
     taus = []
@@ -403,16 +406,35 @@ def integrate_flow(
             if not 0.0 <= tau <= duration:
                 raise ValueError(f"sample time {ts} outside the segment")
             taus.append(tau)
-    y0 = np.concatenate([x0.coords, identity.reshape(-1)])
+    y0 = np.concatenate([x0.coords, np.eye(d).reshape(-1)])
     f = _joint_rhs(V, direction)
     y_end, raw_samples, stats = _integrate(f, y0, duration, opts, taus)
     end = PhasePoint(y_end[:d], t1)
     samples = [(t0, x0.coords)]
     samples += [(t0 + direction * tau, y[:d].copy()) for tau, y in raw_samples]
     samples.append((t1, end.coords))
-    tangent = y_end[d:].reshape(d, d)
-    tangents = (identity, *(y[d:].reshape(d, d).copy() for _, y in raw_samples), tangent)
-    return FlowSegment(x0, end, tuple(samples), tangent, stats, tangents)
+    return FlowSegment(x0, end, tuple(samples), y_end[d:].reshape(d, d), stats)
+
+
+def flow_jet(
+    V: VectorFieldSpec, coords, t: float, opts: IntegratorOptions | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time-``t`` flow of ``coords`` with its first two derivatives.
+
+    Returns (y, M, H): the end point, the tangent map M = dy/dx and
+    H[i, j, k] = d_k M_ij, from the first- and second-order variational
+    equations integrated in one run beside the flow (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, I.14).  ``t`` may be negative.  For affine
+    fields H is zero and is not integrated.
+    """
+    opts = opts or DEFAULT_OPTIONS
+    d = V.chart.dim
+    second_order = V.constant_jacobian is None
+    state = np.concatenate([coords, np.eye(d).reshape(-1), np.zeros(d**3 if second_order else 0)])
+    if t != 0.0:
+        state, _, _ = _integrate(_joint_rhs(V, np.sign(t), second_order), state, abs(t), opts)
+    H = state[d + d * d :].reshape(d, d, d) if second_order else np.zeros((d, d, d))
+    return state[:d], state[d : d + d * d].reshape(d, d), H
 
 
 def tangent_map(

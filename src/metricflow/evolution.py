@@ -16,6 +16,12 @@ tangent map M (:func:`congruence`):
 * pullback transport: M is the Jacobian of the backward flow (invariant by
   construction; this route is the reference oracle).
 
+The split and pullback transports also give the exact derivatives of W in
+space and time (:func:`congruence_jet`): the backward integration carries
+the second-order variational equation for the derivatives of M (Hairer,
+Norsett & Wanner, *Solving ODEs I*, I.14), and the split walk carries them
+through its sub-flows by the chain rule.
+
 The invariance residual dw_kl/dt - d_k(w_lm X^m) + d_l(w_km X^m) measures
 how far a given field is from being conserved.
 """
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, integrate_flow
+from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, flow_jet
 from .exprlang import (
     DomainError,
     Expr,
@@ -41,7 +47,14 @@ from .exprlang import (
     simplify,
 )
 from .helmholtz import helmholtz_residual
-from .phasespace import MetricField, PhasePoint, SKEW_TOL, _check_point, metric_eval
+from .phasespace import (
+    SKEW_TOL,
+    ConstantMetric,
+    MetricField,
+    PhasePoint,
+    TransportedMetric,
+    _check_point,
+)
 
 MAX_EXPR_NODES = 1_000_000
 SERIES_STOP_NORM = 1e-14
@@ -290,11 +303,34 @@ def series_propagate(
     return W
 
 
+def congruence_jet(
+    W0: np.ndarray, dW0: np.ndarray | None, J: np.ndarray, dM: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`congruence` with its derivatives along the columns of ``J``.
+
+    ``W0`` = w(x0) is the metric at the preimage x0 and dW0[a] = d_a w(x0)
+    (None for a constant metric).  Column k of ``J`` is the derivative of
+    x0 along direction k: the d coordinates, whose columns make up the
+    tangent map M = dx0/dx, then time.  dM[k] is the derivative of M along
+    direction k.  The derivative of W along it is the skew part of
+    dM[k]^T W0 M + M^T W0 dM[k] + M^T (sum_a dW0[a] J[a, k]) M.  Returns
+    (W, dW/dx, dW/dt).
+    """
+    d = W0.shape[0]
+    M = J[:, :d]
+    S = 0.5 * (W0 - W0.T)
+    A = dM.transpose(0, 2, 1) @ (S @ M)
+    D = A - A.transpose(0, 2, 1)
+    if dW0 is not None and dW0.any():
+        C = M.T @ np.tensordot(J, dW0, axes=(0, 0)) @ M
+        D += 0.5 * (C - C.transpose(0, 2, 1))
+    return congruence(M, W0), D[:d], D[d]
+
+
 @dataclass(frozen=True)
 class SplitInfo:
-    # "linear-exact": both parts affine, congruence by the Strang product P^N;
-    # "split-pullback": congruence by the tangent map of the backward
-    # trajectory of sub-flows from the evaluation point
+    # "linear-exact": both parts affine, every sub-flow an exact matrix
+    # exponential; "split-pullback": DOPRI5 integrates the nonlinear sub-flows
     path: str
 
 
@@ -313,24 +349,68 @@ def split_propagate(
     return W
 
 
-def _backward_subflow(X: VectorFieldSpec, h: float):
-    """y -> (Phi(y), D Phi(y)) for the time-(-h) flow Phi of the part field X."""
+def _backward_subflow(X: VectorFieldSpec, h: float, rate: float):
+    """The time-(-h) flow Phi of the part field X, in homogeneous
+    coordinates, as y -> (E, G, D^2 Phi(y)).
+
+    E = [[D Phi(y), Phi(y) - D Phi(y) y], [0, 1]] maps [M | y] to the end
+    point and the tangent map there.  G = rate [[DX, X - DX y], [0, 0]] at
+    the end point maps them to their change with t when the sub-flow lasts
+    h = rate * t.  For affine X, E and G are the same at every y and the
+    second derivative is None.
+    """
+    d = X.chart.dim
     A = X.constant_jacobian
     if A is None:
 
         def step(y):
-            seg = integrate_flow(X, PhasePoint(y, 0.0), -h, TRANSPORT_OPTIONS)
-            return seg.end.coords, seg.tangent
+            end, D, D2 = flow_jet(X, y, -h, TRANSPORT_OPTIONS)
+            DX = X.jacobian(end)
+            E = np.block([[D, (end - D @ y)[:, None]], [np.zeros(d), 1.0]])
+            G = np.block([[DX, (X.eval(end) - DX @ end)[:, None]], [np.zeros(d), 0.0]])
+            return E, rate * G, D2
 
         return step
     # affine X(y) = A y + b: exponentiate the augmented generator [[A, b], [0, 0]]
-    d = A.shape[0]
-    G = np.zeros((d + 1, d + 1))
-    G[:d, :d] = A
-    G[:d, d] = X.eval(np.zeros(d))
+    G = np.block([[A, X.eval(np.zeros(d))[:, None]], [np.zeros(d), 0.0]])
     E = expm(-h * G)
-    D, c = E[:d, :d], E[:d, d]
-    return lambda y: (D @ y + c, D)
+    return lambda y: (E, rate * G, None)
+
+
+def split_jet(
+    V: VectorFieldSpec, W0: np.ndarray, steps: int, coords, time: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split-propagated metric at (coords, time) with its exact derivatives.
+
+    Walks the 3N Strang sub-flows backward from ``coords``, carrying the
+    point y, its tangent map M, the derivatives d_k M, dM/dt and dy/dt by
+    the chain rule.  In homogeneous coordinates all of them move under a
+    sub-flow's E; its second derivative adds D^2 Phi [v, M] to the
+    derivative of M along each direction v, and its duration adds
+    -G [M | y] to (dM/dt, dy/dt).  Returns (W, dW/dx, dW/dt).
+    """
+    d = V.chart.dim
+    K = d + 1
+    dt = time / steps
+    X1, X2 = V.parts
+    half = _backward_subflow(X2, 0.5 * dt, 0.5 / steps)
+    strang = (half, _backward_subflow(X1, dt, 1.0 / steps), half)
+    # columns [M | y | d_1 M | ... | d_d M | dM/dt | dy/dt]; the last row is
+    # 1 under y and 0 elsewhere
+    Q = np.zeros((K, K + K * d + 1))
+    Q[:, :K] = np.eye(K)
+    Q[:d, d] = coords
+    for _ in range(steps):
+        for sub_flow in strang:
+            E, G, D2 = sub_flow(Q[:d, d])
+            Q_next = E @ Q
+            if D2 is not None:
+                directions = np.column_stack((Q[:d, :d], Q[:d, -1]))  # e_k through M, then t
+                Q_next[:d, K:-1] += ((D2 @ directions).transpose(0, 2, 1) @ Q[:d, :d]).reshape(d, -1)
+            Q_next[:, -K:] -= G @ Q_next[:, :K]
+            Q = Q_next
+    J = np.column_stack((Q[:d, :d], Q[:d, -1]))
+    return congruence_jet(W0, None, J, Q[:d, K:-1].reshape(d, K, d).transpose(1, 0, 2))
 
 
 def split_propagate_info(
@@ -342,25 +422,34 @@ def split_propagate_info(
     """As :func:`split_propagate`, also reporting the path taken."""
     if V.parts is None:
         raise EvolutionError("split propagation requires declared split parts")
-    W = _check_constant_skew(W0)
-    dt = cfg.total_time / cfg.steps
-    X1, X2 = V.parts
-    A1, A2 = X1.constant_jacobian, X2.constant_jacobian
-    if A1 is not None and A2 is not None:
-        half = expm(-0.5 * dt * A2)
-        P = half @ expm(-dt * A1) @ half
-        return congruence(np.linalg.matrix_power(P, cfg.steps), W), SplitInfo("linear-exact")
-    if x is None:
+    W0 = _check_constant_skew(W0)
+    linear = all(X.constant_jacobian is not None for X in V.parts)
+    if x is None and not linear:
         raise ValueError("nonlinear split propagation needs an evaluation point")
-    half = _backward_subflow(X2, 0.5 * dt)
-    strang = (half, _backward_subflow(X1, dt), half)
-    y = np.array(x.coords, dtype=float)
-    M = np.eye(V.chart.dim)
-    for _ in range(cfg.steps):
-        for sub_flow in strang:
-            y, D = sub_flow(y)
-            M = D @ M
-    return congruence(M, W), SplitInfo("split-pullback")
+    # affine sub-flows have the same tangent map at every point
+    coords = np.zeros(V.chart.dim) if x is None else x.coords
+    W, _, _ = split_jet(V, W0, cfg.steps, coords, cfg.total_time)
+    return W, SplitInfo("linear-exact" if linear else "split-pullback")
+
+
+def pullback_jet(
+    V: VectorFieldSpec,
+    M0: MetricField,
+    coords,
+    time: float,
+    opts: IntegratorOptions | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time-0 metric pulled back to (coords, time), with its exact
+    derivatives: (W, dW/dx, dW/dt).
+
+    One backward integration gives the preimage x0, its tangent map M and
+    H = dM/dx (:func:`flow_jet`).  With time they move as dx0/dt = -X(x0)
+    and dM/dt = -DX(x0) M.
+    """
+    x0, M, H = flow_jet(V, coords, -time, opts)
+    J = np.column_stack([M, -V.eval(x0)])
+    dM = np.concatenate([H.transpose(2, 0, 1), [-V.jacobian(x0) @ M]])
+    return congruence_jet(M0.value(x0, 0.0), M0.d_dx(x0, 0.0), J, dM)
 
 
 def pullback_metric(
@@ -376,11 +465,17 @@ def pullback_metric(
     M^T w(x0, 0) M.  Enforces conservation of the 2-form by construction.
     """
     _check_point(V.chart, x)
-    time = x.time if t is None else float(t)
-    if time == 0.0:
-        return metric_eval(M0, PhasePoint(x.coords, 0.0))
-    seg = integrate_flow(V.negated, PhasePoint(x.coords, 0.0), time, opts)
-    return congruence(seg.tangent, M0.value(seg.end.coords, 0.0))
+    return pullback_jet(V, M0, x.coords, x.time if t is None else float(t), opts)[0]
+
+
+def transported_d_dx(V: VectorFieldSpec, M0: MetricField, coords, time: float, opts=None) -> np.ndarray:
+    """Exact spatial derivatives of the transported metric (:func:`pullback_jet`)."""
+    return pullback_jet(V, M0, coords, time, opts or TRANSPORT_OPTIONS)[1]
+
+
+def transported_d_dt(V: VectorFieldSpec, M0: MetricField, coords, time: float, opts=None) -> np.ndarray:
+    """Exact time derivative of the transported metric (:func:`pullback_jet`)."""
+    return pullback_jet(V, M0, coords, time, opts or TRANSPORT_OPTIONS)[2]
 
 
 def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np.ndarray:
@@ -391,106 +486,6 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
     """
     _check_point(V.chart, x)
     return M.d_dt(x.coords, x.time) - helmholtz_residual(V, M, x)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference derivatives for transported metrics.  The 2d perturbed
-# backward flows are integrated jointly as one stacked state (one step
-# sequence), so difference quotients are not dominated by independent
-# integration noise.  Each right-hand side evaluates the field at all copies
-# in one batch and multiplies their Jacobians into the tangent blocks with
-# one stacked matmul.
-
-
-def _stacked_rhs(V: VectorFieldSpec, copies: int):
-    d = V.chart.dim
-
-    def f(tau, s):
-        S = s.reshape(copies, d + d * d)
-        X = S[:, :d].T
-        out = np.empty_like(S)
-        out[:, :d] = V.eval_batch(X).T
-        tangents = S[:, d:].reshape(copies, d, d)
-        out[:, d:] = np.matmul(V.jacobian_batch(X), tangents).reshape(copies, d * d)
-        return out.reshape(-1)
-
-    return f
-
-
-def transported_d_dx(
-    V: VectorFieldSpec,
-    M0: MetricField,
-    coords,
-    time: float,
-    opts: IntegratorOptions | None = None,
-    h_scale: float = 1e-5,
-) -> np.ndarray:
-    """Spatial derivatives of the transported metric by central differences."""
-    from .dynamics import _integrate
-
-    coords = np.asarray(coords, dtype=float)
-    d = V.chart.dim
-    if time == 0.0:
-        return M0.d_dx(coords, time)
-    opts = opts or TRANSPORT_OPTIONS
-    hs = h_scale * np.maximum(1.0, np.abs(coords))
-    starts = []
-    for k in range(d):
-        for sign in (+1.0, -1.0):
-            xp = coords.copy()
-            xp[k] += sign * hs[k]
-            starts.append(xp)
-    copies = len(starts)
-    I = np.eye(d).reshape(-1)
-    y0 = np.concatenate([np.concatenate([xp, I]) for xp in starts])
-    back = V.negated if time > 0 else V
-    y_end, _, _ = _integrate(_stacked_rhs(back, copies), y0, abs(time), opts)
-    block = d + d * d
-    values = []
-    for c in range(copies):
-        seg = y_end[c * block : (c + 1) * block]
-        x0 = seg[:d]
-        M = seg[d:].reshape(d, d)
-        values.append(congruence(M, M0.value(x0, 0.0)))
-    D = np.empty((d, d, d))
-    for k in range(d):
-        D[k] = (values[2 * k] - values[2 * k + 1]) / (2.0 * hs[k])
-    return D
-
-
-def transported_d_dt(
-    V: VectorFieldSpec,
-    M0: MetricField,
-    coords,
-    time: float,
-    opts: IntegratorOptions | None = None,
-    h_scale: float = 1e-5,
-) -> np.ndarray:
-    """Time derivative of the transported metric by differences along one
-    backward trajectory (dense samples share the step sequence)."""
-    coords = np.asarray(coords, dtype=float)
-    opts = opts or TRANSPORT_OPTIONS
-    sgn = -1.0 if time < 0 else 1.0
-    s = abs(time)  # backward duration; W(t) below means the metric at sgn*s
-    back = V.negated if sgn > 0 else V
-    dt = h_scale * max(1.0, s)
-    start = PhasePoint(coords, 0.0)
-
-    def value_at(seg, i) -> np.ndarray:
-        return congruence(seg.tangents[i], M0.value(seg.samples[i][1], 0.0))
-
-    if s > dt:
-        seg = integrate_flow(back, start, s + dt, opts, [s - dt])
-        return sgn * (value_at(seg, 2) - value_at(seg, 1)) / (2.0 * dt)
-    # near t = 0 use a one-sided second-order stencil on [s, s+2dt]
-    if s == 0.0:
-        seg = integrate_flow(back, start, 2.0 * dt, opts, [dt])
-        W0v = metric_eval(M0, PhasePoint(coords, 0.0))
-        W1, W2 = value_at(seg, 1), value_at(seg, 2)
-    else:
-        seg = integrate_flow(back, start, s + 2.0 * dt, opts, [s, s + dt])
-        W0v, W1, W2 = (value_at(seg, i) for i in (1, 2, 3))
-    return sgn * (-3.0 * W0v + 4.0 * W1 - W2) / (2.0 * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -559,31 +554,19 @@ class SeriesMetric(MetricField):
         return D
 
 
-class FiniteDifferenceMetric(MetricField):
-    """Wrap a value callable as a metric field with FD derivatives."""
+class SplitMetric(TransportedMetric):
+    """The metric transported by the Strang-split backward flow, as a field
+    with exact derivatives: value and derivatives come from one split walk
+    per point (:func:`split_jet`), memoized like the pullback's.
+    """
 
-    def __init__(self, chart, value_fn, h_scale: float = 1e-5):
-        self.chart = chart
-        self._fn = value_fn
-        self.h = h_scale
+    def __init__(self, V: VectorFieldSpec, W0, steps: int):
+        if V.parts is None:
+            raise EvolutionError("split propagation requires declared split parts")
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        super().__init__(ConstantMetric(V.chart, _check_constant_skew(W0)), V)
+        self.steps = steps
 
-    def value(self, coords, time):
-        return self._fn(np.asarray(coords, dtype=float), float(time))
-
-    def d_dx(self, coords, time):
-        coords = np.asarray(coords, dtype=float)
-        d = self.chart.dim
-        D = np.empty((d, d, d))
-        for k in range(d):
-            h = self.h * max(1.0, abs(coords[k]))
-            xp = coords.copy()
-            xm = coords.copy()
-            xp[k] += h
-            xm[k] -= h
-            D[k] = (self._fn(xp, time) - self._fn(xm, time)) / (2.0 * h)
-        return D
-
-    def d_dt(self, coords, time):
-        coords = np.asarray(coords, dtype=float)
-        h = self.h * max(1.0, abs(time))
-        return (self._fn(coords, time + h) - self._fn(coords, time - h)) / (2.0 * h)
+    def _jet(self, coords, time):
+        return split_jet(self.field, self.initial.matrix, self.steps, coords, time)

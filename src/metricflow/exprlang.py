@@ -864,58 +864,17 @@ def compile_vector(exprs: Iterable[Expr], chart: CoordinateChart):
     return eval(src, dict(_COMPILE_GLOBALS))
 
 
-# The batched companion of compile_vector runs the same generated code on the
-# rows of x with shape (d, B).  Arithmetic and sqrt are numpy ufuncs, which
-# round as Python floats do; ^ and the other functions apply the math module
-# elementwise, because numpy's SIMD exp, log, tanh and pow can differ from it
-# in the last bits.  So every entry equals the scalar code's, bit for bit.
+def evaluate_entries(exprs: Sequence[Expr], chart: CoordinateChart, coords, time: float, values=None) -> np.ndarray:
+    """``exprs`` at the point with :func:`evaluate`'s semantics.
 
-
-def _elementwise(fn, nin: int):
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-_BATCH_GLOBALS = {
-    **_COMPILE_GLOBALS,
-    **{f"_{name}": _elementwise(getattr(math, name), 1) for name in ("sin", "cos", "exp", "log", "tanh")},
-    "_sqrt": np.sqrt,
-    "_pow": _elementwise(math.pow, 2),
-    "_empty": np.empty,
-}
-
-
-def compile_batch(exprs: Iterable[Expr], chart: CoordinateChart):
-    """Compile ``exprs`` to fn(x, t) over the columns of x, shape (d, B).
-
-    Returns an array of shape (len(exprs), B); constant entries broadcast.
-    Columns whose values come out non-finite are run again through
-    :func:`compile_vector`'s code, so that it raises the same exception or
-    gives the same inf.  A floating-point exception, which may flag an inf
-    or NaN that a later operation hid (1/(1/x) at x = 0), sends every column
-    there.
+    Where compiled code raises a bare ValueError, ZeroDivisionError or
+    OverflowError, or returns inf or NaN, the interpreter raises a
+    DomainError naming the offending node, or gives inf on overflow.  Only
+    the entries of ``values`` (the compiled results) that are not finite
+    are evaluated again; without ``values`` every entry is.
     """
-    exprs = list(exprs)
-    scalar = compile_vector(exprs, chart)
-    rows = "".join(f"    out[{i}] = {_codegen(e, chart)}\n" for i, e in enumerate(exprs))
-    namespace = dict(_BATCH_GLOBALS)
-    exec(f"def batch(x, t):\n    out = _empty(({len(exprs)}, x.shape[1]))\n{rows}    return out\n", namespace)
-    batch = namespace["batch"]
-
-    def fn(x: np.ndarray, t: float) -> np.ndarray:
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                out = batch(x, t)
-            finite = np.isfinite(out)
-            if finite.all():
-                return out
-            redo = np.flatnonzero(~finite.all(axis=0))
-        except (ArithmeticError, ValueError):
-            # the exception does not say which columns; run them all again
-            out = np.empty((len(exprs), x.shape[1]))
-            redo = range(x.shape[1])
-        for b in redo:
-            out[:, b] = scalar(x[:, b].tolist(), t)
-        return out
-
-    return fn
+    out = np.full(len(exprs), np.nan) if values is None else values
+    env = chart.env(coords, time)
+    for i in np.flatnonzero(~np.isfinite(out)):
+        out[i] = evaluate(exprs[i], env)
+    return out

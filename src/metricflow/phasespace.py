@@ -24,14 +24,14 @@ from .exprlang import (
     as_expr,
     compile_vector,
     differentiate,
-    evaluate,
+    evaluate_entries,
     TIME_NAME,
 )
 
 SKEW_TOL = 1e-12
 # bound on degeneracy_ratio, which does not depend on the scale of the metric
 DEGENERACY_TOL = 1e-12
-# TransportedMetric keeps the values of this many most recently used points
+# transported metric fields keep the state of this many most recently used points
 TRANSPORT_CACHE_SIZE = 256
 
 
@@ -73,9 +73,9 @@ def _check_point(chart: CoordinateChart, point: PhasePoint):
 class MetricField:
     """Interface for skew matrix-valued fields omega_kl(x, t).
 
-    Subclasses provide ``value`` and, where derivatives are available in
-    closed form, ``d_dx`` / ``d_dt``; the transported representation falls
-    back to finite differences.
+    Subclasses provide ``value``, ``d_dx`` and ``d_dt``: in closed form,
+    or, for transported fields, exactly from the state of the flow that
+    produces the value.
     """
 
     chart: CoordinateChart
@@ -175,13 +175,8 @@ class ExprMetric(MetricField):
             try:
                 values = np.array(fn(coords, time), dtype=float)
             except (ArithmeticError, ValueError):
-                values = np.full(len(flat), np.nan)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            env = self.chart.env(coords, time)
-            for i in bad:
-                values[i] = evaluate(flat[i], env)
-        return values.reshape(d, d)
+                values = None
+        return evaluate_entries(flat, self.chart, coords, time, values).reshape(d, d)
 
     def value(self, coords, time):
         W = self._eval(self._value_fn, coords, time)
@@ -196,33 +191,15 @@ class ExprMetric(MetricField):
         return self._eval(self._d_dt_fn, coords, time)
 
 
-def _lru_get(cache: OrderedDict, key, compute) -> np.ndarray:
-    """The cached array for ``key``, else compute() stored read-only, keeping
-    at most TRANSPORT_CACHE_SIZE entries (least recently used first)."""
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-        return hit
-    hit = compute()
-    hit.setflags(write=False)
-    cache[key] = hit
-    if len(cache) > TRANSPORT_CACHE_SIZE:
-        cache.popitem(last=False)
-    return hit
-
-
 class TransportedMetric(MetricField):
     """Representation (d): an initial metric transported along a flow.
 
     Values are produced on demand by pulling the time-0 metric back along
     the trajectory through the queried point (an integration per query; the
-    cost is the caller's).  Spatial derivatives are central differences over
-    2d perturbed copies of that backward flow, integrated as one batch with
-    one step sequence so that the difference quotients are not polluted by
-    independent step-size sequences.  Values and spatial derivatives are
-    memoized per (coords, time), each in its own LRU of TRANSPORT_CACHE_SIZE
-    read-only arrays: the Jacobi and the invariance residual at one point
-    share one derivative.
+    cost is the caller's).  That one backward integration also carries the
+    second-order variational equation, so the value and its exact spatial
+    and time derivatives come from one state, memoized per (coords, time)
+    in an LRU of TRANSPORT_CACHE_SIZE read-only (W, dW/dx, dW/dt) triples.
     """
 
     def __init__(self, initial: MetricField, field, opts=None):
@@ -232,33 +209,36 @@ class TransportedMetric(MetricField):
         self.initial = initial
         self.field = field
         self.opts = opts or TRANSPORT_OPTIONS
-        self._cache: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
-        self._d_dx_cache: OrderedDict[tuple[bytes, float], np.ndarray] = OrderedDict()
+        self._cache: OrderedDict[tuple[bytes, float], tuple[np.ndarray, ...]] = OrderedDict()
+
+    def _jet(self, coords: np.ndarray, time: float) -> tuple[np.ndarray, ...]:
+        from .evolution import pullback_jet
+
+        return pullback_jet(self.field, self.initial, coords, time, self.opts)
+
+    def _state(self, coords, time) -> tuple[np.ndarray, ...]:
+        coords = np.asarray(coords, dtype=float)
+        key = (coords.tobytes(), float(time))
+        state = self._cache.get(key)
+        if state is not None:
+            self._cache.move_to_end(key)
+            return state
+        state = self._jet(coords, float(time))
+        for arr in state:
+            arr.setflags(write=False)
+        self._cache[key] = state
+        if len(self._cache) > TRANSPORT_CACHE_SIZE:
+            self._cache.popitem(last=False)
+        return state
 
     def value(self, coords, time):
-        from .evolution import pullback_metric
-
-        coords = np.asarray(coords, dtype=float)
-        return _lru_get(
-            self._cache,
-            (coords.tobytes(), float(time)),
-            lambda: pullback_metric(self.field, self.initial, PhasePoint(coords, time), opts=self.opts),
-        )
+        return self._state(coords, time)[0]
 
     def d_dx(self, coords, time):
-        from .evolution import transported_d_dx
-
-        coords = np.asarray(coords, dtype=float)
-        return _lru_get(
-            self._d_dx_cache,
-            (coords.tobytes(), float(time)),
-            lambda: transported_d_dx(self.field, self.initial, coords, time, self.opts),
-        )
+        return self._state(coords, time)[1]
 
     def d_dt(self, coords, time):
-        from .evolution import transported_d_dt
-
-        return transported_d_dt(self.field, self.initial, coords, time, self.opts)
+        return self._state(coords, time)[2]
 
 
 class MetricDeterminant(NamedTuple):

@@ -187,7 +187,7 @@ class TestConservedBrackets:
         def invariant_bracket(t):
             seg = integrate_flow(damped, x0, t)
             x = seg.end
-            Mb = tangent_map(damped.negated, PhasePoint(x.coords, 0.0), t)
+            Mb = tangent_map(damped, PhasePoint(x.coords, 0.0), -t)
             P = bracket_tensor(M, x)
             return (Mb @ P @ Mb.T)[0, 1]  # {I_q, I_p}
 

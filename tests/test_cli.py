@@ -325,6 +325,15 @@ class TestMainEntry:
         assert "'1/q1'" in error["message"]
         assert proc.stderr == ""
 
+    def test_field_domain_error_names_the_node(self, tmp_path, capsys):
+        # the sampled points put q1 < 0 into the compiled component log(q1)
+        data = {"n": 1, "components": ["p1", "-log(q1)"], "metric": "canonical",
+                "samples": {"count": 20, "box": 1.0, "seed": 3}}
+        assert main(["classify", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "domain"
+        assert error["message"] == "log of non-positive value in 'log(q1)'"
+
     @pytest.mark.parametrize("entry", ["sin(exp(1000))", "cos(-exp(1000*q1))"])
     def test_trig_of_overflow_names_the_entry(self, tmp_path, entry):
         # exp overflows to inf, where sin and cos are undefined

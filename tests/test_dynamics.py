@@ -13,7 +13,8 @@ from metricflow import (
     integrate_flow,
     tangent_map,
 )
-from metricflow.exprlang import evaluate_at, parse
+from metricflow.dynamics import TRANSPORT_OPTIONS, flow_jet
+from metricflow.exprlang import DomainError, evaluate_at, parse
 
 
 def fd_divergence(V, x, h=1e-6):
@@ -57,6 +58,16 @@ class TestVectorFieldSpec:
         p2 = np.array([evaluate_at(e, damped.chart, x) for e in damped.part2])
         assert np.allclose(total, p1 + p2, atol=1e-14)
         assert np.allclose(p2, [0.0, 0.3], atol=1e-14)
+
+
+    def test_compiled_failures_name_the_node(self, chart1):
+        # sqrt(q1) at q1 = -1: the compiled code raises a bare ValueError
+        V = VectorFieldSpec.from_components(chart1, ["sqrt(q1)", "p1"])
+        x = np.array([-1.0, 0.5])
+        for method in (V.eval, V.jacobian, V.hessian):
+            with pytest.raises(DomainError, match="sqrt of negative value in"):
+                method(x)
+        assert np.array_equal(V.eval(np.array([4.0, 0.5])), [2.0, 0.5])
 
 
 class TestCompressibility:
@@ -137,19 +148,6 @@ class TestIntegrateFlow:
         with pytest.raises(IntegrationError):
             integrate_flow(V, PhasePoint([-1.0, 0.0]), 1.0)
 
-    def test_tangents_follow_samples(self, chart2):
-        V = VectorFieldSpec.from_hamiltonian(
-            chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", np.eye(2)
-        )
-        x0 = PhasePoint([0.3, -0.2, 0.1, 0.4])
-        times = [0.25, 0.6, 1.1]
-        seg = integrate_flow(V, x0, 1.5, sample_times=times)
-        assert len(seg.tangents) == len(seg.samples) == len(times) + 2
-        assert np.array_equal(seg.tangents[0], np.eye(4))
-        assert np.array_equal(seg.tangents[-1], seg.tangent)
-        for (t, _), M in zip(seg.samples[1:-1], seg.tangents[1:-1]):
-            assert np.max(np.abs(M - tangent_map(V, x0, t))) < 1e-7
-
     def test_stats_populated(self, harmonic):
         seg = integrate_flow(harmonic, PhasePoint([1.0, 0.0]), 1.0)
         assert seg.stats.n_steps > 0
@@ -177,6 +175,29 @@ class TestTangentMap:
     def test_det_positive_along_flow(self, damped):
         M = tangent_map(damped, PhasePoint([1.0, 1.0]), 3.0)
         assert np.linalg.det(M) > 0
+
+
+class TestFlowJet:
+    @pytest.mark.parametrize("t", [0.8, -0.6])
+    def test_second_derivative_matches_differences(self, chart1, t):
+        V = VectorFieldSpec.from_components(chart1, ["p1", "(1 - q1^2)*p1 - q1"])
+        x = np.array([0.4, -0.3])
+        y, M, H = flow_jet(V, x, t, TRANSPORT_OPTIONS)
+        seg = integrate_flow(V, PhasePoint(x), t, TRANSPORT_OPTIONS)
+        assert np.max(np.abs(y - seg.end.coords)) < 1e-10
+        assert np.max(np.abs(M - seg.tangent)) < 1e-9
+        h = 1e-4
+        for k in range(2):
+            e = np.eye(2)[k] * h
+            Mp = tangent_map(V, PhasePoint(x + e), t, TRANSPORT_OPTIONS)
+            Mm = tangent_map(V, PhasePoint(x - e), t, TRANSPORT_OPTIONS)
+            assert np.max(np.abs(H[:, :, k] - (Mp - Mm) / (2 * h))) < 1e-6
+        assert np.max(np.abs(H - H.transpose(0, 2, 1))) < 1e-8  # d_k M_ij = d_j M_ik
+
+    def test_affine_fields_carry_no_second_derivative(self, damped):
+        y, M, H = flow_jet(damped, np.array([0.3, -0.1]), 1.0)
+        assert np.array_equal(H, np.zeros((2, 2, 2)))
+        assert np.max(np.abs(M - tangent_map(damped, PhasePoint([0.3, -0.1]), 1.0))) == 0.0
 
 
 class TestFlowProperties:

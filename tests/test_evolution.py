@@ -42,8 +42,8 @@ def fd_flow_jacobian(V, x, t, h=1e-6):
         xm = np.array(x.coords)
         xp[k] += h
         xm[k] -= h
-        yp = integrate_flow(V.negated, PhasePoint(xp, 0.0), t, opts).end.coords
-        ym = integrate_flow(V.negated, PhasePoint(xm, 0.0), t, opts).end.coords
+        yp = integrate_flow(V, PhasePoint(xp, 0.0), -t, opts).end.coords
+        ym = integrate_flow(V, PhasePoint(xm, 0.0), -t, opts).end.coords
         cols.append((yp - ym) / (2 * h))
     return np.column_stack(cols)
 
@@ -458,45 +458,25 @@ class TestRouteAgreement:
             assert abs(np.log(det.sqrt_g) + s) < 1e-6
 
 
-def per_copy_transported_d_dx(V, M0, coords, time, h_scale=1e-5):
-    """The stencil as it was before batching: one Python loop over the 2d
-    perturbed copies inside the right-hand side."""
-    from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate
-    from metricflow.evolution import congruence
+def richardson(f, x, h):
+    """Derivative of f at the scalar x from central differences at h and
+    h/2, Richardson-extrapolated (error O(h^4))."""
 
+    def central(step):
+        return (f(x + step) - f(x - step)) / (2.0 * step)
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+def difference_jet(value, coords, time, h=5e-3):
+    """(dW/dx, dW/dt) of value(coords, time) by Richardson central differences."""
     coords = np.asarray(coords, dtype=float)
-    d = V.chart.dim
-    hs = h_scale * np.maximum(1.0, np.abs(coords))
-    starts = []
-    for k in range(d):
-        for sign in (+1.0, -1.0):
-            xp = coords.copy()
-            xp[k] += sign * hs[k]
-            starts.append(xp)
-    copies = len(starts)
-    block = d + d * d
-    back = V.negated if time > 0 else V
-
-    def f(tau, s):
-        out = np.empty_like(s)
-        for c in range(copies):
-            seg = s[c * block : (c + 1) * block]
-            xc = seg[:d]
-            Mc = seg[d:].reshape(d, d)
-            out[c * block : c * block + d] = back.eval(xc)
-            out[c * block + d : (c + 1) * block] = (back.jacobian(xc) @ Mc).reshape(-1)
-        return out
-
-    y0 = np.concatenate([np.concatenate([xp, np.eye(d).reshape(-1)]) for xp in starts])
-    y_end, _, _ = _integrate(f, y0, abs(time), TRANSPORT_OPTIONS)
-    values = []
-    for c in range(copies):
-        seg = y_end[c * block : (c + 1) * block]
-        values.append(congruence(seg[d:].reshape(d, d), M0.value(seg[:d], 0.0)))
-    return np.array([(values[2 * k] - values[2 * k + 1]) / (2.0 * hs[k]) for k in range(d)])
+    E = np.eye(len(coords))
+    D = np.array([richardson(lambda s: value(coords + s * E[k], time), 0.0, h) for k in range(len(coords))])
+    return D, richardson(lambda s: value(coords, time + s), 0.0, h)
 
 
-class TestTransportStencil:
+class TestTransportDerivatives:
     @staticmethod
     def affine_chain():
         from metricflow import CoordinateChart, FrictionSystem
@@ -511,58 +491,71 @@ class TestTransportStencil:
 
         return FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", 1.0).vector_field
 
-    def test_stacked_rhs_makes_no_per_point_calls(self, chart2, monkeypatch):
-        from metricflow.evolution import transported_d_dx
-
-        calls = []
-        for name in ("eval", "jacobian"):
-            def counting(self, *args, _name=name, _orig=getattr(VectorFieldSpec, name)):
-                calls.append(_name)
-                return _orig(self, *args)
-
-            monkeypatch.setattr(VectorFieldSpec, name, counting)
-        for V in (self.affine_chain(), self.coupled_quartic(chart2)):
-            d = V.chart.dim
-            x = np.linspace(-0.4, 0.5, d)
-            transported_d_dx(V, canonical_metric(V.chart), x, 0.5)
-        assert calls == []
+    @staticmethod
+    def generic_w0(chart2):
+        B = np.random.default_rng(5).standard_normal((4, 4))
+        return ConstantMetric(chart2, B - B.T)
 
     @pytest.mark.parametrize("t", [0.5, -0.3])
-    def test_affine_chain_matches_per_copy_loop_exactly(self, t):
-        from metricflow.evolution import transported_d_dx
+    def test_affine_chain_against_the_linear_operator(self, t):
+        from metricflow.evolution import SplitMetric
 
         V = self.affine_chain()
-        assert V.constant_jacobian is not None
+        A = V.constant_jacobian
+        assert A is not None
         M0 = canonical_metric(V.chart)
         x = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.25, 0.7, -0.1])
-        assert np.array_equal(transported_d_dx(V, M0, x, t), per_copy_transported_d_dx(V, M0, x, t))
+        pullback = TransportedMetric(M0, V)
+        for field in (pullback, SplitMetric(V, M0.matrix, 4)):
+            # the tangent map of every point is the same: no spatial dependence
+            assert np.array_equal(field.d_dx(x, t), np.zeros((8, 8, 8)))
+        W = pullback.value(x, t)
+        ref = -(A.T @ W + W @ A)
+        assert np.max(np.abs(pullback.d_dt(x, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("t", [0.5, -0.3])
-    def test_coupled_quartic_matches_per_copy_loop(self, chart2, t):
-        from metricflow.evolution import transported_d_dx
+    def test_coupled_quartic_matches_richardson_differences(self, chart2, t):
+        from metricflow.dynamics import TRANSPORT_OPTIONS
+        from metricflow.evolution import SplitMetric
 
         V = self.coupled_quartic(chart2)
-        assert V.constant_jacobian is None  # the batched Jacobian entries
-        B = np.random.default_rng(5).standard_normal((4, 4))
-        M0 = ConstantMetric(chart2, B - B.T)
+        assert V.constant_jacobian is None
+        M0 = self.generic_w0(chart2)
         x = np.array([0.3, -0.2, 0.1, 0.4])
-        got = transported_d_dx(V, M0, x, t)
-        ref = per_copy_transported_d_dx(V, M0, x, t)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        routes = [
+            (TransportedMetric(M0, V), lambda c, s: pullback_metric(V, M0, PhasePoint(c, s), opts=TRANSPORT_OPTIONS)),
+            (SplitMetric(V, M0.matrix, 8), lambda c, s: split_propagate(V, M0.matrix, SplittingConfig(s, 8), x=PhasePoint(c, s))),
+        ]
+        for field, value in routes:
+            D_ref, Wt_ref = difference_jet(value, x, t)
+            assert np.max(np.abs(field.d_dx(x, t) - D_ref)) < 1e-7
+            assert np.max(np.abs(field.d_dt(x, t) - Wt_ref)) < 1e-7
 
-    def test_evolve_metric_derives_once_per_row(self, tmp_path, monkeypatch, capsys):
+    def test_dropping_the_second_derivative_fails_invariance(self, chart2, monkeypatch):
+        V = self.coupled_quartic(chart2)
+        # with the canonical W0 the transported metric is e^t W0 everywhere
+        M0 = self.generic_w0(chart2)
+        x = PhasePoint([0.3, -0.2, 0.1, 0.4], 0.5)
+        exact = np.max(np.abs(invariance_residual(V, TransportedMetric(M0, V), x)))
+        assert exact < 1e-9
+        # H_k' without its D^2X(y)[M e_k, M] term stays zero
+        monkeypatch.setattr(VectorFieldSpec, "hessian", lambda self, coords, time=0.0: np.zeros((4, 4, 4)))
+        wrong = np.max(np.abs(invariance_residual(V, TransportedMetric(M0, V), x)))
+        assert wrong > 1e-6
+
+    def test_evolve_metric_integrates_once_per_row(self, tmp_path, monkeypatch, capsys):
         import json
 
         import metricflow.evolution as evolution
         from metricflow.cli import main
 
         calls = []
+        for name in ("pullback_jet", "split_jet"):
+            def counting(*args, _name=name, _orig=getattr(evolution, name)):
+                calls.append((_name, args[-1]))
+                return _orig(*args)
 
-        def counting(*args, _orig=evolution.transported_d_dx):
-            calls.append(args[3])
-            return _orig(*args)
-
-        monkeypatch.setattr(evolution, "transported_d_dx", counting)
+            monkeypatch.setattr(evolution, name, counting)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "n": 2,
@@ -570,33 +563,39 @@ class TestTransportStencil:
             "friction": 1.0,
             "metric": "canonical",
             "t_grid": [0.0, 0.5, -0.3],
-            "methods": ["pullback"],
+            "methods": ["split", "pullback"],
+            "splitting": {"steps": 4},
             "queries": [{"point": [0.3, -0.2, 0.1, 0.4], "time": 0.0}],
         }))
         assert main(["evolve-metric", "--config", str(path)]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 4
-        # the Jacobi and the invariance residual of a row share one derivative
-        assert calls == [0.0, 0.5, -0.3]
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        # the value, the Jacobi and the invariance residual of a row share one state
+        assert [name for name, _ in calls] == ["split_jet", "pullback_jet"] * 3
 
-    def test_derivative_memo_is_bounded_and_read_only(self, chart1, monkeypatch):
+    def test_state_memo_is_bounded_and_read_only(self, chart1, monkeypatch):
         import metricflow.phasespace as phasespace
+        from metricflow.evolution import SplitMetric
 
         monkeypatch.setattr(phasespace, "TRANSPORT_CACHE_SIZE", 4)
-        V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1/4"])
-        M = TransportedMetric(canonical_metric(chart1), V)
-        fresh = TransportedMetric(canonical_metric(chart1), V)
+        V = VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + q1^4/4", [[1.0]])
         points = [np.array([0.1 * i, -0.2]) for i in range(5)]
-        derivs = [M.d_dx(c, 0.3) for c in points]
-        assert len(M._d_dx_cache) == 4
-        # the first point was evicted, the last one is still memoized
-        assert (points[0].tobytes(), 0.3) not in M._d_dx_cache
-        assert M.d_dx(points[-1], 0.3) is derivs[-1]
-        assert not derivs[-1].flags.writeable
-        with pytest.raises(ValueError):
-            derivs[-1][0, 0, 1] = 1.0
-        # the values keep their own cache
-        assert len(M._cache) == 0
-        for c, D in zip(points, derivs):
-            assert np.array_equal(M.d_dx(c, 0.3), D)
-            assert np.array_equal(fresh.d_dx(c, 0.3), D)
-            assert len(M._d_dx_cache) <= 4
+        for make in (lambda: TransportedMetric(canonical_metric(chart1), V), lambda: SplitMetric(V, J2, 3)):
+            M, fresh = make(), make()
+            derivs = [M.d_dx(c, 0.3) for c in points]
+            assert len(M._cache) == 4
+            # the first point was evicted, the last one is still memoized
+            assert (points[0].tobytes(), 0.3) not in M._cache
+            assert M.d_dx(points[-1], 0.3) is derivs[-1]
+            # value and d_dt read the same state
+            state = M._cache[(points[-1].tobytes(), 0.3)]
+            assert M.value(points[-1], 0.3) is state[0]
+            assert M.d_dt(points[-1], 0.3) is state[2]
+            assert len(M._cache) == 4
+            for arr in state:
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                derivs[-1][0, 0, 1] = 1.0
+            for c, D in zip(points, derivs):
+                assert np.array_equal(M.d_dx(c, 0.3), D)
+                assert np.array_equal(fresh.d_dx(c, 0.3), D)
+                assert len(M._cache) <= 4

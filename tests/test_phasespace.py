@@ -271,7 +271,7 @@ class TestTransportedCache:
         assert len(M._cache) == 4
         # the first point was evicted, the last one is still cached
         assert (points[0].tobytes(), 0.3) not in M._cache
-        assert M.value(points[-1], 0.3) is M._cache[(points[-1].tobytes(), 0.3)]
+        assert M.value(points[-1], 0.3) is M._cache[(points[-1].tobytes(), 0.3)][0]
         for c, v in zip(points, values):
             assert np.array_equal(M.value(c, 0.3), v)
             assert np.array_equal(fresh.value(c, 0.3), v)

@@ -4,12 +4,13 @@ Congruence transport against the operator-matrix oracle: on a linear field
 dx/dt = A x the evolution operator W -> -(A^T W + W A) acts linearly on the
 skew-matrix space.  The oracle below exponentiates that operator as a
 (d(d-1)/2)^2 matrix; the library instead transports W0 by the congruence
-expm(-tA)^T W0 expm(-tA).  The two constructions share no code.
+expm(-tA)^T W0 expm(-tA).  The two constructions share no code.  On
+uncoupled oscillators with diagonal friction the analytic, series, split
+and pullback routes agree with the closed form written out here.
 
 Expression language on random trees: printing and parsing keep the value,
-differentiate agrees with sympy, the forward-mode value and gradient agree
-with evaluate and with evaluate of differentiate, and the batched evaluator
-agrees with compile_vector column by column.
+differentiate agrees with sympy, and the forward-mode value and gradient
+agree with evaluate and with evaluate of differentiate.
 """
 
 import math
@@ -24,11 +25,17 @@ from scipy.linalg import expm
 from metricflow import (
     CoordinateChart,
     FrictionSystem,
+    PhasePoint,
     SplittingConfig,
+    TransportedMetric,
     VectorFieldSpec,
+    canonical_metric,
+    invariance_residual,
     series_propagate,
     split_propagate,
 )
+from metricflow.evolution import SplitMetric
+from metricflow.friction import analytic_metric
 from metricflow.exprlang import (
     FUNCTIONS,
     BinOp,
@@ -38,8 +45,6 @@ from metricflow.exprlang import (
     Num,
     Var,
     as_expr,
-    compile_batch,
-    compile_vector,
     differentiate,
     evaluate,
     evaluate_grad,
@@ -163,6 +168,46 @@ def test_constant_jacobian_absent_for_nonlinear_fields():
     assert np.array_equal(X2.constant_jacobian, np.diag([0.0, 0.0, -1.0, -1.0]))
 
 
+@st.composite
+def diagonal_friction_quadratics(draw):
+    """Uncoupled oscillators H = sum p_i^2/2 + w_i q_i^2/2 with diagonal K."""
+    n = draw(st.sampled_from([1, 2]))
+    stiffness = draw(st.lists(st.floats(0.25, 2.0), min_size=n, max_size=n))
+    rates = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    coords = draw(arrays(np.float64, 2 * n, elements=entries))
+    t = draw(st.floats(0.1, 1.5))
+    return n, stiffness, rates, coords, t
+
+
+@settings(max_examples=25, deadline=None)
+@given(diagonal_friction_quadratics())
+def test_four_routes_agree_on_diagonal_friction(problem):
+    # the closed form [[0, G], [-G, 0]], G = expm(tK), is the reference;
+    # route tolerances are those of tests/test_acceptance.py
+    n, stiffness, rates, coords, t = problem
+    chart = CoordinateChart(n)
+    H = " + ".join(f"p{i + 1}^2/2 + {w!r}*q{i + 1}^2/2" for i, w in enumerate(stiffness))
+    system = FrictionSystem.build(chart, H, rates)
+    V = system.vector_field
+    M0 = canonical_metric(chart)
+    G = np.diag(np.exp(t * np.array(rates)))
+    Z = np.zeros((n, n))
+    ref = np.block([[Z, G], [-G, Z]])
+    x = PhasePoint(coords, t)
+    pullback = TransportedMetric(M0, V)
+    split = SplitMetric(V, M0.matrix, 20)
+    routes = [
+        (analytic_metric(system).value(coords, t), 1e-12),
+        (series_propagate(V, M0.matrix, t), 1e-10),
+        (split.value(coords, t), 1e-5),
+        (pullback.value(coords, t), 1e-7),
+    ]
+    for W, tol in routes:
+        assert_relative(W, ref, tol)
+    for field in (pullback, split):
+        assert np.max(np.abs(invariance_residual(V, field, x))) <= 1e-9
+
+
 
 # ---------------------------------------------------------------------------
 # Random expression trees over the chart q1, p1 and t.
@@ -260,57 +305,3 @@ def test_forward_mode_matches_evaluate_and_differentiate(tree, point):
         assert same_value(0.0 if g is None else float(g), ref, rel=1e-12)
         if g is None:
             assert ref == 0.0
-
-
-def raised(fn):
-    """The value of fn(), or the type of the arithmetic error it raises."""
-    try:
-        return fn()
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-coordinate_values = st.one_of(
-    st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
-    st.floats(-3.0, 3.0, allow_nan=False),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(trees(), min_size=1, max_size=3),
-       arrays(np.float64, (2, 4), elements=coordinate_values),
-       coordinate_values)
-# 1/q1 is inf at q1 = 0, and 1/inf hides it: the scalar code raises
-@example([BinOp("/", Num(1.0), BinOp("/", Num(1.0), Var("q1")))], np.array([[1.0, 0.0], [0.5, 0.5]]), 0.0)
-# sin of an overflowed exp raises in the scalar code, in the second column only
-@example([Call("sin", Call("exp", BinOp("*", Num(1000.0), Var("q1"))))], np.array([[-1.0, 1.0], [0.5, 0.5]]), 0.0)
-# a product that overflows is inf in the scalar code, without an exception
-@example([BinOp("*", Num(1e200), BinOp("*", Var("q1"), Num(1e200))), Var("p1")],
-         np.array([[2.0, 0.5], [0.5, -1.0]]), 0.0)
-# numpy's SIMD pow, exp and tanh round these differently from math here
-@example([BinOp("^", Var("q1"), Var("p1")), Call("exp", Var("q1")), Call("tanh", Var("p1"))],
-         np.array([[0.4753167522920613, 2.761298349712619], [0.19489830144621748, 2.761298349712619]]), 0.0)
-# inf/0 is inf in numpy without an exception; the scalar code raises
-@example([BinOp("/", Var("q1"), Var("p1"))], np.array([[math.inf, 0.5], [0.0, 2.0]]), 0.0)
-def test_batched_evaluator_matches_compile_vector(exprs, X, t):
-    # ^ and the functions run through the math module, so the batched values
-    # are bit-identical to the scalar code's on every tree, not only on the
-    # arithmetic ones (numpy's SIMD exp, log, tanh and pow differ from math
-    # by up to 3 ulp on AVX-512 hosts, and cancellation amplifies that)
-    scalar = compile_vector(exprs, CHART1)
-    columns = [raised(lambda: scalar(X[:, b].tolist(), t)) for b in range(X.shape[1])]
-    got = raised(lambda: compile_batch(exprs, CHART1)(X, t))
-    failures = [c for c in columns if isinstance(c, type)]
-    if failures:
-        # the first failing column decides the exception class
-        assert got is failures[0]
-        return
-    assert not isinstance(got, type), got
-    assert got.shape == (len(exprs), X.shape[1])
-    for b, ref in enumerate(columns):
-        assert same_bits(got[:, b], ref)
