@@ -469,14 +469,18 @@ def richardson(f, x, h):
 
 
 def difference_jet(value, coords, time, h=5e-3):
-    """(dW/dx, dW/dt) of value(coords, time) by Richardson central differences."""
+    """(dW/dx, dW/dt) of value(coords, time) by Richardson central differences,
+    one loop over the perturbed copies of the point per coordinate."""
     coords = np.asarray(coords, dtype=float)
     E = np.eye(len(coords))
     D = np.array([richardson(lambda s: value(coords + s * E[k], time), 0.0, h) for k in range(len(coords))])
     return D, richardson(lambda s: value(coords, time + s), 0.0, h)
 
 
-class TestTransportDerivatives:
+class TestTransportStencil:
+    """dW/dx and dW/dt of the pullback and split fields, exact from the one
+    backward flow that gives W, against references that perturb the point."""
+
     @staticmethod
     def affine_chain():
         from metricflow import CoordinateChart, FrictionSystem
@@ -496,8 +500,31 @@ class TestTransportDerivatives:
         B = np.random.default_rng(5).standard_normal((4, 4))
         return ConstantMetric(chart2, B - B.T)
 
+    def test_stacked_rhs_makes_no_per_point_calls(self, chart2, monkeypatch):
+        calls = []
+        for name in ("eval", "jacobian", "hessian"):
+            def counting(self, *args, _name=name, _orig=getattr(VectorFieldSpec, name)):
+                calls.append(_name)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(VectorFieldSpec, name, counting)
+        for V in (self.affine_chain(), self.coupled_quartic(chart2)):
+            field = TransportedMetric(canonical_metric(V.chart), V)
+            x = np.linspace(-0.4, 0.5, V.chart.dim)
+            calls.clear()
+            field.value(x, 0.5)
+            # one call of each per right-hand side of (y, M, H), none per
+            # column; the extra eval and jacobian give dx0/dt and dM/dt
+            n = calls.count("eval")
+            assert n > 1 and calls.count("jacobian") == n
+            assert calls.count("hessian") == (0 if V.constant_jacobian is not None else n - 1)
+            calls.clear()
+            field.d_dx(x, 0.5)
+            field.d_dt(x, 0.5)
+            assert calls == []
+
     @pytest.mark.parametrize("t", [0.5, -0.3])
-    def test_affine_chain_against_the_linear_operator(self, t):
+    def test_affine_chain_matches_per_copy_loop_exactly(self, t):
         from metricflow.evolution import SplitMetric
 
         V = self.affine_chain()
@@ -505,16 +532,23 @@ class TestTransportDerivatives:
         assert A is not None
         M0 = canonical_metric(V.chart)
         x = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.25, 0.7, -0.1])
+        # the affine split walk gives every perturbed copy the same W, so the
+        # per-copy differences are exactly zero: no spatial dependence
+        cfg = SplittingConfig(t, 4)
+        W_split = split_propagate(V, M0.matrix, cfg, x=PhasePoint(x, t))
+        for k in range(8):
+            for sign in (1.0, -1.0):
+                copy = x + sign * 1e-3 * np.eye(8)[k]
+                assert np.array_equal(split_propagate(V, M0.matrix, cfg, x=PhasePoint(copy, t)), W_split)
         pullback = TransportedMetric(M0, V)
         for field in (pullback, SplitMetric(V, M0.matrix, 4)):
-            # the tangent map of every point is the same: no spatial dependence
             assert np.array_equal(field.d_dx(x, t), np.zeros((8, 8, 8)))
         W = pullback.value(x, t)
         ref = -(A.T @ W + W @ A)
         assert np.max(np.abs(pullback.d_dt(x, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("t", [0.5, -0.3])
-    def test_coupled_quartic_matches_richardson_differences(self, chart2, t):
+    def test_coupled_quartic_matches_per_copy_loop(self, chart2, t):
         from metricflow.dynamics import TRANSPORT_OPTIONS
         from metricflow.evolution import SplitMetric
 
@@ -543,7 +577,7 @@ class TestTransportDerivatives:
         wrong = np.max(np.abs(invariance_residual(V, TransportedMetric(M0, V), x)))
         assert wrong > 1e-6
 
-    def test_evolve_metric_integrates_once_per_row(self, tmp_path, monkeypatch, capsys):
+    def test_evolve_metric_derives_once_per_row(self, tmp_path, monkeypatch, capsys):
         import json
 
         import metricflow.evolution as evolution
@@ -572,7 +606,7 @@ class TestTransportDerivatives:
         # the value, the Jacobi and the invariance residual of a row share one state
         assert [name for name, _ in calls] == ["split_jet", "pullback_jet"] * 3
 
-    def test_state_memo_is_bounded_and_read_only(self, chart1, monkeypatch):
+    def test_derivative_memo_is_bounded_and_read_only(self, chart1, monkeypatch):
         import metricflow.phasespace as phasespace
         from metricflow.evolution import SplitMetric
 
