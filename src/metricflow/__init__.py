@@ -35,6 +35,7 @@ from .phasespace import (
     canonical_metric,
     inverse_metric,
     jacobi_residual,
+    jacobi_residuals,
     metric_determinant,
     metric_eval,
 )
@@ -46,12 +47,13 @@ from .dynamics import (
     StepSizeUnderflowError,
     VectorFieldSpec,
     compressibility,
+    compressibility_flow,
     compressibility_integral,
     eval_field,
     integrate_flow,
     tangent_map,
 )
-from .helmholtz import HelmholtzReport, canonical_helmholtz, classify, helmholtz_residual
+from .helmholtz import HelmholtzReport, canonical_helmholtz, classify, helmholtz_residual, helmholtz_residuals
 from .evolution import (
     EvolutionError,
     ExpressionSizeError,
@@ -61,11 +63,13 @@ from .evolution import (
     apply_J,
     congruence,
     invariance_residual,
+    invariance_residuals,
     pullback_metric,
     series_propagate,
     split_propagate,
 )
 from .brackets import (
+    BracketFrame,
     LeibnizDefect,
     Observable,
     bracket_jacobi_residual,

@@ -12,7 +12,8 @@ both vanish when the metric is an integral of motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +23,9 @@ from .exprlang import (
     Expr,
     TIME_NAME,
     as_expr,
+    compile_vector,
     differentiate,
-    evaluate,
+    evaluate_compiled,
     simplify,
 )
 from .phasespace import MetricField, PhasePoint, _check_point, inverse_metric
@@ -31,13 +33,36 @@ from .phasespace import MetricField, PhasePoint, _check_point, inverse_metric
 
 @dataclass(frozen=True)
 class Observable:
-    """A scalar phase-space function, optionally time dependent."""
+    """A scalar phase-space function, optionally time dependent.
+
+    Its gradient and Hessian entries are differentiated and compiled once
+    per chart, on first use.
+    """
 
     expr: Expr
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, text: str, chart: CoordinateChart) -> "Observable":
         return cls(as_expr(text, chart))
+
+    def _compiled(self, kind: str, chart: CoordinateChart):
+        compiled = self._memo.get((kind, chart))
+        if compiled is None:
+            if kind == "grad":
+                flat = [differentiate(self.expr, name) for name in chart.names]
+            else:  # the Hessian, from the gradient's entries
+                grad = self._compiled("grad", chart)[0]
+                flat = [differentiate(g, name) for g in grad for name in chart.names]
+            compiled = self._memo[(kind, chart)] = (flat, compile_vector(flat, chart))
+        return compiled
+
+    def gradient(self, chart: CoordinateChart, x: PhasePoint) -> np.ndarray:
+        return evaluate_compiled(self._compiled("grad", chart), chart, x.coords, x.time)
+
+    def hessian(self, chart: CoordinateChart, x: PhasePoint) -> np.ndarray:
+        d = chart.dim
+        return evaluate_compiled(self._compiled("hess", chart), chart, x.coords, x.time).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -57,75 +82,109 @@ def bracket_tensor(M: MetricField, x: PhasePoint) -> np.ndarray:
     return -inverse_metric(M, x)
 
 
-def _tensor_d_dx(M: MetricField, x: PhasePoint, P: np.ndarray) -> np.ndarray:
-    """d_k of the raised tensor P = -W^{-1}: d_k P = W^{-1} (d_k W) W^{-1} = P (d_k W) P."""
-    D = M.d_dx(x.coords, x.time)
-    return np.array([P @ D[k] @ P for k in range(P.shape[0])])
+class BracketFrame:
+    """The raised tensor P of a metric at one point, shared by every bracket
+    of :class:`Observable` s taken there: the metric is inverted once, and
+    the derivatives of P are formed on first use."""
 
+    def __init__(self, M: MetricField, x: PhasePoint):
+        _check_point(M.chart, x)
+        self.M = M
+        self.x = x
+        self.P = bracket_tensor(M, x)
 
-def _tensor_d_dt(M: MetricField, x: PhasePoint, P: np.ndarray) -> np.ndarray:
-    return P @ M.d_dt(x.coords, x.time) @ P
+    @cached_property
+    def d_dx(self) -> np.ndarray:
+        """d_k of P = -W^{-1}: d_k P = W^{-1} (d_k W) W^{-1} = P (d_k W) P."""
+        return self.P @ self.M.d_dx(self.x.coords, self.x.time) @ self.P
 
+    @cached_property
+    def d_dt(self) -> np.ndarray:
+        return self.P @ self.M.d_dt(self.x.coords, self.x.time) @ self.P
 
-def _grad(e: Expr, chart: CoordinateChart, env) -> np.ndarray:
-    return np.array([evaluate(differentiate(e, name), env) for name in chart.names])
+    def bracket(self, A: Observable, B: Observable) -> float:
+        """{A, B} at the frame's point."""
+        chart = self.M.chart
+        return float(A.gradient(chart, self.x) @ self.P @ B.gradient(chart, self.x))
 
+    def jacobi_residual(self, A: Observable, B: Observable, C: Observable) -> float:
+        """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at the frame's point.
 
-def _hessian(e: Expr, chart: CoordinateChart, env) -> np.ndarray:
-    d = chart.dim
-    firsts = [differentiate(e, name) for name in chart.names]
-    return np.array(
-        [[evaluate(differentiate(firsts[k], chart.names[l]), env) for l in range(d)] for k in range(d)]
-    )
+        Inner-bracket gradients use the exact derivative of the raised
+        tensor, from the metric representation's spatial derivative.
+        """
+        chart = self.M.chart
+        P, dP = self.P, self.d_dx
+        obs = (A, B, C)
+        grads = [o.gradient(chart, self.x) for o in obs]
+        hessians = [o.hessian(chart, self.x) for o in obs]
+
+        def nested(i, j, k):
+            # {obs_i, {obs_j, obs_k}}
+            gj, gk = grads[j], grads[k]
+            hj, hk = hessians[j], hessians[k]
+            # d_m {obs_j, obs_k}
+            inner_grad = (
+                np.einsum("mkl,k,l->m", dP, gj, gk)
+                + np.einsum("kl,mk,l->m", P, hj, gk)
+                + np.einsum("kl,k,ml->m", P, gj, hk)
+            )
+            return float(grads[i] @ P @ inner_grad)
+
+        return nested(0, 1, 2) + nested(1, 2, 0) + nested(2, 0, 1)
+
+    def leibniz_defect(
+        self,
+        A: Observable,
+        B: Observable,
+        V: VectorFieldSpec,
+        delta: float = 1e-4,
+        opts: IntegratorOptions | None = None,
+    ) -> LeibnizDefect:
+        """:func:`leibniz_defect` at the frame's point."""
+        chart, x, P = self.M.chart, self.x, self.P
+        Xv = V.eval(x.coords, x.time)
+        J = V.jacobian(x.coords, x.time)  # J[k, m] = d X^k / d x^m
+        D = self.d_dt + np.einsum("m,mkl->kl", Xv, self.d_dx) - J @ P - P @ J.T
+        formula = float(A.gradient(chart, x) @ D @ B.gradient(chart, x))
+
+        Adot = observable_time_derivative(A, V)
+        Bdot = observable_time_derivative(B, V)
+        seg_p = integrate_flow(V, x, x.time + delta, opts)
+        seg_m = integrate_flow(V, x, x.time - delta, opts)
+        c_p = BracketFrame(self.M, seg_p.end).bracket(A, B)
+        c_m = BracketFrame(self.M, seg_m.end).bracket(A, B)
+        numerical = (c_p - c_m) / (2.0 * delta) - self.bracket(Adot, B) - self.bracket(A, Bdot)
+        return LeibnizDefect(formula=formula, numerical=float(numerical))
 
 
 def poisson_bracket(A, B, M: MetricField, x: PhasePoint) -> float:
     """{A, B} at ``x`` with the metric raised through its inverse."""
-    A = _as_observable(A, M.chart)
-    B = _as_observable(B, M.chart)
-    _check_point(M.chart, x)
-    env = M.chart.env(x.coords, x.time)
-    P = bracket_tensor(M, x)
-    return float(_grad(A.expr, M.chart, env) @ P @ _grad(B.expr, M.chart, env))
+    A, B = (_as_observable(o, M.chart) for o in (A, B))
+    return BracketFrame(M, x).bracket(A, B)
 
 
 def bracket_jacobi_residual(A, B, C, M: MetricField, x: PhasePoint) -> float:
-    """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at ``x``.
-
-    Inner-bracket gradients use the exact derivative of the raised tensor,
-    from the metric representation's spatial derivative.
-    """
-    chart = M.chart
-    _check_point(chart, x)
-    env = chart.env(x.coords, x.time)
-    P = bracket_tensor(M, x)
-    dP = _tensor_d_dx(M, x, P)
-    obs = [_as_observable(o, chart) for o in (A, B, C)]
-    grads = [_grad(o.expr, chart, env) for o in obs]
-    hessians = [_hessian(o.expr, chart, env) for o in obs]
-
-    def nested(i, j, k):
-        # {obs_i, {obs_j, obs_k}}
-        gj, gk = grads[j], grads[k]
-        hj, hk = hessians[j], hessians[k]
-        # d_m {obs_j, obs_k}
-        inner_grad = (
-            np.einsum("mkl,k,l->m", dP, gj, gk)
-            + np.einsum("kl,mk,l->m", P, hj, gk)
-            + np.einsum("kl,k,ml->m", P, gj, hk)
-        )
-        return float(grads[i] @ P @ inner_grad)
-
-    return nested(0, 1, 2) + nested(1, 2, 0) + nested(2, 0, 1)
+    """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at ``x`` (:meth:`BracketFrame.jacobi_residual`)."""
+    A, B, C = (_as_observable(o, M.chart) for o in (A, B, C))
+    return BracketFrame(M, x).jacobi_residual(A, B, C)
 
 
 def observable_time_derivative(A, V: VectorFieldSpec) -> Observable:
-    """dA/dt along the flow: explicit time dependence plus X^k d_k A."""
+    """dA/dt along the flow: explicit time dependence plus X^k d_k A.
+
+    Formed once per (observable, field) and kept on the observable.
+    """
     A = _as_observable(A, V.chart)
+    cached = A._memo.get(("time-derivative", id(V)))
+    if cached is not None and cached[0] is V:
+        return cached[1]
     acc: Expr = differentiate(A.expr, TIME_NAME)
     for k, name in enumerate(V.chart.names):
         acc = acc + V.components[k] * differentiate(A.expr, name)
-    return Observable(simplify(acc))
+    Adot = Observable(simplify(acc))
+    A._memo[("time-derivative", id(V))] = (V, Adot)
+    return Adot
 
 
 def leibniz_defect(
@@ -145,31 +204,5 @@ def leibniz_defect(
     two agree for closed-form metrics and both vanish when the metric is an
     integral of motion.
     """
-    chart = M.chart
-    _check_point(chart, x)
-    A = _as_observable(A, chart)
-    B = _as_observable(B, chart)
-    env = chart.env(x.coords, x.time)
-
-    P = bracket_tensor(M, x)
-    dPdt = _tensor_d_dt(M, x, P)
-    dPdx = _tensor_d_dx(M, x, P)
-    Xv = V.eval(x.coords, x.time)
-    J = V.jacobian(x.coords, x.time)  # J[k, m] = d X^k / d x^m
-    D = dPdt + np.einsum("m,mkl->kl", Xv, dPdx) - J @ P - P @ J.T
-    gA = _grad(A.expr, chart, env)
-    gB = _grad(B.expr, chart, env)
-    formula = float(gA @ D @ gB)
-
-    Adot = observable_time_derivative(A, V)
-    Bdot = observable_time_derivative(B, V)
-    seg_p = integrate_flow(V, x, x.time + delta, opts)
-    seg_m = integrate_flow(V, x, x.time - delta, opts)
-    c_p = poisson_bracket(A, B, M, seg_p.end)
-    c_m = poisson_bracket(A, B, M, seg_m.end)
-    numerical = (
-        (c_p - c_m) / (2.0 * delta)
-        - poisson_bracket(Adot, B, M, x)
-        - poisson_bracket(A, Bdot, M, x)
-    )
-    return LeibnizDefect(formula=formula, numerical=float(numerical))
+    A, B = (_as_observable(o, M.chart) for o in (A, B))
+    return BracketFrame(M, x).leibniz_defect(A, B, V, delta, opts)

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import Observable, bracket_jacobi_residual, leibniz_defect, poisson_bracket
-from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, compressibility_integral, integrate_flow
+from .brackets import BracketFrame, Observable
+from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, compressibility_flow
 from .evolution import (
     EvolutionError,
     SeriesMetric,
     SplitMetric,
     invariance_residual,
+    invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
 from .friction import ApplicabilityError, FrictionError, FrictionSystem, analytic_metric, applicability_check
@@ -43,6 +44,7 @@ from .phasespace import (
     TransportedMetric,
     canonical_metric,
     jacobi_residual,
+    jacobi_residuals,
     metric_determinant,
 )
 
@@ -357,13 +359,14 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
     rng = np.random.default_rng(cfg.samples_seed if seed is None else seed)
     count = cfg.samples_count
 
-    draws = []
-    for _ in range(count):
-        x = rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim)
-        t = rng.uniform(0.0, cfg.t_max)
-        draws.append(PhasePoint(x, t))
-    max_inv = max(float(np.max(np.abs(invariance_residual(V, M, pt)))) for pt in draws)
-    max_jac = max(jacobi_residual(M, pt) for pt in draws)
+    X = np.empty((count, chart.dim))
+    T = np.empty(count)
+    for b in range(count):
+        X[b] = rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim)
+        T[b] = rng.uniform(0.0, cfg.t_max)
+    W, D, Wt = M.jet_batch(X, T)
+    max_inv = float(np.max(np.abs(invariance_residuals(V, X, T, W, D, Wt))))
+    max_jac = float(np.max(jacobi_residuals(D)))
 
     # volume law along trajectories: |ln sqrt_g + integral kappa| at endpoints
     n_traj = min(20, count)
@@ -371,9 +374,8 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
     for _ in range(n_traj):
         x0 = PhasePoint(rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim), 0.0)
         t = rng.uniform(0.2, cfg.t_max)
-        seg = integrate_flow(V, x0, t, cfg.integrator)
-        kap = compressibility_integral(V, x0, t, cfg.integrator)
-        det = metric_determinant(M, seg.end)
+        end, kap = compressibility_flow(V, x0, t, cfg.integrator)
+        det = metric_determinant(M, end)
         if det.sqrt_g <= 0:
             gaps.append(float("inf"))
             continue
@@ -405,15 +407,16 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
     points = _query_points(cfg) or [PhasePoint(np.zeros(chart.dim))]
 
     def one(x: PhasePoint):
+        frame = BracketFrame(M, x)
         entry = {
             "point": [float(v) for v in x.coords],
             "time": x.time,
-            "bracket": poisson_bracket(A, B, M, x),
+            "bracket": frame.bracket(A, B),
         }
         if C is not None:
-            entry["jacobi_residual"] = bracket_jacobi_residual(A, B, C, M, x)
+            entry["jacobi_residual"] = frame.jacobi_residual(A, B, C)
         if V is not None:
-            defect = leibniz_defect(A, B, V, M, x, opts=cfg.integrator)
+            defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
             entry["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
         return entry
 

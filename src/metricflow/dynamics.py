@@ -173,9 +173,10 @@ class VectorFieldSpec:
 
     @cached_property
     def divergence_expr(self) -> Expr:
+        """The simplified trace of :attr:`jacobian_exprs`."""
         acc: Expr = Num(0.0)
-        for k, name in enumerate(self.chart.names):
-            acc = acc + differentiate(self.components[k], name)
+        for k, row in enumerate(self.jacobian_exprs):
+            acc = acc + row[k]
         return simplify(acc)
 
     @cached_property
@@ -444,16 +445,17 @@ def tangent_map(
     return integrate_flow(V, x0, t1, opts).tangent
 
 
-def compressibility_integral(
+def compressibility_flow(
     V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
-) -> float:
-    """Integral of the compressibility along the trajectory from x0 to t1."""
+) -> tuple[PhasePoint, float]:
+    """The end point of the trajectory from x0 to t1 and the integral of the
+    compressibility along it, from one integration of (y, integral)."""
     _check_point(V.chart, x0)
     opts = opts or DEFAULT_OPTIONS
     d = V.chart.dim
     T = float(t1) - x0.time
     if T == 0.0:
-        return 0.0
+        return x0, 0.0
     direction = 1.0 if T > 0 else -1.0
 
     def f(tau, s):
@@ -462,4 +464,11 @@ def compressibility_integral(
 
     y0 = np.append(x0.coords, 0.0)
     y_end, _, _ = _integrate(f, y0, abs(T), opts)
-    return float(y_end[-1])
+    return PhasePoint(y_end[:d], t1), float(y_end[-1])
+
+
+def compressibility_integral(
+    V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
+) -> float:
+    """Integral of the compressibility along the trajectory from x0 to t1."""
+    return compressibility_flow(V, x0, t1, opts)[1]

@@ -46,7 +46,7 @@ from .exprlang import (
     is_zero,
     simplify,
 )
-from .helmholtz import helmholtz_residual
+from .helmholtz import helmholtz_residuals
 from .phasespace import (
     SKEW_TOL,
     ConstantMetric,
@@ -478,6 +478,15 @@ def transported_d_dt(V: VectorFieldSpec, M0: MetricField, coords, time: float, o
     return pullback_jet(V, M0, coords, time, opts or TRANSPORT_OPTIONS)[2]
 
 
+def invariance_residuals(
+    V: VectorFieldSpec, X: np.ndarray, T: np.ndarray, W: np.ndarray, D: np.ndarray, Wt: np.ndarray
+) -> np.ndarray:
+    """Invariance residuals (B, d, d) at the B points (X[b], T[b]), from the
+    metric's values, spatial and time derivatives there
+    (:meth:`MetricField.jet_batch`)."""
+    return Wt - helmholtz_residuals(V, X, T, W, D)
+
+
 def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np.ndarray:
     """Residual of the conservation law for the metric field at ``x``.
 
@@ -485,7 +494,8 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
     integral of motion at ``x`` exactly when this vanishes.
     """
     _check_point(V.chart, x)
-    return M.d_dt(x.coords, x.time) - helmholtz_residual(V, M, x)
+    X, T = x.coords[None], [x.time]
+    return invariance_residuals(V, X, T, *M.jet_batch(X, T))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -874,7 +874,25 @@ def evaluate_entries(exprs: Sequence[Expr], chart: CoordinateChart, coords, time
     are evaluated again; without ``values`` every entry is.
     """
     out = np.full(len(exprs), np.nan) if values is None else values
-    env = chart.env(coords, time)
-    for i in np.flatnonzero(~np.isfinite(out)):
-        out[i] = evaluate(exprs[i], env)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
+        env = chart.env(coords, time)
+        for i in bad:
+            out[i] = evaluate(exprs[i], env)
     return out
+
+
+def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float) -> np.ndarray:
+    """``compiled`` = (exprs, compile_vector(exprs)) at the point, with
+    :func:`evaluate`'s semantics.
+
+    An entry the compiled code fails on or returns as inf or NaN is
+    evaluated again by the interpreter (:func:`evaluate_entries`).
+    """
+    exprs, fn = compiled
+    with np.errstate(all="ignore"):
+        try:
+            values = np.array(fn(coords, time), dtype=float)
+        except (ArithmeticError, ValueError):
+            values = None
+    return evaluate_entries(exprs, chart, coords, time, values)

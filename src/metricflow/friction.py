@@ -169,6 +169,30 @@ class FrictionSystem:
             return expm((t - t0) * self.k_matrix)
         return np.diag(np.exp(np.diag(self.friction_integral(t0, t))))
 
+    @cached_property
+    def _diagonal_rates(self) -> np.ndarray | None:
+        """The diagonal of a constant diagonal K, otherwise None."""
+        K = self.k_matrix
+        if K is None or np.any(K != np.diag(np.diag(K))):
+            return None
+        return np.diag(K).copy()
+
+    def growth_matrices(self, t0: float, times) -> np.ndarray:
+        """G at each of the distinct ``times``, stacked to (len(times), n, n).
+
+        A constant diagonal K gives the diagonal exp((t - t0) k) for all
+        times at once, which is what ``expm`` returns for a diagonal
+        argument, bit for bit; any other K takes one growth_matrix per time.
+        """
+        times = np.asarray(times, dtype=float)
+        k = self._diagonal_rates
+        if k is None:
+            return np.array([self.growth_matrix(t0, float(t)) for t in times])
+        n = len(k)
+        G = np.zeros((len(times), n, n))
+        G[:, np.arange(n), np.arange(n)] = np.exp((times - t0)[:, None] * k)
+        return G
+
 
 class FrictionAnalyticMetric(MetricField):
     """Representation (c): the invariant block metric [[0, G], [-G^T, 0]]."""
@@ -178,21 +202,38 @@ class FrictionAnalyticMetric(MetricField):
         self.system = system
         self.t0 = float(t0)
 
-    def _blocks(self, G: np.ndarray) -> np.ndarray:
-        Z = np.zeros_like(G)
-        return np.block([[Z, G], [-G.T, Z]])
+    @staticmethod
+    def _blocks(G: np.ndarray) -> np.ndarray:
+        """[[0, G], [-G^T, 0]] for each matrix of a stack G (..., n, n)."""
+        n = G.shape[-1]
+        W = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
+        W[..., :n, n:] = G
+        W[..., n:, :n] = -np.swapaxes(G, -1, -2)
+        return W
 
     def value(self, coords, time):
-        return self._blocks(self.system.growth_matrix(self.t0, float(time)))
+        return self._blocks(self.system.growth_matrices(self.t0, [time])[0])
 
     def d_dx(self, coords, time):
         d = self.chart.dim
         return np.zeros((d, d, d))
 
     def d_dt(self, coords, time):
-        G = self.system.growth_matrix(self.t0, float(time))
+        G = self.system.growth_matrices(self.t0, [time])[0]
         K = self.system.friction_at(float(time))
         return self._blocks(G @ K)
+
+    def jet_batch(self, X, T):
+        """One G, and one K, per distinct time; no point-wise work."""
+        times, where = np.unique(np.asarray(T, dtype=float), return_inverse=True)
+        G = self.system.growth_matrices(self.t0, times)
+        if self.system.k_matrix is not None:
+            K = self.system.k_matrix
+        else:
+            K = np.array([self.system.friction_at(float(t)) for t in times])
+        d = self.chart.dim
+        dx = np.broadcast_to(np.zeros(()), (len(where), d, d, d))
+        return self._blocks(G)[where], dx, self._blocks(G @ K)[where]
 
 
 def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:

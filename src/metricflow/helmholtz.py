@@ -9,19 +9,22 @@ three classical Helmholtz condition blocks.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import VectorFieldSpec
-from .exprlang import CoordinateChart, Expr, as_expr, differentiate, evaluate
+from .exprlang import CoordinateChart
 from .phasespace import (
     DEGENERACY_TOL,
+    ConstantMetric,
+    DegenerateMetricWarning,
     MetricField,
     PhasePoint,
     _check_point,
     canonical_metric,
-    degeneracy_ratio,
+    degeneracy_ratios,
 )
 
 
@@ -38,6 +41,26 @@ class HelmholtzReport:
     canonical_blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
+def helmholtz_residuals(
+    V: VectorFieldSpec, X: np.ndarray, T: np.ndarray, W: np.ndarray, D: np.ndarray
+) -> np.ndarray:
+    """Residual matrices J (B, d, d) at the B points (X[b], T[b]).
+
+    W (B, d, d) and D (B, d, d, d) are the metric's values and spatial
+    derivatives there (:meth:`MetricField.jet_batch`).  The field and its
+    Jacobian are evaluated point by point with the compiled entries, a
+    constant Jacobian is broadcast, and the assembly is stacked.
+    """
+    Xv = np.array([V.eval(x, t) for x, t in zip(X, T)])
+    A = V.constant_jacobian  # A[m, k] = d X^m / d x^k
+    if A is None:
+        A = np.array([V.jacobian(x, t) for x, t in zip(X, T)])
+    # E[k, l] = d_k w_lm X^m, F[k, l] = w_lm d_k X^m
+    G = np.einsum("bklm,bm->bkl", D, Xv)
+    G += np.swapaxes(W @ A, 1, 2)
+    return G - np.swapaxes(G, 1, 2)
+
+
 def helmholtz_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np.ndarray:
     """Residual matrix J_kl = d_k(w_lm X^m) - d_l(w_km X^m) at ``x``.
 
@@ -47,37 +70,28 @@ def helmholtz_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np.
     _check_point(V.chart, x)
     W = M.value(x.coords, x.time)
     D = M.d_dx(x.coords, x.time)
-    Xv = V.eval(x.coords, x.time)
-    A = V.jacobian(x.coords, x.time)  # A[m, k] = d X^m / d x^k
-    # E[k, l] = d_k w_lm X^m, F[k, l] = w_lm d_k X^m
-    E = np.einsum("klm,m->kl", D, Xv)
-    F = (W @ A).T
-    G = E + F
-    return G - G.T
+    return helmholtz_residuals(V, x.coords[None], [x.time], W[None], D[None])[0]
+
+
+def _canonical_blocks(A: np.ndarray, n: int):
+    """R1, R2, R3 from the Jacobian A[m, k] = d X^m / d x^k of (G, F)."""
+    qq, qp, pq, pp = A[:n, :n], A[:n, n:], A[n:, :n], A[n:, n:]
+    return qp - qp.T, qq.T + pp, pq - pq.T
 
 
 def canonical_helmholtz(G, F, chart: CoordinateChart, x: PhasePoint):
     """The three canonical condition blocks for dq/dt = G, dp/dt = F.
 
     R1_ij = dG^i/dp^j - dG^j/dp^i, R2_ij = dG^j/dq^i + dF^i/dp^j,
-    R3_ij = dF^i/dq^j - dF^j/dq^i, evaluated at ``x``.
+    R3_ij = dF^i/dq^j - dF^j/dq^i, evaluated at ``x``: slices of the
+    Jacobian of the field (G, F).
     """
     _check_point(chart, x)
     n = chart.n
-    Gx = [as_expr(g, chart) for g in G]
-    Fx = [as_expr(f, chart) for f in F]
-    if len(Gx) != n or len(Fx) != n:
+    if len(G) != n or len(F) != n:
         raise ValueError(f"expected {n} components in each of G and F")
-    env = chart.env(x.coords, x.time)
-    qn, pn = chart.position_names, chart.momentum_names
-
-    def d(e: Expr, name: str) -> float:
-        return evaluate(differentiate(e, name), env)
-
-    R1 = np.array([[d(Gx[i], pn[j]) - d(Gx[j], pn[i]) for j in range(n)] for i in range(n)])
-    R2 = np.array([[d(Gx[j], qn[i]) + d(Fx[i], pn[j]) for j in range(n)] for i in range(n)])
-    R3 = np.array([[d(Fx[i], qn[j]) - d(Fx[j], qn[i]) for j in range(n)] for i in range(n)])
-    return R1, R2, R3
+    V = VectorFieldSpec.from_components(chart, list(G) + list(F))
+    return _canonical_blocks(V.jacobian(x.coords, x.time), n)
 
 
 def sample_points(
@@ -97,8 +111,6 @@ def sample_points(
 
 
 def _is_canonical(M: MetricField) -> bool:
-    from .phasespace import ConstantMetric
-
     if not isinstance(M, ConstantMetric):
         return False
     return np.array_equal(M.matrix, canonical_metric(M.chart).matrix)
@@ -120,32 +132,28 @@ def classify(
     if not points:
         raise ValueError("at least one sample point is required")
     for x in points:
-        W = M.value(x.coords, x.time)
-        if degeneracy_ratio(W) < DEGENERACY_TOL:
-            import warnings
-
-            from .phasespace import DegenerateMetricWarning
-
-            warnings.warn(
-                f"metric is degenerate at sampled point {x.coords}", DegenerateMetricWarning
-            )
-    residuals = tuple(helmholtz_residual(V, M, x) for x in points)
-    per_point = tuple(float(np.max(np.abs(r))) for r in residuals)
+        _check_point(V.chart, x)
+    X = np.array([x.coords for x in points])
+    T = np.array([x.time for x in points])
+    W, D, _ = M.jet_batch(X, T)
+    for b in np.flatnonzero(degeneracy_ratios(W) < DEGENERACY_TOL):
+        warnings.warn(
+            f"metric is degenerate at sampled point {points[b].coords}", DegenerateMetricWarning
+        )
+    residuals = helmholtz_residuals(V, X, T, W, D)
+    per_point = tuple(float(m) for m in np.abs(residuals).max(axis=(1, 2)))
     max_abs = max(per_point)
     verdict = "hamiltonian" if max_abs < tol else "non-hamiltonian"
     blocks = None
     if _is_canonical(M):
         worst = points[per_point.index(max_abs)]
-        n = V.chart.n
-        G = V.components[:n]
-        F = V.components[n:]
-        blocks = canonical_helmholtz(G, F, V.chart, worst)
+        blocks = _canonical_blocks(V.jacobian(worst.coords, worst.time), V.chart.n)
     return HelmholtzReport(
         verdict=verdict,
         max_abs=max_abs,
         tol=tol,
         points=tuple(points),
-        residuals=residuals,
+        residuals=tuple(residuals),
         per_point_max=per_point,
         canonical_blocks=blocks,
     )

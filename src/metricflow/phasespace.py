@@ -24,7 +24,7 @@ from .exprlang import (
     as_expr,
     compile_vector,
     differentiate,
-    evaluate_entries,
+    evaluate_compiled,
     TIME_NAME,
 )
 
@@ -90,6 +90,21 @@ class MetricField:
     def d_dt(self, coords: Sequence[float], time: float) -> np.ndarray:
         raise NotImplementedError
 
+    def jet_batch(self, X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, dW/dx, dW/dt) at the B points (X[b], T[b]), stacked along a
+        leading axis: shapes (B, d, d), (B, d, d, d) and (B, d, d).
+
+        This default evaluates ``value``, ``d_dx`` and ``d_dt`` point by
+        point; representations that can do better override it.  The arrays
+        may be read-only broadcasts.
+        """
+        pts = list(zip(X, T))
+        return (
+            np.array([self.value(x, t) for x, t in pts]),
+            np.array([self.d_dx(x, t) for x, t in pts]),
+            np.array([self.d_dt(x, t) for x, t in pts]),
+        )
+
     def entry_exprs(self) -> list[list[Expr]] | None:
         """Entries as expressions in (x, t) when the representation has them."""
         return None
@@ -118,6 +133,15 @@ class ConstantMetric(MetricField):
     def d_dt(self, coords, time):
         d = self.chart.dim
         return np.zeros((d, d))
+
+    def jet_batch(self, X, T):
+        B, d = len(X), self.chart.dim
+        zero = np.zeros(())
+        return (
+            np.broadcast_to(self.matrix, (B, d, d)),
+            np.broadcast_to(zero, (B, d, d, d)),
+            np.broadcast_to(zero, (B, d, d)),
+        )
 
     def entry_exprs(self):
         return [[Num(float(v)) for v in row] for row in self.matrix]
@@ -163,20 +187,8 @@ class ExprMetric(MetricField):
         return flat, compile_vector(flat, self.chart)
 
     def _eval(self, compiled, coords, time) -> np.ndarray:
-        """The compiled entries at the point, with :func:`evaluate`'s semantics.
-
-        An entry the compiled code fails on or returns as inf or NaN is
-        evaluated again by the interpreter, which raises a DomainError
-        naming the offending node, or gives inf on overflow.
-        """
-        flat, fn = compiled
         d = self.chart.dim
-        with np.errstate(all="ignore"):
-            try:
-                values = np.array(fn(coords, time), dtype=float)
-            except (ArithmeticError, ValueError):
-                values = None
-        return evaluate_entries(flat, self.chart, coords, time, values).reshape(d, d)
+        return evaluate_compiled(compiled, self.chart, coords, time).reshape(d, d)
 
     def value(self, coords, time):
         W = self._eval(self._value_fn, coords, time)
@@ -256,25 +268,39 @@ def metric_eval(M: MetricField, x: PhasePoint) -> np.ndarray:
     return W
 
 
+def jacobi_residuals(D: np.ndarray) -> np.ndarray:
+    """Per point, max over index triples of |d_k w_lm + d_l w_mk + d_m w_kl|,
+    from the stacked spatial derivatives D of shape (B, d, d, d).  The
+    cyclic sum is assembled in one buffer."""
+    R = np.add(D, np.transpose(D, (0, 2, 3, 1)))
+    R += np.transpose(D, (0, 3, 1, 2))
+    np.abs(R, out=R)
+    return R.max(axis=(1, 2, 3))
+
+
 def jacobi_residual(M: MetricField, x: PhasePoint) -> float:
-    """Max over index triples of |d_k w_lm + d_l w_mk + d_m w_kl|."""
+    """Max over index triples of |d_k w_lm + d_l w_mk + d_m w_kl| at ``x``."""
     _check_point(M.chart, x)
-    D = M.d_dx(x.coords, x.time)
-    R = D + np.transpose(D, (1, 2, 0)) + np.transpose(D, (2, 0, 1))
-    return float(np.max(np.abs(R)))
+    return float(jacobi_residuals(M.d_dx(x.coords, x.time)[None])[0])
 
 
-def degeneracy_ratio(W: np.ndarray) -> float:
-    """|det W| relative to Hadamard's bound, the product of the column norms.
+def degeneracy_ratios(W: np.ndarray) -> np.ndarray:
+    """|det W| relative to Hadamard's bound, the product of the column norms,
+    for each matrix of the stack W (B, d, d).
 
     The ratio lies in [0, 1]: 1 when the columns are orthogonal, 0 when W
     is singular.  Scaling W, or any of its columns, leaves it unchanged, so
     one threshold (DEGENERACY_TOL) serves every scale and dimension.
     """
-    norms = np.linalg.norm(W, axis=0)
-    if not np.all(norms > 0.0):
-        return 0.0
-    return abs(float(np.linalg.det(W / norms)))
+    norms = np.linalg.norm(W, axis=1)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(np.linalg.det(W / norms))
+    return np.where(np.all(norms > 0.0, axis=(1, 2)), ratios, 0.0)
+
+
+def degeneracy_ratio(W: np.ndarray) -> float:
+    """:func:`degeneracy_ratios` of the single matrix W."""
+    return float(degeneracy_ratios(W[None])[0])
 
 
 def metric_determinant(M: MetricField, x: PhasePoint) -> MetricDeterminant:
