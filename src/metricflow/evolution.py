@@ -6,8 +6,9 @@ transports the metric by one primitive, the congruence W = M^T w0 M by a
 tangent map M (:func:`congruence`):
 
 * an exponential series exp(tJ) built from repeated applications of the
-  generating operator J; for a linear field dx/dt = A x it is the
-  congruence by expm(-tA) (Kronecker-sum identity),
+  generating operator J, at a point on truncated Taylor series of the
+  field (:class:`SeriesPropagator`); for a linear field dx/dt = A x it is
+  the congruence by expm(-tA) (Kronecker-sum identity),
 * Strang splitting of that exponential over the Hamiltonian/friction parts
   X = X1 + X2.  exp(hJ_X) is the pullback along the sub-flow of X (Lie
   series), so each step follows the backward sub-flows of X2 for dt/2, X1
@@ -28,6 +29,7 @@ how far a given field is from being conserved.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,17 +37,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, flow_jet
-from .exprlang import (
-    DomainError,
-    Expr,
-    Num,
-    count_nodes,
-    differentiate,
-    evaluate,
-    evaluate_grad,
-    is_zero,
-    simplify,
-)
+from .exprlang import Expr, Monomials, Num, differentiate, evaluate, is_zero, simplify, taylor_expand
 from .helmholtz import helmholtz_residuals
 from .phasespace import (
     SKEW_TOL,
@@ -56,7 +48,7 @@ from .phasespace import (
     _check_point,
 )
 
-MAX_EXPR_NODES = 1_000_000
+MAX_SERIES_COEFFS = 250_000
 SERIES_STOP_NORM = 1e-14
 DEFAULT_SERIES_ORDER = 20
 
@@ -66,7 +58,7 @@ class EvolutionError(Exception):
 
 
 class ExpressionSizeError(EvolutionError):
-    """Symbolic series outgrew the node budget."""
+    """The series coefficients outgrew MAX_SERIES_COEFFS."""
 
 
 class SeriesDivergenceWarning(UserWarning):
@@ -125,25 +117,6 @@ def _zip_sum(terms: list[Expr]) -> Expr:
     return simplify(acc)
 
 
-def _apply_J(V: VectorFieldSpec, entries: list[list[Expr]]) -> list[list[Expr]]:
-    comps = V.components
-    d = V.chart.dim
-    names = V.chart.names
-    # P[l] = sum_m w_lm X^m  (w's first index fixed)
-    P = [
-        _zip_sum([entries[l][m] * comps[m] for m in range(d) if not is_zero(entries[l][m])])
-        for l in range(d)
-    ]
-    out: list[list[Expr]] = [[Num(0.0)] * d for _ in range(d)]
-    dP = [[differentiate(P[l], names[k]) for k in range(d)] for l in range(d)]
-    for k in range(d):
-        for l in range(k + 1, d):
-            u = simplify(dP[l][k] - dP[k][l])
-            out[k][l] = u
-            out[l][k] = simplify(-u)
-    return out
-
-
 def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
     """One application of the metric evolution operator, symbolically.
 
@@ -162,7 +135,20 @@ def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
                 w = evaluate(entries[k][l], env)
                 if abs(w + evaluate(entries[l][k], env)) > 1e-10 * max(1.0, abs(w)):
                     raise EvolutionError("the input matrix is not skew-symmetric")
-    return _apply_J(V, entries)
+    comps, names = V.components, chart.names
+    # P[l] = sum_m w_lm X^m  (w's first index fixed)
+    P = [
+        _zip_sum([entries[l][m] * comps[m] for m in range(d) if not is_zero(entries[l][m])])
+        for l in range(d)
+    ]
+    out: list[list[Expr]] = [[Num(0.0)] * d for _ in range(d)]
+    dP = [[differentiate(P[l], names[k]) for k in range(d)] for l in range(d)]
+    for k in range(d):
+        for l in range(k + 1, d):
+            u = simplify(dP[l][k] - dP[k][l])
+            out[k][l] = u
+            out[l][k] = simplify(-u)
+    return out
 
 
 def _check_constant_skew(W0) -> np.ndarray:
@@ -174,14 +160,30 @@ def _check_constant_skew(W0) -> np.ndarray:
     return W
 
 
+class _SeriesBasis(Monomials):
+    """Monomials that stop growing once a d x d array of series, one
+    operator power, would hold more than MAX_SERIES_COEFFS coefficients."""
+
+    def grow(self, degree: int) -> None:
+        size = self.d**2 * math.comb(degree + self.d, self.d)
+        if degree >= len(self.sizes) and size > MAX_SERIES_COEFFS:
+            raise ExpressionSizeError(
+                f"series terms of degree {degree} need {size} coefficients (cap {MAX_SERIES_COEFFS})"
+            )
+        super().grow(degree)
+
+
 class SeriesPropagator:
     """Exponential-series propagator for one (field, initial metric) pair.
 
-    Symbolic operator powers are computed once and shared across point
-    evaluations; linear fields take the exact congruence by expm(-tA).  At
-    a point, each power's entries are walked once, in forward mode, for
-    their values and coordinate gradients together; the arrays are kept
-    for the most recent point only.
+    Linear fields take the exact congruence by expm(-tA).  Otherwise the
+    powers P_j = J^j W0 come from truncated Taylor series at the point: the
+    field is expanded there to degree order + 1 (:func:`taylor_expand`),
+    and each application of J, (J W)_kl = d_k(w_lm X^m) - d_l(w_km X^m),
+    multiplies and differentiates coefficient arrays and so drops one
+    degree.  P_j and its coordinate gradient are the degree-0 and degree-1
+    coefficients of power j.  They are kept for the most recent point and
+    order only, and the higher coefficients for the latest power only.
     """
 
     def __init__(self, V: VectorFieldSpec, W0):
@@ -189,65 +191,48 @@ class SeriesPropagator:
         self.W0 = _check_constant_skew(W0)
         if self.W0.shape[0] != V.chart.dim:
             raise ValueError("initial metric does not match the chart dimension")
-        self.affine_jacobian = V.constant_jacobian
-        self._powers: list[list[list[Expr]]] = [_entries_of(self.W0)]
-        self._point: bytes | None = None
-        self._env: dict[str, float] = {}
-        self._terms: list[tuple[np.ndarray, np.ndarray | DomainError]] = []
-        self._known: dict[int, tuple[float, tuple]] = {}
+        self.basis = _SeriesBasis(V.chart.dim)
+        self._point: tuple[bytes, int] | None = None
+        self._X: np.ndarray | None = None
+        self._W: np.ndarray | None = None
+        self._terms: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def _power(self, j: int) -> list[list[Expr]]:
-        while len(self._powers) <= j:
-            prev = self._powers[-1]
-            # W0 passed _check_constant_skew and every power is skew by construction
-            nxt = _apply_J(self.V, prev)
-            nodes = sum(count_nodes(e) for row in nxt for e in row)
-            if nodes > MAX_EXPR_NODES:
-                raise ExpressionSizeError(
-                    f"series power {len(self._powers)} has {nodes} nodes "
-                    f"(cap {MAX_EXPR_NODES})"
-                )
-            self._powers.append(nxt)
-        return self._powers[j]
-
-    def _at_point(self, coords, time: float, j: int) -> tuple[np.ndarray, np.ndarray | DomainError]:
-        """Power j at the point: (P, dP) with dP[k, l, m] = d_k P[l, m].
-
-        dP is the DomainError of the gradient walk instead when a partial
-        failed where the value did not.
-        """
+    def _at_point(self, coords, j: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Power j at the point: (P, dP) with dP[k, l, m] = d_k P[l, m]."""
         # the field is autonomous and W0 constant, so the powers do not involve t
-        key = np.asarray(coords, dtype=float).tobytes()
+        key = (np.asarray(coords, dtype=float).tobytes(), order)
         if key != self._point:
-            self._point = key
-            self._env = self.V.chart.env(coords, time)
+            self._X = taylor_expand(self.V.components, self.V.chart, coords, 0.0, order + 1, self.basis)
+            self._W = self.W0[:, :, None]
             self._terms = []
-            self._known = {}
+            self._point = key
+        basis, d = self.basis, self.W0.shape[0]
         while len(self._terms) <= j:
-            self._terms.append(self._walk(self._power(len(self._terms))))
+            if self._terms:
+                # power n is needed to degree order + 1 - n, so w_lm X^m to one more
+                with np.errstate(all="ignore"):
+                    Q = basis.mul(self._W, self._X, order + 2 - len(self._terms)).sum(axis=1)
+                    G = basis.gradient(Q)
+                    self._W = basis.trim(G - G.swapaxes(0, 1))
+            S = self._W
+            dP = np.moveaxis(S[:, :, 1 : d + 1], 2, 0).copy() if S.shape[-1] > 1 else np.zeros((d, d, d))
+            self._terms.append((S[:, :, 0].copy(), dP))
         return self._terms[j]
 
-    def _walk(self, entries: list[list[Expr]]) -> tuple[np.ndarray, np.ndarray | DomainError]:
-        d = self.V.chart.dim
-        names = self.V.chart.names
-        env, known = self._env, self._known
-        P = np.empty((d, d))
-        dP: np.ndarray | DomainError = np.zeros((d, d, d))
-        for l in range(d):
-            for m in range(d):
-                e = entries[l][m]
-                try:
-                    value, grad = evaluate_grad(e, env, names, known)
-                except DomainError as exc:
-                    P[l, m] = evaluate(e, env)  # raises if the value itself fails
-                    dP = exc
-                    continue
-                P[l, m] = value
-                # power j + 1 refers to these entries through w_lm X^m
-                known[id(e)] = (value, grad)
-                if not isinstance(dP, DomainError):
-                    dP[:, l, m] = [0.0 if g is None else g for g in grad]
-        return P, dP
+    def _sum(self, coords, t: float, order: int, first=0, part=0, stop_norm=SERIES_STOP_NORM, relative=False):
+        """sum_i t^i/i! times part (0: P, 1: dP) of power first + i, up to
+        the first term whose norm is below stop_norm (times the running
+        sum's, if relative).  Returns (sum, terms, norm of the last term)."""
+        total = self._at_point(coords, first, order)[part].copy()
+        coeff, i, last_norm = 1.0, 0, 0.0
+        for i in range(1, order + 1 - first):
+            coeff *= t / i
+            term = coeff * self._at_point(coords, first + i, order)[part]
+            total = total + term
+            last_norm = float(np.max(np.abs(term)))
+            if last_norm < stop_norm * (max(1.0, float(np.max(np.abs(total)))) if relative else 1.0):
+                break
+        return total, i, last_norm
 
     def propagate(
         self,
@@ -261,25 +246,15 @@ class SeriesPropagator:
             raise ValueError("order must be >= 1")
         if mode not in ("auto", "linear", "generic"):
             raise ValueError(f"mode must be auto|linear|generic, got '{mode}'")
-        if mode == "linear" and self.affine_jacobian is None:
+        A = self.V.constant_jacobian if mode in ("auto", "linear") else None
+        if mode == "linear" and A is None:
             raise EvolutionError("vector field is not linear; cannot force the linear path")
-        if mode in ("auto", "linear") and self.affine_jacobian is not None:
-            W = congruence(expm(-t * self.affine_jacobian), self.W0)
+        if A is not None:
+            W = congruence(expm(-t * A), self.W0)
             return W, SeriesInfo("linear-exact", 0, 0.0, False)
         if x is None:
             raise ValueError("the generic series path needs an evaluation point")
-        total = self._at_point(x.coords, x.time, 0)[0]
-        coeff = 1.0
-        last_norm = 0.0
-        terms = 0
-        for j in range(1, order + 1):
-            coeff *= t / j
-            term = coeff * self._at_point(x.coords, x.time, j)[0]
-            total = total + term
-            terms = j
-            last_norm = float(np.max(np.abs(term)))
-            if last_norm < stop_norm * max(1.0, float(np.max(np.abs(total)))):
-                break
+        total, terms, last_norm = self._sum(x.coords, t, order, stop_norm=stop_norm, relative=True)
         diverging = last_norm > max(1.0, float(np.max(np.abs(total))))
         if diverging:
             warnings.warn(
@@ -506,14 +481,14 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
 class SeriesMetric(MetricField):
     """The series-propagated metric as a field with exact derivatives.
 
-    value, d_dt and d_dx sum the same per-point arrays of the propagator:
-    each operator power's values P_j and coordinate gradients dP_j come
-    from one forward-mode pass over its entries (:func:`evaluate_grad`),
-    so d_dx differentiates the truncated series termwise without building
-    derivative trees.  The loops keep their truncation rules: the relative
-    stop of ``propagate`` for the value, an absolute SERIES_STOP_NORM stop
-    on the last term for d_dt and d_dx.  A partial that leaves its domain
-    where the value does not (d sqrt(u)/dx at u = 0) fails d_dx only.
+    value, d_dt and d_dx sum the same per-point powers of the propagator,
+    whose values P_j and coordinate gradients dP_j are the degree-0 and
+    degree-1 Taylor coefficients of J^j W0 there, so d_dt and d_dx
+    differentiate the truncated series termwise.  The sums keep their
+    truncation rules: the relative stop of ``propagate`` for the value, an
+    absolute SERIES_STOP_NORM stop on the last term for d_dt and d_dx.  A
+    field with no Taylor expansion at the point (sqrt(u) at u = 0) fails
+    all three with the DomainError naming the node.
     """
 
     def __init__(self, V: VectorFieldSpec, W0, order: int = DEFAULT_SERIES_ORDER, mode: str = "auto"):
@@ -523,45 +498,28 @@ class SeriesMetric(MetricField):
         self.mode = mode
         self.prop = SeriesPropagator(V, W0)
 
+    def _linear_jacobian(self) -> np.ndarray | None:
+        """The field's constant Jacobian where the linear-exact path applies."""
+        return self.V.constant_jacobian if self.mode in ("auto", "linear") else None
+
     def value(self, coords, time):
         W, _ = self.prop.propagate(time, x=PhasePoint(coords, time), order=self.order, mode=self.mode)
         return W
 
     def d_dt(self, coords, time):
-        if self.prop.affine_jacobian is not None and self.mode in ("auto", "linear"):
+        A = self._linear_jacobian()
+        if A is not None:
             # dW/dt = J W(t), one exact operator application
-            A = self.prop.affine_jacobian
             W = self.value(coords, time)
             return -(A.T @ W + W @ A)
-        # termwise derivative of the truncated series: the index-shifted sum
-        total = self.prop._at_point(coords, time, 1)[0]
-        coeff = 1.0
-        for j in range(2, self.order + 1):
-            coeff *= time / (j - 1)
-            term = coeff * self.prop._at_point(coords, time, j)[0]
-            total = total + term
-            if float(np.max(np.abs(term))) < SERIES_STOP_NORM:
-                break
-        return total
+        # the termwise derivative: the index-shifted sum
+        return self.prop._sum(coords, time, self.order, first=1)[0]
 
     def d_dx(self, coords, time):
         d = self.chart.dim
-        if self.prop.affine_jacobian is not None and self.mode in ("auto", "linear"):
+        if self._linear_jacobian() is not None:
             return np.zeros((d, d, d))
-        # the truncated series differentiated termwise, from the powers' gradients
-        D = np.zeros((d, d, d))
-        coeff = 1.0
-        for j in range(0, self.order + 1):
-            if j > 0:
-                coeff *= time / j
-            dP = self.prop._at_point(coords, time, j)[1]
-            if isinstance(dP, DomainError):
-                raise dP
-            term = coeff * dP
-            D = D + term
-            if j > 0 and float(np.max(np.abs(term))) < SERIES_STOP_NORM:
-                break
-        return D
+        return self.prop._sum(coords, time, self.order, part=1)[0]
 
 
 class SplitMetric(TransportedMetric):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -368,7 +367,12 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate ``e`` with IEEE-754 doubles under the given bindings.
 
     Domain violations raise :class:`DomainError` naming the offending node
-    instead of silently producing NaN.
+    instead of silently producing NaN; overflow gives inf.  The Taylor
+    expansion (:func:`taylor_expand`) takes its values from the same
+    operations, so it fails on the same nodes.  It also fails, naming the
+    node, where a varying argument has no expansion: sqrt(u), or u^b with
+    b not a non-negative integer, at u = 0, and u^v with a varying v at
+    u <= 0.
     """
     if isinstance(e, Num):
         return e.value
@@ -386,205 +390,209 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     raise ExprError(f"unknown node {e!r}")
 
 
-class _Exact(float):
-    """A partial derivative that :func:`differentiate` folds to this constant."""
-
-    __slots__ = ()
-
-
-# The partials of a node form a tuple with one slot per coordinate: None
-# where differentiate simplifies the partial to the constant 0, an _Exact
-# where it folds it to another constant, a DomainError where evaluating the
-# simplified partial would raise it, the float value otherwise.  The helpers
-# apply simplify's folding and 0/1 rules to one slot: a zero factor drops a
-# failing partial, as simplify drops its subtree; any other operation keeps
-# the failure.
+# ---------------------------------------------------------------------------
+# Truncated multivariate Taylor series (Griewank & Walther, *Evaluating
+# Derivatives*, 2nd ed., ch. 13).  A series about a point is a float array
+# whose last axis holds its coefficients on the graded monomials of a
+# :class:`Monomials` basis: those of degree <= k are a prefix, so an array of
+# length sizes[k] has degree k.  Results are trimmed to their highest nonzero
+# degree, so a polynomial stays as short as it is.
 
 
-def _p_add(p, q):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    if type(p) is _Exact and type(q) is _Exact:
-        return _Exact(p + q) if p + q != 0.0 else None
-    if type(p) is DomainError:
-        return p
-    if type(q) is DomainError:
-        return q
-    return p + q
+class Monomials:
+    """The monomials in d variables in graded order, grown on demand.
 
-
-def _p_neg(p):
-    if p is None or type(p) is DomainError:
-        return p
-    return _Exact(-p) if type(p) is _Exact else -p
-
-
-def _p_sub(p, q):
-    if q is None:
-        return p
-    if p is None:
-        return _p_neg(q)
-    if type(p) is _Exact and type(q) is _Exact:
-        return _Exact(p - q) if p - q != 0.0 else None
-    if type(p) is DomainError:
-        return p
-    if type(q) is DomainError:
-        return q
-    return p - q
-
-
-def _p_mul(p, c: float, c_is_num: bool):
-    """The partial p times a factor with value c, a Num node iff c_is_num."""
-    if p is None or (c_is_num and c == 0.0):
-        return None
-    if type(p) is DomainError:
-        return p
-    if type(p) is _Exact and c_is_num:
-        return _Exact(p * c) if p * c != 0.0 else None
-    return p * c
-
-
-def _p_div(p, c: float, c_is_num: bool):
-    """The partial p divided by a nonzero factor with value c."""
-    if p is None or type(p) is DomainError:
-        return p
-    if type(p) is _Exact and c_is_num:
-        return _Exact(p / c) if p / c != 0.0 else None
-    return p / c
-
-
-def _p_fail(partials, error: DomainError) -> tuple:
-    """``error`` in every slot whose partial is not exactly 0."""
-    return tuple(None if p is None else error for p in partials)
-
-
-@lru_cache(maxsize=None)
-def _partials_basis(d: int) -> tuple[tuple, tuple[tuple, ...]]:
-    """The all-zero partials (one shared object) and each coordinate's own."""
-    zeros = (None,) * d
-    return zeros, tuple(zeros[:k] + (_Exact(1.0),) + zeros[k + 1 :] for k in range(d))
-
-
-def evaluate_grad(
-    e: Expr,
-    env: Mapping[str, float],
-    names: Sequence[str],
-    known: Mapping[int, tuple[float, tuple]] | None = None,
-) -> tuple[float, tuple]:
-    """Value and coordinate gradient of ``e`` in one forward-mode pass.
-
-    The value takes exactly the floating-point operations of
-    :func:`evaluate`.  Partial k follows the rules of :func:`differentiate`
-    with respect to ``names[k]`` and is None where that derivative
-    simplifies to 0; such a partial is never evaluated, so it cannot hit a
-    domain error (d sqrt(p1)/dq1 is exactly 0, also at p1 = 0).  ``e`` is
-    expected to be simplified, as every series power is.  A domain
-    violation of the value, or of a partial that evaluate(differentiate(e,
-    name)) would meet, raises :class:`DomainError` naming the node;
-    overflow gives inf.  ``known`` maps ``id(node)`` to an earlier result
-    for that node, which is reused instead of walked.
+    Monomial 0 is 1 and monomials 1..d are x_1..x_d; exps[i] holds the
+    exponents of monomial i, and sizes[k] counts those of degree <= k.
+    Below the top degree, succ[i, k] is monomial i times x_k; above 0,
+    monomial i is parent[i] times x_var[i].
     """
-    index = {name: k for k, name in enumerate(names)}
-    zeros, units = _partials_basis(len(names))
-    known = known or {}
 
-    def walk(e: Expr):
-        hit = known.get(id(e))
-        if hit is not None:
-            return hit
-        if isinstance(e, Num):
-            return e.value, zeros
-        if isinstance(e, Var):
-            try:
-                value = env[e.name]
-            except KeyError:
-                raise UnboundVariableError(f"no binding for '{e.name}'") from None
-            k = index.get(e.name)
-            return value, zeros if k is None else units[k]
+    def __init__(self, d: int):
+        self.d = d
+        self.sizes = [1]
+        self.exps = np.zeros((1, d), dtype=np.intp)
+        self.parent = self.var = np.zeros(1, dtype=np.intp)
+        self.succ = np.zeros((0, d), dtype=np.intp)
+
+    def grow(self, degree: int) -> None:
+        """Extend the basis to every monomial of degree <= ``degree``."""
+        while len(self.sizes) <= degree:
+            lo, hi = self.sizes[-2] if len(self.sizes) > 1 else 0, self.sizes[-1]
+            products = (self.exps[lo:hi, None] + np.eye(self.d, dtype=np.intp)).reshape(-1, self.d)
+            # descending order puts x_1..x_d first
+            _, first, inverse = np.unique(-products, axis=0, return_index=True, return_inverse=True)
+            self.exps = np.concatenate([self.exps, products[first]])
+            self.parent = np.concatenate([self.parent, lo + first // self.d])
+            self.var = np.concatenate([self.var, first % self.d])
+            self.succ = np.concatenate([self.succ, hi + inverse.reshape(hi - lo, self.d)])
+            self.sizes.append(hi + len(first))
+
+    def degree(self, a: np.ndarray) -> int:
+        return self.sizes.index(a.shape[-1])
+
+    def trim(self, a: np.ndarray) -> np.ndarray:
+        """``a`` cut after its highest nonzero degree over all leading axes."""
+        nonzero = np.flatnonzero(np.any(a.reshape(-1, a.shape[-1]) != 0.0, axis=0))
+        top = int(np.searchsorted(self.sizes, nonzero[-1], side="right")) if len(nonzero) else 0
+        return a[..., : self.sizes[top]]
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(a.shape[-1], b.shape[-1]),))
+        out[..., : a.shape[-1]] += a
+        out[..., : b.shape[-1]] += b
+        return self.trim(out)
+
+    def mul(self, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+        """The product of two series truncated at ``degree``; leading axes broadcast."""
+        if a.shape[-1] < b.shape[-1]:
+            a, b = b, a
+        top = min(self.degree(a) + self.degree(b), degree)
+        self.grow(top)
+        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (self.sizes[top],))
+        # table[r, j] is monomial lo + r of the shorter factor times monomial j,
+        # built for one degree of that factor at a time from the one below
+        lo, table = 0, np.arange(min(a.shape[-1], out.shape[-1]))[None]
+        for s in range(min(self.degree(b), top) + 1):
+            if s:
+                prev, lo, hi = lo, self.sizes[s - 1], self.sizes[s]
+                cols = min(a.shape[-1], self.sizes[top - s])
+                table = self.succ[table[self.parent[lo:hi] - prev, :cols], self.var[lo:hi, None]]
+            for r, row in enumerate(table):
+                if b[..., lo + r].any():
+                    out[..., row] += b[..., lo + r, None] * a[..., : len(row)]
+        return self.trim(out)
+
+    def gradient(self, a: np.ndarray) -> np.ndarray:
+        """The partial derivatives (d, ...) of the series ``a``, one degree lower."""
+        top = self.degree(a)
+        if top == 0:
+            return np.zeros((self.d,) + a.shape)
+        n = self.sizes[top - 1]
+        return np.moveaxis(a[..., self.succ[:n]] * (self.exps[:n] + 1), -1, 0)
+
+    def compose(self, coeffs: list[float], u: np.ndarray, degree: int) -> np.ndarray:
+        """f(u) truncated at ``degree``, from f's Taylor coefficients
+        coeffs[n] = f^(n)(u0)/n! at u0 = u[0]: Horner's rule in u - u0."""
+        du = u.copy()
+        du[0] = 0.0
+        du = self.trim(du)
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs = coeffs[:-1]
+        out = np.array(coeffs[-1:])
+        for c in coeffs[-2::-1]:
+            out = self.mul(out, du, degree)
+            out[0] += c
+        return out
+
+
+def _binomial(e: Expr, b: float, u0: float, degree: int) -> list[float]:
+    """Taylor coefficients of u^b at u0: binomial(b, n) u0^(b - n)."""
+    if u0 == 0.0:
+        if not (b >= 0.0 and float(b).is_integer()):
+            raise DomainError("no Taylor expansion at 0", e)
+        return [float(n == b) for n in range(degree + 1)]
+    out, c = [], 1.0
+    for n in range(degree + 1):
+        out.append(c * _pow(u0, b - n) if c else 0.0)
+        c *= (b - n) / (n + 1)
+    return out
+
+
+def _function_coeffs(f: str, u0: float, value: float, degree: int) -> list[float]:
+    """Taylor coefficients of exp, log, sin, cos or tanh at u0, where it is ``value``."""
+    out = [value]
+    if f == "log":
+        return out + [(-1.0) ** (n + 1) / n * _pow(1.0 / u0, n) for n in range(1, degree + 1)]
+    if f == "tanh":
+        # y' = 1 - y^2, coefficient by coefficient
+        for n in range(degree):
+            out.append((float(n == 0) - sum(out[i] * out[n - i] for i in range(n + 1))) / (n + 1))
+        return out
+    if f == "exp":
+        cycle = (value,)
+    else:
+        s, c = math.sin(u0), math.cos(u0)
+        cycle = (s, c, -s, -c) if f == "sin" else (c, -s, -c, s)
+    scale = 1.0
+    for n in range(1, degree + 1):
+        scale /= n
+        out.append(cycle[n % len(cycle)] * scale)
+    return out
+
+
+def taylor_expand(
+    exprs: Sequence[Expr], chart: CoordinateChart, coords, time: float, degree: int, basis: Monomials
+) -> np.ndarray:
+    """Taylor coefficients of ``exprs`` in the chart coordinates about
+    ``coords``, truncated at ``degree``, with ``t`` held at ``time``.
+
+    Returns an array (len(exprs), basis.sizes[k]) trimmed to the highest
+    nonzero degree k.  Degree 0 is :func:`evaluate`'s value bit for bit,
+    with its domain semantics.  ``+ - *`` and ``/`` act on the
+    coefficients; ``exp sin cos tanh log sqrt ^`` compose the function's
+    Taylor coefficients at u0 with u - u0, u^v for a varying v as
+    exp(v log u).  An argument that does not vary with the coordinates
+    needs no expansion, so sqrt(q1 - q1) has zero partials.
+    """
+    env = chart.env(coords, time)
+    index = {name: k for k, name in enumerate(chart.names)}
+    memo: dict[int, np.ndarray] = {}
+
+    def walk(e: Expr) -> np.ndarray:
+        if id(e) not in memo:
+            memo[id(e)] = node(e)
+        return memo[id(e)]
+
+    def node(e: Expr) -> np.ndarray:
+        if isinstance(e, (Num, Var)):
+            out = np.array([evaluate(e, env)])
+            if isinstance(e, Var) and e.name in index and degree > 0:
+                basis.grow(1)
+                out = np.append(out, np.arange(basis.d) == index[e.name])
+            return out
         if isinstance(e, Neg):
-            a, ga = walk(e.arg)
-            return -a, ga if ga is zeros else tuple(map(_p_neg, ga))
-        if isinstance(e, BinOp):
-            return binop(e)
+            return -walk(e.arg)
         if isinstance(e, Call):
-            return call(e)
-        raise ExprError(f"unknown node {e!r}")
-
-    def binop(e: BinOp):
-        a, ga = walk(e.lhs)
-        b, gb = walk(e.rhs)
-        value = _binop_value(e, a, b)
-        op = e.op
-        an, bn = isinstance(e.lhs, Num), isinstance(e.rhs, Num)
-        if op == "^" and an and not bn and a == 0.0:
-            # differentiate leaves du/u = 0/0 unfolded for a base of the number 0
-            return value, (DomainError("division by zero in the derivative", e),) * len(zeros)
-        if ga is zeros and gb is zeros:
-            return value, zeros
-        if op == "+":
-            return value, tuple(map(_p_add, ga, gb))
-        if op == "-":
-            return value, tuple(map(_p_sub, ga, gb))
-        if op == "*":
-            return value, tuple(_p_add(_p_mul(p, b, bn), _p_mul(q, a, an)) for p, q in zip(ga, gb))
-        if op == "/":
-            if bn:
-                return value, tuple(_p_div(p, b, True) for p in ga)
-            nums = [_p_sub(_p_mul(p, b, False), _p_mul(q, a, an)) for p, q in zip(ga, gb)]
-            square = _pow(b, 2.0)
-            if square == 0.0:
-                return value, _p_fail(nums, DomainError("division by zero in the derivative", e))
-            return value, tuple(_p_div(n, square, False) for n in nums)
-        if bn:  # u^c: c u^(c-1) du
-            if b == 0.0:
-                return value, zeros
-            if b == 1.0 or all(p is None for p in ga):
-                return value, ga
-            try:
-                c = b * _pow(a, b - 1.0)
-            except ValueError:
-                return value, _p_fail(ga, DomainError("invalid power in the derivative", e))
-            return value, tuple(_p_mul(p, c, False) for p in ga)
-        # u^v: u^v (dv log u + v du/u)
-        if a > 0.0:
-            dlog = [_p_mul(q, math.log(a), an) for q in gb]
+            args = [walk(e.arg)]
+            value = _call_value(e, float(args[0][0]))
+        elif isinstance(e, BinOp):
+            args = [walk(e.lhs), walk(e.rhs)]
+            value = _binop_value(e, float(args[0][0]), float(args[1][0]))
         else:
-            dlog = _p_fail(gb, DomainError("log of non-positive value in the derivative", e))
-        if a != 0.0:
-            ddiv = [_p_mul(_p_div(p, a, False), b, False) for p in ga]
-        else:
-            ddiv = _p_fail(ga, DomainError("division by zero in the derivative", e))
-        return value, tuple(_p_mul(_p_add(q, p), value, False) for q, p in zip(dlog, ddiv))
+            raise ExprError(f"unknown node {e!r}")
+        if all(len(a) == 1 for a in args):  # nothing varies
+            return np.array([value])
+        out = call(e, *args, value) if isinstance(e, Call) else binop(e, *args, value)
+        out[0] = value
+        return out
 
-    def call(e: Call):
-        a, ga = walk(e.arg)
-        value = _call_value(e, a)
-        if ga is zeros:
-            return value, zeros
-        f = e.func
-        if f == "log":
-            return value, tuple(_p_div(p, a, False) for p in ga)
-        if f == "sqrt":
-            if value == 0.0:
-                return value, _p_fail(ga, DomainError("division by zero in the derivative", e))
-            return value, tuple(_p_div(p, 2.0 * value, False) for p in ga)
-        if f == "sin":
-            slope = math.cos(a)
-        elif f == "cos":
-            slope = -math.sin(a)
-        elif f == "tanh":
-            slope = 1.0 - _pow(value, 2.0)
-        else:  # exp
-            slope = value
-        return value, tuple(_p_mul(p, slope, False) for p in ga)
+    def call(e: Call, a: np.ndarray, value: float) -> np.ndarray:
+        if e.func == "sqrt":
+            return basis.compose(_binomial(e, 0.5, float(a[0]), degree), a, degree)
+        return basis.compose(_function_coeffs(e.func, float(a[0]), value, degree), a, degree)
 
-    value, grad = walk(e)
-    for p in grad:
-        if type(p) is DomainError:
-            raise p
-    return value, grad
+    def binop(e: BinOp, a: np.ndarray, b: np.ndarray, value: float) -> np.ndarray:
+        if e.op in "+-":
+            return basis.add(a, b if e.op == "+" else -b)
+        if e.op == "*":
+            return basis.mul(a, b, degree)
+        if e.op == "/":
+            if len(b) == 1:
+                return a / b[0]
+            return basis.mul(a, basis.compose(_binomial(e, -1.0, float(b[0]), degree), b, degree), degree)
+        if len(b) == 1:  # a constant exponent
+            return basis.compose(_binomial(e, float(b[0]), float(a[0]), degree), a, degree)
+        if a[0] <= 0.0:
+            raise DomainError("no Taylor expansion at a non-positive base", e)
+        log_a = basis.compose(_function_coeffs("log", float(a[0]), math.log(a[0]), degree), a, degree)
+        v_log_a = basis.mul(b, log_a, degree)
+        return basis.compose(_function_coeffs("exp", float(v_log_a[0]), value, degree), v_log_a, degree)
+
+    with np.errstate(all="ignore"):
+        series = [walk(e) for e in exprs]
+    n = max(len(s) for s in series)
+    return np.array([np.pad(s, (0, n - len(s))) for s in series])
 
 
 def evaluate_at(e: Expr, chart: CoordinateChart, coords: Sequence[float], time: float = 0.0) -> float:

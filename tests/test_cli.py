@@ -334,6 +334,18 @@ class TestMainEntry:
         assert error["kind"] == "domain"
         assert error["message"] == "log of non-positive value in 'log(q1)'"
 
+    def test_series_beyond_the_coefficient_cap_exits_70(self, tmp_path, capsys):
+        # 1/(2 - q1) expands to degree order + 1 = 401: 4 * C(403, 2)
+        # coefficients per power exceed MAX_SERIES_COEFFS, which stops the
+        # basis growing
+        data = {"n": 1, "components": ["p1", "-q1 - p1/(2 - q1)"], "metric": "canonical",
+                "series": {"order": 400, "mode": "generic"}, "methods": ["series"], "t_grid": [0.5],
+                "queries": [{"point": [0.3, -0.2], "time": 0.0}]}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_RUNTIME
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "evolution"
+        assert "cap 250000" in error["message"]
+
     @pytest.mark.parametrize("entry", ["sin(exp(1000))", "cos(-exp(1000*q1))"])
     def test_trig_of_overflow_names_the_entry(self, tmp_path, entry):
         # exp overflows to inf, where sin and cos are undefined

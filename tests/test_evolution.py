@@ -134,43 +134,90 @@ class TestSeries:
     def test_expression_size_cap(self, chart1, monkeypatch):
         import metricflow.evolution as evolution
 
-        # state-dependent compressibility makes the symbolic powers grow
+        # state-dependent compressibility makes the powers grow in degree
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1"])
-        monkeypatch.setattr(evolution, "MAX_EXPR_NODES", 50)
+        x = PhasePoint([0.2, 0.1])
+        series_propagate(V, J2, 0.1, order=10, x=x)
+        monkeypatch.setattr(evolution, "MAX_SERIES_COEFFS", 50)
         with pytest.raises(evolution.ExpressionSizeError):
-            series_propagate(V, J2, 0.1, order=10, x=PhasePoint([0.2, 0.1]))
+            series_propagate(V, J2, 0.1, order=10, x=x)
 
 
-def termwise_symbolic_d_dx(M, coords, time):
-    """The series d_dx as it was computed before the forward-mode pass:
-    every power entry differentiated symbolically, then evaluated."""
-    from metricflow.evolution import SERIES_STOP_NORM
+def symbolic_powers(V, W0, order):
+    """J^j W0 for j <= order as expression trees, by the symbolic operator
+    (d_k(w_lm X^m) - d_l(w_km X^m), differentiated and simplified)."""
+    from metricflow.exprlang import Num, differentiate, simplify
+
+    d, names, X = V.chart.dim, V.chart.names, V.components
+    powers = [[[Num(float(v)) for v in row] for row in W0]]
+    for _ in range(order):
+        W = powers[-1]
+        P = []
+        for l in range(d):
+            acc = Num(0.0)
+            for m in range(d):
+                acc = acc + W[l][m] * X[m]
+            P.append(simplify(acc))
+        nxt = [[Num(0.0)] * d for _ in range(d)]
+        for k in range(d):
+            for l in range(k + 1, d):
+                u = simplify(differentiate(P[l], names[k]) - differentiate(P[k], names[l]))
+                nxt[k][l], nxt[l][k] = u, simplify(-u)
+        powers.append(nxt)
+    return powers
+
+
+def symbolic_at_point(powers, chart, coords):
+    """(P_j, dP_j) of each symbolic power at the point, dP[k, l, m] = d_k P[l, m]."""
     from metricflow.exprlang import differentiate
 
-    d = M.chart.dim
-    env = M.chart.env(coords, time)
-    D = np.zeros((d, d, d))
-    coeff = 1.0
-    for j in range(0, M.order + 1):
-        if j > 0:
-            coeff *= time / j
-        entries = M.prop._power(j)
-        term = coeff * np.array(
-            [
-                [
-                    [evaluate(differentiate(entries[l][m], M.chart.names[k]), env) for m in range(d)]
-                    for l in range(d)
-                ]
-                for k in range(d)
-            ]
+    env = chart.env(coords, 0.0)
+    out = []
+    for entries in powers:
+        P = np.array([[evaluate(e, env) for e in row] for row in entries])
+        dP = np.array(
+            [[[evaluate(differentiate(e, name), env) for e in row] for row in entries] for name in chart.names]
         )
-        D = D + term
-        if j > 0 and float(np.max(np.abs(term))) < SERIES_STOP_NORM:
+        out.append((P, dP))
+    return out
+
+
+def termwise_series(terms, order, time):
+    """The truncated series and its termwise time and space derivatives from
+    the powers at a point, with SeriesMetric's truncation rules."""
+    from metricflow.evolution import SERIES_STOP_NORM
+
+    value, coeff = terms[0][0], 1.0
+    for j in range(1, order + 1):
+        coeff *= time / j
+        term = coeff * terms[j][0]
+        value = value + term
+        if np.max(np.abs(term)) < SERIES_STOP_NORM * max(1.0, np.max(np.abs(value))):
             break
-    return D
+    d_dt, coeff = terms[1][0], 1.0
+    for j in range(2, order + 1):
+        coeff *= time / (j - 1)
+        term = coeff * terms[j][0]
+        d_dt = d_dt + term
+        if np.max(np.abs(term)) < SERIES_STOP_NORM:
+            break
+    d_dx, coeff = terms[0][1], 1.0
+    for j in range(1, order + 1):
+        coeff *= time / j
+        term = coeff * terms[j][1]
+        d_dx = d_dx + term
+        if np.max(np.abs(term)) < SERIES_STOP_NORM:
+            break
+    return value, d_dt, d_dx
+
+
+def assert_relative(got, ref, tol):
+    assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
 
 
 class TestSeriesForwardMode:
+    """The Taylor-coefficient powers against the symbolic operator powers."""
+
     @staticmethod
     def van_der_pol(chart1):
         return VectorFieldSpec.from_components(chart1, ["p1", "(1 - q1^2)*p1 - q1"])
@@ -188,16 +235,22 @@ class TestSeriesForwardMode:
         import metricflow.exprlang as exprlang
         from metricflow.evolution import SeriesMetric
 
-        M = SeriesMetric(self.van_der_pol(chart1), J2, order=6, mode="generic")
-        M.prop._power(6)  # the symbolic powers themselves are built by differentiation
+        V = self.van_der_pol(chart1)
         calls = []
 
-        def counting(e, var, _orig=exprlang.differentiate):
-            calls.append(var)
-            return _orig(e, var)
+        def counting(name, orig):
+            def wrapper(*args):
+                calls.append(name)
+                return orig(*args)
 
-        monkeypatch.setattr(exprlang, "differentiate", counting)
-        monkeypatch.setattr(evolution, "differentiate", counting)
+            return wrapper
+
+        for name in ("differentiate", "simplify"):
+            wrapped = counting(name, getattr(exprlang, name))
+            monkeypatch.setattr(exprlang, name, wrapped)
+            monkeypatch.setattr(evolution, name, wrapped)
+        # construction and every power at both points included
+        M = SeriesMetric(V, J2, order=6, mode="generic")
         for coords in ([0.3, -0.4], [0.7, 0.1]):
             M.value(coords, 0.5)
             M.d_dt(coords, 0.5)
@@ -213,61 +266,79 @@ class TestSeriesForwardMode:
         else:
             (V, W0), order, coords = self.quartic_generic(chart2), 4, [0.2, -0.3, 0.4, 0.1]
         M = SeriesMetric(V, W0, order=order, mode="generic")
+        terms = symbolic_at_point(symbolic_powers(V, W0, order), V.chart, coords)
+        for j, (P, dP) in enumerate(terms):
+            got_P, got_dP = M.prop._at_point(coords, j, order)
+            assert_relative(got_P, P, 1e-13)
+            assert_relative(got_dP, dP, 1e-13)
         for time in (0.0, 0.5, -0.3):
-            D = M.d_dx(coords, time)
-            ref = termwise_symbolic_d_dx(M, np.array(coords), time)
-            assert np.max(np.abs(D - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert_relative(M.d_dx(coords, time), termwise_series(terms, order, time)[2], 1e-13)
 
-    def test_value_and_d_dt_unchanged_bitwise(self, chart1):
-        from metricflow.evolution import SERIES_STOP_NORM, SeriesMetric
-
-        M = SeriesMetric(self.van_der_pol(chart1), J2, order=6, mode="generic")
-        coords, time = [0.3, -0.4], 0.5
-        env = chart1.env(coords, time)
-        powers = [
-            np.array([[evaluate(e, env) for e in row] for row in M.prop._power(j)]) for j in range(7)
-        ]
-        total = powers[1]
-        coeff = 1.0
-        for j in range(2, 7):
-            coeff *= time / (j - 1)
-            term = coeff * powers[j]
-            total = total + term
-            if float(np.max(np.abs(term))) < SERIES_STOP_NORM:
-                break
-        assert np.array_equal(M.d_dt(coords, time), total)
-        for j in range(7):
-            assert np.array_equal(M.prop._at_point(coords, time, j)[0], powers[j])
-
-    def test_exact_zero_partial_of_sqrt(self, chart1):
-        from metricflow.exprlang import differentiate, evaluate_grad
-
-        env = chart1.env([0.3, 0.0])
-        # d sqrt(p1)/dq1 simplifies to 0, so it is 0 at p1 = 0, not 0/0
-        assert evaluate(differentiate(parse("sqrt(p1)", chart1), "q1"), env) == 0.0
-        value, grad = evaluate_grad(parse("sqrt(p1)", chart1), env, ("q1",))
-        assert value == 0.0 and grad == (None,)
-        value, grad = evaluate_grad(parse("q1*sqrt(p1) + q1", chart1), env, ("q1",))
-        assert value == 0.3 and grad == (1.0,)
-        # the p1 partial divides by 2 sqrt(p1) = 0, as the symbolic derivative does
-        with pytest.raises(DomainError):
-            evaluate_grad(parse("sqrt(p1)", chart1), env, chart1.names)
-
-    def test_gradient_domain_failure_reaches_d_dx_only(self, chart1):
+    def test_value_and_d_dt_match_symbolic_powers(self, chart1):
         from metricflow.evolution import SeriesMetric
 
-        # power 1 holds d(sqrt(p1) q1)/dq1 = sqrt(p1): finite at p1 = 0, its
-        # p1 partial is not (power 2 would hold that partial as a value)
+        V = self.van_der_pol(chart1)
+        coords = [0.3, -0.4]
+        terms = symbolic_at_point(symbolic_powers(V, J2, 6), chart1, coords)
+        M = SeriesMetric(V, J2, order=6, mode="generic")
+        for time in (0.5, -0.3):
+            value, d_dt, _ = termwise_series(terms, 6, time)
+            assert_relative(M.value(coords, time), value, 1e-13)
+            assert_relative(M.d_dt(coords, time), d_dt, 1e-13)
+
+    def test_exact_zero_partial_of_sqrt(self, chart1):
+        from metricflow.exprlang import Monomials, differentiate, taylor_expand
+
+        env = chart1.env([0.3, 0.0])
+        # sqrt of an argument that does not vary has no derivative to take:
+        # q1 - q1 expands to exactly 0, so sqrt(q1 - q1) is 0 with zero partials
+        s = taylor_expand([parse("sqrt(q1 - q1) + q1", chart1)], chart1, [0.3, 0.0], 0.0, 3, Monomials(2))
+        assert s.tolist() == [[0.3, 1.0, 0.0]]
+        # sqrt(p1) varies, and has no expansion at p1 = 0: every partial fails,
+        # also d/dq1, which differentiate folds to 0
+        assert evaluate(differentiate(parse("sqrt(p1)", chart1), "q1"), env) == 0.0
+        for text in ("sqrt(p1)", "q1*sqrt(p1) + q1"):
+            with pytest.raises(DomainError, match=r"no Taylor expansion at 0 in 'sqrt\(p1\)'"):
+                taylor_expand([parse(text, chart1)], chart1, [0.3, 0.0], 0.0, 1, Monomials(2))
+            # degree 0 is the value alone
+            value = taylor_expand([parse(text, chart1)], chart1, [0.3, 0.0], 0.0, 0, Monomials(2))
+            assert value[0, 0] == evaluate(parse(text, chart1), env)
+
+    def test_expansion_domain_failure_reaches_every_method(self, chart1):
+        from metricflow.evolution import SeriesMetric
+
+        # the field's sqrt(p1) has no expansion at p1 = 0, where its value is
+        # finite: value, d_dt and d_dx all raise, naming the node
         V = VectorFieldSpec.from_components(chart1, ["q1*sqrt(p1)", "-q1"])
         M = SeriesMetric(V, J2, order=1, mode="generic")
-        coords = [0.3, 0.0]
-        env = chart1.env(coords, 0.2)
-        P1 = np.array([[evaluate(e, env) for e in row] for row in M.prop._power(1)])
-        assert np.array_equal(M.value(coords, 0.2), J2 + 0.2 * P1)
-        with pytest.raises(DomainError):
-            termwise_symbolic_d_dx(M, np.array(coords), 0.2)
-        with pytest.raises(DomainError):
-            M.d_dx(coords, 0.2)
+        for method in (M.value, M.d_dt, M.d_dx):
+            with pytest.raises(DomainError, match=r"sqrt\(p1\)"):
+                method([0.3, 0.0], 0.2)
+        # away from p1 = 0 the same field expands
+        M.d_dx([0.3, 0.5], 0.2)
+
+    def test_results_do_not_share_the_cached_powers(self, chart1):
+        from metricflow.evolution import SeriesMetric
+
+        # at order 1, d_dt is power 1 alone; writing to it must not reach the cache
+        M = SeriesMetric(self.van_der_pol(chart1), J2, order=1, mode="generic")
+        coords = [0.3, -0.4]
+        results = [M.value(coords, 0.5), M.d_dt(coords, 0.5), M.d_dx(coords, 0.5)]
+        expected = [r.copy() for r in results]
+        for r in results:
+            r += 1.0
+        fresh = [M.value(coords, 0.5), M.d_dt(coords, 0.5), M.d_dx(coords, 0.5)]
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, expected))
+
+    def test_van_der_pol_order_16_matches_pullback(self, chart1):
+        from metricflow.evolution import SeriesMetric
+
+        x = PhasePoint([0.3, -0.2], 0.5)
+        ref = pullback_metric(
+            self.van_der_pol(chart1), canonical_metric(chart1), x, opts=IntegratorOptions(abs_tol=1e-13, rel_tol=1e-13)
+        )
+        W = SeriesMetric(self.van_der_pol(chart1), J2, order=16, mode="generic").value(x.coords, x.time)
+        assert np.max(np.abs(W - ref)) < 1e-9
 
 
 class TestSplit:

@@ -10,6 +10,7 @@ from metricflow.exprlang import (
     Neg,
     Num,
     UnknownIdentifierError,
+    Monomials,
     Var,
     compile_scalar,
     compile_vector,
@@ -17,10 +18,10 @@ from metricflow.exprlang import (
     differentiate,
     evaluate,
     evaluate_at,
-    evaluate_grad,
     free_vars,
     parse,
     simplify,
+    taylor_expand,
     to_string,
 )
 
@@ -153,12 +154,108 @@ class TestEvaluate:
         chart = CoordinateChart(1)
         e = parse(text, chart)
         env = chart.env([1000.0, 0.0])
-        for evaluator in (lambda: evaluate(e, env), lambda: evaluate_grad(e, env, chart.names)):
+        expand = lambda: taylor_expand([e], chart, [1000.0, 0.0], 0.0, 3, Monomials(2))  # noqa: E731
+        for evaluator in (lambda: evaluate(e, env), expand):
             with pytest.raises(DomainError) as info:
                 evaluator()
             assert str(info.value) == message
         # simplify folds exp(1000) to inf but keeps the sin or cos unfolded
         assert simplify(e).func == e.func
+
+
+class TestTaylor:
+    """Truncated Taylor series on the graded monomial basis."""
+
+    @staticmethod
+    def polynomial(basis, coeffs, x):
+        return sum(c * np.prod(np.asarray(x) ** basis.exps[i]) for i, c in enumerate(coeffs))
+
+    def test_basis_is_graded_with_consistent_successors(self):
+        from math import comb
+
+        basis = Monomials(3)
+        basis.grow(4)
+        exps = [tuple(row) for row in basis.exps]
+        assert basis.sizes == [comb(k + 3, 3) for k in range(5)]
+        assert len(set(exps)) == len(exps)
+        assert [sum(e) for e in exps] == sorted(sum(e) for e in exps)
+        assert exps[1:4] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        index = {e: i for i, e in enumerate(exps)}
+        for i, e in enumerate(exps[: basis.sizes[3]]):
+            for k in range(3):
+                assert basis.succ[i, k] == index[tuple(np.add(e, np.eye(3, dtype=int)[k]))]
+
+    def test_product_and_gradient_of_polynomials(self):
+        basis = Monomials(2)
+        basis.grow(3)
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(basis.sizes[2]), rng.standard_normal(basis.sizes[3])
+        x = rng.uniform(-1.0, 1.0, 2)
+        exact = basis.mul(a, b, 5)
+        assert len(exact) == basis.sizes[5]
+        assert self.polynomial(basis, exact, x) == pytest.approx(
+            self.polynomial(basis, a, x) * self.polynomial(basis, b, x), rel=1e-13
+        )
+        # truncation keeps the low degrees of the full product
+        assert np.array_equal(basis.mul(a, b, 3), exact[: basis.sizes[3]])
+        # d/dx_0 of x_0^2 x_1 is 2 x_0 x_1
+        cube = np.zeros(basis.sizes[3])
+        cube[basis.exps.tolist().index([2, 1])] = 1.0
+        grad = basis.gradient(cube)
+        assert grad.shape == (2, basis.sizes[2])
+        assert grad[0, basis.exps.tolist().index([1, 1])] == 2.0
+        assert grad[1, basis.exps.tolist().index([2, 0])] == 1.0
+        assert np.count_nonzero(grad) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["exp(q1)*sin(p1)", "cos(q1*p1) - tanh(q1)", "log(q1) + sqrt(q1 + p1)", "q1^p1",
+         "(q1 + 1)^2.5 / (q1 - p1)", "q1^3 - 2*p1/q1 + t"],
+    )
+    def test_expansion_matches_evaluate_and_differentiate(self, text):
+        chart = CoordinateChart(1)
+        e = parse(text, chart)
+        x, time = np.array([0.7, 0.3]), 0.4
+        basis = Monomials(2)
+        s = taylor_expand([e], chart, x, time, 10, basis)[0]
+        assert s[0] == evaluate_at(e, chart, x, time)
+        for k, name in enumerate(chart.names):
+            assert s[1 + k] == pytest.approx(evaluate_at(differentiate(e, name), chart, x, time), rel=1e-13)
+        h = np.array([0.01, -0.02])
+        assert self.polynomial(basis, s, h) == pytest.approx(evaluate_at(e, chart, x + h, time), rel=1e-12)
+
+    def test_polynomials_stay_short(self):
+        chart = CoordinateChart(2)
+        basis = Monomials(4)
+        s = taylor_expand([parse("q1^2*p2 - 3", chart), parse("q2", chart)], chart, [2.0, 0.5, 0.0, 1.0], 0.0, 20, basis)
+        assert s.shape == (2, basis.sizes[3])
+        assert basis.sizes[-1] == basis.sizes[3]
+        assert self.polynomial(basis, s[0], [0.1, 0.2, 0.3, -0.4]) == pytest.approx(2.1**2 * 0.6 - 3, rel=1e-14)
+        assert s[1].tolist() == [0.5, 0.0, 1.0] + [0.0] * (basis.sizes[3] - 3)
+
+    @pytest.mark.parametrize(
+        "text, point, message",
+        [("q1^3 + p1", [0.0, 0.5], None),
+         ("q1^2.5", [0.0, 0.5], "no Taylor expansion at 0 in 'q1^2.5'"),
+         ("sqrt(q1)", [0.0, 0.5], "no Taylor expansion at 0 in 'sqrt(q1)'"),
+         ("q1^p1", [0.0, 0.5], "no Taylor expansion at a non-positive base in 'q1^p1'"),
+         ("q1^p1", [-2.0, 2.0], "no Taylor expansion at a non-positive base in 'q1^p1'"),
+         ("log(q1)", [0.0, 0.5], "log of non-positive value in 'log(q1)'"),
+         ("p1/(q1 - q1)", [0.0, 0.5], "division by zero in 'p1/(q1-q1)'"),
+         ("sqrt(p1 - p1) + 0^t", [0.0, 0.5], None)],
+    )
+    def test_domain(self, text, point, message):
+        # a node fails where its value does, and where a varying argument
+        # has no expansion; an argument that does not vary needs none
+        chart = CoordinateChart(1)
+        e = parse(text, chart)
+        expand = lambda: taylor_expand([e], chart, point, 1.0, 4, Monomials(2))  # noqa: E731
+        if message is None:
+            assert expand()[0, 0] == evaluate_at(e, chart, point, 1.0)
+        else:
+            with pytest.raises(DomainError) as info:
+                expand()
+            assert str(info.value) == message
 
 
 class TestDifferentiate:
