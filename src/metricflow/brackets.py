@@ -28,7 +28,7 @@ from .exprlang import (
     evaluate_compiled,
     simplify,
 )
-from .phasespace import MetricField, PhasePoint, _check_point, inverse_metric
+from .phasespace import MetricField, PhasePoint, _check_point, invert_metric, inverse_metric
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,24 @@ def bracket_tensor(M: MetricField, x: PhasePoint) -> np.ndarray:
 
 class BracketFrame:
     """The raised tensor P of a metric at one point, shared by every bracket
-    of :class:`Observable` s taken there: the metric is inverted once, and
-    the derivatives of P are formed on first use."""
+    of :class:`Observable` s taken there: the metric's jet is read and
+    inverted once, and the derivatives of P are formed on first use."""
 
     def __init__(self, M: MetricField, x: PhasePoint):
         _check_point(M.chart, x)
         self.M = M
         self.x = x
-        self.P = bracket_tensor(M, x)
+        W, self._dW_dx, self._dW_dt = M.jet(x.coords, x.time)
+        self.P = -invert_metric(W)
 
     @cached_property
     def d_dx(self) -> np.ndarray:
         """d_k of P = -W^{-1}: d_k P = W^{-1} (d_k W) W^{-1} = P (d_k W) P."""
-        return self.P @ self.M.d_dx(self.x.coords, self.x.time) @ self.P
+        return self.P @ self._dW_dx @ self.P
 
     @cached_property
     def d_dt(self) -> np.ndarray:
-        return self.P @ self.M.d_dt(self.x.coords, self.x.time) @ self.P
+        return self.P @ self._dW_dt @ self.P
 
     def bracket(self, A: Observable, B: Observable) -> float:
         """{A, B} at the frame's point."""

@@ -30,7 +30,6 @@ from .evolution import (
     EvolutionError,
     SeriesMetric,
     SplitMetric,
-    invariance_residual,
     invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
@@ -43,7 +42,6 @@ from .phasespace import (
     PhasePoint,
     TransportedMetric,
     canonical_metric,
-    jacobi_residual,
     jacobi_residuals,
     metric_determinant,
 )
@@ -299,6 +297,18 @@ def _initial_matrix(cfg: SystemConfig, M0: MetricField) -> np.ndarray:
     return M0.value(np.zeros(cfg.chart.dim), 0.0)
 
 
+def _evolve_cells(V: VectorFieldSpec | None, M: MetricField, x: np.ndarray, t: float, pairs) -> list[str]:
+    """The upper entries of W, sqrt_g and the Jacobi and invariance residuals
+    of one evolve-metric row, from one jet of M at (x, t)."""
+    W, D, Wt = M.jet(x, t)
+    sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
+    jac = float(jacobi_residuals(D[None])[0])
+    inv = float("nan")
+    if V is not None:
+        inv = float(np.max(np.abs(invariance_residuals(V, x[None], [t], W[None], D[None], Wt[None]))))
+    return [f"{W[k, l]:.17g}" for k, l in pairs] + [f"{sqrt_g:.17g}", f"{jac:.17g}", f"{inv:.17g}"]
+
+
 def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     V, fsys = _build_system(cfg)
     methods = _evolve_methods(cfg, V, fsys)
@@ -332,18 +342,9 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     ]
     rows = [header]
     for t in grid:
-        x = PhasePoint(x_eval, t)
         for method in methods:
-            fieldM = fields[method]
-            W = fieldM.value(x_eval, t)
             warn_cell = warning_text if method == "analytic" else ""
-            sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
-            jac = jacobi_residual(fieldM, x)
-            inv = float(np.max(np.abs(invariance_residual(V, fieldM, x)))) if V else float("nan")
-            row = [f"{t:.17g}", method]
-            row += [f"{W[k, l]:.17g}" for k, l in pairs]
-            row += [f"{sqrt_g:.17g}", f"{jac:.17g}", f"{inv:.17g}", warn_cell]
-            rows.append(row)
+            rows.append([f"{t:.17g}", method, *_evolve_cells(V, fields[method], x_eval, t, pairs), warn_cell])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

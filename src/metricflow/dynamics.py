@@ -27,7 +27,7 @@ from .exprlang import (
     compile_vector,
     differentiate,
     evaluate,
-    evaluate_entries,
+    evaluate_compiled,
     free_vars,
     simplify,
 )
@@ -198,32 +198,23 @@ class VectorFieldSpec:
     def _div_fn(self):
         return (self.divergence_expr,), compile_vector([self.divergence_expr], self.chart)
 
-    def _run(self, compiled, coords, time) -> np.ndarray:
-        """The compiled entries at the point.  Where the compiled code fails,
-        :func:`evaluate_entries` raises a DomainError naming the node."""
-        exprs, fn = compiled
-        try:
-            return np.array(fn(coords, time))
-        except (ArithmeticError, ValueError):
-            return evaluate_entries(exprs, self.chart, coords, time)
-
     def eval(self, coords, time: float = 0.0) -> np.ndarray:
-        return self._run(self._field_fn, coords, time)
+        return evaluate_compiled(self._field_fn, self.chart, coords, time)
 
     def jacobian(self, coords, time: float = 0.0) -> np.ndarray:
         if self.constant_jacobian is not None:
             return self.constant_jacobian
         d = self.chart.dim
-        return self._run(self._jac_fn, coords, time).reshape(d, d)
+        return evaluate_compiled(self._jac_fn, self.chart, coords, time).reshape(d, d)
 
     def hessian(self, coords, time: float = 0.0) -> np.ndarray:
         """Second derivatives T[i, a, b] = d^2 X^i / dx_a dx_b, compiled on
         first use."""
         d = self.chart.dim
-        return self._run(self._hess_fn, coords, time).reshape(d, d, d)
+        return evaluate_compiled(self._hess_fn, self.chart, coords, time).reshape(d, d, d)
 
     def divergence(self, coords, time: float = 0.0) -> float:
-        return self._run(self._div_fn, coords, time)[0]
+        return evaluate_compiled(self._div_fn, self.chart, coords, time)[0]
 
 
 def eval_field(V: VectorFieldSpec, x: PhasePoint) -> np.ndarray:

@@ -219,10 +219,11 @@ class SeriesPropagator:
             self._terms.append((S[:, :, 0].copy(), dP))
         return self._terms[j]
 
-    def _sum(self, coords, t: float, order: int, first=0, part=0, stop_norm=SERIES_STOP_NORM, relative=False):
+    def _sum(self, coords, t: float, order: int, first=0, part=0, relative=False):
         """sum_i t^i/i! times part (0: P, 1: dP) of power first + i, up to
-        the first term whose norm is below stop_norm (times the running
-        sum's, if relative).  Returns (sum, terms, norm of the last term)."""
+        the first term whose norm is below SERIES_STOP_NORM (times the
+        running sum's, if relative).  Returns (sum, terms, norm of the last
+        term)."""
         total = self._at_point(coords, first, order)[part].copy()
         coeff, i, last_norm = 1.0, 0, 0.0
         for i in range(1, order + 1 - first):
@@ -230,7 +231,7 @@ class SeriesPropagator:
             term = coeff * self._at_point(coords, first + i, order)[part]
             total = total + term
             last_norm = float(np.max(np.abs(term)))
-            if last_norm < stop_norm * (max(1.0, float(np.max(np.abs(total)))) if relative else 1.0):
+            if last_norm < SERIES_STOP_NORM * (max(1.0, float(np.max(np.abs(total)))) if relative else 1.0):
                 break
         return total, i, last_norm
 
@@ -240,7 +241,6 @@ class SeriesPropagator:
         x: PhasePoint | None = None,
         order: int = DEFAULT_SERIES_ORDER,
         mode: str = "auto",
-        stop_norm: float = SERIES_STOP_NORM,
     ) -> tuple[np.ndarray, SeriesInfo]:
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -254,7 +254,7 @@ class SeriesPropagator:
             return W, SeriesInfo("linear-exact", 0, 0.0, False)
         if x is None:
             raise ValueError("the generic series path needs an evaluation point")
-        total, terms, last_norm = self._sum(x.coords, t, order, stop_norm=stop_norm, relative=True)
+        total, terms, last_norm = self._sum(x.coords, t, order, relative=True)
         diverging = last_norm > max(1.0, float(np.max(np.abs(total))))
         if diverging:
             warnings.warn(
@@ -424,7 +424,8 @@ def pullback_jet(
     x0, M, H = flow_jet(V, coords, -time, opts)
     J = np.column_stack([M, -V.eval(x0)])
     dM = np.concatenate([H.transpose(2, 0, 1), [-V.jacobian(x0) @ M]])
-    return congruence_jet(M0.value(x0, 0.0), M0.d_dx(x0, 0.0), J, dM)
+    W0, dW0, _ = M0.jet(x0, 0.0)
+    return congruence_jet(W0, dW0, J, dM)
 
 
 def pullback_metric(
@@ -469,8 +470,8 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
     integral of motion at ``x`` exactly when this vanishes.
     """
     _check_point(V.chart, x)
-    X, T = x.coords[None], [x.time]
-    return invariance_residuals(V, X, T, *M.jet_batch(X, T))[0]
+    W, D, Wt = M.jet(x.coords, x.time)
+    return invariance_residuals(V, x.coords[None], [x.time], W[None], D[None], Wt[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +482,14 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
 class SeriesMetric(MetricField):
     """The series-propagated metric as a field with exact derivatives.
 
-    value, d_dt and d_dx sum the same per-point powers of the propagator,
-    whose values P_j and coordinate gradients dP_j are the degree-0 and
-    degree-1 Taylor coefficients of J^j W0 there, so d_dt and d_dx
-    differentiate the truncated series termwise.  The sums keep their
-    truncation rules: the relative stop of ``propagate`` for the value, an
-    absolute SERIES_STOP_NORM stop on the last term for d_dt and d_dx.  A
-    field with no Taylor expansion at the point (sqrt(u) at u = 0) fails
-    all three with the DomainError naming the node.
+    The jet sums the same per-point powers of the propagator, whose values
+    P_j and coordinate gradients dP_j are the degree-0 and degree-1 Taylor
+    coefficients of J^j W0 there, so dW/dt and dW/dx differentiate the
+    truncated series termwise.  The sums keep their truncation rules: the
+    relative stop of ``propagate`` for the value, an absolute
+    SERIES_STOP_NORM stop on the last term for the derivatives.  A field
+    with no Taylor expansion at the point (sqrt(u) at u = 0) fails the jet
+    with the DomainError naming the node.
     """
 
     def __init__(self, V: VectorFieldSpec, W0, order: int = DEFAULT_SERIES_ORDER, mode: str = "auto"):
@@ -498,28 +499,16 @@ class SeriesMetric(MetricField):
         self.mode = mode
         self.prop = SeriesPropagator(V, W0)
 
-    def _linear_jacobian(self) -> np.ndarray | None:
-        """The field's constant Jacobian where the linear-exact path applies."""
-        return self.V.constant_jacobian if self.mode in ("auto", "linear") else None
-
-    def value(self, coords, time):
-        W, _ = self.prop.propagate(time, x=PhasePoint(coords, time), order=self.order, mode=self.mode)
-        return W
-
-    def d_dt(self, coords, time):
-        A = self._linear_jacobian()
-        if A is not None:
+    def jet(self, coords, time):
+        W, info = self.prop.propagate(time, x=PhasePoint(coords, time), order=self.order, mode=self.mode)
+        if info.path == "linear-exact":
             # dW/dt = J W(t), one exact operator application
-            W = self.value(coords, time)
-            return -(A.T @ W + W @ A)
-        # the termwise derivative: the index-shifted sum
-        return self.prop._sum(coords, time, self.order, first=1)[0]
-
-    def d_dx(self, coords, time):
-        d = self.chart.dim
-        if self._linear_jacobian() is not None:
-            return np.zeros((d, d, d))
-        return self.prop._sum(coords, time, self.order, part=1)[0]
+            A = self.V.constant_jacobian
+            d = self.chart.dim
+            return W, np.zeros((d, d, d)), -(A.T @ W + W @ A)
+        # the termwise derivatives; dW/dt is the index-shifted sum
+        dx = self.prop._sum(coords, time, self.order, part=1)[0]
+        return W, dx, self.prop._sum(coords, time, self.order, first=1)[0]
 
 
 class SplitMetric(TransportedMetric):

@@ -872,35 +872,18 @@ def compile_vector(exprs: Iterable[Expr], chart: CoordinateChart):
     return eval(src, dict(_COMPILE_GLOBALS))
 
 
-def evaluate_entries(exprs: Sequence[Expr], chart: CoordinateChart, coords, time: float, values=None) -> np.ndarray:
-    """``exprs`` at the point with :func:`evaluate`'s semantics.
-
-    Where compiled code raises a bare ValueError, ZeroDivisionError or
-    OverflowError, or returns inf or NaN, the interpreter raises a
-    DomainError naming the offending node, or gives inf on overflow.  Only
-    the entries of ``values`` (the compiled results) that are not finite
-    are evaluated again; without ``values`` every entry is.
-    """
-    out = np.full(len(exprs), np.nan) if values is None else values
-    bad = np.flatnonzero(~np.isfinite(out))
-    if len(bad):
-        env = chart.env(coords, time)
-        for i in bad:
-            out[i] = evaluate(exprs[i], env)
-    return out
-
-
 def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float) -> np.ndarray:
     """``compiled`` = (exprs, compile_vector(exprs)) at the point, with
     :func:`evaluate`'s semantics.
 
-    An entry the compiled code fails on or returns as inf or NaN is
-    evaluated again by the interpreter (:func:`evaluate_entries`).
+    The compiled code runs on Python floats, so it raises wherever
+    :func:`evaluate` raises a DomainError, and on overflow, where evaluate
+    gives inf.  The interpreter then evaluates the entries again and raises
+    the DomainError naming the node, or gives inf.
     """
     exprs, fn = compiled
-    with np.errstate(all="ignore"):
-        try:
-            values = np.array(fn(coords, time), dtype=float)
-        except (ArithmeticError, ValueError):
-            values = None
-    return evaluate_entries(exprs, chart, coords, time, values)
+    try:
+        return np.array(fn(np.asarray(coords, dtype=float).tolist(), float(time)))
+    except (ArithmeticError, ValueError):
+        env = chart.env(coords, time)
+        return np.array([evaluate(e, env) for e in exprs])

@@ -32,7 +32,7 @@ from .exprlang import (
     is_zero,
     to_string,
 )
-from .phasespace import MetricField, PhasePoint
+from .phasespace import MetricField, PhasePoint, zeros_view
 
 
 class FrictionError(Exception):
@@ -178,16 +178,18 @@ class FrictionSystem:
         return np.diag(K).copy()
 
     def growth_matrices(self, t0: float, times) -> np.ndarray:
-        """G at each of the distinct ``times``, stacked to (len(times), n, n).
+        """G at each of the ``times``, stacked to (len(times), n, n).
 
         A constant diagonal K gives the diagonal exp((t - t0) k) for all
         times at once, which is what ``expm`` returns for a diagonal
-        argument, bit for bit; any other K takes one growth_matrix per time.
+        argument, bit for bit; any other K takes one growth_matrix per
+        distinct time.
         """
         times = np.asarray(times, dtype=float)
         k = self._diagonal_rates
         if k is None:
-            return np.array([self.growth_matrix(t0, float(t)) for t in times])
+            distinct, where = np.unique(times, return_inverse=True)
+            return np.array([self.growth_matrix(t0, float(t)) for t in distinct])[where]
         n = len(k)
         G = np.zeros((len(times), n, n))
         G[:, np.arange(n), np.arange(n)] = np.exp((times - t0)[:, None] * k)
@@ -211,29 +213,17 @@ class FrictionAnalyticMetric(MetricField):
         W[..., n:, :n] = -np.swapaxes(G, -1, -2)
         return W
 
-    def value(self, coords, time):
-        return self._blocks(self.system.growth_matrices(self.t0, [time])[0])
-
-    def d_dx(self, coords, time):
-        d = self.chart.dim
-        return np.zeros((d, d, d))
-
-    def d_dt(self, coords, time):
-        G = self.system.growth_matrices(self.t0, [time])[0]
-        K = self.system.friction_at(float(time))
-        return self._blocks(G @ K)
-
     def jet_batch(self, X, T):
-        """One G, and one K, per distinct time; no point-wise work."""
-        times, where = np.unique(np.asarray(T, dtype=float), return_inverse=True)
-        G = self.system.growth_matrices(self.t0, times)
+        """G (:meth:`FrictionSystem.growth_matrices`) and K at each point's
+        time; the metric does not depend on the coordinates."""
+        T = np.asarray(T, dtype=float)
+        G = self.system.growth_matrices(self.t0, T)
         if self.system.k_matrix is not None:
             K = self.system.k_matrix
         else:
-            K = np.array([self.system.friction_at(float(t)) for t in times])
+            K = np.array([self.system.friction_at(float(t)) for t in T])
         d = self.chart.dim
-        dx = np.broadcast_to(np.zeros(()), (len(where), d, d, d))
-        return self._blocks(G)[where], dx, self._blocks(G @ K)[where]
+        return self._blocks(G), zeros_view(len(T), d, d, d), self._blocks(G @ K)
 
 
 def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:

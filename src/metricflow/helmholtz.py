@@ -68,8 +68,7 @@ def helmholtz_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np.
     metric representation); the assembly is numeric.
     """
     _check_point(V.chart, x)
-    W = M.value(x.coords, x.time)
-    D = M.d_dx(x.coords, x.time)
+    W, D, _ = M.jet(x.coords, x.time)
     return helmholtz_residuals(V, x.coords[None], [x.time], W[None], D[None])[0]
 
 

@@ -4,7 +4,8 @@ A metric field assigns a skew-symmetric 2n x 2n matrix to every phase-space
 point and time.  Four representations are supported: constant matrices,
 matrices of symbolic expressions, the analytic linear-friction form (see
 :mod:`metricflow.friction`) and flow-transported fields (values produced on
-demand by pulling the initial metric back along the flow).
+demand by pulling the initial metric back along the flow).  Each computes
+the jet (W, dW/dx, dW/dt) in one place (:class:`MetricField`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ SKEW_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
 # transported metric fields keep the state of this many most recently used points
 TRANSPORT_CACHE_SIZE = 256
+_ZERO = bytes(8)
 
 
 class MetricError(Exception):
@@ -70,40 +72,46 @@ def _check_point(chart: CoordinateChart, point: PhasePoint):
         raise ValueError(f"point has {point.dim} coordinates, chart needs {chart.dim}")
 
 
+def zeros_view(*shape: int) -> np.ndarray:
+    """A read-only array of zeros whose entries all share one 8-byte zero:
+    the derivatives of a field that does not vary, at any number of points."""
+    return np.ndarray(shape, float, _ZERO, 0, (0,) * len(shape))
+
+
 class MetricField:
     """Interface for skew matrix-valued fields omega_kl(x, t).
 
-    Subclasses provide ``value``, ``d_dx`` and ``d_dt``: in closed form,
-    or, for transported fields, exactly from the state of the flow that
-    produces the value.
+    A representation computes the jet (W, dW/dx, dW/dt) of the field, the
+    value with its derivatives in space and time, which the invariance test
+    d_t w + L_X w = 0 reads together.  It implements exactly one of
+    ``jet`` (one point) and ``jet_batch`` (a stack of points); each defaults
+    to the other.  ``value``, ``d_dx`` and ``d_dt`` read the jet.
     """
 
     chart: CoordinateChart
 
+    def jet(self, coords: Sequence[float], time: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, D, dW/dt) at one point, with D[k, l, m] = d omega_lm / d x_k.
+        The arrays may be read-only."""
+        W, D, Wt = self.jet_batch(np.asarray(coords, dtype=float)[None], np.array([float(time)]))
+        return W[0], D[0], Wt[0]
+
+    def jet_batch(self, X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The jets at the B points (X[b], T[b]), stacked along a leading
+        axis: shapes (B, d, d), (B, d, d, d) and (B, d, d).  The arrays may
+        be read-only broadcasts."""
+        jets = [self.jet(x, t) for x, t in zip(X, T)]
+        return tuple(np.array(part) for part in zip(*jets))
+
     def value(self, coords: Sequence[float], time: float) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(coords, time)[0]
 
     def d_dx(self, coords: Sequence[float], time: float) -> np.ndarray:
         """Array D with D[k, l, m] = d omega_lm / d x_k."""
-        raise NotImplementedError
+        return self.jet(coords, time)[1]
 
     def d_dt(self, coords: Sequence[float], time: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def jet_batch(self, X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W, dW/dx, dW/dt) at the B points (X[b], T[b]), stacked along a
-        leading axis: shapes (B, d, d), (B, d, d, d) and (B, d, d).
-
-        This default evaluates ``value``, ``d_dx`` and ``d_dt`` point by
-        point; representations that can do better override it.  The arrays
-        may be read-only broadcasts.
-        """
-        pts = list(zip(X, T))
-        return (
-            np.array([self.value(x, t) for x, t in pts]),
-            np.array([self.d_dx(x, t) for x, t in pts]),
-            np.array([self.d_dt(x, t) for x, t in pts]),
-        )
+        return self.jet(coords, time)[2]
 
     def entry_exprs(self) -> list[list[Expr]] | None:
         """Entries as expressions in (x, t) when the representation has them."""
@@ -123,25 +131,9 @@ class ConstantMetric(MetricField):
         W.setflags(write=False)
         self.matrix = W
 
-    def value(self, coords, time):
-        return self.matrix
-
-    def d_dx(self, coords, time):
-        d = self.chart.dim
-        return np.zeros((d, d, d))
-
-    def d_dt(self, coords, time):
-        d = self.chart.dim
-        return np.zeros((d, d))
-
     def jet_batch(self, X, T):
         B, d = len(X), self.chart.dim
-        zero = np.zeros(())
-        return (
-            np.broadcast_to(self.matrix, (B, d, d)),
-            np.broadcast_to(zero, (B, d, d, d)),
-            np.broadcast_to(zero, (B, d, d)),
-        )
+        return np.broadcast_to(self.matrix, (B, d, d)), zeros_view(B, d, d, d), zeros_view(B, d, d)
 
     def entry_exprs(self):
         return [[Num(float(v)) for v in row] for row in self.matrix]
@@ -156,7 +148,13 @@ def canonical_metric(chart: CoordinateChart) -> ConstantMetric:
 
 
 class ExprMetric(MetricField):
-    """Representation (b): a matrix of expressions in (x, t)."""
+    """Representation (b): a matrix of expressions in (x, t).
+
+    The entries and their derivatives in every coordinate and in t are
+    compiled into one vector of (d + 2) d^2 entries, evaluated together, so
+    the value fails with the DomainError naming the node wherever a
+    derivative entry does: sqrt(q1) at q1 = 0, say.
+    """
 
     def __init__(self, chart: CoordinateChart, entries):
         self.chart = chart
@@ -169,38 +167,17 @@ class ExprMetric(MetricField):
         return [row[:] for row in self.entries]
 
     @cached_property
-    def _value_fn(self):
-        flat = [e for row in self.entries for e in row]
+    def _jet_fn(self):
+        W = [e for row in self.entries for e in row]
+        flat = W + [differentiate(e, name) for name in self.chart.names + (TIME_NAME,) for e in W]
         return flat, compile_vector(flat, self.chart)
 
-    @cached_property
-    def _d_dx_fns(self):
-        fns = []
-        for name in self.chart.names:
-            flat = [differentiate(e, name) for row in self.entries for e in row]
-            fns.append((flat, compile_vector(flat, self.chart)))
-        return fns
-
-    @cached_property
-    def _d_dt_fn(self):
-        flat = [differentiate(e, TIME_NAME) for row in self.entries for e in row]
-        return flat, compile_vector(flat, self.chart)
-
-    def _eval(self, compiled, coords, time) -> np.ndarray:
+    def jet(self, coords, time):
         d = self.chart.dim
-        return evaluate_compiled(compiled, self.chart, coords, time).reshape(d, d)
-
-    def value(self, coords, time):
-        W = self._eval(self._value_fn, coords, time)
-        if np.max(np.abs(W + W.T)) > SKEW_TOL:
+        v = evaluate_compiled(self._jet_fn, self.chart, coords, time).reshape(d + 2, d, d)
+        if np.max(np.abs(v[0] + v[0].T)) > SKEW_TOL:
             raise MetricError("metric entries are not skew-symmetric at the evaluated point")
-        return W
-
-    def d_dx(self, coords, time):
-        return np.array([self._eval(compiled, coords, time) for compiled in self._d_dx_fns])
-
-    def d_dt(self, coords, time):
-        return self._eval(self._d_dt_fn, coords, time)
+        return v[0], v[1 : d + 1], v[d + 1]
 
 
 class TransportedMetric(MetricField):
@@ -209,9 +186,9 @@ class TransportedMetric(MetricField):
     Values are produced on demand by pulling the time-0 metric back along
     the trajectory through the queried point (an integration per query; the
     cost is the caller's).  That one backward integration also carries the
-    second-order variational equation, so the value and its exact spatial
-    and time derivatives come from one state, memoized per (coords, time)
-    in an LRU of TRANSPORT_CACHE_SIZE read-only (W, dW/dx, dW/dt) triples.
+    second-order variational equation, so the jet comes from one state,
+    memoized per (coords, time) in an LRU of TRANSPORT_CACHE_SIZE read-only
+    (W, dW/dx, dW/dt) triples.
     """
 
     def __init__(self, initial: MetricField, field, opts=None):
@@ -228,7 +205,7 @@ class TransportedMetric(MetricField):
 
         return pullback_jet(self.field, self.initial, coords, time, self.opts)
 
-    def _state(self, coords, time) -> tuple[np.ndarray, ...]:
+    def jet(self, coords, time):
         coords = np.asarray(coords, dtype=float)
         key = (coords.tobytes(), float(time))
         state = self._cache.get(key)
@@ -243,15 +220,6 @@ class TransportedMetric(MetricField):
             self._cache.popitem(last=False)
         return state
 
-    def value(self, coords, time):
-        return self._state(coords, time)[0]
-
-    def d_dx(self, coords, time):
-        return self._state(coords, time)[1]
-
-    def d_dt(self, coords, time):
-        return self._state(coords, time)[2]
-
 
 class MetricDeterminant(NamedTuple):
     g: float
@@ -259,13 +227,16 @@ class MetricDeterminant(NamedTuple):
     degenerate: bool
 
 
-def metric_eval(M: MetricField, x: PhasePoint) -> np.ndarray:
-    """Evaluate the metric at ``x``; the result is skew-symmetric."""
-    _check_point(M.chart, x)
-    W = M.value(x.coords, x.time)
+def _checked_skew(W: np.ndarray) -> np.ndarray:
     if np.max(np.abs(W + W.T)) > SKEW_TOL:
         raise MetricError("metric evaluation lost skew-symmetry")
     return W
+
+
+def metric_eval(M: MetricField, x: PhasePoint) -> np.ndarray:
+    """Evaluate the metric at ``x``; the result is skew-symmetric."""
+    _check_point(M.chart, x)
+    return _checked_skew(M.value(x.coords, x.time))
 
 
 def jacobi_residuals(D: np.ndarray) -> np.ndarray:
@@ -317,8 +288,15 @@ def metric_determinant(M: MetricField, x: PhasePoint) -> MetricDeterminant:
 
 
 def inverse_metric(M: MetricField, x: PhasePoint) -> np.ndarray:
-    """Matrix inverse of the metric; skew-symmetric, raises when singular."""
-    W = metric_eval(M, x)
+    """Matrix inverse of the metric at ``x`` (:func:`invert_metric`)."""
+    _check_point(M.chart, x)
+    return invert_metric(M.value(x.coords, x.time))
+
+
+def invert_metric(W: np.ndarray) -> np.ndarray:
+    """Matrix inverse of the metric value W; skew-symmetric, raises when W
+    is not skew-symmetric or is singular."""
+    _checked_skew(W)
     if degeneracy_ratio(W) < DEGENERACY_TOL:
         g = float(np.linalg.det(W))
         raise SingularMetricError(f"metric is singular at the query point (det={g:.3e})")

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from metricflow import (
+    ExprMetric,
     IntegrationError,
     IntegratorOptions,
     PhasePoint,
@@ -68,6 +71,18 @@ class TestVectorFieldSpec:
             with pytest.raises(DomainError, match="sqrt of negative value in"):
                 method(x)
         assert np.array_equal(V.eval(np.array([4.0, 0.5])), [2.0, 0.5])
+
+    def test_division_by_zero_raises_without_a_warning(self, chart1):
+        # on numpy scalars 1/q1 at q1 = 0 would be inf with a RuntimeWarning
+        V = VectorFieldSpec.from_components(chart1, ["1/q1", "p1"])
+        x = np.array([0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in (V.eval, V.jacobian, V.hessian, V.divergence):
+                with pytest.raises(DomainError, match="division by zero in"):
+                    method(x)
+            with pytest.raises(DomainError, match="division by zero in"):
+                ExprMetric(chart1, [["0", "1/q1"], ["-1/q1", "0"]]).value(x, 0.0)
 
 
 class TestCompressibility:

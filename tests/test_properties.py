@@ -9,9 +9,9 @@ uncoupled oscillators with diagonal friction the analytic, series, split
 and pullback routes agree with the closed form written out here.
 
 Expression language on random trees: printing and parsing keep the value,
-differentiate agrees with sympy, and the Taylor expansion's degree-0 and
-degree-1 coefficients agree with evaluate and with evaluate of
-differentiate.
+differentiate agrees with sympy, compiled evaluation is evaluate bit for
+bit, and the Taylor expansion's degree-0 and degree-1 coefficients agree
+with evaluate and with evaluate of differentiate.
 """
 
 import math
@@ -47,8 +47,10 @@ from metricflow.exprlang import (
     Num,
     Var,
     as_expr,
+    compile_vector,
     differentiate,
     evaluate,
+    evaluate_compiled,
     parse,
     taylor_expand,
     to_string,
@@ -319,3 +321,24 @@ def test_taylor_expansion_matches_evaluate_and_differentiate(tree, point):
         partial = got[1 + k] if len(got) > 1 else 0.0
         if not isinstance(ref, type) and math.isfinite(ref) and math.isfinite(partial):
             assert same_value(partial, ref, rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trees(), points)
+# 1/q1 at q1 = 0: numpy scalars would give inf with a RuntimeWarning
+@example(BinOp("/", Num(1.0), Var("q1")), (0.0, 0.5, 0.0))
+# exp(exp(3)) overflows: the compiled code raises, evaluate gives inf
+@example(Call("exp", Call("exp", Call("exp", Num(3.0)))), (0.5, 0.5, 0.0))
+def test_compiled_evaluation_is_evaluate(tree, point):
+    env = CHART1.env(point[:2], point[2])
+    compiled = ([tree], compile_vector([tree], CHART1))
+    try:
+        ref = evaluate(tree, env)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            evaluate_compiled(compiled, CHART1, np.array(point[:2]), point[2])
+        assert got.value.node == exc.node and str(got.value) == str(exc)
+        return
+    got = evaluate_compiled(compiled, CHART1, np.array(point[:2]), point[2])
+    assert got.shape == (1,)
+    assert got[0].tobytes() == np.float64(ref).tobytes() or (math.isnan(ref) and math.isnan(got[0]))
