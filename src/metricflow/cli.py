@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import locale  # noqa: F401  argparse's gettext loads it on first use; load it at import time
 import sys
 import warnings
 from dataclasses import dataclass
@@ -486,10 +487,10 @@ def main(argv=None) -> int:
             payload, code = cmd_bracket(cfg, args.A, args.B, args.C)
     except DomainError as exc:
         return emit_error(EXIT_CONFIG, "domain", str(exc))
-    except (ConfigError, ExprError) as exc:
-        return emit_error(EXIT_CONFIG, "config", str(exc))
     except ApplicabilityError as exc:
         return emit_error(EXIT_CONFIG, "applicability", str(exc))
+    except (ConfigError, ExprError, FrictionError) as exc:
+        return emit_error(EXIT_CONFIG, "config", str(exc))
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         return emit_error(EXIT_CONFIG, "domain", str(exc))
     except IntegrationError as exc:

@@ -6,10 +6,12 @@ steps, cubic Hermite dense output and jointly integrated variational
 equations for the tangent map.  Backward flow integrates the field forward
 with its sign reversed.  :func:`flow_jet` also integrates the
 second-order variational equation, for the derivatives of the tangent map.
+:func:`expm` is the matrix exponential of the linear and closed-form routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -29,6 +31,7 @@ from .exprlang import (
     evaluate,
     evaluate_compiled,
     free_vars,
+    probe_points,
     simplify,
 )
 from .phasespace import PhasePoint, _check_point
@@ -105,9 +108,7 @@ class VectorFieldSpec:
         if self.part1 is not None:
             if len(self.part1) != d or len(self.part2) != d:
                 raise ValueError("split parts must have the full component count")
-            rng = np.random.default_rng(1729)
-            for _ in range(5):
-                x = rng.uniform(-1.0, 1.0, d)
+            for x in probe_points(5, -np.ones(d), np.ones(d)):
                 env = self.chart.env(x, 0.0)
                 for c, c1, c2 in zip(self.components, self.part1, self.part2):
                     total = evaluate(c, env)
@@ -226,6 +227,54 @@ def compressibility(V: VectorFieldSpec, x: PhasePoint) -> float:
     """Phase-space compressibility kappa = sum_k d X^k / d x^k."""
     _check_point(V.chart, x)
     return V.divergence(x.coords, x.time)
+
+
+# ---------------------------------------------------------------------------
+# Matrix exponential: scaling and squaring with [m/m] Pade approximants
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+
+# (m, theta_m): the largest 1-norm at which the degree-m approximant is
+# accurate to double precision (Higham 2005, Table 2.3)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+# the numerator's coefficients b_j = (2m - j)! / (j! (m - j)!)
+_PADE_B = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)]
+           for m, _ in _PADE_THETA}
+
+
+def expm(A) -> np.ndarray:
+    """exp(A) of a real square matrix.
+
+    The degree m is the lowest whose theta_m bounds the 1-norm of A.  Past
+    theta_13, A is scaled by 2^-s for degree 13 and the result squared s
+    times.  A diagonal A gives diag(exp(diag A)), a non-finite one NaN.
+    """
+    A = np.asarray(A, dtype=float)
+    diag = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    norm = float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full(A.shape, np.nan)
+    m, theta = next((m, theta) for m, theta in _PADE_THETA if norm <= theta or m == 13)
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    A = np.ldexp(A, -s)
+    b, eye, A2 = _PADE_B[m], np.eye(len(A)), A @ A
+    if m < 13:
+        powers = [eye, A2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    else:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, flow_jet
-from .exprlang import Expr, Monomials, Num, differentiate, evaluate, is_zero, simplify, taylor_expand
+from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
+from .exprlang import Expr, Monomials, Num, differentiate, evaluate, is_zero, probe_points, simplify, taylor_expand
 from .helmholtz import helmholtz_residuals
 from .phasespace import (
     SKEW_TOL,
@@ -126,10 +125,9 @@ def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
     chart = V.chart
     d = chart.dim
     entries = _entries_of(W)
-    rng = np.random.default_rng(2718)
-    for _ in range(5):
-        xs = rng.uniform(-1.0, 1.0, d)
-        env = chart.env(xs, rng.uniform(0.0, 1.0))
+    # probe points x in [-1, 1]^d at times in [0, 1]
+    for p in probe_points(5, [-1.0] * d + [0.0], [1.0] * (d + 1)):
+        env = chart.env(p[:d], p[d])
         for k in range(d):
             for l in range(k, d):
                 w = evaluate(entries[k][l], env)

@@ -599,6 +599,16 @@ def evaluate_at(e: Expr, chart: CoordinateChart, coords: Sequence[float], time: 
     return evaluate(e, chart.env(coords, time))
 
 
+def probe_points(count: int, low: Sequence[float], high: Sequence[float]) -> np.ndarray:
+    """``count`` fixed points of the box [low, high], for checking an identity
+    numerically: coordinate j of point i is read off cos(i * len(low) + j + 1),
+    which is never 0 or +-1, so no coordinate sits at the middle or an end of
+    its range."""
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    c = np.cos(np.arange(1, count * low.size + 1)).reshape(count, low.size)
+    return low + 0.5 * (high - low) * (1.0 + c)
+
+
 def _fold(e: Expr) -> Expr:
     """Fold an all-constant node, keeping it unfolded on domain trouble."""
     try:

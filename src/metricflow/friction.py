@@ -13,14 +13,14 @@ that gap and predicts the residual term when it is violated.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import VectorFieldSpec, compressibility
+from .dynamics import VectorFieldSpec, compressibility, expm
 from .exprlang import (
     CoordinateChart,
     Expr,
@@ -30,6 +30,7 @@ from .exprlang import (
     evaluate,
     free_vars,
     is_zero,
+    probe_points,
     to_string,
 )
 from .phasespace import MetricField, PhasePoint, zeros_view
@@ -151,12 +152,8 @@ class FrictionSystem:
             if TIME_NAME not in free_vars(e):
                 out[j, j] = (t - t0) * evaluate(e, {})
                 continue
-            from scipy.integrate import quad  # only time-dependent friction needs it
-
-            val, err = quad(
-                lambda tau: evaluate(e, {TIME_NAME: tau}), t0, t, epsabs=1e-12, epsrel=1e-12
-            )
-            if err > 1e-9 * max(1.0, abs(val)):
+            val, err = _quadrature(lambda tau: evaluate(e, {TIME_NAME: tau}), t0, t)
+            if not err <= 1e-9 * max(1.0, abs(val)):
                 raise FrictionError(
                     f"quadrature of friction entry {j + 1} did not converge (err={err:.2e})"
                 )
@@ -281,12 +278,34 @@ def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:
     return ApplicabilityResult(True)
 
 
+def _quadrature(f, a: float, b: float) -> tuple[float, float]:
+    """The integral of f from a to b and its error estimate, by adaptive
+    Gauss-Legendre quadrature: an interval's estimate is the difference of
+    its 10- and 20-node rules, and the worst interval is bisected until the
+    estimates sum to 1e-12 * max(1, |integral|) or there are 100 intervals."""
+    from numpy.polynomial.legendre import leggauss  # only time-dependent friction needs it
+
+    rules = [(x.tolist(), w.tolist()) for x, w in (leggauss(10), leggauss(20))]
+
+    def interval(lo, hi):  # (-error, lo, hi, value): a heap pops the largest error first
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coarse, fine = (half * sum(w * f(mid + half * x) for x, w in zip(*rule)) for rule in rules)
+        return -abs(fine - coarse), lo, hi, fine
+
+    parts = [interval(a, b)]
+    while True:
+        value, err = sum(p[3] for p in parts), sum(-p[0] for p in parts)
+        if err <= 1e-12 * max(1.0, abs(value)) or len(parts) >= 100:
+            return value, err
+        _, lo, hi, _ = heapq.heappop(parts)
+        heapq.heappush(parts, interval(lo, 0.5 * (lo + hi)))
+        heapq.heappush(parts, interval(0.5 * (lo + hi), hi))
+
+
 def _exprs_probably_equal(a: Expr, b: Expr) -> bool:
     if a == b:
         return True
-    rng = np.random.default_rng(31)
-    for _ in range(16):
-        tval = rng.uniform(0.0, 3.0)
+    for tval in probe_points(16, [0.0], [3.0])[:, 0].tolist():
         if abs(evaluate(a, {TIME_NAME: tval}) - evaluate(b, {TIME_NAME: tval})) > 1e-12:
             return False
     return True

@@ -3,7 +3,8 @@
 The references are the per-point loop bodies the batched code replaced:
 ``ref_helmholtz``, ``ref_invariance`` and ``ref_jacobi`` assemble one point
 at a time, and ``ref_friction_value``/``ref_friction_d_dt`` build the
-friction-analytic metric from ``scipy.linalg.expm`` and ``np.block``.
+friction-analytic metric from ``metricflow.dynamics.expm`` and ``np.block``
+(``test_properties`` checks that ``expm`` against ``scipy.linalg.expm``).
 Every comparison is bitwise (``np.array_equal``).
 """
 
@@ -81,7 +82,7 @@ def ref_jacobi(M, x):
 
 def ref_friction_value(system, t0, t):
     if system.k_matrix is not None:
-        G = expm((t - t0) * system.k_matrix)
+        G = dynamics_mod.expm((t - t0) * system.k_matrix)
     else:
         G = np.diag(np.exp(np.diag(system.friction_integral(t0, t))))
     Z = np.zeros_like(G)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,10 +72,19 @@ def parse_csv(text):
     return header, [dict(zip(header, row)) for row in body]
 
 
-def test_cli_import_skips_scipy_integrate():
-    code = "import sys, metricflow.cli; print('scipy.integrate' in sys.modules)"
+def test_cli_import_skips_scipy(tmp_path):
+    # neither the import nor a whole command loads scipy or numpy.random
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "two_rate_system.json"
+    code = (
+        "import sys, metricflow.cli\n"
+        f"code = metricflow.cli.main(['evolve-metric', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out.csv')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy') "
+        "or m.startswith('numpy.random')))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8").startswith("t,method,")
 
 
 class TestConfig:
@@ -295,8 +305,15 @@ class TestMainEntry:
                 EXIT_CONFIG,
             ),
             ({"n": 1, "hamiltonian": "q1*p1", "friction": 1.0}, ["classify"], EXIT_CONFIG),
+            (
+                {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "friction": ["cos(1000*t)"],
+                 "metric": "friction-analytic", "queries": [{"point": [0.1, 0.2], "time": 10.0}],
+                 "t_grid": [10.0]},
+                ["evolve-metric"],
+                EXIT_CONFIG,
+            ),
         ],
-        ids=["singular-metric", "metric-domain", "friction"],
+        ids=["singular-metric", "metric-domain", "friction", "friction-quadrature"],
     )
     def test_failures_exit_with_json_error(self, tmp_path, data, argv, code):
         path = write_config(tmp_path, data)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from metricflow import (
     PhasePoint,
@@ -94,6 +97,37 @@ class TestAnalyticMetric:
     def test_jacobi_exact_zero(self, damped2_system):
         M = analytic_metric(damped2_system)
         assert jacobi_residual(M, PhasePoint(np.ones(4), 2.0)) == 0.0
+
+
+class TestQuadrature:
+    """The integral of time-dependent friction against scipy.integrate.quad."""
+
+    @pytest.mark.parametrize(
+        "entry, f",
+        [
+            ("cos(t)", math.cos),
+            ("1 + t^2", lambda t: 1.0 + t * t),
+            ("exp(-t)", lambda t: math.exp(-t)),
+            ("1/(1 + 25*t^2)", lambda t: 1.0 / (1.0 + 25.0 * t * t)),  # needs bisection
+        ],
+        ids=["cos", "quadratic", "exp", "runge"],
+    )
+    @pytest.mark.parametrize("t0, t", [(0.0, 1.3), (-0.5, 4.0), (2.5, -1.0), (0.7, 0.7)])
+    def test_matches_scipy_quad(self, chart1, entry, f, t0, t):
+        sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", [entry])
+        ref, _ = quad(f, t0, t, epsabs=1e-12, epsrel=1e-12)
+        assert sys_t.friction_integral(t0, t)[0, 0] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_unresolved_integral_raises(self, chart1):
+        # 100 intervals of 20 nodes cannot resolve 1600 periods
+        sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", ["cos(1000*t)"])
+        with pytest.raises(FrictionError, match="friction entry 1 did not converge"):
+            sys_t.friction_integral(0.0, 10.0)
+
+    def test_divergent_integral_raises(self, chart1):
+        sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", ["1/t^2"])
+        with pytest.raises(FrictionError, match="did not converge"):
+            sys_t.friction_integral(0.0, 1.0)
 
 
 class TestDeterminantFactor:
