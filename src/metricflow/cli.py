@@ -18,7 +18,7 @@ import argparse
 import csv
 import io
 import json
-import locale  # noqa: F401  argparse's gettext loads it on first use; load it at import time
+import locale  # noqa: F401  argparse's gettext imports it on first use; not inside a command
 import sys
 import warnings
 from dataclasses import dataclass

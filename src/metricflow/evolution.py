@@ -125,7 +125,6 @@ def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
     chart = V.chart
     d = chart.dim
     entries = _entries_of(W)
-    # probe points x in [-1, 1]^d at times in [0, 1]
     for p in probe_points(5, [-1.0] * d + [0.0], [1.0] * (d + 1)):
         env = chart.env(p[:d], p[d])
         for k in range(d):
