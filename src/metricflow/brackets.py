@@ -24,8 +24,8 @@ from .exprlang import (
     TIME_NAME,
     as_expr,
     compile_vector,
-    differentiate,
     evaluate_compiled,
+    gradient,
     simplify,
 )
 from .phasespace import MetricField, PhasePoint, _check_point, invert_metric, inverse_metric
@@ -50,10 +50,9 @@ class Observable:
         compiled = self._memo.get((kind, chart))
         if compiled is None:
             if kind == "grad":
-                flat = [differentiate(self.expr, name) for name in chart.names]
+                flat = gradient(self.expr, chart.names)
             else:  # the Hessian, from the gradient's entries
-                grad = self._compiled("grad", chart)[0]
-                flat = [differentiate(g, name) for g in grad for name in chart.names]
+                flat = [h for g in self._compiled("grad", chart)[0] for h in gradient(g, chart.names)]
             compiled = self._memo[(kind, chart)] = (flat, compile_vector(flat, chart))
         return compiled
 
@@ -180,10 +179,8 @@ def observable_time_derivative(A, V: VectorFieldSpec) -> Observable:
     cached = A._memo.get(("time-derivative", id(V)))
     if cached is not None and cached[0] is V:
         return cached[1]
-    acc: Expr = differentiate(A.expr, TIME_NAME)
-    for k, name in enumerate(V.chart.names):
-        acc = acc + V.components[k] * differentiate(A.expr, name)
-    Adot = Observable(simplify(acc))
+    dt, *grad = gradient(A.expr, (TIME_NAME,) + V.chart.names)
+    Adot = Observable(simplify(sum((c * g for c, g in zip(V.components, grad)), dt)))
     A._memo[("time-derivative", id(V))] = (V, Adot)
     return Adot
 

@@ -27,10 +27,10 @@ from .exprlang import (
     DomainError,
     as_expr,
     compile_vector,
-    differentiate,
     evaluate,
     evaluate_compiled,
     free_vars,
+    gradient,
     probe_points,
     simplify,
 )
@@ -133,11 +133,8 @@ class VectorFieldSpec:
         K = np.zeros((n, n)) if friction is None else np.array(friction, dtype=float)
         if K.shape != (n, n):
             raise ValueError(f"friction matrix must be {n}x{n}, got {K.shape}")
-        part1 = []
-        for name in chart.momentum_names:
-            part1.append(differentiate(H, name))
-        for name in chart.position_names:
-            part1.append(simplify(-differentiate(H, name)))
+        grad = gradient(H, chart.momentum_names + chart.position_names)
+        part1 = grad[:n] + [simplify(-g) for g in grad[n:]]
         part2: list[Expr] = [Num(0.0)] * n
         for i in range(n):
             acc: Expr = Num(0.0)
@@ -150,10 +147,7 @@ class VectorFieldSpec:
 
     @cached_property
     def jacobian_exprs(self) -> tuple[tuple[Expr, ...], ...]:
-        return tuple(
-            tuple(differentiate(c, name) for name in self.chart.names)
-            for c in self.components
-        )
+        return tuple(tuple(gradient(c, self.chart.names)) for c in self.components)
 
     @cached_property
     def constant_jacobian(self) -> np.ndarray | None:
@@ -191,9 +185,10 @@ class VectorFieldSpec:
 
     @cached_property
     def _hess_fn(self):
-        names = self.chart.names
-        flat = [differentiate(e, name) for row in self.jacobian_exprs for e in row for name in names]
-        return flat, compile_vector(flat, self.chart)
+        """Flat indices and compiled entries of the second derivatives but Num(+0.0); -0.0 is a value."""
+        flat = [h for row in self.jacobian_exprs for e in row for h in gradient(e, self.chart.names)]
+        index = [k for k, h in enumerate(flat) if not (h == Num(0.0) and math.copysign(1.0, h.value) > 0)]
+        return index, ([flat[k] for k in index], compile_vector([flat[k] for k in index], self.chart))
 
     @cached_property
     def _div_fn(self):
@@ -212,7 +207,10 @@ class VectorFieldSpec:
         """Second derivatives T[i, a, b] = d^2 X^i / dx_a dx_b, compiled on
         first use."""
         d = self.chart.dim
-        return evaluate_compiled(self._hess_fn, self.chart, coords, time).reshape(d, d, d)
+        index, compiled = self._hess_fn
+        out = np.zeros(d**3)
+        out[index] = evaluate_compiled(compiled, self.chart, coords, time)
+        return out.reshape(d, d, d)
 
     def divergence(self, coords, time: float = 0.0) -> float:
         return evaluate_compiled(self._div_fn, self.chart, coords, time)[0]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
-from .exprlang import Expr, Monomials, Num, differentiate, evaluate, is_zero, probe_points, simplify, taylor_expand
+from .exprlang import Expr, Monomials, Num, evaluate, gradient, is_zero, probe_points, simplify, taylor_expand
 from .helmholtz import helmholtz_residuals
 from .phasespace import (
     SKEW_TOL,
@@ -139,7 +139,7 @@ def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
         for l in range(d)
     ]
     out: list[list[Expr]] = [[Num(0.0)] * d for _ in range(d)]
-    dP = [[differentiate(P[l], names[k]) for k in range(d)] for l in range(d)]
+    dP = [gradient(P[l], names) for l in range(d)]
     for k in range(d):
         for l in range(k + 1, d):
             u = simplify(dP[l][k] - dP[k][l])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -621,6 +621,17 @@ def _is_num(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, Num) and (value is None or e.value == value)
 
 
+# Per-node memos keyed by id; an entry holds its node, so the id is not reused.  A full memo is emptied.
+_FREE, _INACTIVE, _PARTIALS = {}, {}, {}
+
+
+def _remember(memo: dict, e: Expr, value):
+    if len(memo) >= 1 << 15:
+        memo.clear()
+    memo[id(e)] = (e, value)
+    return value
+
+
 def simplify(e: Expr) -> Expr:
     """Bottom-up constant folding plus 0/1 identities; nothing fancier.
 
@@ -628,67 +639,158 @@ def simplify(e: Expr) -> Expr:
     """
     if isinstance(e, (Num, Var)):
         return e
+    if isinstance(e, (Neg, Call)):
+        return _simplified(e, simplify(e.arg))
+    if isinstance(e, BinOp):
+        a = simplify(e.lhs)
+        # a zero factor wins whatever the other factor simplifies to
+        return ZERO if e.op == "*" and _is_num(a, 0.0) else _simplified(e, a, simplify(e.rhs))
+    raise ExprError(f"unknown node {e!r}")
+
+
+def _simplified(e: Expr, a: Expr, b: Expr | None = None) -> Expr:
+    """``e`` simplified, given its operands ``a`` (and ``b``) simplified."""
     if isinstance(e, Neg):
-        a = simplify(e.arg)
         if isinstance(a, Num):
             return Num(-a.value)
         if isinstance(a, Neg):
             return a.arg
         return e if a is e.arg else Neg(a)
     if isinstance(e, Call):
-        a = simplify(e.arg)
         if isinstance(a, Num):
             return _fold(Call(e.func, a))
         return e if a is e.arg else Call(e.func, a)
-    if isinstance(e, BinOp):
-        a = simplify(e.lhs)
-        b = simplify(e.rhs)
-        op = e.op
-        # a zero factor wins before folding, also over an inf or NaN constant
-        if op == "*" and (_is_num(a, 0.0) or _is_num(b, 0.0)):
+    op = e.op
+    # a zero factor wins before folding, also over an inf or NaN constant
+    if op == "*" and (_is_num(a, 0.0) or _is_num(b, 0.0)):
+        return ZERO
+    if isinstance(a, Num) and isinstance(b, Num):
+        return _fold(BinOp(op, a, b))
+    if op == "+":
+        if _is_num(a, 0.0):
+            return b
+        if _is_num(b, 0.0):
+            return a
+    elif op == "-":
+        if _is_num(b, 0.0):
+            return a
+        if _is_num(a, 0.0):
+            return simplify(Neg(b))
+    elif op == "*":
+        if _is_num(a, 1.0):
+            return b
+        if _is_num(b, 1.0):
+            return a
+        if isinstance(b, Num):
+            a, b = b, a
+        if isinstance(a, Num):
+            if a.value == -1.0:
+                return Neg(b)
+            if isinstance(b, BinOp) and b.op == "*" and isinstance(b.lhs, Num):
+                return simplify(BinOp("*", Num(a.value * b.lhs.value), b.rhs))
+    elif op == "/":
+        if _is_num(a, 0.0):
             return ZERO
-        if isinstance(a, Num) and isinstance(b, Num):
-            return _fold(BinOp(op, a, b))
-        if op == "+":
-            if _is_num(a, 0.0):
-                return b
-            if _is_num(b, 0.0):
-                return a
-        elif op == "-":
-            if _is_num(b, 0.0):
-                return a
-            if _is_num(a, 0.0):
-                return simplify(Neg(b))
-        elif op == "*":
-            if _is_num(a, 1.0):
-                return b
-            if _is_num(b, 1.0):
-                return a
-            if isinstance(b, Num):
-                a, b = b, a
-            if isinstance(a, Num):
-                if a.value == -1.0:
-                    return Neg(b)
-                if isinstance(b, BinOp) and b.op == "*" and isinstance(b.lhs, Num):
-                    return simplify(BinOp("*", Num(a.value * b.lhs.value), b.rhs))
-        elif op == "/":
-            if _is_num(a, 0.0):
-                return ZERO
-            if _is_num(b, 1.0):
-                return a
-            if isinstance(b, Num) and b.value != 0.0:
-                if isinstance(a, BinOp) and a.op == "*" and isinstance(a.lhs, Num):
-                    return simplify(BinOp("*", Num(a.lhs.value / b.value), a.rhs))
-                if isinstance(a, Neg):
-                    return simplify(Neg(BinOp("/", a.arg, b)))
-        elif op == "^":
-            if _is_num(b, 1.0):
-                return a
-            if _is_num(b, 0.0):
-                return ONE
-        # an unchanged node is returned as is, so simplified subtrees stay shared
-        return e if a is e.lhs and b is e.rhs else BinOp(op, a, b)
-    raise ExprError(f"unknown node {e!r}")
+        if _is_num(b, 1.0):
+            return a
+        if isinstance(b, Num) and b.value != 0.0:
+            if isinstance(a, BinOp) and a.op == "*" and isinstance(a.lhs, Num):
+                return simplify(BinOp("*", Num(a.lhs.value / b.value), a.rhs))
+            if isinstance(a, Neg):
+                return simplify(Neg(BinOp("/", a.arg, b)))
+    elif op == "^":
+        if _is_num(b, 1.0):
+            return a
+        if _is_num(b, 0.0):
+            return ONE
+    # an unchanged node is returned as is, so simplified subtrees stay shared
+    return e if a is e.lhs and b is e.rhs else BinOp(op, a, b)
+
+
+def _op(op: str, a: Expr, b: Expr | None = None) -> Expr:
+    """BinOp(op, a, b), or Call(op, a), simplified from simplified operands."""
+    return _simplified(Call(op, a), a) if b is None else _simplified(BinOp(op, a, b), a, b)
+
+
+def _chain_rule(e: Expr, du: Expr, dv: Expr | None = None) -> Expr:
+    """The simplified partial of ``e`` from the simplified partials ``du`` (and ``dv``) of its
+    operands: the rule's nodes are simplified one by one, so ``du`` is not simplified twice."""
+    if isinstance(e, Neg):
+        return _simplified(Neg(du), du)
+    if isinstance(e, Call):
+        u, f = simplify(e.arg), e.func
+        if f in ("log", "sqrt"):
+            return _op("/", du, u if f == "log" else _op("*", Num(2.0), _op("sqrt", u)))
+        if f == "cos":
+            sin = _op("sin", u)
+            outer = _simplified(Neg(sin), sin)
+        elif f == "tanh":
+            outer = _op("-", ONE, _op("^", _op("tanh", u), Num(2.0)))
+        elif f in ("sin", "exp"):
+            outer = _op("cos" if f == "sin" else "exp", u)
+        else:
+            raise ExprError(f"unknown function '{f}'")
+        return _op("*", outer, du)
+    if e.op in "+-":
+        return _op(e.op, du, dv)
+    u, v = simplify(e.lhs), simplify(e.rhs)
+    if e.op == "*":
+        return _op("+", _op("*", du, v), _op("*", u, dv))
+    if e.op == "/" and isinstance(e.rhs, Num):
+        return _op("/", du, v)
+    if e.op == "/":
+        return _op("/", _op("-", _op("*", du, v), _op("*", u, dv)), _op("^", v, Num(2.0)))
+    if e.op == "^" and isinstance(e.rhs, Num):
+        return _op("*", _op("*", v, _op("^", u, Num(e.rhs.value - 1.0))), du)
+    if e.op == "^":  # u^v as exp(v log u)
+        return _op("*", simplify(e), _op("+", _op("*", dv, _op("log", u)), _op("*", v, _op("/", du, u))))
+    raise ExprError(f"unknown operator '{e.op}'")
+
+
+def _inactive(e: Expr) -> Expr:
+    """The partial of ``e`` by any variable it does not contain.  It is not
+    always 0: -(p2) gives -0.0, and 0^t keeps an unfolded 0/0."""
+    if isinstance(e, (Num, Var)):
+        return ZERO
+    hit = _INACTIVE.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if isinstance(e, BinOp):
+        return _remember(_INACTIVE, e, _chain_rule(e, _inactive(e.lhs), _inactive(e.rhs)))
+    return _remember(_INACTIVE, e, _chain_rule(e, _inactive(e.arg)))
+
+
+def gradient(e: Expr, names: Sequence[str]) -> list[Expr]:
+    """``[differentiate(e, name) for name in names]``, memoized per ``e``: one walk
+    forms each node's partials only for the names it contains, and a subtree
+    without the name is not walked but gives its inactive partial."""
+    known = _PARTIALS.get(id(e), (e, {}))[1]
+    wanted, memo = free_vars(e).intersection(names).difference(known), {}
+
+    def walk(e: Expr) -> dict[str, Expr]:
+        if id(e) in memo:
+            return memo[id(e)]
+        out = {}
+        if isinstance(e, Var) and e.name in wanted:
+            out = {e.name: ONE}
+        elif isinstance(e, BinOp) and not wanted.isdisjoint(free_vars(e)):
+            a, b, da, db = walk(e.lhs), walk(e.rhs), _inactive(e.lhs), _inactive(e.rhs)
+            todo = a.keys() | b.keys()
+            if e.op in "+-" and is_zero(da) and is_zero(db):
+                # x + 0, 0 + x and x - 0 are x unless x is a number, so a
+                # long sum costs only the names its operands share
+                out = {**b, **a} if e.op == "+" else dict(a)
+                todo = (a.keys() & b.keys()) | (b.keys() if e.op == "-" else set())
+                todo |= {name for name, d in out.items() if isinstance(d, Num)}
+            for name in todo:
+                out[name] = _chain_rule(e, a.get(name, da), b.get(name, db))
+        elif isinstance(e, (Neg, Call)) and not wanted.isdisjoint(free_vars(e)):
+            out = {name: _chain_rule(e, d) for name, d in walk(e.arg).items()}
+        memo[id(e)] = out
+        return out
+
+    partials = _remember(_PARTIALS, e, {**known, **walk(e)}) if wanted else known
+    return [partials[name] if name in partials else _inactive(e) for name in names]
 
 
 def differentiate(e: Expr, var: str) -> Expr:
@@ -697,58 +799,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     The result is simplified by constant folding and the 0/1 identities
     only; agreement with central finite differences is the contract.
     """
-    return simplify(_diff(e, var))
-
-
-def _diff(e: Expr, var: str) -> Expr:
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
-    if isinstance(e, BinOp):
-        u, v = e.lhs, e.rhs
-        du = _diff(u, var)
-        dv = _diff(v, var)
-        if e.op == "+":
-            return BinOp("+", du, dv)
-        if e.op == "-":
-            return BinOp("-", du, dv)
-        if e.op == "*":
-            return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
-        if e.op == "/":
-            if isinstance(v, Num):
-                return BinOp("/", du, v)
-            num = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
-            return BinOp("/", num, BinOp("^", v, Num(2.0)))
-        if e.op == "^":
-            if isinstance(v, Num):
-                power = BinOp("^", u, Num(v.value - 1.0))
-                return BinOp("*", BinOp("*", v, power), du)
-            # general u^v via exp(v log u)
-            term = BinOp("+", BinOp("*", dv, Call("log", u)), BinOp("*", v, BinOp("/", du, u)))
-            return BinOp("*", e, term)
-        raise ExprError(f"unknown operator '{e.op}'")
-    if isinstance(e, Call):
-        u = e.arg
-        du = _diff(u, var)
-        if e.func == "sin":
-            outer = Call("cos", u)
-        elif e.func == "cos":
-            outer = Neg(Call("sin", u))
-        elif e.func == "exp":
-            outer = Call("exp", u)
-        elif e.func == "log":
-            return BinOp("/", du, u)
-        elif e.func == "sqrt":
-            return BinOp("/", du, BinOp("*", Num(2.0), Call("sqrt", u)))
-        elif e.func == "tanh":
-            outer = BinOp("-", ONE, BinOp("^", Call("tanh", u), Num(2.0)))
-        else:
-            raise ExprError(f"unknown function '{e.func}'")
-        return BinOp("*", outer, du)
-    raise ExprError(f"unknown node {e!r}")
+    return gradient(e, (var,))[0]
 
 
 _PREC_BIN = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -805,16 +856,15 @@ def to_string(e: Expr) -> str:
 
 def free_vars(e: Expr) -> frozenset[str]:
     """Names of all variables appearing in ``e`` (including ``t``)."""
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
+    if isinstance(e, (Num, Var)):
+        return frozenset((e.name,)) if isinstance(e, Var) else frozenset()
+    hit = _FREE.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if isinstance(e, (Neg, Call)):
+        return _remember(_FREE, e, free_vars(e.arg))
     if isinstance(e, BinOp):
-        return free_vars(e.lhs) | free_vars(e.rhs)
+        return _remember(_FREE, e, free_vars(e.lhs) | free_vars(e.rhs))
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -869,11 +919,6 @@ def _codegen(e: Expr, chart: CoordinateChart) -> str:
     if isinstance(e, Call):
         return f"_{e.func}({_codegen(e.arg, chart)})"
     raise ExprError(f"unknown node {e!r}")
-
-
-def compile_scalar(e: Expr, chart: CoordinateChart) -> Callable[[Sequence[float], float], float]:
-    src = f"lambda x, t: {_codegen(e, chart)}"
-    return eval(src, dict(_COMPILE_GLOBALS))
 
 
 def compile_vector(exprs: Iterable[Expr], chart: CoordinateChart):

@@ -29,6 +29,7 @@ from .exprlang import (
     differentiate,
     evaluate,
     free_vars,
+    gradient,
     is_zero,
     probe_points,
     to_string,
@@ -77,10 +78,8 @@ class FrictionSystem:
     def __post_init__(self):
         n = self.chart.n
         H = self.hamiltonian
-        for qname in self.chart.position_names:
-            dq = differentiate(H, qname)
-            for pname in self.chart.momentum_names:
-                mixed = differentiate(dq, pname)
+        for qname, dq in zip(self.chart.position_names, gradient(H, self.chart.position_names)):
+            for pname, mixed in zip(self.chart.momentum_names, gradient(dq, self.chart.momentum_names)):
                 if not is_zero(mixed):
                     raise FrictionError(
                         f"hamiltonian couples {qname} and {pname}: "
@@ -260,9 +259,9 @@ def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:
         return ApplicabilityResult(True)
     H = sys.hamiltonian
     qn, pn = sys.chart.position_names, sys.chart.momentum_names
+    dq, dp = gradient(H, qn), gradient(H, pn)
     for i, j in unequal:
-        u_mixed = differentiate(differentiate(H, qn[i]), qn[j])
-        t_mixed = differentiate(differentiate(H, pn[i]), pn[j])
+        u_mixed, t_mixed = differentiate(dq[i], qn[j]), differentiate(dp[i], pn[j])
         if not is_zero(u_mixed) or not is_zero(t_mixed):
             coupling = u_mixed if not is_zero(u_mixed) else t_mixed
             return ApplicabilityResult(

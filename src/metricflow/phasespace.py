@@ -24,8 +24,8 @@ from .exprlang import (
     Num,
     as_expr,
     compile_vector,
-    differentiate,
     evaluate_compiled,
+    gradient,
     TIME_NAME,
 )
 
@@ -169,7 +169,8 @@ class ExprMetric(MetricField):
     @cached_property
     def _jet_fn(self):
         W = [e for row in self.entries for e in row]
-        flat = W + [differentiate(e, name) for name in self.chart.names + (TIME_NAME,) for e in W]
+        grads = [gradient(e, self.chart.names + (TIME_NAME,)) for e in W]
+        flat = W + [g[k] for k in range(self.chart.dim + 1) for g in grads]
         return flat, compile_vector(flat, self.chart)
 
     def jet(self, coords, time):

@@ -250,14 +250,15 @@ def test_bracket_differentiates_independently_of_query_count(monkeypatch):
     modules = (exprlang_mod, phasespace_mod, dynamics_mod, friction_mod, helmholtz_mod, evolution_mod, brackets_mod)
     calls = []
     for mod in modules:
-        if hasattr(mod, "differentiate"):
-            original = mod.differentiate
+        for name in ("differentiate", "gradient"):
+            if hasattr(mod, name):
+                original = getattr(mod, name)
 
-            def counted(e, var, _original=original):
-                calls.append(var)
-                return _original(e, var)
+                def counted(e, var, _original=original):
+                    calls.append(var)
+                    return _original(e, var)
 
-            monkeypatch.setattr(mod, "differentiate", counted)
+                monkeypatch.setattr(mod, name, counted)
     counts = []
     for queries in (10, 20):
         calls.clear()

@@ -17,7 +17,7 @@ from metricflow import (
     tangent_map,
 )
 from metricflow.dynamics import TRANSPORT_OPTIONS, flow_jet
-from metricflow.exprlang import DomainError, evaluate_at, parse
+from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_at, parse
 
 
 def fd_divergence(V, x, h=1e-6):
@@ -62,6 +62,18 @@ class TestVectorFieldSpec:
         assert np.allclose(total, p1 + p2, atol=1e-14)
         assert np.allclose(p2, [0.0, 0.3], atol=1e-14)
 
+
+    def test_hessian_is_every_second_derivative(self, chart2):
+        # most entries are structural zeros; -(q1*q1*q1) gives Num(-0.0) entries,
+        # such as its d^2/dq1 dp1, which keep their sign
+        V = VectorFieldSpec.from_components(chart2, ["p1", "q1*sin(p2)", "-(q1*q1*q1)", "q2^4/4 - q1*q2"])
+        x = np.array([0.3, -0.7, 1.1, 0.4])
+        env = V.chart.env(x, 0.0)
+        names = V.chart.names
+        ref = np.array([[[evaluate(differentiate(differentiate(c, a), b), env) for b in names] for a in names]
+                        for c in V.components])
+        assert (np.signbit(ref) & (ref == 0.0)).any() and np.count_nonzero(ref) < ref.size // 4
+        assert V.hessian(x).tobytes() == ref.tobytes()
 
     def test_compiled_failures_name_the_node(self, chart1):
         # sqrt(q1) at q1 = -1: the compiled code raises a bare ValueError

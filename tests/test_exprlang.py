@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metricflow.exprlang as exprlang
 from metricflow.exprlang import (
     BinOp,
     Call,
@@ -12,7 +13,6 @@ from metricflow.exprlang import (
     UnknownIdentifierError,
     Monomials,
     Var,
-    compile_scalar,
     compile_vector,
     count_nodes,
     differentiate,
@@ -408,13 +408,12 @@ class TestCompile:
         texts = ["sin(q1*p2)+exp(q2/3)-tanh(p1)^2", "q1^3/(2+p1^2)+sqrt(1+q2^2)"]
         for text in texts:
             e = parse(text, chart)
-            fn = compile_scalar(e, chart)
+            fn = compile_vector([e], chart)
             for _ in range(20):
                 coords = rng.uniform(-1.5, 1.5, 4)
                 time = rng.uniform(0.0, 1.0)
-                assert fn(coords, time) == pytest.approx(
-                    evaluate_at(e, chart, coords, time), abs=0, rel=1e-15
-                )
+                (value,) = fn(coords, time)
+                assert value == pytest.approx(evaluate_at(e, chart, coords, time), abs=0, rel=1e-15)
 
     def test_folded_infinite_constant(self):
         # d(q1*exp(1000))/dq1 folds to the constant inf
@@ -422,6 +421,35 @@ class TestCompile:
         e = differentiate(parse("q1*exp(1000)", chart), "q1")
         assert e == Num(float("inf"))
         assert compile_vector([e, -e], chart)([0.5, 0.5], 0.0) == [float("inf"), -float("inf")]
+
+
+def chain_hamiltonian(n):
+    kinetic = [f"p{i}^2/2" for i in range(1, n + 1)]
+    onsite = [f"q{i}^2/2" for i in range(1, n + 1)]
+    springs = [f"(q{i} - q{i + 1})^2/2" for i in range(1, n)]
+    return " + ".join(kinetic + onsite + springs)
+
+
+def test_gradient_work_is_linear_in_the_chain_length(monkeypatch):
+    # One chain-rule application per node and name the walk visits.  A
+    # per-name walk down the Hamiltonian's + spine would grow 4x per doubling.
+    applications = []
+    chain_rule = exprlang._chain_rule
+
+    def counted(e, *partials):
+        applications.append(e)
+        return chain_rule(e, *partials)
+
+    monkeypatch.setattr(exprlang, "_chain_rule", counted)
+    counts = []
+    for n in (8, 16, 32):
+        chart = CoordinateChart(n)
+        H = parse(chain_hamiltonian(n), chart)
+        applications.clear()
+        grad = exprlang.gradient(H, chart.names)
+        counts.append(len(applications))
+        assert grad == [differentiate(H, name) for name in chart.names]
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
 
 
 def test_free_vars_and_count():

@@ -18,6 +18,7 @@ from metricflow import (
     pullback_metric,
     tangent_map,
 )
+from metricflow.exprlang import differentiate, free_vars
 from metricflow.friction import (
     ApplicabilityError,
     ApplicabilityWarning,
@@ -186,6 +187,16 @@ class TestApplicability:
     def test_time_dependent_equal_rates_ok(self, chart2):
         sys_t = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2", ["cos(t)", "cos(t)"])
         assert applicability_check(sys_t).ok
+
+    def test_free_name_whose_mixed_partial_folds_to_zero(self, chart2):
+        # p1 is free in dH/dq1 = q1 + 1^p1 + 1^q2, yet both checks differentiate
+        # and find zero mixed partials: 1^p1 and 1^q2 are constant
+        H = "(p1^2+p2^2)/2 + (q1^2+q2^2)/2 + q1*1^p1 + q1*1^q2 + p1*1^p2"
+        system = FrictionSystem.build(chart2, H, [1.0, 2.0])
+        dq1 = differentiate(system.hamiltonian, "q1")
+        assert {"p1", "q2"} <= free_vars(dq1)
+        assert "p2" in free_vars(differentiate(system.hamiltonian, "p1"))
+        assert applicability_check(system).ok
 
 
 class TestInvariants:

@@ -10,7 +10,8 @@ and pullback routes agree with the closed form written out here.  The
 in-house matrix exponential agrees with scipy's.
 
 Expression language on random trees: printing and parsing keep the value,
-differentiate agrees with sympy, compiled evaluation is evaluate bit for
+differentiate agrees with sympy and, tree for tree, with a test-local
+simplify of the derivative of the whole tree, compiled evaluation is evaluate bit for
 bit, and the Taylor expansion's degree-0 and degree-1 coefficients agree
 with evaluate and with evaluate of differentiate.
 """
@@ -47,12 +48,14 @@ from metricflow.exprlang import (
     Monomials,
     Neg,
     Num,
+    UnboundVariableError,
     Var,
     as_expr,
     compile_vector,
     differentiate,
     evaluate,
     evaluate_compiled,
+    gradient,
     parse,
     taylor_expand,
     to_string,
@@ -354,6 +357,136 @@ def test_differentiate_agrees_with_sympy(e, exponents, point):
         ref = float(sympy.diff(symbolic, sym).evalf(subs={q1: point[0], p1: point[1], t: point[2]}))
         got = evaluate(differentiate(e, name), env)
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+# The reference for differentiate: simplify(_diff(e, var)) as written before
+# differentiate skipped the subtrees without var.  It walks and simplifies
+# the whole tree for every variable.
+
+
+def ref_fold(e):
+    try:
+        return Num(evaluate(e, {}))
+    except (DomainError, UnboundVariableError):
+        return e
+
+
+def ref_is_num(e, value):
+    return isinstance(e, Num) and e.value == value
+
+
+def ref_simplify(e):
+    if isinstance(e, (Num, Var)):
+        return e
+    if isinstance(e, Neg):
+        a = ref_simplify(e.arg)
+        if isinstance(a, Num):
+            return Num(-a.value)
+        if isinstance(a, Neg):
+            return a.arg
+        return e if a is e.arg else Neg(a)
+    if isinstance(e, Call):
+        a = ref_simplify(e.arg)
+        return ref_fold(Call(e.func, a)) if isinstance(a, Num) else (e if a is e.arg else Call(e.func, a))
+    a, b, op = ref_simplify(e.lhs), ref_simplify(e.rhs), e.op
+    if op == "*" and (ref_is_num(a, 0.0) or ref_is_num(b, 0.0)):
+        return Num(0.0)
+    if isinstance(a, Num) and isinstance(b, Num):
+        return ref_fold(BinOp(op, a, b))
+    if op == "+":
+        if ref_is_num(a, 0.0):
+            return b
+        if ref_is_num(b, 0.0):
+            return a
+    elif op == "-":
+        if ref_is_num(b, 0.0):
+            return a
+        if ref_is_num(a, 0.0):
+            return ref_simplify(Neg(b))
+    elif op == "*":
+        if ref_is_num(a, 1.0):
+            return b
+        if ref_is_num(b, 1.0):
+            return a
+        if isinstance(b, Num):
+            a, b = b, a
+        if isinstance(a, Num):
+            if a.value == -1.0:
+                return Neg(b)
+            if isinstance(b, BinOp) and b.op == "*" and isinstance(b.lhs, Num):
+                return ref_simplify(BinOp("*", Num(a.value * b.lhs.value), b.rhs))
+    elif op == "/":
+        if ref_is_num(a, 0.0):
+            return Num(0.0)
+        if ref_is_num(b, 1.0):
+            return a
+        if isinstance(b, Num) and b.value != 0.0:
+            if isinstance(a, BinOp) and a.op == "*" and isinstance(a.lhs, Num):
+                return ref_simplify(BinOp("*", Num(a.lhs.value / b.value), a.rhs))
+            if isinstance(a, Neg):
+                return ref_simplify(Neg(BinOp("/", a.arg, b)))
+    elif op == "^":
+        if ref_is_num(b, 1.0):
+            return a
+        if ref_is_num(b, 0.0):
+            return Num(1.0)
+    return e if a is e.lhs and b is e.rhs else BinOp(op, a, b)
+
+
+def ref_diff(e, var):
+    if isinstance(e, Num):
+        return Num(0.0)
+    if isinstance(e, Var):
+        return Num(1.0 if e.name == var else 0.0)
+    if isinstance(e, Neg):
+        return Neg(ref_diff(e.arg, var))
+    if isinstance(e, Call):
+        u, du = e.arg, ref_diff(e.arg, var)
+        if e.func == "log":
+            return BinOp("/", du, u)
+        if e.func == "sqrt":
+            return BinOp("/", du, BinOp("*", Num(2.0), Call("sqrt", u)))
+        outer = {
+            "sin": Call("cos", u),
+            "cos": Neg(Call("sin", u)),
+            "exp": Call("exp", u),
+            "tanh": BinOp("-", Num(1.0), BinOp("^", Call("tanh", u), Num(2.0))),
+        }[e.func]
+        return BinOp("*", outer, du)
+    u, v = e.lhs, e.rhs
+    du, dv = ref_diff(u, var), ref_diff(v, var)
+    if e.op in "+-":
+        return BinOp(e.op, du, dv)
+    if e.op == "*":
+        return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
+    if e.op == "/" and isinstance(v, Num):
+        return BinOp("/", du, v)
+    if e.op == "/":
+        return BinOp("/", BinOp("-", BinOp("*", du, v), BinOp("*", u, dv)), BinOp("^", v, Num(2.0)))
+    if isinstance(v, Num):
+        return BinOp("*", BinOp("*", v, BinOp("^", u, Num(v.value - 1.0))), du)
+    return BinOp("*", e, BinOp("+", BinOp("*", dv, Call("log", u)), BinOp("*", v, BinOp("/", du, u))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(trees(functions=("sin", "exp"), ops="+-*", numbers=(-1.5, 0.5, 1.0, 2.0, 3.0), leaves=8), trees()),
+       st.lists(st.sampled_from([2.0, 3.0]), max_size=2))
+# the partial of -(p1) by q1 is -0.0, which prints as 0
+@example(Neg(Var("p1")), [])
+# 0^t by q1 keeps an unfolded 0/0
+@example(BinOp("^", Num(0.0), Var("t")), [])
+@example(Call("exp", Call("exp", Call("exp", Num(2.0)))), [])
+def test_differentiate_is_the_full_walk(e, exponents):
+    # repr tells Num(-0.0) from Num(0.0), which compare equal
+    for k in exponents:
+        e = BinOp("^", e, Num(k))
+    names = ("q1", "p1", "t")
+    refs = [ref_simplify(ref_diff(e, name)) for name in names]
+    assert [repr(d) for d in gradient(e, names)] == [repr(r) for r in refs]
+    for name, ref in zip(names, refs):
+        assert repr(differentiate(e, name)) == repr(ref)
+        # a partial differentiated again: shared subtrees and inactive ones
+        assert repr(differentiate(ref, "q1")) == repr(ref_simplify(ref_diff(ref, "q1")))
 
 
 @settings(max_examples=500, deadline=None)
