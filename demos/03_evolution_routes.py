@@ -16,11 +16,10 @@ import numpy as np
 from metricflow import (
     CoordinateChart,
     PhasePoint,
-    SplittingConfig,
+    SeriesMetric,
+    SplitMetric,
     canonical_metric,
     pullback_metric,
-    series_propagate,
-    split_propagate,
 )
 from metricflow.friction import FrictionSystem
 
@@ -32,8 +31,9 @@ W0 = canonical_metric(chart).matrix
 print("=== Damped oscillator, unit friction, t = 1 ===")
 t = 1.0
 x = PhasePoint([0.4, -0.2], t)
-w_series = series_propagate(V, W0, t)[0, 1]
-w_split = split_propagate(V, W0, SplittingConfig(t, 1000))[0, 1]
+# the series and split routes are metric fields, evaluated at a point and time
+w_series = SeriesMetric(V, W0).value(x.coords, t)[0, 1]
+w_split = SplitMetric(V, W0, 1000).value(x.coords, t)[0, 1]
 w_pullback = pullback_metric(V, canonical_metric(chart), x)[0, 1]
 print(f"series:    {w_series:.12f}")
 print(f"splitting: {w_split:.12f}")
@@ -50,11 +50,12 @@ V2 = system2.vector_field
 rng = np.random.default_rng(7)
 B = rng.standard_normal((4, 4))
 W0g = B - B.T
-exact = series_propagate(V2, W0g, 1.0)
+origin = np.zeros(4)
+exact = SeriesMetric(V2, W0g).value(origin, 1.0)
 print(f"{'steps':>6} {'error':>12} {'order':>7}")
 prev = None
 for N in (10, 20, 40, 80, 160):
-    err = np.max(np.abs(split_propagate(V2, W0g, SplittingConfig(1.0, N)) - exact))
+    err = np.max(np.abs(SplitMetric(V2, W0g, N).value(origin, 1.0) - exact))
     order = f"{np.log2(prev / err):7.3f}" if prev else "      -"
     print(f"{N:6d} {err:12.3e} {order}")
     prev = err

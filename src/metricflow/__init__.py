@@ -58,15 +58,13 @@ from .evolution import (
     EvolutionError,
     ExpressionSizeError,
     SeriesDivergenceWarning,
+    SeriesMetric,
     SeriesPropagator,
-    SplittingConfig,
-    apply_J,
+    SplitMetric,
     congruence,
     invariance_residual,
     invariance_residuals,
     pullback_metric,
-    series_propagate,
-    split_propagate,
 )
 from .brackets import (
     BracketFrame,

@@ -20,7 +20,6 @@ import io
 import json
 import locale  # noqa: F401  argparse's gettext imports it on first use; not inside a command
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .evolution import (
     invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
-from .friction import ApplicabilityError, FrictionError, FrictionSystem, analytic_metric, applicability_check
+from .friction import ApplicabilityError, FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check
 from .helmholtz import classify
 from .phasespace import (
     ExprMetric,
@@ -207,9 +206,7 @@ def _build_metric(cfg: SystemConfig, fsys: FrictionSystem | None) -> MetricField
         return canonical_metric(chart)
     if spec == "friction-analytic":
         _require(fsys is not None, "'friction-analytic' metric needs the hamiltonian form")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return analytic_metric(fsys, allow_inapplicable=True)
+        return FrictionAnalyticMetric(fsys)
     if isinstance(spec, list):
         try:
             return ExprMetric(chart, spec)
@@ -291,10 +288,9 @@ def _evolve_methods(cfg: SystemConfig, V, fsys) -> list[str]:
 
 
 def _initial_matrix(cfg: SystemConfig, M0: MetricField) -> np.ndarray:
-    entries = M0.entry_exprs()
-    if entries is not None and any(free_vars(e) for row in entries for e in row):
+    if isinstance(M0, ExprMetric) and any(free_vars(e) for row in M0.entries for e in row):
         raise ConfigError("metric evolution needs a constant initial metric")
-    # friction-analytic (no entry expressions) starts from its own t0 value
+    # friction-analytic starts from its own t0 value
     return M0.value(np.zeros(cfg.chart.dim), 0.0)
 
 
@@ -325,9 +321,7 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
         check = applicability_check(fsys)
         if not check.ok:
             warning_text = check.detail
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fields["analytic"] = analytic_metric(fsys, allow_inapplicable=True)
+        fields["analytic"] = FrictionAnalyticMetric(fsys)
     if V is not None:
         fields["series"] = SeriesMetric(V, W0, order=cfg.series_order, mode=cfg.series_mode)
         if V.parts is not None:
@@ -491,6 +485,9 @@ def main(argv=None) -> int:
         return emit_error(EXIT_CONFIG, "applicability", str(exc))
     except (ConfigError, ExprError, FrictionError) as exc:
         return emit_error(EXIT_CONFIG, "config", str(exc))
+    except RecursionError:
+        # the expression walks recurse once per level of a tree
+        return emit_error(EXIT_CONFIG, "config", "an expression is nested too deeply to process")
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         return emit_error(EXIT_CONFIG, "domain", str(exc))
     except IntegrationError as exc:

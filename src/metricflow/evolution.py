@@ -1,9 +1,10 @@
 """Metric evolution: keep the 2-form an integral of motion.
 
 Three independent routes evolve an initial metric so that its total time
-derivative along the flow vanishes.  Where a route works numerically it
-transports the metric by one primitive, the congruence W = M^T w0 M by a
-tangent map M (:func:`congruence`):
+derivative along the flow vanishes.  Each is evaluated as a metric field
+(:class:`SeriesMetric`, :class:`SplitMetric`, :class:`TransportedMetric`).
+Where a route works numerically it transports the metric by one primitive,
+the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
 
 * an exponential series exp(tJ) built from repeated applications of the
   generating operator J, at a point on truncated Taylor series of the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
-from .exprlang import Expr, Monomials, Num, evaluate, gradient, is_zero, probe_points, simplify, taylor_expand
+from .exprlang import Monomials, taylor_expand
 from .helmholtz import helmholtz_residuals
 from .phasespace import (
     SKEW_TOL,
@@ -65,19 +66,6 @@ class SeriesDivergenceWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class SplittingConfig:
-    total_time: float
-    steps: int
-    scheme: str = "strang"
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.scheme != "strang":
-            raise ValueError(f"unsupported splitting scheme '{self.scheme}'")
-
-
-@dataclass(frozen=True)
 class SeriesInfo:
     path: str  # "linear-exact" | "series"
     terms: int
@@ -93,59 +81,6 @@ def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
     """
     R = M.T @ W0 @ M
     return 0.5 * (R - R.T)
-
-
-def _entries_of(W) -> list[list[Expr]]:
-    if isinstance(W, MetricField):
-        entries = W.entry_exprs()
-        if entries is None:
-            raise EvolutionError("metric representation has no expression entries")
-        return entries
-    if isinstance(W, np.ndarray) or (
-        isinstance(W, (list, tuple)) and W and not isinstance(W[0][0], Expr)
-    ):
-        arr = np.array(W, dtype=float)
-        return [[Num(float(v)) for v in row] for row in arr]
-    return [list(row) for row in W]
-
-
-def _zip_sum(terms: list[Expr]) -> Expr:
-    acc: Expr = Num(0.0)
-    for term in terms:
-        acc = acc + term
-    return simplify(acc)
-
-
-def apply_J(V: VectorFieldSpec, W) -> list[list[Expr]]:
-    """One application of the metric evolution operator, symbolically.
-
-    Returns the matrix d_k(w_lm X^m) - d_l(w_km X^m), which assumes w is
-    skew-symmetric; w_kl + w_lk is checked to vanish at probe points.
-    """
-    chart = V.chart
-    d = chart.dim
-    entries = _entries_of(W)
-    for p in probe_points(5, [-1.0] * d + [0.0], [1.0] * (d + 1)):
-        env = chart.env(p[:d], p[d])
-        for k in range(d):
-            for l in range(k, d):
-                w = evaluate(entries[k][l], env)
-                if abs(w + evaluate(entries[l][k], env)) > 1e-10 * max(1.0, abs(w)):
-                    raise EvolutionError("the input matrix is not skew-symmetric")
-    comps, names = V.components, chart.names
-    # P[l] = sum_m w_lm X^m  (w's first index fixed)
-    P = [
-        _zip_sum([entries[l][m] * comps[m] for m in range(d) if not is_zero(entries[l][m])])
-        for l in range(d)
-    ]
-    out: list[list[Expr]] = [[Num(0.0)] * d for _ in range(d)]
-    dP = [gradient(P[l], names) for l in range(d)]
-    for k in range(d):
-        for l in range(k + 1, d):
-            u = simplify(dP[l][k] - dP[k][l])
-            out[k][l] = u
-            out[l][k] = simplify(-u)
-    return out
 
 
 def _check_constant_skew(W0) -> np.ndarray:
@@ -262,19 +197,6 @@ class SeriesPropagator:
         return total, SeriesInfo("series", terms, last_norm, diverging)
 
 
-def series_propagate(
-    V: VectorFieldSpec,
-    W0,
-    t: float,
-    order: int = DEFAULT_SERIES_ORDER,
-    x: PhasePoint | None = None,
-    mode: str = "auto",
-) -> np.ndarray:
-    """Evaluate exp(t J) applied to the constant initial metric ``W0``."""
-    W, _ = SeriesPropagator(V, W0).propagate(t, x=x, order=order, mode=mode)
-    return W
-
-
 def congruence_jet(
     W0: np.ndarray, dW0: np.ndarray | None, J: np.ndarray, dM: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,28 +219,6 @@ def congruence_jet(
         C = M.T @ np.tensordot(J, dW0, axes=(0, 0)) @ M
         D += 0.5 * (C - C.transpose(0, 2, 1))
     return congruence(M, W0), D[:d], D[d]
-
-
-@dataclass(frozen=True)
-class SplitInfo:
-    # "linear-exact": both parts affine, every sub-flow an exact matrix
-    # exponential; "split-pullback": DOPRI5 integrates the nonlinear sub-flows
-    path: str
-
-
-def split_propagate(
-    V: VectorFieldSpec,
-    W0,
-    cfg: SplittingConfig,
-    x: PhasePoint | None = None,
-) -> np.ndarray:
-    """Strang splitting over the declared field split X = X1 + X2.
-
-    Each step applies exp(dt/2 J2) exp(dt J1) exp(dt/2 J2), where exp(h J_i)
-    is the pullback along the sub-flow of X_i for time h.
-    """
-    W, _ = split_propagate_info(V, W0, cfg, x=x)
-    return W
 
 
 def _backward_subflow(X: VectorFieldSpec, h: float, rate: float):
@@ -383,25 +283,6 @@ def split_jet(
             Q = Q_next
     J = np.column_stack((Q[:d, :d], Q[:d, -1]))
     return congruence_jet(W0, None, J, Q[:d, K:-1].reshape(d, K, d).transpose(1, 0, 2))
-
-
-def split_propagate_info(
-    V: VectorFieldSpec,
-    W0,
-    cfg: SplittingConfig,
-    x: PhasePoint | None = None,
-) -> tuple[np.ndarray, SplitInfo]:
-    """As :func:`split_propagate`, also reporting the path taken."""
-    if V.parts is None:
-        raise EvolutionError("split propagation requires declared split parts")
-    W0 = _check_constant_skew(W0)
-    linear = all(X.constant_jacobian is not None for X in V.parts)
-    if x is None and not linear:
-        raise ValueError("nonlinear split propagation needs an evaluation point")
-    # affine sub-flows have the same tangent map at every point
-    coords = np.zeros(V.chart.dim) if x is None else x.coords
-    W, _, _ = split_jet(V, W0, cfg.steps, coords, cfg.total_time)
-    return W, SplitInfo("linear-exact" if linear else "split-pullback")
 
 
 def pullback_jet(
@@ -472,8 +353,7 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
 
 
 # ---------------------------------------------------------------------------
-# Metric-field wrappers around the evolution routes (used by audits and the
-# command-line reports).
+# The series and split routes as metric fields, the one way to evaluate them.
 
 
 class SeriesMetric(MetricField):

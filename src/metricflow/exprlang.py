@@ -901,7 +901,11 @@ _COMPILE_GLOBALS = {
 }
 
 
-def _codegen(e: Expr, chart: CoordinateChart) -> str:
+def _codegen(e: Expr, chart: CoordinateChart, parent: int = 0) -> str:
+    """Python source for ``e``; ``parent`` is the precedence of the operator
+    whose left operand ``e`` is, 0 otherwise.  Python reads a+b+c as
+    (a+b)+c, so a left operand that binds at least as tightly as its parent
+    needs no parentheses, and a long sum does not nest them once per term."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
@@ -911,11 +915,11 @@ def _codegen(e: Expr, chart: CoordinateChart) -> str:
     if isinstance(e, Neg):
         return f"(-{_codegen(e.arg, chart)})"
     if isinstance(e, BinOp):
-        a = _codegen(e.lhs, chart)
-        b = _codegen(e.rhs, chart)
         if e.op == "^":
-            return f"_pow({a}, {b})"
-        return f"({a}{e.op}{b})"
+            return f"_pow({_codegen(e.lhs, chart)}, {_codegen(e.rhs, chart)})"
+        p = _PREC_BIN[e.op]
+        text = f"{_codegen(e.lhs, chart, p)}{e.op}{_codegen(e.rhs, chart)}"
+        return text if p >= parent > 0 else f"({text})"
     if isinstance(e, Call):
         return f"_{e.func}({_codegen(e.arg, chart)})"
     raise ExprError(f"unknown node {e!r}")

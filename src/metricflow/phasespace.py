@@ -20,8 +20,6 @@ import numpy as np
 
 from .exprlang import (
     CoordinateChart,
-    Expr,
-    Num,
     as_expr,
     compile_vector,
     evaluate_compiled,
@@ -113,10 +111,6 @@ class MetricField:
     def d_dt(self, coords: Sequence[float], time: float) -> np.ndarray:
         return self.jet(coords, time)[2]
 
-    def entry_exprs(self) -> list[list[Expr]] | None:
-        """Entries as expressions in (x, t) when the representation has them."""
-        return None
-
 
 class ConstantMetric(MetricField):
     """Representation (a): a fixed skew matrix, independent of x and t."""
@@ -134,9 +128,6 @@ class ConstantMetric(MetricField):
     def jet_batch(self, X, T):
         B, d = len(X), self.chart.dim
         return np.broadcast_to(self.matrix, (B, d, d)), zeros_view(B, d, d, d), zeros_view(B, d, d)
-
-    def entry_exprs(self):
-        return [[Num(float(v)) for v in row] for row in self.matrix]
 
 
 def canonical_metric(chart: CoordinateChart) -> ConstantMetric:
@@ -162,9 +153,6 @@ class ExprMetric(MetricField):
         if len(entries) != d or any(len(row) != d for row in entries):
             raise MetricError(f"expected {d}x{d} entries")
         self.entries = [[as_expr(v, chart) for v in row] for row in entries]
-
-    def entry_exprs(self):
-        return [row[:] for row in self.entries]
 
     @cached_property
     def _jet_fn(self):

@@ -14,7 +14,8 @@ import pytest
 from metricflow import (
     CoordinateChart,
     PhasePoint,
-    SplittingConfig,
+    SeriesMetric,
+    SplitMetric,
     TransportedMetric,
     VectorFieldSpec,
     bracket_jacobi_residual,
@@ -27,11 +28,8 @@ from metricflow import (
     leibniz_defect,
     metric_determinant,
     pullback_metric,
-    series_propagate,
-    split_propagate,
 )
 from metricflow.cli import cmd_evolve_metric, load_config
-from metricflow.evolution import SeriesMetric
 from metricflow.friction import FrictionSystem, analytic_metric
 
 
@@ -156,10 +154,11 @@ def test_criterion_5_splitting_order(two_dof):
     rng = np.random.default_rng(7)
     B = rng.standard_normal((4, 4))
     W0 = B - B.T
-    exact = series_propagate(V, W0, 1.0)
+    origin = np.zeros(4)
+    exact = SeriesMetric(V, W0).value(origin, 1.0)
     errs = []
     for N in (10, 20, 40, 80):
-        W = split_propagate(V, W0, SplittingConfig(1.0, N))
+        W = SplitMetric(V, W0, N).value(origin, 1.0)
         errs.append(float(np.max(np.abs(W - exact))))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
     ok = all(1.8 <= o <= 2.2 for o in orders)
@@ -258,8 +257,8 @@ def test_criterion_9_route_agreement():
     for _ in range(20):
         x = PhasePoint(rng.uniform(-1, 1, 2), rng.uniform(0.1, 2.0))
         t = x.time
-        Wse = series_propagate(V, W0, t)
-        Wsp = split_propagate(V, W0, SplittingConfig(t, 1000))
+        Wse = SeriesMetric(V, W0).value(x.coords, t)
+        Wsp = SplitMetric(V, W0, 1000).value(x.coords, t)
         Wpb = pullback_metric(V, can, x)
         worst = max(
             worst,

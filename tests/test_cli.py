@@ -380,6 +380,33 @@ class TestMainEntry:
         assert error["message"] == f"{entry[:3]} of infinite value in '{entry}'"
         assert "Traceback" not in proc.stderr
 
+    def test_long_sum_compiles(self, tmp_path, capsys):
+        # compiled code of a 250-term sum nests no parentheses per term
+        terms = " + ".join(f"{k + 1}e-3*q1^{k % 7 + 1}" for k in range(250))
+        data = {"n": 1, "components": ["p1", f"-q1 - ({terms})*p1"], "samples": {"count": 5},
+                "t_grid": [0.3], "queries": [{"point": [0.2, -0.1]}]}
+        path = write_config(tmp_path, data)
+        assert main(["classify", "--config", path]) == EXIT_NON_HAMILTONIAN
+        capsys.readouterr()
+        assert main(["evolve-metric", "--config", path]) == EXIT_OK
+        _, rows = parse_csv(capsys.readouterr().out)
+        series, pullback = (float(row["w1_2"]) for row in rows)
+        assert abs(series - pullback) < 1e-7
+
+    def test_deeply_nested_expression_exits_65(self, tmp_path):
+        # parse nests a sum one level per term; the recursive tree walks stop
+        # near 1,000 levels
+        H = "p1^2/2 + " + " + ".join(f"q1^2/{k + 2}" for k in range(1199))
+        path = write_config(tmp_path, {"n": 1, "hamiltonian": H, "friction": 0.5})
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricflow.cli", "classify", "--config", path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        error = json.loads(proc.stdout)["error"]
+        assert error == {"kind": "config", "message": "an expression is nested too deeply to process"}
+        assert proc.stderr == ""
+
     def test_seed_override_changes_samples(self, tmp_path):
         path = write_config(tmp_path, DAMPED_CANONICAL)
         out1 = tmp_path / "s1.json"

@@ -8,19 +8,17 @@ from metricflow import (
     IntegratorOptions,
     PhasePoint,
     SeriesDivergenceWarning,
+    SeriesMetric,
     SeriesPropagator,
-    SplittingConfig,
+    SplitMetric,
     TransportedMetric,
     VectorFieldSpec,
-    apply_J,
     canonical_metric,
     compressibility_integral,
     invariance_residual,
     jacobi_residual,
     metric_determinant,
     pullback_metric,
-    series_propagate,
-    split_propagate,
 )
 from metricflow.evolution import EvolutionError
 from metricflow.exprlang import DomainError, evaluate, parse
@@ -48,66 +46,31 @@ def fd_flow_jacobian(V, x, t, h=1e-6):
     return np.column_stack(cols)
 
 
-class TestApplyJ:
-    def test_hamiltonian_canonical_vanishes(self, harmonic, canonical1):
-        out = apply_J(harmonic, canonical1)
-        env = harmonic.chart.env([0.4, -0.9], 0.0)
-        vals = np.array([[evaluate(e, env) for e in row] for row in out])
-        assert np.max(np.abs(vals)) == 0.0
-
-    def test_damped_constant_output(self, damped, canonical1):
-        out = apply_J(damped, canonical1)
-        env = damped.chart.env([1.3, -0.2], 0.0)
-        vals = np.array([[evaluate(e, env) for e in row] for row in out])
-        # matches the initial slope of the invariant metric, K e^{K t} at t=0
-        assert vals[0, 1] == pytest.approx(1.0, abs=1e-14)
-        assert vals[1, 0] == pytest.approx(-1.0, abs=1e-14)
-
-    def test_zero_matrix_fixed(self, damped, chart1):
-        out = apply_J(damped, np.zeros((2, 2)))
-        env = damped.chart.env([0.5, 0.5], 0.0)
-        vals = np.array([[evaluate(e, env) for e in row] for row in out])
-        assert np.max(np.abs(vals)) == 0.0
-
-    def test_sym_unsym_agreement_checked(self, damped):
-        # apply_J probes w_kl + w_lk; a non-skew matrix trips it
-        with pytest.raises(EvolutionError):
-            apply_J(damped, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_rejects_non_skew_expression_entries(self, damped):
-        chart = damped.chart
-        W = [[parse(e, chart) for e in row] for row in [["0", "q1"], ["q1", "0"]]]
-        with pytest.raises(EvolutionError):
-            apply_J(damped, W)
-        # the skew counterpart passes the same probe
-        apply_J(damped, [[parse(e, chart) for e in row] for row in [["0", "q1"], ["-q1", "0"]]])
-
-
 class TestSeries:
     def test_t_zero_identity(self, damped):
-        W = series_propagate(damped, J2, 0.0)
+        W, _ = SeriesPropagator(damped, J2).propagate(0.0)
         assert np.array_equal(W, J2)
 
     def test_damped_linear_exact(self, damped):
-        W = series_propagate(damped, J2, 1.0)
+        W, _ = SeriesPropagator(damped, J2).propagate(1.0)
         assert W[0, 1] == pytest.approx(np.e, abs=1e-12)
         assert W[1, 0] == pytest.approx(-np.e, abs=1e-12)
 
     def test_generic_path_matches_exact(self, damped):
         x = PhasePoint([0.5, 0.5])
-        W = series_propagate(damped, J2, 0.1, order=8, mode="generic", x=x)
+        W, _ = SeriesPropagator(damped, J2).propagate(0.1, x=x, order=8, mode="generic")
         assert W[0, 1] == pytest.approx(np.exp(0.1), abs=1e-12)
 
     def test_linear_mode_requires_linearity(self, quartic_system):
         with pytest.raises(EvolutionError):
-            series_propagate(quartic_system.vector_field, J2, 0.5, mode="linear")
+            SeriesPropagator(quartic_system.vector_field, J2).propagate(0.5, mode="linear")
 
     def test_divergence_warning(self, chart1):
         # anti-damping alternates the series terms, so a low-order truncation
         # at large t leaves the last term dominating the running sum
         V = VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + q1^2/2", [[-1.0]])
         with pytest.warns(SeriesDivergenceWarning):
-            series_propagate(V, J2, 10.0, order=3, mode="generic", x=PhasePoint([0.1, 0.1]))
+            SeriesPropagator(V, J2).propagate(10.0, x=PhasePoint([0.1, 0.1]), order=3, mode="generic")
 
     def test_propagator_reuse(self, damped):
         prop = SeriesPropagator(damped, J2)
@@ -118,10 +81,8 @@ class TestSeries:
         assert W2[0, 1] == pytest.approx(np.exp(0.5), abs=1e-12)
 
     def test_generic_series_field_is_self_consistent(self, chart1):
-        # x-dependent powers: the field wrapper's time and space derivatives
-        # must agree with the conservation law up to the truncation tail
-        from metricflow.evolution import SeriesMetric
-
+        # x-dependent powers: the field's time and space derivatives must
+        # agree with the conservation law up to the truncation tail
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1/4"])
         M = SeriesMetric(V, J2, order=6, mode="generic")
         x = PhasePoint([0.3, 0.2], 0.1)
@@ -137,10 +98,10 @@ class TestSeries:
         # state-dependent compressibility makes the powers grow in degree
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1"])
         x = PhasePoint([0.2, 0.1])
-        series_propagate(V, J2, 0.1, order=10, x=x)
+        SeriesPropagator(V, J2).propagate(0.1, x=x, order=10)
         monkeypatch.setattr(evolution, "MAX_SERIES_COEFFS", 50)
         with pytest.raises(evolution.ExpressionSizeError):
-            series_propagate(V, J2, 0.1, order=10, x=x)
+            SeriesPropagator(V, J2).propagate(0.1, x=x, order=10)
 
 
 def symbolic_powers(V, W0, order):
@@ -233,8 +194,6 @@ class TestSeriesForwardMode:
     def test_d_dx_makes_no_differentiate_calls(self, chart1, monkeypatch):
         import metricflow.evolution as evolution
         import metricflow.exprlang as exprlang
-        from metricflow.evolution import SeriesMetric
-
         V = self.van_der_pol(chart1)
         calls = []
 
@@ -259,8 +218,6 @@ class TestSeriesForwardMode:
 
     @pytest.mark.parametrize("case", ["van_der_pol", "quartic_generic"])
     def test_d_dx_matches_termwise_symbolic(self, case, chart1, chart2):
-        from metricflow.evolution import SeriesMetric
-
         if case == "van_der_pol":
             V, W0, order, coords = self.van_der_pol(chart1), J2, 6, [0.3, -0.4]
         else:
@@ -275,8 +232,6 @@ class TestSeriesForwardMode:
             assert_relative(M.d_dx(coords, time), termwise_series(terms, order, time)[2], 1e-13)
 
     def test_value_and_d_dt_match_symbolic_powers(self, chart1):
-        from metricflow.evolution import SeriesMetric
-
         V = self.van_der_pol(chart1)
         coords = [0.3, -0.4]
         terms = symbolic_at_point(symbolic_powers(V, J2, 6), chart1, coords)
@@ -305,8 +260,6 @@ class TestSeriesForwardMode:
             assert value[0, 0] == evaluate(parse(text, chart1), env)
 
     def test_expansion_domain_failure_reaches_every_method(self, chart1):
-        from metricflow.evolution import SeriesMetric
-
         # the field's sqrt(p1) has no expansion at p1 = 0, where its value is
         # finite: value, d_dt and d_dx all raise, naming the node
         V = VectorFieldSpec.from_components(chart1, ["q1*sqrt(p1)", "-q1"])
@@ -318,8 +271,6 @@ class TestSeriesForwardMode:
         M.d_dx([0.3, 0.5], 0.2)
 
     def test_results_do_not_share_the_cached_powers(self, chart1):
-        from metricflow.evolution import SeriesMetric
-
         # at order 1, d_dt is power 1 alone; writing to it must not reach the cache
         M = SeriesMetric(self.van_der_pol(chart1), J2, order=1, mode="generic")
         coords = [0.3, -0.4]
@@ -331,8 +282,6 @@ class TestSeriesForwardMode:
         assert all(np.array_equal(a, b) for a, b in zip(fresh, expected))
 
     def test_van_der_pol_order_16_matches_pullback(self, chart1):
-        from metricflow.evolution import SeriesMetric
-
         x = PhasePoint([0.3, -0.2], 0.5)
         ref = pullback_metric(
             self.van_der_pol(chart1), canonical_metric(chart1), x, opts=IntegratorOptions(abs_tol=1e-13, rel_tol=1e-13)
@@ -347,8 +296,8 @@ class TestSplit:
         rng = np.random.default_rng(7)
         B = rng.standard_normal((4, 4))
         W0 = B - B.T
-        Ws = split_propagate(V, W0, SplittingConfig(1.0, 3))
-        We = series_propagate(V, W0, 1.0)
+        Ws = SplitMetric(V, W0, 3).value(np.zeros(4), 1.0)
+        We, _ = SeriesPropagator(V, W0).propagate(1.0)
         assert np.max(np.abs(Ws - We)) < 1e-12
 
     def test_second_order_convergence(self, damped2_system):
@@ -356,10 +305,10 @@ class TestSplit:
         rng = np.random.default_rng(7)
         B = rng.standard_normal((4, 4))
         W0 = B - B.T
-        exact = series_propagate(V, W0, 1.0)
+        exact, _ = SeriesPropagator(V, W0).propagate(1.0)
         errs = []
         for N in (10, 20, 40):
-            W = split_propagate(V, W0, SplittingConfig(1.0, N))
+            W = SplitMetric(V, W0, N).value(np.zeros(4), 1.0)
             errs.append(np.max(np.abs(W - exact)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
@@ -370,19 +319,19 @@ class TestSplit:
         rng = np.random.default_rng(8)
         B = rng.standard_normal((4, 4))
         W0 = B - B.T
-        exact = series_propagate(V, W0, 1e-3)
-        W = split_propagate(V, W0, SplittingConfig(1e-3, 1))
+        exact, _ = SeriesPropagator(V, W0).propagate(1e-3)
+        W = SplitMetric(V, W0, 1).value(np.zeros(4), 1e-3)
         assert np.max(np.abs(W - exact)) < 1e-8
 
     def test_requires_split(self, chart1):
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1"])
         with pytest.raises(EvolutionError):
-            split_propagate(V, J2, SplittingConfig(1.0, 2))
+            SplitMetric(V, J2, 2)
 
     def test_nonlinear_substeps(self, quartic_system):
         V = quartic_system.vector_field
         x = PhasePoint([0.4, 0.2], 0.05)
-        W = split_propagate(V, J2, SplittingConfig(0.05, 2), x=x)
+        W = SplitMetric(V, J2, 2).value(x.coords, x.time)
         ref = pullback_metric(V, canonical_metric(V.chart), x)
         assert np.max(np.abs(W - ref)) < 1e-10
 
@@ -405,25 +354,21 @@ class TestSplit:
         x = PhasePoint([0.3, -0.2, 0.1, 0.4], 0.5)
         ref = pullback_metric(V, ConstantMetric(chart2, W0), x, opts=IntegratorOptions(1e-12, 1e-12))
         errs = [
-            np.max(np.abs(split_propagate(V, W0, SplittingConfig(0.5, N), x=x) - ref))
+            np.max(np.abs(SplitMetric(V, W0, N).value(x.coords, x.time) - ref))
             for N in (10, 20, 40)
         ]
         for i in range(2):
             assert 1.8 <= np.log2(errs[i] / errs[i + 1]) <= 2.2
 
     def test_truncation_diagnostics(self, quartic_system, damped2_system):
-        from metricflow.evolution import split_propagate_info
-
-        _, info = split_propagate_info(
-            damped2_system.vector_field, canonical_metric(damped2_system.chart).matrix,
-            SplittingConfig(1.0, 5),
-        )
-        assert info.path == "linear-exact"
+        # affine parts take exact exponentials, the same map at every point
+        V = damped2_system.vector_field
+        split = SplitMetric(V, canonical_metric(V.chart).matrix, 5)
+        assert np.array_equal(split.value(np.zeros(4), 1.0), split.value([0.3, -0.2, 0.1, 0.4], 1.0))
         # a nonlinear part takes the pullback along the sub-flow trajectory
         V = quartic_system.vector_field
         x = PhasePoint([0.4, 0.2], 0.05)
-        W, info = split_propagate_info(V, J2, SplittingConfig(0.05, 2), x=x)
-        assert info.path == "split-pullback"
+        W = SplitMetric(V, J2, 2).value(x.coords, x.time)
         ref = pullback_metric(V, canonical_metric(V.chart), x)
         assert np.max(np.abs(W - ref)) < 1e-10
 
@@ -488,8 +433,8 @@ class TestRouteAgreement:
         for _ in range(20):
             x = PhasePoint(rng.uniform(-1, 1, 2), rng.uniform(0.1, 2.0))
             t = x.time
-            Wse = series_propagate(damped, J2, t)
-            Wsp = split_propagate(damped, J2, SplittingConfig(t, 1000))
+            Wse, _ = SeriesPropagator(damped, J2).propagate(t)
+            Wsp = SplitMetric(damped, J2, 1000).value(x.coords, t)
             Wpb = pullback_metric(damped, canonical1, x)
             assert np.max(np.abs(Wse - Wsp)) < 1e-6
             assert np.max(np.abs(Wse - Wpb)) < 1e-6
@@ -502,10 +447,16 @@ class TestRouteAgreement:
         W0 = B - B.T
         for t in (0.3, 1.0):
             for W in (
-                series_propagate(V, W0, t),
-                split_propagate(V, W0, SplittingConfig(t, 50)),
+                SeriesPropagator(V, W0).propagate(t)[0],
+                SplitMetric(V, W0, 50).value(np.zeros(4), t),
             ):
                 assert np.max(np.abs(W + W.T)) < 1e-10
+
+    def test_routes_reject_a_non_skew_initial_matrix(self, damped):
+        for make in (lambda W0: SeriesPropagator(damped, W0), lambda W0: SplitMetric(damped, W0, 2)):
+            with pytest.raises(ValueError, match="skew-symmetric"):
+                make([[0.0, 1.0], [1.0, 0.0]])
+            make(J2)
 
     def test_jacobi_preserved(self, damped, canonical1):
         M = TransportedMetric(canonical1, damped)
@@ -596,8 +547,6 @@ class TestTransportStencil:
 
     @pytest.mark.parametrize("t", [0.5, -0.3])
     def test_affine_chain_matches_per_copy_loop_exactly(self, t):
-        from metricflow.evolution import SplitMetric
-
         V = self.affine_chain()
         A = V.constant_jacobian
         assert A is not None
@@ -605,14 +554,14 @@ class TestTransportStencil:
         x = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.25, 0.7, -0.1])
         # the affine split walk gives every perturbed copy the same W, so the
         # per-copy differences are exactly zero: no spatial dependence
-        cfg = SplittingConfig(t, 4)
-        W_split = split_propagate(V, M0.matrix, cfg, x=PhasePoint(x, t))
+        split = SplitMetric(V, M0.matrix, 4)
+        W_split = split.value(x, t)
         for k in range(8):
             for sign in (1.0, -1.0):
                 copy = x + sign * 1e-3 * np.eye(8)[k]
-                assert np.array_equal(split_propagate(V, M0.matrix, cfg, x=PhasePoint(copy, t)), W_split)
+                assert np.array_equal(split.value(copy, t), W_split)
         pullback = TransportedMetric(M0, V)
-        for field in (pullback, SplitMetric(V, M0.matrix, 4)):
+        for field in (pullback, split):
             assert np.array_equal(field.d_dx(x, t), np.zeros((8, 8, 8)))
         W = pullback.value(x, t)
         ref = -(A.T @ W + W @ A)
@@ -621,7 +570,6 @@ class TestTransportStencil:
     @pytest.mark.parametrize("t", [0.5, -0.3])
     def test_coupled_quartic_matches_per_copy_loop(self, chart2, t):
         from metricflow.dynamics import TRANSPORT_OPTIONS
-        from metricflow.evolution import SplitMetric
 
         V = self.coupled_quartic(chart2)
         assert V.constant_jacobian is None
@@ -629,7 +577,7 @@ class TestTransportStencil:
         x = np.array([0.3, -0.2, 0.1, 0.4])
         routes = [
             (TransportedMetric(M0, V), lambda c, s: pullback_metric(V, M0, PhasePoint(c, s), opts=TRANSPORT_OPTIONS)),
-            (SplitMetric(V, M0.matrix, 8), lambda c, s: split_propagate(V, M0.matrix, SplittingConfig(s, 8), x=PhasePoint(c, s))),
+            (SplitMetric(V, M0.matrix, 8), SplitMetric(V, M0.matrix, 8).value),
         ]
         for field, value in routes:
             D_ref, Wt_ref = difference_jet(value, x, t)
@@ -679,7 +627,6 @@ class TestTransportStencil:
 
     def test_derivative_memo_is_bounded_and_read_only(self, chart1, monkeypatch):
         import metricflow.phasespace as phasespace
-        from metricflow.evolution import SplitMetric
 
         monkeypatch.setattr(phasespace, "TRANSPORT_CACHE_SIZE", 4)
         V = VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + q1^4/4", [[1.0]])

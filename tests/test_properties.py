@@ -29,16 +29,14 @@ from metricflow import (
     CoordinateChart,
     FrictionSystem,
     PhasePoint,
-    SplittingConfig,
+    SeriesPropagator,
+    SplitMetric,
     TransportedMetric,
     VectorFieldSpec,
     canonical_metric,
     invariance_residual,
-    series_propagate,
-    split_propagate,
 )
 from metricflow.dynamics import expm as metricflow_expm
-from metricflow.evolution import SplitMetric
 from metricflow.friction import analytic_metric
 from metricflow.exprlang import (
     FUNCTIONS,
@@ -144,7 +142,7 @@ def test_linear_exact_matches_operator_matrix_expm(problem):
     M = expm(-t * (A1 + A2))
     rounding = 16 * np.finfo(float).eps * np.linalg.norm(M, 2) ** 2 * np.linalg.norm(W0, 2)
     tol = max(1e-12 * max(1.0, float(np.max(np.abs(ref)))), rounding)
-    assert np.max(np.abs(series_propagate(V, W0, t) - ref)) <= tol
+    assert np.max(np.abs(SeriesPropagator(V, W0).propagate(t)[0] - ref)) <= tol
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,7 +158,7 @@ def test_linear_split_matches_operator_matrix_expm(problem, steps):
     v = mat_to_vec(W0, pairs)
     for _ in range(steps):
         v = step @ v
-    assert_relative(split_propagate(V, W0, SplittingConfig(t, steps)), vec_to_mat(v, pairs, d))
+    assert_relative(SplitMetric(V, W0, steps).value(np.zeros(d), t), vec_to_mat(v, pairs, d))
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,7 +217,7 @@ def test_four_routes_agree_on_diagonal_friction(problem):
     split = SplitMetric(V, M0.matrix, 20)
     routes = [
         (analytic_metric(system).value(coords, t), 1e-12),
-        (series_propagate(V, M0.matrix, t), 1e-10),
+        (SeriesPropagator(V, M0.matrix).propagate(t)[0], 1e-10),
         (split.value(coords, t), 1e-5),
         (pullback.value(coords, t), 1e-7),
     ]
