@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import IntegratorOptions, VectorFieldSpec, integrate_flow
+from .dynamics import IntegratorOptions, VectorFieldSpec, flow_lanes
 from .exprlang import (
     CoordinateChart,
     Expr,
@@ -28,7 +28,7 @@ from .exprlang import (
     gradient,
     simplify,
 )
-from .phasespace import MetricField, PhasePoint, _check_point, invert_metric, inverse_metric
+from .phasespace import MetricField, PhasePoint, _check_point, invert_metric, invert_metrics, inverse_metric
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,23 @@ class BracketFrame:
     of :class:`Observable` s taken there: the metric's jet is read and
     inverted once, and the derivatives of P are formed on first use."""
 
-    def __init__(self, M: MetricField, x: PhasePoint):
+    def __init__(self, M: MetricField, x: PhasePoint, state=None):
+        """``state`` is (P, dW/dx, dW/dt) at x, as :meth:`at_points` forms it."""
         _check_point(M.chart, x)
         self.M = M
         self.x = x
-        W, self._dW_dx, self._dW_dt = M.jet(x.coords, x.time)
-        self.P = -invert_metric(W)
+        if state is None:
+            W, dW_dx, dW_dt = M.jet(x.coords, x.time)
+            state = (-invert_metric(W), dW_dx, dW_dt)
+        self.P, self._dW_dx, self._dW_dt = state
+
+    @classmethod
+    def at_points(cls, M: MetricField, points) -> list["BracketFrame"]:
+        """The frames at ``points``, from one ``jet_batch`` of M and one
+        stacked inversion; each has the bits of the frame built alone."""
+        X = np.array([x.coords for x in points]).reshape(len(points), M.chart.dim)
+        W, D, Wt = M.jet_batch(X, np.array([x.time for x in points]))
+        return [cls(M, x, state) for x, *state in zip(points, -invert_metrics(W), D, Wt)]
 
     @cached_property
     def d_dx(self) -> np.ndarray:
@@ -142,20 +153,32 @@ class BracketFrame:
         opts: IntegratorOptions | None = None,
     ) -> LeibnizDefect:
         """:func:`leibniz_defect` at the frame's point."""
-        chart, x, P = self.M.chart, self.x, self.P
+        return leibniz_defects([self], A, B, V, delta, opts)[0]
+
+
+def leibniz_defects(frames: list[BracketFrame], A: Observable, B: Observable, V: VectorFieldSpec,
+                    delta: float = 1e-4, opts: IntegratorOptions | None = None) -> list[LeibnizDefect]:
+    """:func:`leibniz_defect` at each of ``frames``, frames of one metric.
+    The +delta and -delta flows of all frames are the lanes of one
+    :func:`flow_lanes`, and one :meth:`BracketFrame.at_points` gives their
+    end-point frames; the first failing frame raises."""
+    formulas = []
+    for f in frames:
+        chart, x, P = f.M.chart, f.x, f.P
         Xv = V.eval(x.coords, x.time)
         J = V.jacobian(x.coords, x.time)  # J[k, m] = d X^k / d x^m
-        D = self.d_dt + np.einsum("m,mkl->kl", Xv, self.d_dx) - J @ P - P @ J.T
-        formula = float(A.gradient(chart, x) @ D @ B.gradient(chart, x))
+        D = f.d_dt + np.einsum("m,mkl->kl", Xv, f.d_dx) - J @ P - P @ J.T
+        formulas.append(float(A.gradient(chart, x) @ D @ B.gradient(chart, x)))
 
-        Adot = observable_time_derivative(A, V)
-        Bdot = observable_time_derivative(B, V)
-        seg_p = integrate_flow(V, x, x.time + delta, opts)
-        seg_m = integrate_flow(V, x, x.time - delta, opts)
-        c_p = BracketFrame(self.M, seg_p.end).bracket(A, B)
-        c_m = BracketFrame(self.M, seg_m.end).bracket(A, B)
-        numerical = (c_p - c_m) / (2.0 * delta) - self.bracket(Adot, B) - self.bracket(A, Bdot)
-        return LeibnizDefect(formula=formula, numerical=float(numerical))
+    Adot = observable_time_derivative(A, V)
+    Bdot = observable_time_derivative(B, V)
+    starts = [f.x for f in frames for _ in (0, 1)]
+    ends, _, _ = flow_lanes(V, starts, [f.x.time + dt for f in frames for dt in (delta, -delta)], opts)
+    c = [e.bracket(A, B) for e in BracketFrame.at_points(frames[0].M, ends)] if frames else []
+    return [
+        LeibnizDefect(formula, float((c_p - c_m) / (2.0 * delta) - f.bracket(Adot, B) - f.bracket(A, Bdot)))
+        for f, formula, c_p, c_m in zip(frames, formulas, c[::2], c[1::2])
+    ]
 
 
 def poisson_bracket(A, B, M: MetricField, x: PhasePoint) -> float:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import BracketFrame, Observable
-from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, compressibility_flow
+from .brackets import BracketFrame, Observable, leibniz_defects
+from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, flow_lanes
 from .evolution import (
     EvolutionError,
     SeriesMetric,
@@ -366,11 +366,12 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
 
     # volume law along trajectories: |ln sqrt_g + integral kappa| at endpoints
     n_traj = min(20, count)
+    draws = [(rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim), rng.uniform(0.2, cfg.t_max))
+             for _ in range(n_traj)]
+    starts = [PhasePoint(x0, 0.0) for x0, _ in draws]
+    ends, Y, _ = flow_lanes(V, starts, [t for _, t in draws], cfg.integrator, tangent=False)
     gaps = []
-    for _ in range(n_traj):
-        x0 = PhasePoint(rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim), 0.0)
-        t = rng.uniform(0.2, cfg.t_max)
-        end, kap = compressibility_flow(V, x0, t, cfg.integrator)
+    for end, kap in zip(ends, Y[:, -1].tolist()):
         det = metric_determinant(M, end)
         if det.sqrt_g <= 0:
             gaps.append(float("inf"))
@@ -402,22 +403,22 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
         raise ConfigError(str(exc)) from None
     points = _query_points(cfg) or [PhasePoint(np.zeros(chart.dim))]
 
-    def one(x: PhasePoint):
-        frame = BracketFrame(M, x)
+    def one(frame: BracketFrame):
         entry = {
-            "point": [float(v) for v in x.coords],
-            "time": x.time,
+            "point": [float(v) for v in frame.x.coords],
+            "time": frame.x.time,
             "bracket": frame.bracket(A, B),
         }
         if C is not None:
             entry["jacobi_residual"] = frame.jacobi_residual(A, B, C)
-        if V is not None:
-            defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
-            entry["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
         return entry
 
-    payload = {"queries": [one(x) for x in points]}
-    return payload, EXIT_OK
+    frames = BracketFrame.at_points(M, points)
+    entries = [one(frame) for frame in frames]
+    if V is not None:
+        for entry, defect in zip(entries, leibniz_defects(frames, A, B, V, opts=cfg.integrator)):
+            entry["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
+    return {"queries": entries}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .exprlang import (
     as_expr,
     compile_vector,
     evaluate,
+    evaluate_batch,
     evaluate_compiled,
     free_vars,
     gradient,
@@ -215,6 +216,20 @@ class VectorFieldSpec:
     def divergence(self, coords, time: float = 0.0) -> float:
         return evaluate_compiled(self._div_fn, self.chart, coords, time)[0]
 
+    # the same at each row of X (B, d), with the bits of one call per row
+
+    def eval_batch(self, X) -> np.ndarray:
+        return evaluate_batch(self._field_fn, self.chart, X)
+
+    def jacobian_batch(self, X) -> np.ndarray:
+        d = self.chart.dim
+        if self.constant_jacobian is not None:
+            return np.broadcast_to(self.constant_jacobian, (len(X), d, d))
+        return evaluate_batch(self._jac_fn, self.chart, X).reshape(len(X), d, d)
+
+    def divergence_batch(self, X) -> np.ndarray:
+        return evaluate_batch(self._div_fn, self.chart, X)[:, 0]
+
 
 def eval_field(V: VectorFieldSpec, x: PhasePoint) -> np.ndarray:
     _check_point(V.chart, x)
@@ -395,6 +410,93 @@ def _integrate(
     return y, samples, stats
 
 
+def _eval_lanes(F, lanes: np.ndarray, Y: np.ndarray):
+    """F at the rows Y of ``lanes`` and, by row, the error of each lane whose
+    evaluation raised; after a failed call each lane is evaluated alone."""
+    try:
+        return F(lanes, Y), {}
+    except _STAGE_ERRORS:
+        out, failed = np.zeros_like(Y), {}
+        for r in range(len(Y)):
+            try:
+                out[r] = F(lanes[r : r + 1], Y[r : r + 1])[0]
+            except _STAGE_ERRORS as exc:
+                failed[r] = exc
+        return out, failed
+
+
+def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
+    """:func:`_integrate` of the problems y' = F in the rows of Y0 (B, n),
+    row b over [0, durations[b]], advanced together as lanes of one array.
+
+    ``F(lanes, Y)`` gives the derivatives at the rows Y of the lanes
+    ``lanes``.  Each lane takes the steps, and ends with the bits, of its
+    own run; a stage that raises rejects only its lane's step.  A failed
+    lane stops, and at the end the lowest-index one raises its error.
+    Returns (Y_end, stats per lane).
+    """
+    atol, rtol = opts.abs_tol, opts.rel_tol
+    Y, dur = np.array(Y0, dtype=float), [float(s) for s in durations]
+    t, h, counts = [0.0] * len(Y), [0.0] * len(Y), [[0, 0, 0.0] for _ in Y]
+    failed: dict[int, IntegrationError] = {}
+    live = np.flatnonzero(np.array(dur) > 0.0)  # a lane of zero duration keeps its start
+    FY = np.zeros_like(Y)
+    FY[live], bad = _eval_lanes(F, live, Y[live])
+    for r, exc in bad.items():
+        failed[live[r]] = IntegrationError(f"cannot evaluate the field at the start state: {exc}")
+    live = np.delete(live, list(bad))
+    # _initial_step's arithmetic, with its comparisons and powers on each lane's scalars
+    y0, f0 = Y[live], FY[live]
+    sc = atol + rtol * np.abs(y0)
+    d0, d1 = (np.sqrt(np.mean((v / sc) ** 2, axis=1)) for v in (y0, f0))
+    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, dur[lane]) for a, b, lane in zip(d0, d1, live)]
+    f1, bad = _eval_lanes(F, live, y0 + np.array(h0)[:, None] * f0)
+    d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2, axis=1)) / h0
+    for r, b in enumerate(live):
+        dmax = max(d1[r], d2[r])
+        h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0[r] * 1e-3)
+        h[b] = min(h0[r] * 1e-3, dur[b]) if r in bad else min(100 * h0[r], h1, dur[b])
+    while len(live):
+        for b in live:
+            h[b] = min(h[b], dur[b] - t[b])
+            if h[b] <= 16 * _EPS * max(abs(t[b]), 1.0):
+                failed[b] = StepSizeUnderflowError(f"step size underflow at t={t[b]:.6g}", t[b], Y[b].copy())
+        lanes = np.array([b for b in live if b not in failed], dtype=int)
+        y, hs, K, retry = Y[lanes], np.array([h[b] for b in lanes])[:, None], [FY[lanes]], []
+        for coeffs in _DP_A[1:] + (_DP_B5[:6],):
+            yi = y + hs * sum(a * K[j] for j, a in enumerate(coeffs))
+            k_i, bad = _eval_lanes(F, lanes, yi)
+            if bad:  # these stages left the field's domain; their lanes retry
+                keep = np.array([r not in bad for r in range(len(lanes))], dtype=bool)
+                retry += [lanes[r] for r in bad]
+                lanes, y, hs, yi, k_i, K = lanes[keep], y[keep], hs[keep], yi[keep], k_i[keep], [k[keep] for k in K]
+            K.append(k_i)
+        err_vec = hs * sum(e * K[i] for i, e in enumerate(_DP_E))
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
+        with np.errstate(invalid="ignore", over="ignore"):
+            errs = np.sqrt(np.mean((err_vec / sc) ** 2, axis=1))
+        err_max = np.max(np.abs(err_vec), axis=1)
+        # a non-finite estimate forces a rejection; a retry is one at h * 0.2
+        errs = np.where(np.isfinite(errs), errs, 2.0).tolist() + [math.inf] * len(retry)
+        for r, b in enumerate([*lanes, *retry]):
+            err, c = errs[r], counts[b]
+            if err <= 1.0:
+                t[b] += h[b]
+                Y[b], FY[b] = yi[r], K[6][r]
+                c[0], c[2] = c[0] + 1, max(c[2], float(err_max[r]))
+                factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
+            else:
+                c[1] += 1
+                factor = max(0.2, 0.9 * err**-0.2)
+            h[b] *= min(5.0, max(0.2, factor))
+            if c[0] + c[1] > opts.max_steps:
+                failed[b] = IntegrationError(f"exceeded {opts.max_steps} steps")
+        live = np.array([b for b in live if b not in failed and t[b] < dur[b]], dtype=int)
+    if failed:
+        raise failed[min(failed)]
+    return Y, [IntegrationStats(*c) for c in counts]
+
+
 def _joint_rhs(V: VectorFieldSpec, sign: float, second_order: bool = False):
     """The flow, its tangent map M and, with ``second_order``, the
     derivatives H[i, j, k] = d_k M_ij, which obey
@@ -483,26 +585,42 @@ def tangent_map(
     return integrate_flow(V, x0, t1, opts).tangent
 
 
+def flow_lanes(V: VectorFieldSpec, starts: Sequence[PhasePoint], t1s: Sequence[float],
+               opts: IntegratorOptions | None = None, tangent: bool = True
+               ) -> tuple[list[PhasePoint], np.ndarray, list[IntegrationStats]]:
+    """The trajectories from ``starts`` to the times ``t1s``, integrated as
+    the lanes of one :func:`_integrate_lanes`.  Each carries the tangent map,
+    as :func:`integrate_flow` does, or without ``tangent`` the integral of
+    the compressibility.  Returns the end points (a start point itself where
+    t1 is its time), the end states, (B, d + d^2) or (B, d + 1), and the
+    :class:`IntegrationStats` of each lane."""
+    opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
+    for x in starts:
+        _check_point(V.chart, x)
+    T = np.array([float(t1) - x.time for x, t1 in zip(starts, t1s)])
+    sign = np.where(T > 0, 1.0, -1.0)  # backward lanes integrate -X forward
+
+    def F(lanes, Y):
+        X = Y[:, :d]
+        if tangent:
+            rest = (V.jacobian_batch(X) @ Y[:, d:].reshape(len(Y), d, d)).reshape(len(Y), -1)
+        else:
+            rest = V.divergence_batch(X)[:, None]
+        return sign[lanes, None] * np.concatenate([V.eval_batch(X), rest], axis=1)
+
+    tail = np.tile(np.eye(d).reshape(-1), (len(T), 1)) if tangent else np.zeros((len(T), 1))
+    X0 = np.array([x.coords for x in starts]).reshape(len(T), d)
+    Y, stats = _integrate_lanes(F, np.concatenate([X0, tail], axis=1), np.abs(T), opts)
+    return [x if T[b] == 0.0 else PhasePoint(Y[b, :d], t1) for b, (x, t1) in enumerate(zip(starts, t1s))], Y, stats
+
+
 def compressibility_flow(
     V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
 ) -> tuple[PhasePoint, float]:
     """The end point of the trajectory from x0 to t1 and the integral of the
     compressibility along it, from one integration of (y, integral)."""
-    _check_point(V.chart, x0)
-    opts = opts or DEFAULT_OPTIONS
-    d = V.chart.dim
-    T = float(t1) - x0.time
-    if T == 0.0:
-        return x0, 0.0
-    direction = 1.0 if T > 0 else -1.0
-
-    def f(tau, s):
-        x = s[:d]
-        return direction * np.append(V.eval(x), V.divergence(x))
-
-    y0 = np.append(x0.coords, 0.0)
-    y_end, _, _ = _integrate(f, y0, abs(T), opts)
-    return PhasePoint(y_end[:d], t1), float(y_end[-1])
+    (end,), Y, _ = flow_lanes(V, [x0], [t1], opts, tangent=False)
+    return end, float(Y[0, -1])
 
 
 def compressibility_integral(

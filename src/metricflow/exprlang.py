@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -925,10 +926,23 @@ def _codegen(e: Expr, chart: CoordinateChart, parent: int = 0) -> str:
     raise ExprError(f"unknown node {e!r}")
 
 
+def _lanewise(f, nin: int):
+    ufunc = np.frompyfunc(f, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+# evaluate_batch runs the compiled code over lanes; ^ and the functions take
+# math.* of each lane, because numpy's versions differ in the last bit
+_LANE_GLOBALS = {**_COMPILE_GLOBALS, **{
+    name: _lanewise(f, 2 if name == "_pow" else 1) for name, f in _COMPILE_GLOBALS.items() if callable(f)}}
+
+
 def compile_vector(exprs: Iterable[Expr], chart: CoordinateChart):
     body = ", ".join(_codegen(e, chart) for e in exprs)
-    src = f"lambda x, t: [{body}]"
-    return eval(src, dict(_COMPILE_GLOBALS))
+    try:
+        return eval(f"lambda x, t: [{body}]", dict(_COMPILE_GLOBALS))
+    except SyntaxError:  # Python's parser nests at most 200 parentheses
+        raise ExprError("an expression is nested too deeply to process") from None
 
 
 def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float) -> np.ndarray:
@@ -946,3 +960,23 @@ def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float) -> 
     except (ArithmeticError, ValueError):
         env = chart.env(coords, time)
         return np.array([evaluate(e, env) for e in exprs])
+
+
+def evaluate_batch(compiled, chart: CoordinateChart, X, time: float = 0.0) -> np.ndarray:
+    """:func:`evaluate_compiled` at each row of X (B, d), with its bits: the
+    compiled code runs once with x[i] the column X[:, i] and a constant
+    entry broadcast.  On any error (errstate all="raise") each row is
+    evaluated alone, so the first failing row raises its DomainError."""
+    exprs, fn = compiled
+    X = np.asarray(X, dtype=float)
+    if len(X) == 1:  # on floats, without numpy's cost per operation
+        return evaluate_compiled(compiled, chart, X[0], time)[None]
+    try:
+        with np.errstate(all="raise"):
+            values = types.FunctionType(fn.__code__, _LANE_GLOBALS)(list(X.T), float(time))
+    except (ArithmeticError, ValueError):
+        return np.array([evaluate_compiled(compiled, chart, x, time) for x in X]).reshape(len(X), len(exprs))
+    out = np.empty((len(X), len(values)))
+    for k, v in enumerate(values):
+        out[:, k] = v
+    return out

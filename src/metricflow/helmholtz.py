@@ -48,13 +48,11 @@ def helmholtz_residuals(
 
     W (B, d, d) and D (B, d, d, d) are the metric's values and spatial
     derivatives there (:meth:`MetricField.jet_batch`).  The field and its
-    Jacobian are evaluated point by point with the compiled entries, a
-    constant Jacobian is broadcast, and the assembly is stacked.
+    Jacobian are evaluated at all points at once, and the assembly is
+    stacked.
     """
-    Xv = np.array([V.eval(x, t) for x, t in zip(X, T)])
-    A = V.constant_jacobian  # A[m, k] = d X^m / d x^k
-    if A is None:
-        A = np.array([V.jacobian(x, t) for x, t in zip(X, T)])
+    Xv = V.eval_batch(X)
+    A = V.jacobian_batch(X)  # A[b, m, k] = d X^m / d x^k
     # E[k, l] = d_k w_lm X^m, F[k, l] = w_lm d_k X^m
     G = np.einsum("bklm,bm->bkl", D, Xv)
     G += np.swapaxes(W @ A, 1, 2)

@@ -28,7 +28,7 @@ from .exprlang import (
 )
 
 SKEW_TOL = 1e-12
-# bound on degeneracy_ratio, which does not depend on the scale of the metric
+# bound on degeneracy_ratios, which does not depend on the scale of the metric
 DEGENERACY_TOL = 1e-12
 # transported metric fields keep the state of this many most recently used points
 TRANSPORT_CACHE_SIZE = 256
@@ -258,16 +258,11 @@ def degeneracy_ratios(W: np.ndarray) -> np.ndarray:
     return np.where(np.all(norms > 0.0, axis=(1, 2)), ratios, 0.0)
 
 
-def degeneracy_ratio(W: np.ndarray) -> float:
-    """:func:`degeneracy_ratios` of the single matrix W."""
-    return float(degeneracy_ratios(W[None])[0])
-
-
 def metric_determinant(M: MetricField, x: PhasePoint) -> MetricDeterminant:
     """Determinant g and density sqrt(|g|), flagging near-degeneracy."""
     W = metric_eval(M, x)
     g = float(np.linalg.det(W))
-    degenerate = degeneracy_ratio(W) < DEGENERACY_TOL
+    degenerate = bool(degeneracy_ratios(W[None])[0] < DEGENERACY_TOL)
     if degenerate:
         warnings.warn(
             f"metric determinant {g:.3e} is degenerate relative to the metric's scale",
@@ -285,15 +280,24 @@ def inverse_metric(M: MetricField, x: PhasePoint) -> np.ndarray:
 def invert_metric(W: np.ndarray) -> np.ndarray:
     """Matrix inverse of the metric value W; skew-symmetric, raises when W
     is not skew-symmetric or is singular."""
-    _checked_skew(W)
-    if degeneracy_ratio(W) < DEGENERACY_TOL:
-        g = float(np.linalg.det(W))
+    return invert_metrics(np.asarray(W)[None])[0]
+
+
+def invert_metrics(W: np.ndarray) -> np.ndarray:
+    """:func:`invert_metric` of each matrix of the stack W (B, d, d), with
+    its bits; the first matrix that is not skew-symmetric or is singular
+    raises."""
+    skew = np.max(np.abs(W + np.swapaxes(W, 1, 2)), axis=(1, 2)) > SKEW_TOL
+    for k in np.flatnonzero(skew | (degeneracy_ratios(W) < DEGENERACY_TOL))[:1]:
+        _checked_skew(W[k])
+        g = float(np.linalg.det(W[k]))
         raise SingularMetricError(f"metric is singular at the query point (det={g:.3e})")
     inv = np.linalg.inv(W)
-    I = np.eye(W.shape[0])
-    # one Newton refinement step if conditioning ate into the residual
+    I = np.eye(W.shape[-1])
+    # one Newton refinement step where conditioning ate into the residual
     for _ in range(2):
-        if np.max(np.abs(W @ inv - I)) <= 1e-10:
+        rough = ~(np.max(np.abs(W @ inv - I), axis=(1, 2)) <= 1e-10)
+        if not rough.any():
             break
-        inv = inv @ (2.0 * I - W @ inv)
-    return 0.5 * (inv - inv.T)
+        inv[rough] = inv[rough] @ (2.0 * I - W[rough] @ inv[rough])
+    return 0.5 * (inv - np.swapaxes(inv, 1, 2))

@@ -393,6 +393,20 @@ class TestMainEntry:
         series, pullback = (float(row["w1_2"]) for row in rows)
         assert abs(series - pullback) < 1e-7
 
+    @pytest.mark.parametrize("command", ["classify", "evolve-metric"])
+    def test_long_product_exits_65(self, tmp_path, capsys, command):
+        # the product rule nests each partial sum of the Jacobian entry one
+        # level deeper under a *: past 200 levels Python cannot parse the
+        # compiled code
+        product = "*".join(["q1"] * 250)
+        data = {"n": 1, "components": ["p1", f"-q1 - {product}*p1"], "samples": {"count": 5},
+                "t_grid": [0.3], "queries": [{"point": [0.2, -0.1]}]}
+        assert main([command, "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error == {"kind": "config", "message": "an expression is nested too deeply to process"}
+        assert captured.err == ""
+
     def test_deeply_nested_expression_exits_65(self, tmp_path):
         # parse nests a sum one level per term; the recursive tree walks stop
         # near 1,000 levels

@@ -75,6 +75,17 @@ class TestVectorFieldSpec:
         assert (np.signbit(ref) & (ref == 0.0)).any() and np.count_nonzero(ref) < ref.size // 4
         assert V.hessian(x).tobytes() == ref.tobytes()
 
+    def test_batched_evaluation_is_per_point(self, chart2):
+        # the quartic's divergence is the constant -2; the harmonic field's
+        # Jacobian is constant
+        V = VectorFieldSpec.from_hamiltonian(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", np.eye(2))
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 4))
+        assert V.eval_batch(X).tobytes() == np.array([V.eval(x) for x in X]).tobytes()
+        assert V.jacobian_batch(X).tobytes() == np.array([V.jacobian(x) for x in X]).tobytes()
+        assert V.divergence_batch(X).tolist() == [V.divergence(x) for x in X] == [-2.0] * 6
+        H = VectorFieldSpec.from_hamiltonian(chart2, "(p1^2+p2^2+q1^2+q2^2)/2", np.eye(2))
+        assert np.array_equal(H.jacobian_batch(X), np.broadcast_to(H.constant_jacobian, (6, 4, 4)))
+
     def test_compiled_failures_name_the_node(self, chart1):
         # sqrt(q1) at q1 = -1: the compiled code raises a bare ValueError
         V = VectorFieldSpec.from_components(chart1, ["sqrt(q1)", "p1"])
@@ -82,6 +93,9 @@ class TestVectorFieldSpec:
         for method in (V.eval, V.jacobian, V.hessian):
             with pytest.raises(DomainError, match="sqrt of negative value in"):
                 method(x)
+        for method in (V.eval_batch, V.jacobian_batch):
+            with pytest.raises(DomainError, match="sqrt of negative value in"):
+                method(np.array([[4.0, 0.5], x]))
         assert np.array_equal(V.eval(np.array([4.0, 0.5])), [2.0, 0.5])
 
     def test_division_by_zero_raises_without_a_warning(self, chart1):

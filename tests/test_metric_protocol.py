@@ -211,14 +211,20 @@ def test_evolve_metric_reads_one_jet_per_row(tmp_path, monkeypatch, capsys):
 
 def test_bracket_frame_reads_one_jet(monkeypatch):
     calls = _count_jets(monkeypatch)
-    frames = []
+    frames, batches = [], []
     original = BracketFrame.__init__
+    original_batch = FrictionAnalyticMetric.jet_batch
 
-    def init(self, M, x):
+    def init(self, M, x, state=None):
         frames.append(x)
-        original(self, M, x)
+        original(self, M, x, state)
+
+    def jet_batch(self, X, T):
+        batches.append(list(T))
+        return original_batch(self, X, T)
 
     monkeypatch.setattr(BracketFrame, "__init__", init)
+    monkeypatch.setattr(FrictionAnalyticMetric, "jet_batch", jet_batch)
     chart = CoordinateChart(2)
     M = _field("friction-diagonal")
     A, B, C = (Observable.parse(s, chart) for s in ("q1*q2", "p1^2/2 + p2", "q1*p1"))
@@ -226,7 +232,7 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     frame.bracket(A, B)
     frame.jacobi_residual(A, B, C)
     frame.d_dt
-    assert len(calls) == len(frames) == 1
+    assert len(calls) == len(frames) == len(batches) == 1
     cfg = load_config({
         "n": 2,
         "hamiltonian": QUARTIC,
@@ -236,11 +242,14 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     })
     calls.clear()
     frames.clear()
+    batches.clear()
     payload, _ = cmd_bracket(cfg, "q1*q2", "p1^2/2 + p2", "q1*p1")
-    # per query: the frame at the point and the two Leibniz difference frames
+    # per query: the frame at the point and the two Leibniz difference
+    # frames, each point read once: one batch for the 4 query points, one
+    # for the 8 difference points
     assert len(payload["queries"]) == 4
-    assert len(calls) == len(frames) == 3 * 4
-    assert [t for _, t in calls] == [x.time for x in frames]
+    assert len(frames) == 3 * 4 and not calls
+    assert batches == [[x.time for x in frames[:4]], [x.time for x in frames[4:]]]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from metricflow import (
     metric_determinant,
     metric_eval,
 )
+from metricflow.phasespace import invert_metrics
 
 
 def brute_force_jacobi(M, x):
@@ -255,6 +256,38 @@ class TestInverse:
             inv = inverse_metric(M, x)
             assert np.max(np.abs(W @ inv - np.eye(4))) < 1e-10
             assert np.max(np.abs(inv + inv.T)) < 1e-12
+
+
+    def test_stacked_inversion_is_per_matrix(self):
+        # congruences of the canonical matrix by badly scaled S: some need the
+        # Newton refinement, some do not
+        rng = np.random.default_rng(6)
+        J = canonical_metric(CoordinateChart(2)).matrix
+        W = np.array([S.T @ J @ S for S in rng.standard_normal((40, 4, 4)) @ np.diag([1.0, 1e3, 1.0, 1e-3])])
+        W = 0.5 * (W - np.swapaxes(W, 1, 2))
+        refined = [np.max(np.abs(w @ np.linalg.inv(w) - np.eye(4))) > 1e-10 for w in W]
+        assert 0 < sum(refined) < len(W)
+        assert invert_metrics(W).tobytes() == np.array([per_matrix_inverse(w) for w in W]).tobytes()
+
+    def test_stacked_inversion_raises_for_the_first_failing_matrix(self):
+        good, singular, crooked = canonical_metric(CoordinateChart(1)).matrix, np.zeros((2, 2)), np.eye(2)
+        with pytest.raises(SingularMetricError, match=r"det=0\.000e\+00"):
+            invert_metrics(np.array([good, singular, crooked]))
+        with pytest.raises(MetricError, match="lost skew-symmetry") as exc:
+            invert_metrics(np.array([good, crooked, singular]))
+        assert type(exc.value) is MetricError
+
+
+def per_matrix_inverse(W):
+    """The inverse one matrix at a time, as invert_metric computed it before
+    it served stacks: inv, then up to two Newton steps, then the skew part."""
+    inv = np.linalg.inv(W)
+    I = np.eye(len(W))
+    for _ in range(2):
+        if np.max(np.abs(W @ inv - I)) <= 1e-10:
+            break
+        inv = inv @ (2.0 * I - W @ inv)
+    return 0.5 * (inv - inv.T)
 
 
 class TestTransportedCache:

@@ -14,6 +14,10 @@ differentiate agrees with sympy and, tree for tree, with a test-local
 simplify of the derivative of the whole tree, compiled evaluation is evaluate bit for
 bit, and the Taylor expansion's degree-0 and degree-1 coefficients agree
 with evaluate and with evaluate of differentiate.
+
+Trajectories integrated as lanes of one array end with the bits and the
+step statistics of their scalar runs, or raise the scalar error of the
+lowest-index failing lane.
 """
 
 import math
@@ -28,14 +32,19 @@ from scipy.linalg import expm
 from metricflow import (
     CoordinateChart,
     FrictionSystem,
+    IntegrationError,
+    IntegratorOptions,
     PhasePoint,
     SeriesPropagator,
     SplitMetric,
     TransportedMetric,
     VectorFieldSpec,
     canonical_metric,
+    integrate_flow,
     invariance_residual,
 )
+from metricflow import dynamics
+from metricflow.dynamics import IntegrationStats, StepSizeUnderflowError, _integrate, flow_lanes
 from metricflow.dynamics import expm as metricflow_expm
 from metricflow.friction import analytic_metric
 from metricflow.exprlang import (
@@ -52,6 +61,7 @@ from metricflow.exprlang import (
     compile_vector,
     differentiate,
     evaluate,
+    evaluate_batch,
     evaluate_compiled,
     gradient,
     parse,
@@ -524,6 +534,19 @@ def test_taylor_expansion_matches_evaluate_and_differentiate(tree, point):
 def test_compiled_evaluation_is_evaluate(tree, point):
     env = CHART1.env(point[:2], point[2])
     compiled = ([tree], compile_vector([tree], CHART1))
+    # the batched evaluator at the point and at its mirror image (q1 <-> p1)
+    X = np.array([point[:2], point[1::-1]])
+    rows = [outcome_or_error(lambda x=x: evaluate_compiled(compiled, CHART1, x, point[2])) for x in X]
+    errors = [row for row in rows if isinstance(row, DomainError)]
+    if errors:
+        with pytest.raises(DomainError) as got:
+            evaluate_batch(compiled, CHART1, X, point[2])
+        assert got.value.node == errors[0].node and str(got.value) == str(errors[0])
+    else:
+        batch = evaluate_batch(compiled, CHART1, X, point[2])
+        assert batch.shape == (2, 1)
+        for got, ref in zip(batch[:, 0], rows):
+            assert got.tobytes() == ref[0].tobytes() or (math.isnan(got) and math.isnan(ref[0]))
     try:
         ref = evaluate(tree, env)
     except DomainError as exc:
@@ -534,3 +557,118 @@ def test_compiled_evaluation_is_evaluate(tree, point):
     got = evaluate_compiled(compiled, CHART1, np.array(point[:2]), point[2])
     assert got.shape == (1,)
     assert got[0].tobytes() == np.float64(ref).tobytes() or (math.isnan(ref) and math.isnan(got[0]))
+
+
+def outcome_or_error(fn):
+    """The value of fn(), or the DomainError it raises."""
+    try:
+        return fn()
+    except DomainError as exc:
+        return exc
+
+
+# ---------------------------------------------------------------------------
+# Lanes against scalar runs.
+
+
+def scalar_lane(V, x0, t1, opts, tangent):
+    """One trajectory by the scalar integrator: integrate_flow with its
+    tangent map, or the scalar compressibility flow that lanes replaced."""
+    if tangent:
+        seg = integrate_flow(V, x0, t1, opts)
+        return np.concatenate([seg.end.coords, seg.tangent.ravel()]), seg.stats
+    d, T = V.chart.dim, t1 - x0.time
+    y0 = np.append(x0.coords, 0.0)
+    if T == 0.0:
+        return y0, IntegrationStats(0, 0, 0.0)
+    sign = 1.0 if T > 0 else -1.0
+    y, _, stats = _integrate(lambda tau, s: sign * np.append(V.eval(s[:d]), V.divergence(s[:d])), y0, abs(T), opts)
+    return y, stats
+
+
+def assert_lanes_match_scalar(V, starts, t1s, opts, tangent):
+    """flow_lanes gives each lane the end bits and stats of its scalar run,
+    or raises the scalar error of the lowest-index failing lane.  Returns
+    the scalar results, an exception for a failing lane."""
+    refs = []
+    for x0, t1 in zip(starts, t1s):
+        try:
+            refs.append(scalar_lane(V, x0, t1, opts, tangent))
+        except IntegrationError as exc:
+            refs.append(exc)
+    errors = [ref for ref in refs if isinstance(ref, IntegrationError)]
+    if errors:
+        with pytest.raises(IntegrationError) as got:
+            flow_lanes(V, starts, t1s, opts, tangent)
+        assert type(got.value) is type(errors[0]) and str(got.value) == str(errors[0])
+        if isinstance(errors[0], StepSizeUnderflowError):
+            assert got.value.t_last == errors[0].t_last
+            assert got.value.y_last.tobytes() == errors[0].y_last.tobytes()
+        return refs
+    ends, Y, stats = flow_lanes(V, starts, t1s, opts, tangent)
+    assert [row.tobytes() for row in Y] == [y.tobytes() for y, _ in refs]
+    assert stats == [s for _, s in refs]
+    assert [end.time for end in ends] == [float(t1) for t1 in t1s]
+    return refs
+
+
+MONOMIALS = ("q1", "p1", "q1^2", "q1*p1", "p1^2", "q1^3", "p1^3", "q1^2*p1")
+polynomials = st.lists(
+    st.tuples(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)), st.sampled_from(MONOMIALS)), min_size=1, max_size=3
+).map(lambda terms: " + ".join(f"({c})*{m}" for c, m in terms))
+grid = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+# (q1, p1, start time, duration); a negative duration runs backward
+lanes = st.lists(st.tuples(grid, grid, st.sampled_from((0.0, 0.5)), st.sampled_from((-1.5, -0.7, 0.0, 0.3, 1.0, 1.5))),
+                 min_size=1, max_size=8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(polynomials, polynomials), lanes, st.booleans(), st.sampled_from((30, 150)))
+# q1' = q1^2 blows up at t = 1/q1: lane 2 underflows at t = 0.5, before
+# lane 1 does at t = 1, but lane 1 has the lower index and is reported
+@example(("(1.0)*q1^2", "(-1.0)*p1"), [(0.5, 0.0, 0.0, 1.0), (1.0, 0.5, 0.0, 1.5), (2.0, 0.0, 0.0, 1.5)], False, 1000)
+# lane 1 exceeds 30 steps before it would underflow
+@example(("(1.0)*q1^2", "(-1.0)*p1"), [(0.5, 0.0, 0.5, -1.5), (1.0, 0.5, 0.0, 1.5), (2.0, 0.0, 0.0, 1.5)], True, 30)
+def test_lanes_match_scalar_runs(components, problems, tangent, max_steps):
+    V = VectorFieldSpec.from_components(CHART1, components)
+    starts = [PhasePoint([q, p], t0) for q, p, t0, _ in problems]
+    t1s = [t0 + duration for _, _, t0, duration in problems]
+    assert_lanes_match_scalar(V, starts, t1s, IntegratorOptions(1e-6, 1e-6, max_steps), tangent)
+
+
+@pytest.mark.parametrize("tangent", [True, False])
+def test_lanes_that_reject_steps_or_finish_first(tangent):
+    V = VectorFieldSpec.from_components(CHART1, ["q1*p1", "-q1^2"])
+    starts = [PhasePoint([0.5, -1.0], 0.5), PhasePoint([1.0, 1.0]), PhasePoint([0.5, 0.5])]
+    refs = assert_lanes_match_scalar(V, starts, [-0.5, 1.5, 0.3], IntegratorOptions(1e-6, 1e-6), tangent)
+    (_, backward), (_, forward), (_, short) = refs
+    assert backward.n_rejected > 0 and forward.n_rejected > 0
+    assert short.n_steps < min(backward.n_steps, forward.n_steps)
+
+
+@pytest.mark.parametrize("tangent", [True, False])
+def test_a_lane_outside_the_domain_retries_alone(monkeypatch, tangent):
+    # q1 = exp(-t) stays positive, but once the step has grown a stage puts
+    # q1 < 0 into sqrt(q1); lane 1 finishes first and lane 2 lasts no time
+    retried = []
+    eval_lanes = dynamics._eval_lanes
+
+    def recording(F, lane_ids, Y):
+        out, failed = eval_lanes(F, lane_ids, Y)
+        retried.extend(int(lane_ids[r]) for r in failed)
+        return out, failed
+
+    monkeypatch.setattr(dynamics, "_eval_lanes", recording)
+    V = VectorFieldSpec.from_components(CHART1, ["-q1", "sqrt(q1)"])
+    starts = [PhasePoint([1.0, 0.0]), PhasePoint([0.5, 0.2]), PhasePoint([0.8, -0.3], 1.0)]
+    refs = assert_lanes_match_scalar(V, starts, [20.0, 0.5, 1.0], IntegratorOptions(1e-6, 1e-6), tangent)
+    (_, long), (_, short), (_, none) = refs
+    assert set(retried) == {0} and long.n_rejected == len(retried)
+    assert 0 < short.n_steps < long.n_steps and none == IntegrationStats(0, 0, 0.0)
+
+
+def test_a_lane_that_cannot_start_raises_the_scalar_error():
+    V = VectorFieldSpec.from_components(CHART1, ["-q1", "1/q1"])
+    starts = [PhasePoint([0.5, 0.0]), PhasePoint([0.0, 0.3]), PhasePoint([-0.0, 1.0])]
+    refs = assert_lanes_match_scalar(V, starts, [1.0, 1.0, -1.0], IntegratorOptions(1e-6, 1e-6), False)
+    assert str(refs[1]) == "cannot evaluate the field at the start state: division by zero in '1/q1'"
