@@ -1,12 +1,14 @@
 """Dynamical systems dx/dt = X(x): fields, flows, tangent maps.
 
-The vector field is autonomous (components may not reference ``t``); flows
-are integrated with an embedded Dormand-Prince 5(4) pair with adaptive
-steps, cubic Hermite dense output and jointly integrated variational
-equations for the tangent map.  Backward flow integrates the field forward
-with its sign reversed.  :func:`flow_jet` also integrates the
-second-order variational equation, for the derivatives of the tangent map.
-:func:`expm` is the matrix exponential of the linear and closed-form routes.
+The vector field is autonomous (components may not reference ``t``).  One
+adaptive Dormand-Prince 5(4) stepper integrates every flow.  Its callers are
+lanes, trajectories advanced as the rows of one array, each with its own step
+control (:func:`flow_lanes`); a single trajectory is one lane.  Beside its
+trajectory a lane carries the tangent map from the variational equations,
+also its derivatives (:func:`flow_jet`), or the integral of the
+compressibility.  Backward flow integrates the field forward with its sign
+reversed.  :func:`expm` is the matrix exponential of the linear and
+closed-form routes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -189,11 +191,22 @@ class VectorFieldSpec:
         """Flat indices and compiled entries of the second derivatives but Num(+0.0); -0.0 is a value."""
         flat = [h for row in self.jacobian_exprs for e in row for h in gradient(e, self.chart.names)]
         index = [k for k, h in enumerate(flat) if not (h == Num(0.0) and math.copysign(1.0, h.value) > 0)]
-        return index, ([flat[k] for k in index], compile_vector([flat[k] for k in index], self.chart))
+        return np.array(index, dtype=int), ([flat[k] for k in index], compile_vector([flat[k] for k in index], self.chart))
 
     @cached_property
     def _div_fn(self):
         return (self.divergence_expr,), compile_vector([self.divergence_expr], self.chart)
+
+    # the lanes' right-hand sides: the Jacobian's entries or the divergence, then the field's
+    @cached_property
+    def _tangent_fn(self):
+        flat = [e for row in self.jacobian_exprs for e in row] + list(self.components)
+        return flat, compile_vector(flat, self.chart)
+
+    @cached_property
+    def _volume_fn(self):
+        flat = [self.divergence_expr, *self.components]
+        return flat, compile_vector(flat, self.chart)
 
     def eval(self, coords, time: float = 0.0) -> np.ndarray:
         return evaluate_compiled(self._field_fn, self.chart, coords, time)
@@ -226,9 +239,6 @@ class VectorFieldSpec:
         if self.constant_jacobian is not None:
             return np.broadcast_to(self.constant_jacobian, (len(X), d, d))
         return evaluate_batch(self._jac_fn, self.chart, X).reshape(len(X), d, d)
-
-    def divergence_batch(self, X) -> np.ndarray:
-        return evaluate_batch(self._div_fn, self.chart, X)[:, 0]
 
 
 def eval_field(V: VectorFieldSpec, x: PhasePoint) -> np.ndarray:
@@ -291,9 +301,8 @@ def expm(A) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) with FSAL and cubic Hermite dense output.
+# Dormand-Prince 5(4) with FSAL, its problems advanced as the lanes of one array.
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -303,119 +312,25 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
+# the coefficients of stages 2-7; the last stage is the fifth-order end state
+_DP_STAGES = _DP_A[1:] + (_DP_B5[:6],)
 
 _EPS = np.finfo(float).eps
 # a stage whose state leaves the field's domain raises one of these
 _STAGE_ERRORS = (OverflowError, ValueError, ZeroDivisionError, DomainError)
 
 
-def _hermite(tau, t0, y0, f0, t1, y1, f1):
-    h = t1 - t0
-    s = (tau - t0) / h
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-def _initial_step(f, y0, f0, duration, atol, rtol):
-    sc = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / sc) ** 2))
-    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, duration)
-    try:
-        y1 = y0 + h0 * f0
-        f1 = f(h0, y1)
-        d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
-    except _STAGE_ERRORS:
-        return min(h0 * 1e-3, duration)
-    dmax = max(d1, d2)
-    h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
-    return min(100 * h0, h1, duration)
-
-
-def _integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    duration: float,
-    opts: IntegratorOptions,
-    sample_times: Sequence[float] = (),
-):
-    """Integrate y' = f(tau, y) over [0, duration], duration > 0.
-
-    Returns (y_end, samples, stats) where samples holds interpolated states
-    at the requested interior times (cubic Hermite on the accepted steps).
-    """
-    atol, rtol = opts.abs_tol, opts.rel_tol
-    t = 0.0
-    y = np.array(y0, dtype=float)
-    try:
-        fy = np.asarray(f(t, y), dtype=float)
-    except _STAGE_ERRORS as exc:
-        raise IntegrationError(f"cannot evaluate the field at the start state: {exc}") from exc
-    h = _initial_step(f, y, fy, duration, atol, rtol)
-    pending = sorted(tau for tau in sample_times if 0.0 < tau < duration)
-    samples: list[tuple[float, np.ndarray]] = []
-    n_accept = n_reject = 0
-    max_err = 0.0
-    K = [fy] + [np.empty_like(y) for _ in range(6)]
-    while t < duration:
-        h = min(h, duration - t)
-        if h <= 16 * _EPS * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(
-                f"step size underflow at t={t:.6g}", t, y.copy()
-            )
-        try:
-            K[0] = fy
-            for i in range(1, 6):
-                yi = y + h * sum(a * K[j] for j, a in enumerate(_DP_A[i]))
-                K[i] = np.asarray(f(t + _DP_C[i] * h, yi), dtype=float)
-            y5 = y + h * sum(b * K[i] for i, b in enumerate(_DP_B5[:6]))
-            K[6] = np.asarray(f(t + h, y5), dtype=float)
-        except _STAGE_ERRORS:
-            # stage left the field's domain; retry with a smaller step
-            n_reject += 1
-            h *= 0.2
-            if n_accept + n_reject > opts.max_steps:
-                raise IntegrationError(f"exceeded {opts.max_steps} steps") from None
-            continue
-        err_vec = h * sum(e * K[i] for i, e in enumerate(_DP_E))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-        if not np.isfinite(err):
-            err = 2.0  # force rejection on overflow/NaN
-        if err <= 1.0:
-            t_new = t + h
-            while pending and pending[0] <= t_new:
-                tau = pending.pop(0)
-                samples.append((tau, _hermite(tau, t, y, K[0], t_new, y5, K[6])))
-            t, y, fy = t_new, y5, K[6]
-            n_accept += 1
-            max_err = max(max_err, float(np.max(np.abs(err_vec))))
-            factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
-        else:
-            n_reject += 1
-            factor = max(0.2, 0.9 * err**-0.2)
-        h *= min(5.0, max(0.2, factor))
-        if n_accept + n_reject > opts.max_steps:
-            raise IntegrationError(f"exceeded {opts.max_steps} steps")
-    stats = IntegrationStats(n_accept, n_reject, max_err)
-    return y, samples, stats
-
-
 def _eval_lanes(F, lanes: np.ndarray, Y: np.ndarray):
     """F at the rows Y of ``lanes`` and, by row, the error of each lane whose
-    evaluation raised; after a failed call each lane is evaluated alone."""
+    evaluation raised; after a failed call of several lanes each is
+    evaluated alone."""
     try:
         return F(lanes, Y), {}
-    except _STAGE_ERRORS:
+    except _STAGE_ERRORS as exc:
+        if len(Y) == 1:
+            return np.zeros_like(Y), {0: exc}
         out, failed = np.zeros_like(Y), {}
         for r in range(len(Y)):
             try:
@@ -426,95 +341,165 @@ def _eval_lanes(F, lanes: np.ndarray, Y: np.ndarray):
 
 
 def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
-    """:func:`_integrate` of the problems y' = F in the rows of Y0 (B, n),
-    row b over [0, durations[b]], advanced together as lanes of one array.
+    """Integrate y' = F in the rows of Y0 (B, n), row b over [0, durations[b]],
+    as the lanes of one array.
 
     ``F(lanes, Y)`` gives the derivatives at the rows Y of the lanes
-    ``lanes``.  Each lane takes the steps, and ends with the bits, of its
-    own run; a stage that raises rejects only its lane's step.  A failed
-    lane stops, and at the end the lowest-index one raises its error.
-    Returns (Y_end, stats per lane).
+    ``lanes``.  Each lane has its own t, step size and step control, with
+    the comparisons and powers on its own scalars, so it takes the steps,
+    and ends with the bits, of a run of its own.  A stage that raises
+    rejects only its lane's step, at h * 0.2.  A lane that underflows or
+    exceeds ``max_steps`` stops; at the end the lowest-index failed lane
+    raises.  Returns (Y_end, stats per lane).
     """
     atol, rtol = opts.abs_tol, opts.rel_tol
     Y, dur = np.array(Y0, dtype=float), [float(s) for s in durations]
-    t, h, counts = [0.0] * len(Y), [0.0] * len(Y), [[0, 0, 0.0] for _ in Y]
+    B, n = Y.shape
+    lanes = np.array([b for b in range(B) if dur[b] > 0.0], dtype=int)  # a lane of zero duration keeps its start
+    if not len(lanes):
+        return Y, [IntegrationStats(0, 0, 0.0)] * B
+    t, h, counts = [0.0] * B, [0.0] * B, [[0, 0, 0.0] for _ in range(B)]
     failed: dict[int, IntegrationError] = {}
-    live = np.flatnonzero(np.array(dur) > 0.0)  # a lane of zero duration keeps its start
-    FY = np.zeros_like(Y)
-    FY[live], bad = _eval_lanes(F, live, Y[live])
-    for r, exc in bad.items():
-        failed[live[r]] = IntegrationError(f"cannot evaluate the field at the start state: {exc}")
-    live = np.delete(live, list(bad))
-    # _initial_step's arithmetic, with its comparisons and powers on each lane's scalars
-    y0, f0 = Y[live], FY[live]
-    sc = atol + rtol * np.abs(y0)
-    d0, d1 = (np.sqrt(np.mean((v / sc) ** 2, axis=1)) for v in (y0, f0))
-    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, dur[lane]) for a, b, lane in zip(d0, d1, live)]
-    f1, bad = _eval_lanes(F, live, y0 + np.array(h0)[:, None] * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2, axis=1)) / h0
-    for r, b in enumerate(live):
+    y = Y[lanes]
+    fy, bad = _eval_lanes(F, lanes, y)
+    if bad:
+        for r, exc in bad.items():
+            failed[int(lanes[r])] = IntegrationError(f"cannot evaluate the field at the start state: {exc}")
+        keep = [r not in bad for r in range(len(lanes))]
+        lanes, y, fy = lanes[keep], y[keep], fy[keep]
+    ids = lanes.tolist()
+    # the initial step (Hairer, Norsett & Wanner, II.4) from the RMS norms d0, d1, d2
+    sc = atol + rtol * np.abs(y)
+    d0, d1 = ([math.sqrt(s / n) for s in np.add.reduce((v / sc) ** 2, axis=1).tolist()] for v in (y, fy))
+    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, dur[lane]) for a, b, lane in zip(d0, d1, ids)]
+    hs = np.array(h0)[:, None]
+    f1, bad = _eval_lanes(F, lanes, y + hs * fy)
+    d2 = (np.sqrt(np.add.reduce(((f1 - fy) / sc) ** 2, axis=1) / n) / hs[:, 0]).tolist()
+    for r, b in enumerate(ids):
         dmax = max(d1[r], d2[r])
         h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0[r] * 1e-3)
         h[b] = min(h0[r] * 1e-3, dur[b]) if r in bad else min(100 * h0[r], h1, dur[b])
-    while len(live):
-        for b in live:
-            h[b] = min(h[b], dur[b] - t[b])
-            if h[b] <= 16 * _EPS * max(abs(t[b]), 1.0):
-                failed[b] = StepSizeUnderflowError(f"step size underflow at t={t[b]:.6g}", t[b], Y[b].copy())
-        lanes = np.array([b for b in live if b not in failed], dtype=int)
-        y, hs, K, retry = Y[lanes], np.array([h[b] for b in lanes])[:, None], [FY[lanes]], []
-        for coeffs in _DP_A[1:] + (_DP_B5[:6],):
-            yi = y + hs * sum(a * K[j] for j, a in enumerate(coeffs))
-            k_i, bad = _eval_lanes(F, lanes, yi)
-            if bad:  # these stages left the field's domain; their lanes retry
-                keep = np.array([r not in bad for r in range(len(lanes))], dtype=bool)
-                retry += [lanes[r] for r in bad]
-                lanes, y, hs, yi, k_i, K = lanes[keep], y[keep], hs[keep], yi[keep], k_i[keep], [k[keep] for k in K]
+    # lanes, y, fy and the column hs of step sizes hold the running lanes;
+    # they are rebuilt only when one stops
+    while True:
+        stop = []
+        for r, b in enumerate(ids):
+            if counts[b][0] + counts[b][1] > opts.max_steps:
+                failed[b] = IntegrationError(f"exceeded {opts.max_steps} steps")
+            elif t[b] >= dur[b]:
+                Y[b] = y[r]
+            else:
+                h[b] = hs[r, 0] = min(h[b], dur[b] - t[b])
+                if h[b] > 16 * _EPS * max(abs(t[b]), 1.0):
+                    continue
+                failed[b] = StepSizeUnderflowError(f"step size underflow at t={t[b]:.6g}", t[b], y[r].copy())
+            stop.append(r)
+        if stop:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[stop] = False
+            lanes, y, fy, hs = lanes[keep], y[keep], fy[keep], hs[keep]
+            ids = lanes.tolist()
+        if not ids:
+            break
+        # the stages of the lanes in sl; a lane whose stage raises leaves sl for retry
+        sl, sy, sh, K, retry = lanes, y, hs, [fy], []
+        for coeffs in _DP_STAGES:
+            yi = sy + sh * sum(a * K[j] for j, a in enumerate(coeffs))
+            k_i, bad = _eval_lanes(F, sl, yi)
+            if bad:
+                keep = np.array([r not in bad for r in range(len(sl))], dtype=bool)
+                retry += [int(sl[r]) for r in bad]
+                sl, sy, sh, yi, k_i, K = sl[keep], sy[keep], sh[keep], yi[keep], k_i[keep], [k[keep] for k in K]
+                if not len(sl):
+                    break
             K.append(k_i)
-        err_vec = hs * sum(e * K[i] for i, e in enumerate(_DP_E))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
-        with np.errstate(invalid="ignore", over="ignore"):
-            errs = np.sqrt(np.mean((err_vec / sc) ** 2, axis=1))
-        err_max = np.max(np.abs(err_vec), axis=1)
+        errs, err_max = [], []
+        if len(sl):
+            err_vec = sh * sum(e * K[i] for i, e in enumerate(_DP_E))
+            sc = atol + rtol * np.maximum(np.abs(sy), np.abs(yi))
+            with np.errstate(invalid="ignore", over="ignore"):
+                errs = [math.sqrt(s / n) for s in np.add.reduce((err_vec / sc) ** 2, axis=1).tolist()]
+            err_max = np.abs(err_vec).max(axis=1).tolist()
         # a non-finite estimate forces a rejection; a retry is one at h * 0.2
-        errs = np.where(np.isfinite(errs), errs, 2.0).tolist() + [math.inf] * len(retry)
-        for r, b in enumerate([*lanes, *retry]):
+        errs = [e if math.isfinite(e) else 2.0 for e in errs] + [math.inf] * len(retry)
+        acc = [e <= 1.0 for e in errs]
+        for r, b in enumerate(sl.tolist() + retry):
             err, c = errs[r], counts[b]
-            if err <= 1.0:
+            if acc[r]:
                 t[b] += h[b]
-                Y[b], FY[b] = yi[r], K[6][r]
-                c[0], c[2] = c[0] + 1, max(c[2], float(err_max[r]))
+                c[0], c[2] = c[0] + 1, max(c[2], err_max[r])
                 factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
             else:
                 c[1] += 1
                 factor = max(0.2, 0.9 * err**-0.2)
             h[b] *= min(5.0, max(0.2, factor))
-            if c[0] + c[1] > opts.max_steps:
-                failed[b] = IntegrationError(f"exceeded {opts.max_steps} steps")
-        live = np.array([b for b in live if b not in failed and t[b] < dur[b]], dtype=int)
+        if all(acc):
+            y, fy = yi, K[6]
+        elif any(acc):
+            acc = acc[: len(sl)]
+            rows = np.searchsorted(lanes, sl)[acc]
+            y[rows], fy[rows] = yi[acc], K[6][acc]
     if failed:
         raise failed[min(failed)]
     return Y, [IntegrationStats(*c) for c in counts]
 
 
-def _joint_rhs(V: VectorFieldSpec, sign: float, second_order: bool = False):
-    """The flow, its tangent map M and, with ``second_order``, the
-    derivatives H[i, j, k] = d_k M_ij, which obey
-    H_k' = D^2X(y)[M e_k, M] + DX(y) H_k."""
-    d = V.chart.dim
-    dd = d * d
+def flow_lanes(V: VectorFieldSpec, starts: Sequence[PhasePoint], t1s: Sequence[float],
+               opts: IntegratorOptions | None = None, tangent: int = 1
+               ) -> tuple[list[PhasePoint], np.ndarray, list[IntegrationStats]]:
+    """The trajectories from ``starts`` to the times ``t1s``, integrated as
+    the lanes of one :func:`_integrate_lanes`.
 
-    def f(tau, s):
-        x = s[:d]
-        M = s[d : d + dd].reshape(d, d)
-        A = V.jacobian(x)
-        parts = [V.eval(x), (A @ M).reshape(-1)]
-        if second_order:
-            H = s[d + dd :].reshape(d, dd)
-            parts.append((M.T @ (V.hessian(x) @ M)).reshape(-1) + (A @ H).reshape(-1))
-        return sign * np.concatenate(parts)
+    ``tangent`` is the order of the variational equations that each lane
+    carries beside the flow: 1 (True) the tangent map M, 2 also
+    H[i, j, k] = d_k M_ij, which obeys H_k' = D^2X(y)[M e_k, M] + DX(y) H_k
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), and 0 (False) none,
+    but the integral of the compressibility.  Returns the end points (a
+    start point itself where t1 is its time), the end states, (B, d + d^2),
+    (B, d + d^2 + d^3) or (B, d + 1), and the :class:`IntegrationStats` of
+    each lane."""
+    opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
+    for x in starts:
+        _check_point(V.chart, x)
+    T = [float(t1) - x.time for x, t1 in zip(starts, t1s)]
+    sign = np.array([1.0 if s > 0 else -1.0 for s in T])  # backward lanes integrate -X forward
 
-    return f
+    dd, jac, last = d * d, V.constant_jacobian, [None, None]  # last: F's last lane array, its signs
+    compiled = V._volume_fn if not tangent else V._field_fn if jac is not None else V._tangent_fn
+
+    def F(lanes, Y):
+        X, B, out = Y[:, :d], len(Y), np.empty_like(Y)
+        E = evaluate_batch(compiled, V.chart, X)  # the divergence or a varying DX, then X
+        if not tangent:
+            out[:, d] = E[:, 0]
+        elif tangent == 1:
+            A = E[:, :dd].reshape(B, d, d) if jac is None else jac
+            out[:, d:] = (A @ Y[:, d:].reshape(B, d, d)).reshape(B, dd)
+        else:  # row by row, the products of one lane's run
+            A = E[:, :dd].reshape(B, d, d) if jac is None else [jac] * B
+            for r in range(B):
+                x, a, y, o = X[r], A[r], Y[r], out[r]
+                M, H = y[d : d + dd].reshape(d, d), y[d + dd :].reshape(d, dd)
+                np.matmul(a, M, out=o[d : d + dd].reshape(d, d))
+                np.add((M.T @ (V.hessian(x) @ M)).reshape(d, dd), a @ H, out=o[d + dd :].reshape(d, dd))
+        out[:, :d] = E[:, -d:]
+        if last[0] is not lanes:
+            last[:] = lanes, sign[lanes, None]
+        out *= last[1]
+        return out
+
+    Y0 = np.zeros((len(T), d + (dd + (d**3 if tangent == 2 else 0) if tangent else 1)))
+    Y0[:, :d] = np.reshape([x.coords for x in starts], (len(T), d))
+    if tangent:
+        Y0[:, d : d + dd : d + 1] = 1.0  # M = I
+    Y, stats = _integrate_lanes(F, Y0, [abs(s) for s in T], opts)
+    return [x if T[b] == 0.0 else PhasePoint(Y[b, :d], t1) for b, (x, t1) in enumerate(zip(starts, t1s))], Y, stats
+
+
+def _integrate(V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None, tangent: int):
+    """One lane of :func:`flow_lanes`: (end point, end state, stats)."""
+    ends, Y, stats = flow_lanes(V, [x0], [t1], opts, tangent)
+    return ends[0], Y[0], stats[0]
 
 
 def integrate_flow(
@@ -527,34 +512,24 @@ def integrate_flow(
     """Integrate the flow (and tangent map) from ``x0`` to time ``t1``.
 
     ``t1`` may precede ``x0.time``; backward segments integrate the field
-    with its sign reversed.  Requested ``sample_times`` are filled by dense
-    interpolation of the accepted steps.
+    with its sign reversed.  Each requested sample time inside the segment
+    is a lane of its own from ``x0``, so its sample has the bits of the end
+    point of ``integrate_flow(V, x0, sample_time)``.
     """
-    _check_point(V.chart, x0)
-    opts = opts or DEFAULT_OPTIONS
-    d = V.chart.dim
-    t0 = x0.time
-    T = float(t1) - t0
-    if T == 0.0:
-        samples = ((t0, x0.coords),)
-        return FlowSegment(x0, x0, samples, np.eye(d), IntegrationStats(0, 0, 0.0))
-    direction = 1.0 if T > 0 else -1.0
-    duration = abs(T)
-    taus = []
-    if sample_times is not None:
-        for ts in sample_times:
-            tau = (float(ts) - t0) * direction
-            if not 0.0 <= tau <= duration:
-                raise ValueError(f"sample time {ts} outside the segment")
-            taus.append(tau)
-    y0 = np.concatenate([x0.coords, np.eye(d).reshape(-1)])
-    f = _joint_rhs(V, direction)
-    y_end, raw_samples, stats = _integrate(f, y0, duration, opts, taus)
-    end = PhasePoint(y_end[:d], t1)
-    samples = [(t0, x0.coords)]
-    samples += [(t0 + direction * tau, y[:d].copy()) for tau, y in raw_samples]
-    samples.append((t1, end.coords))
-    return FlowSegment(x0, end, tuple(samples), y_end[d:].reshape(d, d), stats)
+    d, t0, t1 = V.chart.dim, x0.time, float(t1)
+    direction, duration = (1.0 if t1 > t0 else -1.0), abs(t1 - t0)
+    inner = []
+    for ts in () if sample_times is None else sample_times:
+        tau = (float(ts) - t0) * direction
+        if not 0.0 <= tau <= duration:
+            raise ValueError(f"sample time {ts} outside the segment")
+        if 0.0 < tau < duration:
+            inner.append((tau, float(ts)))
+    times = [t1] + [ts for _, ts in sorted(inner)]
+    ends, Y, stats = flow_lanes(V, [x0] * len(times), times, opts)
+    samples = [(t0, x0.coords)] + [(ts, end.coords) for ts, end in zip(times[1:], ends[1:])]
+    samples += [(t1, ends[0].coords)] if duration else []
+    return FlowSegment(x0, ends[0], tuple(samples), Y[0, d:].reshape(d, d), stats[0])
 
 
 def flow_jet(
@@ -564,18 +539,14 @@ def flow_jet(
 
     Returns (y, M, H): the end point, the tangent map M = dy/dx and
     H[i, j, k] = d_k M_ij, from the first- and second-order variational
-    equations integrated in one run beside the flow (Hairer, Norsett &
-    Wanner, *Solving ODEs I*, I.14).  ``t`` may be negative.  For affine
-    fields H is zero and is not integrated.
+    equations integrated in one run beside the flow (:func:`flow_lanes`).
+    ``t`` may be negative.  For affine fields H is zero and is not
+    integrated.
     """
-    opts = opts or DEFAULT_OPTIONS
-    d = V.chart.dim
-    second_order = V.constant_jacobian is None
-    state = np.concatenate([coords, np.eye(d).reshape(-1), np.zeros(d**3 if second_order else 0)])
-    if t != 0.0:
-        state, _, _ = _integrate(_joint_rhs(V, np.sign(t), second_order), state, abs(t), opts)
-    H = state[d + d * d :].reshape(d, d, d) if second_order else np.zeros((d, d, d))
-    return state[:d], state[d : d + d * d].reshape(d, d), H
+    d, order = V.chart.dim, 1 if V.constant_jacobian is not None else 2
+    _, y, _ = _integrate(V, PhasePoint(coords), t, opts, order)
+    H = y[d + d * d :].reshape(d, d, d) if order == 2 else np.zeros((d, d, d))
+    return y[:d], y[d : d + d * d].reshape(d, d), H
 
 
 def tangent_map(
@@ -585,42 +556,13 @@ def tangent_map(
     return integrate_flow(V, x0, t1, opts).tangent
 
 
-def flow_lanes(V: VectorFieldSpec, starts: Sequence[PhasePoint], t1s: Sequence[float],
-               opts: IntegratorOptions | None = None, tangent: bool = True
-               ) -> tuple[list[PhasePoint], np.ndarray, list[IntegrationStats]]:
-    """The trajectories from ``starts`` to the times ``t1s``, integrated as
-    the lanes of one :func:`_integrate_lanes`.  Each carries the tangent map,
-    as :func:`integrate_flow` does, or without ``tangent`` the integral of
-    the compressibility.  Returns the end points (a start point itself where
-    t1 is its time), the end states, (B, d + d^2) or (B, d + 1), and the
-    :class:`IntegrationStats` of each lane."""
-    opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
-    for x in starts:
-        _check_point(V.chart, x)
-    T = np.array([float(t1) - x.time for x, t1 in zip(starts, t1s)])
-    sign = np.where(T > 0, 1.0, -1.0)  # backward lanes integrate -X forward
-
-    def F(lanes, Y):
-        X = Y[:, :d]
-        if tangent:
-            rest = (V.jacobian_batch(X) @ Y[:, d:].reshape(len(Y), d, d)).reshape(len(Y), -1)
-        else:
-            rest = V.divergence_batch(X)[:, None]
-        return sign[lanes, None] * np.concatenate([V.eval_batch(X), rest], axis=1)
-
-    tail = np.tile(np.eye(d).reshape(-1), (len(T), 1)) if tangent else np.zeros((len(T), 1))
-    X0 = np.array([x.coords for x in starts]).reshape(len(T), d)
-    Y, stats = _integrate_lanes(F, np.concatenate([X0, tail], axis=1), np.abs(T), opts)
-    return [x if T[b] == 0.0 else PhasePoint(Y[b, :d], t1) for b, (x, t1) in enumerate(zip(starts, t1s))], Y, stats
-
-
 def compressibility_flow(
     V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
 ) -> tuple[PhasePoint, float]:
     """The end point of the trajectory from x0 to t1 and the integral of the
     compressibility along it, from one integration of (y, integral)."""
-    (end,), Y, _ = flow_lanes(V, [x0], [t1], opts, tangent=False)
-    return end, float(Y[0, -1])
+    end, y, _ = _integrate(V, x0, t1, opts, False)
+    return end, float(y[-1])
 
 
 def compressibility_integral(

@@ -296,10 +296,10 @@ def pullback_jet(
     derivatives: (W, dW/dx, dW/dt).
 
     One backward integration gives the preimage x0, its tangent map M and
-    H = dM/dx (:func:`flow_jet`).  With time they move as dx0/dt = -X(x0)
-    and dM/dt = -DX(x0) M.
+    H = dM/dx (:func:`flow_jet`), at ``opts`` or TRANSPORT_OPTIONS.  With
+    time they move as dx0/dt = -X(x0) and dM/dt = -DX(x0) M.
     """
-    x0, M, H = flow_jet(V, coords, -time, opts)
+    x0, M, H = flow_jet(V, coords, -time, opts or TRANSPORT_OPTIONS)
     J = np.column_stack([M, -V.eval(x0)])
     dM = np.concatenate([H.transpose(2, 0, 1), [-V.jacobian(x0) @ M]])
     W0, dW0, _ = M0.jet(x0, 0.0)
@@ -324,12 +324,12 @@ def pullback_metric(
 
 def transported_d_dx(V: VectorFieldSpec, M0: MetricField, coords, time: float, opts=None) -> np.ndarray:
     """Exact spatial derivatives of the transported metric (:func:`pullback_jet`)."""
-    return pullback_jet(V, M0, coords, time, opts or TRANSPORT_OPTIONS)[1]
+    return pullback_jet(V, M0, coords, time, opts)[1]
 
 
 def transported_d_dt(V: VectorFieldSpec, M0: MetricField, coords, time: float, opts=None) -> np.ndarray:
     """Exact time derivative of the transported metric (:func:`pullback_jet`)."""
-    return pullback_jet(V, M0, coords, time, opts or TRANSPORT_OPTIONS)[2]
+    return pullback_jet(V, M0, coords, time, opts)[2]
 
 
 def invariance_residuals(

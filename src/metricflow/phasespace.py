@@ -181,12 +181,10 @@ class TransportedMetric(MetricField):
     """
 
     def __init__(self, initial: MetricField, field, opts=None):
-        from .dynamics import TRANSPORT_OPTIONS
-
         self.chart = initial.chart
         self.initial = initial
         self.field = field
-        self.opts = opts or TRANSPORT_OPTIONS
+        self.opts = opts
         self._cache: OrderedDict[tuple[bytes, float], tuple[np.ndarray, ...]] = OrderedDict()
 
     def _jet(self, coords: np.ndarray, time: float) -> tuple[np.ndarray, ...]:

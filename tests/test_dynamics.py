@@ -17,7 +17,7 @@ from metricflow import (
     tangent_map,
 )
 from metricflow.dynamics import TRANSPORT_OPTIONS, flow_jet
-from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_at, parse
+from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_at, evaluate_batch, parse
 
 
 def fd_divergence(V, x, h=1e-6):
@@ -77,12 +77,16 @@ class TestVectorFieldSpec:
 
     def test_batched_evaluation_is_per_point(self, chart2):
         # the quartic's divergence is the constant -2; the harmonic field's
-        # Jacobian is constant
+        # Jacobian is constant.  The lanes of flow_lanes evaluate the
+        # Jacobian or the divergence with the field in one call.
         V = VectorFieldSpec.from_hamiltonian(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", np.eye(2))
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 4))
         assert V.eval_batch(X).tobytes() == np.array([V.eval(x) for x in X]).tobytes()
         assert V.jacobian_batch(X).tobytes() == np.array([V.jacobian(x) for x in X]).tobytes()
-        assert V.divergence_batch(X).tolist() == [V.divergence(x) for x in X] == [-2.0] * 6
+        for fused, parts in ((V._tangent_fn, (V.jacobian, V.eval)), (V._volume_fn, (V.divergence, V.eval))):
+            rows = [np.concatenate([np.ravel(part(x)) for part in parts]) for x in X]
+            assert evaluate_batch(fused, V.chart, X).tobytes() == np.array(rows).tobytes()
+        assert evaluate_batch(V._volume_fn, V.chart, X)[:, 0].tolist() == [-2.0] * 6
         H = VectorFieldSpec.from_hamiltonian(chart2, "(p1^2+p2^2+q1^2+q2^2)/2", np.eye(2))
         assert np.array_equal(H.jacobian_batch(X), np.broadcast_to(H.constant_jacobian, (6, 4, 4)))
 
@@ -166,8 +170,7 @@ class TestIntegrateFlow:
         seg = integrate_flow(damped, x0, 2.0, sample_times=times)
         sampled = {t: x for t, x in seg.samples}
         for t in times:
-            direct = integrate_flow(damped, x0, t).end.coords
-            assert np.max(np.abs(sampled[t] - direct)) < 1e-8
+            assert np.array_equal(sampled[t], integrate_flow(damped, x0, t).end.coords)
 
     def test_blowup_reported(self, chart1):
         V = VectorFieldSpec.from_components(chart1, ["1 + q1^2", "0"])

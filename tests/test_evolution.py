@@ -523,23 +523,31 @@ class TestTransportStencil:
         return ConstantMetric(chart2, B - B.T)
 
     def test_stacked_rhs_makes_no_per_point_calls(self, chart2, monkeypatch):
-        calls = []
-        for name in ("eval", "jacobian", "hessian"):
-            def counting(self, *args, _name=name, _orig=getattr(VectorFieldSpec, name)):
-                calls.append(_name)
-                return _orig(self, *args)
+        from metricflow import dynamics
 
-            monkeypatch.setattr(VectorFieldSpec, name, counting)
+        calls = []
+
+        def counting(name, orig):
+            def call(*args):
+                calls.append(name)
+                return orig(*args)
+
+            return call
+
+        for name in ("eval", "jacobian", "hessian"):
+            monkeypatch.setattr(VectorFieldSpec, name, counting(name, getattr(VectorFieldSpec, name)))
+        monkeypatch.setattr(dynamics, "evaluate_batch", counting("rhs", dynamics.evaluate_batch))
         for V in (self.affine_chain(), self.coupled_quartic(chart2)):
             field = TransportedMetric(canonical_metric(V.chart), V)
             x = np.linspace(-0.4, 0.5, V.chart.dim)
             calls.clear()
             field.value(x, 0.5)
-            # one call of each per right-hand side of (y, M, H), none per
-            # column; the extra eval and jacobian give dx0/dt and dM/dt
-            n = calls.count("eval")
-            assert n > 1 and calls.count("jacobian") == n
-            assert calls.count("hessian") == (0 if V.constant_jacobian is not None else n - 1)
+            # per right-hand side of (y, M, H) one compiled evaluation of X
+            # with its Jacobian and one of the second derivatives, none per
+            # column; one eval and one jacobian give dx0/dt and dM/dt
+            n = calls.count("rhs")
+            assert n > 1 and calls.count("eval") == calls.count("jacobian") == 1
+            assert calls.count("hessian") == (0 if V.constant_jacobian is not None else n)
             calls.clear()
             field.d_dx(x, 0.5)
             field.d_dt(x, 0.5)

@@ -15,12 +15,14 @@ simplify of the derivative of the whole tree, compiled evaluation is evaluate bi
 bit, and the Taylor expansion's degree-0 and degree-1 coefficients agree
 with evaluate and with evaluate of differentiate.
 
-Trajectories integrated as lanes of one array end with the bits and the
-step statistics of their scalar runs, or raise the scalar error of the
-lowest-index failing lane.
+Trajectories integrated as lanes of one array, and the one-lane calls
+flow_jet and integrate_flow, end with the bits and the step statistics of a
+test-local copy of the scalar integrator that the lanes replaced, or raise
+its error for the lowest-index failing lane.
 """
 
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from metricflow import (
     invariance_residual,
 )
 from metricflow import dynamics
-from metricflow.dynamics import IntegrationStats, StepSizeUnderflowError, _integrate, flow_lanes
+from metricflow.dynamics import _STAGE_ERRORS, IntegrationStats, StepSizeUnderflowError, flow_jet, flow_lanes
 from metricflow.dynamics import expm as metricflow_expm
 from metricflow.friction import analytic_metric
 from metricflow.exprlang import (
@@ -568,21 +570,161 @@ def outcome_or_error(fn):
 
 
 # ---------------------------------------------------------------------------
-# Lanes against scalar runs.
+# Lanes against scalar runs.  The reference is the scalar Dormand-Prince
+# integrator that the lanes replaced, copied here unchanged with its tableau.
+
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+_DP_E = _DP_B5 - _DP_B4
+
+_EPS = np.finfo(float).eps
+
+
+def _hermite(tau, t0, y0, f0, t1, y1, f1):
+    h = t1 - t0
+    s = (tau - t0) / h
+    h00 = 2 * s**3 - 3 * s**2 + 1
+    h10 = s**3 - 2 * s**2 + s
+    h01 = -2 * s**3 + 3 * s**2
+    h11 = s**3 - s**2
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def _initial_step(f, y0, f0, duration, atol, rtol):
+    sc = atol + rtol * np.abs(y0)
+    d0 = np.sqrt(np.mean((y0 / sc) ** 2))
+    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, duration)
+    try:
+        y1 = y0 + h0 * f0
+        f1 = f(h0, y1)
+        d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
+    except _STAGE_ERRORS:
+        return min(h0 * 1e-3, duration)
+    dmax = max(d1, d2)
+    h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
+    return min(100 * h0, h1, duration)
+
+
+def _integrate(
+    f: Callable[[float, np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    duration: float,
+    opts: IntegratorOptions,
+    sample_times: Sequence[float] = (),
+):
+    """Integrate y' = f(tau, y) over [0, duration], duration > 0.
+
+    Returns (y_end, samples, stats) where samples holds interpolated states
+    at the requested interior times (cubic Hermite on the accepted steps).
+    """
+    atol, rtol = opts.abs_tol, opts.rel_tol
+    t = 0.0
+    y = np.array(y0, dtype=float)
+    try:
+        fy = np.asarray(f(t, y), dtype=float)
+    except _STAGE_ERRORS as exc:
+        raise IntegrationError(f"cannot evaluate the field at the start state: {exc}") from exc
+    h = _initial_step(f, y, fy, duration, atol, rtol)
+    pending = sorted(tau for tau in sample_times if 0.0 < tau < duration)
+    samples: list[tuple[float, np.ndarray]] = []
+    n_accept = n_reject = 0
+    max_err = 0.0
+    K = [fy] + [np.empty_like(y) for _ in range(6)]
+    while t < duration:
+        h = min(h, duration - t)
+        if h <= 16 * _EPS * max(abs(t), 1.0):
+            raise StepSizeUnderflowError(
+                f"step size underflow at t={t:.6g}", t, y.copy()
+            )
+        try:
+            K[0] = fy
+            for i in range(1, 6):
+                yi = y + h * sum(a * K[j] for j, a in enumerate(_DP_A[i]))
+                K[i] = np.asarray(f(t + _DP_C[i] * h, yi), dtype=float)
+            y5 = y + h * sum(b * K[i] for i, b in enumerate(_DP_B5[:6]))
+            K[6] = np.asarray(f(t + h, y5), dtype=float)
+        except _STAGE_ERRORS:
+            # stage left the field's domain; retry with a smaller step
+            n_reject += 1
+            h *= 0.2
+            if n_accept + n_reject > opts.max_steps:
+                raise IntegrationError(f"exceeded {opts.max_steps} steps") from None
+            continue
+        err_vec = h * sum(e * K[i] for i, e in enumerate(_DP_E))
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        with np.errstate(invalid="ignore", over="ignore"):
+            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+        if not np.isfinite(err):
+            err = 2.0  # force rejection on overflow/NaN
+        if err <= 1.0:
+            t_new = t + h
+            while pending and pending[0] <= t_new:
+                tau = pending.pop(0)
+                samples.append((tau, _hermite(tau, t, y, K[0], t_new, y5, K[6])))
+            t, y, fy = t_new, y5, K[6]
+            n_accept += 1
+            max_err = max(max_err, float(np.max(np.abs(err_vec))))
+            factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
+        else:
+            n_reject += 1
+            factor = max(0.2, 0.9 * err**-0.2)
+        h *= min(5.0, max(0.2, factor))
+        if n_accept + n_reject > opts.max_steps:
+            raise IntegrationError(f"exceeded {opts.max_steps} steps")
+    stats = IntegrationStats(n_accept, n_reject, max_err)
+    return y, samples, stats
+
+
+def _joint_rhs(V: VectorFieldSpec, sign: float, second_order: bool = False):
+    """The flow, its tangent map M and, with ``second_order``, the
+    derivatives H[i, j, k] = d_k M_ij, which obey
+    H_k' = D^2X(y)[M e_k, M] + DX(y) H_k."""
+    d = V.chart.dim
+    dd = d * d
+
+    def f(tau, s):
+        x = s[:d]
+        M = s[d : d + dd].reshape(d, d)
+        A = V.jacobian(x)
+        parts = [V.eval(x), (A @ M).reshape(-1)]
+        if second_order:
+            H = s[d + dd :].reshape(d, dd)
+            parts.append((M.T @ (V.hessian(x) @ M)).reshape(-1) + (A @ H).reshape(-1))
+        return sign * np.concatenate(parts)
+
+    return f
 
 
 def scalar_lane(V, x0, t1, opts, tangent):
-    """One trajectory by the scalar integrator: integrate_flow with its
-    tangent map, or the scalar compressibility flow that lanes replaced."""
-    if tangent:
-        seg = integrate_flow(V, x0, t1, opts)
-        return np.concatenate([seg.end.coords, seg.tangent.ravel()]), seg.stats
+    """One trajectory by the reference integrator: the state that flow_lanes
+    carries with ``tangent`` 1, 2 or 0 (the flow with M, with M and H, or
+    with the integral of the compressibility) and its stats."""
     d, T = V.chart.dim, t1 - x0.time
-    y0 = np.append(x0.coords, 0.0)
+    if tangent:
+        y0 = np.concatenate([x0.coords, np.eye(d).reshape(-1), np.zeros(d**3 if tangent == 2 else 0)])
+    else:
+        y0 = np.append(x0.coords, 0.0)
     if T == 0.0:
         return y0, IntegrationStats(0, 0, 0.0)
     sign = 1.0 if T > 0 else -1.0
-    y, _, stats = _integrate(lambda tau, s: sign * np.append(V.eval(s[:d]), V.divergence(s[:d])), y0, abs(T), opts)
+    if tangent:
+        f = _joint_rhs(V, sign, tangent == 2)
+    else:
+        f = lambda tau, s: sign * np.append(V.eval(s[:d]), V.divergence(s[:d]))  # noqa: E731
+    y, _, stats = _integrate(f, y0, abs(T), opts)
     return y, stats
 
 
@@ -672,3 +814,62 @@ def test_a_lane_that_cannot_start_raises_the_scalar_error():
     starts = [PhasePoint([0.5, 0.0]), PhasePoint([0.0, 0.3]), PhasePoint([-0.0, 1.0])]
     refs = assert_lanes_match_scalar(V, starts, [1.0, 1.0, -1.0], IntegratorOptions(1e-6, 1e-6), False)
     assert str(refs[1]) == "cannot evaluate the field at the start state: division by zero in '1/q1'"
+
+
+def assert_one_lane_matches_reference(call, V, x0, t1, opts, tangent):
+    """call() gives the state that flow_lanes carries with ``tangent`` and
+    the stats, or None for them, with the reference's bits; or it raises the
+    reference's error.  Returns the reference's stats, or its error."""
+    try:
+        ref, stats = scalar_lane(V, x0, t1, opts, tangent)
+    except IntegrationError as exc:
+        with pytest.raises(IntegrationError) as got:
+            call()
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return exc
+    y, got_stats = call()
+    assert y.tobytes() == ref.tobytes()
+    assert got_stats is None or got_stats == stats
+    return stats
+
+
+def jet_state(V, coords, t, opts):
+    """flow_jet as (y, M, H) in one row, without H for an affine field, whose H is zero."""
+    y, M, H = flow_jet(V, coords, t, opts)
+    if V.constant_jacobian is not None:
+        assert not H.any()
+        return np.concatenate([y, M.reshape(-1)]), None
+    return np.concatenate([y, M.reshape(-1), H.reshape(-1)]), None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(polynomials, polynomials), grid, grid, st.sampled_from((0.0, 0.5)),
+       st.sampled_from((-1.5, -0.7, 0.0, 0.3, 1.0, 1.5)), st.sampled_from((30, 150)))
+def test_one_lane_calls_match_the_reference(components, q, p, t0, duration, max_steps):
+    V = VectorFieldSpec.from_components(CHART1, components)
+    opts, x0 = IntegratorOptions(1e-6, 1e-6, max_steps), PhasePoint([q, p], t0)
+    order = 1 if V.constant_jacobian is not None else 2
+    assert_one_lane_matches_reference(lambda: jet_state(V, x0.coords, duration, opts),
+                                      V, PhasePoint(x0.coords), duration, opts, order)
+
+    def flow():
+        seg = integrate_flow(V, x0, t0 + duration, opts)
+        assert seg.end.time == t0 + duration
+        return np.concatenate([seg.end.coords, seg.tangent.reshape(-1)]), seg.stats
+
+    assert_one_lane_matches_reference(flow, V, x0, t0 + duration, opts, 1)
+
+
+def test_jets_that_reject_steps_match_the_reference():
+    # forward and backward, alone and as lanes beside a short one
+    V = VectorFieldSpec.from_components(CHART1, ["p1", "-q1 - q1^2*p1"])
+    opts = IntegratorOptions(1e-6, 1e-6)
+    for coords, t in (((-1.0, 0.5), 1.5), ((1.0, 1.0), -1.5)):
+        stats = assert_one_lane_matches_reference(lambda: jet_state(V, np.array(coords), t, opts),
+                                                  V, PhasePoint(coords), t, opts, 2)
+        assert stats.n_rejected > 0
+    starts = [PhasePoint([-1.0, 0.5]), PhasePoint([1.0, 1.0], 0.5), PhasePoint([0.5, 0.5])]
+    assert_lanes_match_scalar(V, starts, [1.5, -1.0, 0.3], opts, 2)
+    # an affine field's constant Jacobian, with H carried all the same
+    affine = VectorFieldSpec.from_components(CHART1, ["p1", "-q1 - 0.5*p1"])
+    assert_lanes_match_scalar(affine, starts, [1.5, -1.0, 0.3], opts, 2)

@@ -51,6 +51,8 @@ def test_traced_benchmark_command_counts_the_series_route(tmp_path):
     proc, result, spans = run_traced(tmp_path, config, ["evolve-metric"])
     assert [line.split(",")[1] for line in proc.stdout.splitlines()[1:]] == ["series", "split", "pullback"]
     assert result["trace"]["evolution.propagate.series.calls"] > 0
+    # the split and pullback integrations pass through the name the benchmark counts
+    assert result["trace"]["dynamics._integrate.steps"] > 0
     assert spans["spans"]
 
 
