@@ -24,11 +24,11 @@ from .exprlang import (
     TIME_NAME,
     as_expr,
     compile_vector,
-    evaluate_compiled,
+    evaluate_batch,
     gradient,
     simplify,
 )
-from .phasespace import MetricField, PhasePoint, _check_point, invert_metric, invert_metrics, inverse_metric
+from .phasespace import MetricField, PhasePoint, _check_point, invert_metrics, inverse_metric
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Observable:
     """A scalar phase-space function, optionally time dependent.
 
     Its gradient and Hessian entries are differentiated and compiled once
-    per chart, on first use.
+    per chart, on first use, and evaluated at a stack of points at once.
     """
 
     expr: Expr
@@ -56,18 +56,22 @@ class Observable:
             compiled = self._memo[(kind, chart)] = (flat, compile_vector(flat, chart))
         return compiled
 
-    def gradient(self, chart: CoordinateChart, x: PhasePoint) -> np.ndarray:
-        return evaluate_compiled(self._compiled("grad", chart), chart, x.coords, x.time)
+    def gradient(self, chart: CoordinateChart, X: np.ndarray, T) -> np.ndarray:
+        """The gradients (B, d) at the B points (X[b], T[b])."""
+        return evaluate_batch(self._compiled("grad", chart), chart, X, T)
 
-    def hessian(self, chart: CoordinateChart, x: PhasePoint) -> np.ndarray:
+    def hessian(self, chart: CoordinateChart, X: np.ndarray, T) -> np.ndarray:
+        """The Hessians (B, d, d) at the B points (X[b], T[b])."""
         d = chart.dim
-        return evaluate_compiled(self._compiled("hess", chart), chart, x.coords, x.time).reshape(d, d)
+        return evaluate_batch(self._compiled("hess", chart), chart, X, T).reshape(len(X), d, d)
 
 
 @dataclass(frozen=True)
 class LeibnizDefect:
-    formula: float
-    numerical: float
+    """Floats at one point; arrays over the points of a :class:`BracketFrame`."""
+
+    formula: float | np.ndarray
+    numerical: float | np.ndarray
 
 
 def _as_observable(A, chart) -> Observable:
@@ -76,59 +80,66 @@ def _as_observable(A, chart) -> Observable:
     return Observable(as_expr(A, chart))
 
 
+def _contract(a: np.ndarray, T: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ T[i] @ b[i] for each i, as stacked matrix products."""
+    return (a[:, None] @ T @ b[:, :, None])[:, 0, 0]
+
+
 def bracket_tensor(M: MetricField, x: PhasePoint) -> np.ndarray:
     """Raised tensor B with {A,B} = B^{kl} d_k A d_l B and {q,p} = +1."""
     return -inverse_metric(M, x)
 
 
 class BracketFrame:
-    """The raised tensor P of a metric at one point, shared by every bracket
-    of :class:`Observable` s taken there: the metric's jet is read and
-    inverted once, and the derivatives of P are formed on first use."""
+    """The raised tensor P of a metric at B points, shared by every bracket
+    of :class:`Observable` s taken there: the metric's jets are read in one
+    ``jet_batch`` and inverted as one stack, the derivatives of P are formed
+    on first use, and each observable's gradients and Hessians are evaluated
+    once, at all points together.  Values come as arrays over the points."""
 
-    def __init__(self, M: MetricField, x: PhasePoint, state=None):
-        """``state`` is (P, dW/dx, dW/dt) at x, as :meth:`at_points` forms it."""
-        _check_point(M.chart, x)
+    def __init__(self, M: MetricField, points):
+        """``points``: a sequence of :class:`PhasePoint` s, or one (B = 1)."""
+        self.points = [points] if isinstance(points, PhasePoint) else list(points)
+        for x in self.points:
+            _check_point(M.chart, x)
         self.M = M
-        self.x = x
-        if state is None:
-            W, dW_dx, dW_dt = M.jet(x.coords, x.time)
-            state = (-invert_metric(W), dW_dx, dW_dt)
-        self.P, self._dW_dx, self._dW_dt = state
+        self.X = np.array([x.coords for x in self.points]).reshape(len(self.points), M.chart.dim)
+        self.T = np.array([x.time for x in self.points])
+        W, self._dW_dx, self._dW_dt = M.jet_batch(self.X, self.T)
+        self.P = -invert_metrics(W)
+        self._memo = {}
 
-    @classmethod
-    def at_points(cls, M: MetricField, points) -> list["BracketFrame"]:
-        """The frames at ``points``, from one ``jet_batch`` of M and one
-        stacked inversion; each has the bits of the frame built alone."""
-        X = np.array([x.coords for x in points]).reshape(len(points), M.chart.dim)
-        W, D, Wt = M.jet_batch(X, np.array([x.time for x in points]))
-        return [cls(M, x, state) for x, *state in zip(points, -invert_metrics(W), D, Wt)]
+    def _at_points(self, A: Observable, kind: str) -> np.ndarray:
+        """A.gradient or A.hessian (``kind``) at the points, once per frame."""
+        hit = self._memo.get((id(A), kind))
+        if hit is None:  # A is kept with its values, so its id stays its own
+            hit = self._memo[(id(A), kind)] = (A, getattr(A, kind)(self.M.chart, self.X, self.T))
+        return hit[1]
 
     @cached_property
     def d_dx(self) -> np.ndarray:
         """d_k of P = -W^{-1}: d_k P = W^{-1} (d_k W) W^{-1} = P (d_k W) P."""
-        return self.P @ self._dW_dx @ self.P
+        P = self.P[:, None]
+        return P @ self._dW_dx @ P
 
     @cached_property
     def d_dt(self) -> np.ndarray:
         return self.P @ self._dW_dt @ self.P
 
-    def bracket(self, A: Observable, B: Observable) -> float:
-        """{A, B} at the frame's point."""
-        chart = self.M.chart
-        return float(A.gradient(chart, self.x) @ self.P @ B.gradient(chart, self.x))
+    def bracket(self, A: Observable, B: Observable) -> np.ndarray:
+        """{A, B} at the frame's points."""
+        return _contract(self._at_points(A, "gradient"), self.P, self._at_points(B, "gradient"))
 
-    def jacobi_residual(self, A: Observable, B: Observable, C: Observable) -> float:
-        """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at the frame's point.
+    def jacobi_residual(self, A: Observable, B: Observable, C: Observable) -> np.ndarray:
+        """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at the frame's points.
 
         Inner-bracket gradients use the exact derivative of the raised
         tensor, from the metric representation's spatial derivative.
         """
-        chart = self.M.chart
         P, dP = self.P, self.d_dx
         obs = (A, B, C)
-        grads = [o.gradient(chart, self.x) for o in obs]
-        hessians = [o.hessian(chart, self.x) for o in obs]
+        grads = [self._at_points(o, "gradient") for o in obs]
+        hessians = [self._at_points(o, "hessian") for o in obs]
 
         def nested(i, j, k):
             # {obs_i, {obs_j, obs_k}}
@@ -136,11 +147,11 @@ class BracketFrame:
             hj, hk = hessians[j], hessians[k]
             # d_m {obs_j, obs_k}
             inner_grad = (
-                np.einsum("mkl,k,l->m", dP, gj, gk)
-                + np.einsum("kl,mk,l->m", P, hj, gk)
-                + np.einsum("kl,k,ml->m", P, gj, hk)
+                np.einsum("bmkl,bk,bl->bm", dP, gj, gk)
+                + np.einsum("bkl,bmk,bl->bm", P, hj, gk)
+                + np.einsum("bkl,bk,bml->bm", P, gj, hk)
             )
-            return float(grads[i] @ P @ inner_grad)
+            return _contract(grads[i], P, inner_grad)
 
         return nested(0, 1, 2) + nested(1, 2, 0) + nested(2, 0, 1)
 
@@ -152,45 +163,33 @@ class BracketFrame:
         delta: float = 1e-4,
         opts: IntegratorOptions | None = None,
     ) -> LeibnizDefect:
-        """:func:`leibniz_defect` at the frame's point."""
-        return leibniz_defects([self], A, B, V, delta, opts)[0]
+        """:func:`leibniz_defect` at the frame's points.  The +delta and
+        -delta flows of all points are the lanes of one :func:`flow_lanes`,
+        and their end points one frame; the first failing point raises."""
+        P = self.P
+        J = V.jacobian_batch(self.X)  # J[b, k, m] = d X^k / d x^m
+        D = self.d_dt + np.einsum("bm,bmkl->bkl", V.eval_batch(self.X), self.d_dx) - J @ P - P @ np.swapaxes(J, 1, 2)
+        formula = _contract(self._at_points(A, "gradient"), D, self._at_points(B, "gradient"))
 
-
-def leibniz_defects(frames: list[BracketFrame], A: Observable, B: Observable, V: VectorFieldSpec,
-                    delta: float = 1e-4, opts: IntegratorOptions | None = None) -> list[LeibnizDefect]:
-    """:func:`leibniz_defect` at each of ``frames``, frames of one metric.
-    The +delta and -delta flows of all frames are the lanes of one
-    :func:`flow_lanes`, and one :meth:`BracketFrame.at_points` gives their
-    end-point frames; the first failing frame raises."""
-    formulas = []
-    for f in frames:
-        chart, x, P = f.M.chart, f.x, f.P
-        Xv = V.eval(x.coords, x.time)
-        J = V.jacobian(x.coords, x.time)  # J[k, m] = d X^k / d x^m
-        D = f.d_dt + np.einsum("m,mkl->kl", Xv, f.d_dx) - J @ P - P @ J.T
-        formulas.append(float(A.gradient(chart, x) @ D @ B.gradient(chart, x)))
-
-    Adot = observable_time_derivative(A, V)
-    Bdot = observable_time_derivative(B, V)
-    starts = [f.x for f in frames for _ in (0, 1)]
-    ends, _, _ = flow_lanes(V, starts, [f.x.time + dt for f in frames for dt in (delta, -delta)], opts)
-    c = [e.bracket(A, B) for e in BracketFrame.at_points(frames[0].M, ends)] if frames else []
-    return [
-        LeibnizDefect(formula, float((c_p - c_m) / (2.0 * delta) - f.bracket(Adot, B) - f.bracket(A, Bdot)))
-        for f, formula, c_p, c_m in zip(frames, formulas, c[::2], c[1::2])
-    ]
+        Adot = observable_time_derivative(A, V)
+        Bdot = observable_time_derivative(B, V)
+        starts = [x for x in self.points for _ in (0, 1)]
+        ends, _, _ = flow_lanes(V, starts, [x.time + dt for x in self.points for dt in (delta, -delta)], opts)
+        c = BracketFrame(self.M, ends).bracket(A, B)
+        numerical = (c[::2] - c[1::2]) / (2.0 * delta) - self.bracket(Adot, B) - self.bracket(A, Bdot)
+        return LeibnizDefect(formula, numerical)
 
 
 def poisson_bracket(A, B, M: MetricField, x: PhasePoint) -> float:
     """{A, B} at ``x`` with the metric raised through its inverse."""
     A, B = (_as_observable(o, M.chart) for o in (A, B))
-    return BracketFrame(M, x).bracket(A, B)
+    return float(BracketFrame(M, x).bracket(A, B)[0])
 
 
 def bracket_jacobi_residual(A, B, C, M: MetricField, x: PhasePoint) -> float:
     """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at ``x`` (:meth:`BracketFrame.jacobi_residual`)."""
     A, B, C = (_as_observable(o, M.chart) for o in (A, B, C))
-    return BracketFrame(M, x).jacobi_residual(A, B, C)
+    return float(BracketFrame(M, x).jacobi_residual(A, B, C)[0])
 
 
 def observable_time_derivative(A, V: VectorFieldSpec) -> Observable:
@@ -226,4 +225,5 @@ def leibniz_defect(
     integral of motion.
     """
     A, B = (_as_observable(o, M.chart) for o in (A, B))
-    return BracketFrame(M, x).leibniz_defect(A, B, V, delta, opts)
+    defect = BracketFrame(M, x).leibniz_defect(A, B, V, delta, opts)
+    return LeibnizDefect(float(defect.formula[0]), float(defect.numerical[0]))

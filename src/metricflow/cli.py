@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import BracketFrame, Observable, leibniz_defects
+from .brackets import BracketFrame, Observable
 from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, flow_lanes
 from .evolution import (
     EvolutionError,
@@ -249,8 +249,8 @@ def cmd_classify(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
         "max_abs": report.max_abs,
         "tolerance": report.tol,
         "per_point": [
-            {"point": [float(v) for v in x.coords], "time": x.time, "max_abs": m}
-            for x, m in zip(report.points, report.per_point_max)
+            {"point": x, "time": t, "max_abs": m}
+            for x, t, m in zip(report.coords.tolist(), report.times.tolist(), report.per_point_max)
         ],
     }
     if report.canonical_blocks is not None:
@@ -351,25 +351,24 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
     if V is None:
         raise ConfigError("audit needs an autonomous vector field (constant friction)")
     M = _build_metric(cfg, fsys)
-    chart = cfg.chart
     rng = np.random.default_rng(cfg.samples_seed if seed is None else seed)
-    count = cfg.samples_count
+    count, d, box = cfg.samples_count, cfg.chart.dim, cfg.samples_box
 
-    X = np.empty((count, chart.dim))
-    T = np.empty(count)
-    for b in range(count):
-        X[b] = rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim)
-        T[b] = rng.uniform(0.0, cfg.t_max)
+    def draw(rows: int, t_min: float):
+        # rows of (x in [-box, box]^d, then t in [t_min, t_max]) in one call,
+        # which takes the stream of one draw of x and one of t per row
+        S = rng.uniform([-box] * d + [t_min], [box] * d + [cfg.t_max], (rows, d + 1))
+        return S[:, :d], S[:, d]
+
+    X, T = draw(count, 0.0)
     W, D, Wt = M.jet_batch(X, T)
     max_inv = float(np.max(np.abs(invariance_residuals(V, X, T, W, D, Wt))))
     max_jac = float(np.max(jacobi_residuals(D)))
 
     # volume law along trajectories: |ln sqrt_g + integral kappa| at endpoints
     n_traj = min(20, count)
-    draws = [(rng.uniform(-cfg.samples_box, cfg.samples_box, chart.dim), rng.uniform(0.2, cfg.t_max))
-             for _ in range(n_traj)]
-    starts = [PhasePoint(x0, 0.0) for x0, _ in draws]
-    ends, Y, _ = flow_lanes(V, starts, [t for _, t in draws], cfg.integrator, tangent=False)
+    X0, T1 = draw(n_traj, 0.2)
+    ends, Y, _ = flow_lanes(V, [PhasePoint(x0) for x0 in X0], T1.tolist(), cfg.integrator, tangent=False)
     gaps = []
     for end, kap in zip(ends, Y[:, -1].tolist()):
         det = metric_determinant(M, end)
@@ -401,24 +400,16 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
         C = Observable.parse(c_text, chart) if c_text else None
     except ExprError as exc:
         raise ConfigError(str(exc)) from None
-    points = _query_points(cfg) or [PhasePoint(np.zeros(chart.dim))]
-
-    def one(frame: BracketFrame):
-        entry = {
-            "point": [float(v) for v in frame.x.coords],
-            "time": frame.x.time,
-            "bracket": frame.bracket(A, B),
-        }
-        if C is not None:
-            entry["jacobi_residual"] = frame.jacobi_residual(A, B, C)
-        return entry
-
-    frames = BracketFrame.at_points(M, points)
-    entries = [one(frame) for frame in frames]
+    frame = BracketFrame(M, _query_points(cfg) or [PhasePoint(np.zeros(chart.dim))])
+    columns = {"point": frame.X.tolist(), "time": frame.T.tolist(), "bracket": frame.bracket(A, B).tolist()}
+    if C is not None:
+        columns["jacobi_residual"] = frame.jacobi_residual(A, B, C).tolist()
     if V is not None:
-        for entry, defect in zip(entries, leibniz_defects(frames, A, B, V, opts=cfg.integrator)):
-            entry["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
-    return {"queries": entries}, EXIT_OK
+        defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
+        columns["leibniz"] = [
+            {"formula": f, "numerical": n} for f, n in zip(defect.formula.tolist(), defect.numerical.tolist())
+        ]
+    return {"queries": [dict(zip(columns, row)) for row in zip(*columns.values())]}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +421,40 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+# json.dumps with indent runs the pure-Python encoder.  Without indent the C
+# encoder runs, and it escapes "\x00" inside strings, so as its item separator
+# "\x00" splits one encoding of a list of leaves into the leaves' encodings.
+_LEAVES = json.JSONEncoder(separators=("\x00", ":"))
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a value whose dicts
+    have str keys, byte for byte: the containers are laid out here, and all
+    keys and leaves are encoded by one call of the C encoder."""
+    parts, leaves = [], []  # None in parts marks the next encoded leaf
+
+    def walk(v, pad: str):
+        if not (isinstance(v, (dict, list, tuple)) and v):
+            parts.append(None)
+            leaves.append(v)
+            return
+        is_dict, sep, inner = isinstance(v, dict), "\n", pad + "  "
+        parts.append("{" if is_dict else "[")
+        for item in sorted(v) if is_dict else v:
+            parts.append(sep + inner)
+            if is_dict:
+                parts.extend((None, ": "))
+                leaves.append(item)
+                item = v[item]
+            walk(item, inner)
+            sep = ",\n"
+        parts.append("\n" + pad + ("}" if is_dict else "]"))
+
+    walk(value, "")
+    encoded = iter(_LEAVES.encode(leaves)[1:-1].split("\x00"))
+    return "".join(next(encoded) if p is None else p for p in parts)
 
 
 def _write_output(text: str, out: str | None):
@@ -456,8 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def emit_error(code: int, kind: str, message: str) -> int:
-        text = json.dumps({"error": {"kind": kind, "message": message}}, indent=2, sort_keys=True)
-        _write_output(text + "\n", args.out)
+        _write_output(_dumps({"error": {"kind": kind, "message": message}}) + "\n", args.out)
         return code
 
     try:
@@ -497,7 +521,7 @@ def main(argv=None) -> int:
         return emit_error(EXIT_RUNTIME, "metric", str(exc))
     except EvolutionError as exc:
         return emit_error(EXIT_RUNTIME, "evolution", str(exc))
-    _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(_dumps(payload) + "\n", args.out)
     return code
 
 

@@ -318,8 +318,10 @@ _DP_E = _DP_B5 - _DP_B4
 _DP_STAGES = _DP_A[1:] + (_DP_B5[:6],)
 
 _EPS = np.finfo(float).eps
-# a stage whose state leaves the field's domain raises one of these
-_STAGE_ERRORS = (OverflowError, ValueError, ZeroDivisionError, DomainError)
+# a stage whose state leaves the field's domain raises one of these; the
+# evaluators turn math's ValueErrors into DomainErrors, so a ValueError is a
+# fault of the right-hand side and propagates
+_STAGE_ERRORS = (ArithmeticError, DomainError)
 
 
 def _eval_lanes(F, lanes: np.ndarray, Y: np.ndarray):

@@ -962,20 +962,23 @@ def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float) -> 
         return np.array([evaluate(e, env) for e in exprs])
 
 
-def evaluate_batch(compiled, chart: CoordinateChart, X, time: float = 0.0) -> np.ndarray:
+def evaluate_batch(compiled, chart: CoordinateChart, X, time=0.0) -> np.ndarray:
     """:func:`evaluate_compiled` at each row of X (B, d), with its bits: the
-    compiled code runs once with x[i] the column X[:, i] and a constant
-    entry broadcast.  On any error (errstate all="raise") each row is
-    evaluated alone, so the first failing row raises its DomainError."""
+    compiled code runs once with x[i] the column X[:, i], t the time or the
+    times (B,) of the rows, and a constant entry broadcast.  On any error
+    (errstate all="raise") each row is evaluated alone, so the first failing
+    row raises its DomainError."""
     exprs, fn = compiled
     X = np.asarray(X, dtype=float)
+    T = time if isinstance(time, float) else np.broadcast_to(np.asarray(time, dtype=float), len(X))
     if len(X) == 1:  # on floats, without numpy's cost per operation
-        return evaluate_compiled(compiled, chart, X[0], time)[None]
+        return evaluate_compiled(compiled, chart, X[0], T if T is time else T[0])[None]
     try:
         with np.errstate(all="raise"):
-            values = types.FunctionType(fn.__code__, _LANE_GLOBALS)(list(X.T), float(time))
+            values = types.FunctionType(fn.__code__, _LANE_GLOBALS)(list(X.T), T)
     except (ArithmeticError, ValueError):
-        return np.array([evaluate_compiled(compiled, chart, x, time) for x in X]).reshape(len(X), len(exprs))
+        rows = zip(X, np.broadcast_to(T, len(X)))
+        return np.array([evaluate_compiled(compiled, chart, x, t) for x, t in rows]).reshape(len(X), len(exprs))
     out = np.empty((len(X), len(values)))
     for k, v in enumerate(values):
         out[:, k] = v

@@ -35,10 +35,15 @@ class HelmholtzReport:
     verdict: str  # "hamiltonian" | "non-hamiltonian"
     max_abs: float
     tol: float
-    points: tuple[PhasePoint, ...]
-    residuals: tuple[np.ndarray, ...]
+    coords: np.ndarray  # (B, d), the sample points
+    times: np.ndarray  # (B,)
+    residuals: np.ndarray  # (B, d, d)
     per_point_max: tuple[float, ...]
     canonical_blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def points(self) -> tuple[PhasePoint, ...]:
+        return tuple(PhasePoint(x, t) for x, t in zip(self.coords, self.times))
 
 
 def helmholtz_residuals(
@@ -97,14 +102,13 @@ def sample_points(
     seed: int = 0,
     box: float = 1.0,
     time: float = 0.0,
-) -> tuple[PhasePoint, ...]:
-    """The origin plus ``count`` uniform draws from [-box, box]^{2n}."""
-    rng = np.random.default_rng(seed)
-    pts = [PhasePoint(np.zeros(chart.dim), time)]
-    pts += [
-        PhasePoint(rng.uniform(-box, box, chart.dim), time) for _ in range(count)
-    ]
-    return tuple(pts)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The origin plus ``count`` uniform draws from [-box, box]^{2n}, as
+    coordinates (count + 1, 2n) and times (count + 1,).  One draw of
+    count x 2n numbers takes the stream of ``count`` draws of one point."""
+    X = np.zeros((count + 1, chart.dim))
+    X[1:] = np.random.default_rng(seed).uniform(-box, box, (count, chart.dim))
+    return X, np.full(count + 1, float(time))
 
 
 def _is_canonical(M: MetricField) -> bool:
@@ -125,32 +129,31 @@ def classify(
 ) -> HelmholtzReport:
     """Aggregate residuals over sample points and render the verdict."""
     if points is None:
-        points = sample_points(V.chart, count=count, seed=seed, box=box, time=time)
-    if not points:
+        X, T = sample_points(V.chart, count=count, seed=seed, box=box, time=time)
+    elif not points:
         raise ValueError("at least one sample point is required")
-    for x in points:
-        _check_point(V.chart, x)
-    X = np.array([x.coords for x in points])
-    T = np.array([x.time for x in points])
+    else:
+        for x in points:
+            _check_point(V.chart, x)
+        X, T = np.array([x.coords for x in points]), np.array([x.time for x in points])
     W, D, _ = M.jet_batch(X, T)
     for b in np.flatnonzero(degeneracy_ratios(W) < DEGENERACY_TOL):
-        warnings.warn(
-            f"metric is degenerate at sampled point {points[b].coords}", DegenerateMetricWarning
-        )
+        warnings.warn(f"metric is degenerate at sampled point {X[b]}", DegenerateMetricWarning)
     residuals = helmholtz_residuals(V, X, T, W, D)
-    per_point = tuple(float(m) for m in np.abs(residuals).max(axis=(1, 2)))
+    per_point = tuple(np.abs(residuals).max(axis=(1, 2)).tolist())
     max_abs = max(per_point)
     verdict = "hamiltonian" if max_abs < tol else "non-hamiltonian"
     blocks = None
     if _is_canonical(M):
-        worst = points[per_point.index(max_abs)]
-        blocks = _canonical_blocks(V.jacobian(worst.coords, worst.time), V.chart.n)
+        worst = per_point.index(max_abs)
+        blocks = _canonical_blocks(V.jacobian(X[worst], T[worst]), V.chart.n)
     return HelmholtzReport(
         verdict=verdict,
         max_abs=max_abs,
         tol=tol,
-        points=tuple(points),
-        residuals=tuple(residuals),
+        coords=X,
+        times=T,
+        residuals=residuals,
         per_point_max=per_point,
         canonical_blocks=blocks,
     )

@@ -16,7 +16,7 @@ from metricflow import (
     integrate_flow,
     tangent_map,
 )
-from metricflow.dynamics import TRANSPORT_OPTIONS, flow_jet
+from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate_lanes, flow_jet
 from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_at, evaluate_batch, parse
 
 
@@ -191,6 +191,23 @@ class TestIntegrateFlow:
         V = VectorFieldSpec.from_components(chart1, ["log(q1)", "0"])
         with pytest.raises(IntegrationError):
             integrate_flow(V, PhasePoint([-1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("good_calls", [0, 10])
+    def test_a_faulty_right_hand_side_raises_its_own_error(self, good_calls):
+        # a ValueError of the right-hand side's own code is a fault, not the
+        # field leaving its domain: it propagates, at the start or mid-run,
+        # instead of rejecting steps or becoming an IntegrationError
+        calls = []
+
+        def F(lanes, Y):
+            calls.append(len(Y))
+            if len(calls) > good_calls:
+                return Y.reshape(len(Y), 2, 2)  # the wrong width
+            return -Y
+
+        with pytest.raises(ValueError, match="cannot reshape"):
+            _integrate_lanes(F, np.ones((2, 3)), [1.0, 2.0], IntegratorOptions(1e-8, 1e-8))
+        assert len(calls) == good_calls + 1
 
     def test_stats_populated(self, harmonic):
         seg = integrate_flow(harmonic, PhasePoint([1.0, 0.0]), 1.0)

@@ -215,9 +215,9 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     original = BracketFrame.__init__
     original_batch = FrictionAnalyticMetric.jet_batch
 
-    def init(self, M, x, state=None):
-        frames.append(x)
-        original(self, M, x, state)
+    def init(self, M, points):
+        frames.append(points)
+        original(self, M, points)
 
     def jet_batch(self, X, T):
         batches.append(list(T))
@@ -232,7 +232,8 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     frame.bracket(A, B)
     frame.jacobi_residual(A, B, C)
     frame.d_dt
-    assert len(calls) == len(frames) == len(batches) == 1
+    # a frame of one point reads its one jet in one jet_batch
+    assert len(frames) == 1 and batches == [[0.7]] and not calls
     cfg = load_config({
         "n": 2,
         "hamiltonian": QUARTIC,
@@ -244,12 +245,11 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     frames.clear()
     batches.clear()
     payload, _ = cmd_bracket(cfg, "q1*q2", "p1^2/2 + p2", "q1*p1")
-    # per query: the frame at the point and the two Leibniz difference
-    # frames, each point read once: one batch for the 4 query points, one
-    # for the 8 difference points
+    # one frame of the 4 query points and one of the 8 Leibniz difference
+    # points, each point read once: one batch per frame, no single jet
     assert len(payload["queries"]) == 4
-    assert len(frames) == 3 * 4 and not calls
-    assert batches == [[x.time for x in frames[:4]], [x.time for x in frames[4:]]]
+    assert [len(points) for points in frames] == [4, 8] and not calls
+    assert batches == [[x.time for x in points] for points in frames]
 
 
 # ---------------------------------------------------------------------------

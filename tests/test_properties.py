@@ -536,19 +536,22 @@ def test_taylor_expansion_matches_evaluate_and_differentiate(tree, point):
 def test_compiled_evaluation_is_evaluate(tree, point):
     env = CHART1.env(point[:2], point[2])
     compiled = ([tree], compile_vector([tree], CHART1))
-    # the batched evaluator at the point and at its mirror image (q1 <-> p1)
+    # the batched evaluator at the point and at its mirror image (q1 <-> p1),
+    # at the point's time and at a time per row (the second row's is q1)
     X = np.array([point[:2], point[1::-1]])
-    rows = [outcome_or_error(lambda x=x: evaluate_compiled(compiled, CHART1, x, point[2])) for x in X]
-    errors = [row for row in rows if isinstance(row, DomainError)]
-    if errors:
-        with pytest.raises(DomainError) as got:
-            evaluate_batch(compiled, CHART1, X, point[2])
-        assert got.value.node == errors[0].node and str(got.value) == str(errors[0])
-    else:
-        batch = evaluate_batch(compiled, CHART1, X, point[2])
-        assert batch.shape == (2, 1)
-        for got, ref in zip(batch[:, 0], rows):
-            assert got.tobytes() == ref[0].tobytes() or (math.isnan(got) and math.isnan(ref[0]))
+    for time in (point[2], np.array([point[2], point[0]])):
+        rows = [outcome_or_error(lambda x=x, t=t: evaluate_compiled(compiled, CHART1, x, t))
+                for x, t in zip(X, np.broadcast_to(time, 2))]
+        errors = [row for row in rows if isinstance(row, DomainError)]
+        if errors:
+            with pytest.raises(DomainError) as got:
+                evaluate_batch(compiled, CHART1, X, time)
+            assert got.value.node == errors[0].node and str(got.value) == str(errors[0])
+        else:
+            batch = evaluate_batch(compiled, CHART1, X, time)
+            assert batch.shape == (2, 1)
+            for got, ref in zip(batch[:, 0], rows):
+                assert got.tobytes() == ref[0].tobytes() or (math.isnan(got) and math.isnan(ref[0]))
     try:
         ref = evaluate(tree, env)
     except DomainError as exc:

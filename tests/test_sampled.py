@@ -1,0 +1,297 @@
+"""The sampled commands on arrays: seeded draws, stacked bracket frames and
+the JSON writer, each against a test-local copy of the per-point code it
+replaced.
+
+* ``classify`` and ``audit`` take each sample set in one draw; the
+  references are the per-row draw loops, compared bit for bit.
+* A :class:`BracketFrame` of B points gives the bits of the per-point
+  frame formulas (copied here) and of B frames of one point.
+* ``cli._dumps`` is ``json.dumps(value, indent=2, sort_keys=True)``.
+"""
+
+import json
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import metricflow.brackets as brackets_mod
+import metricflow.cli as cli_mod
+import metricflow.exprlang as exprlang_mod
+from metricflow import (
+    CoordinateChart,
+    ExprMetric,
+    FrictionAnalyticMetric,
+    FrictionSystem,
+    Observable,
+    PhasePoint,
+    VectorFieldSpec,
+    canonical_metric,
+    classify,
+    leibniz_defect,
+)
+from metricflow.brackets import BracketFrame, observable_time_derivative
+from metricflow.cli import cmd_audit, cmd_bracket, cmd_classify, load_config, main
+from metricflow.exprlang import evaluate_compiled
+from metricflow.helmholtz import sample_points
+from metricflow.phasespace import invert_metric
+
+QUARTIC = "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2"
+
+
+def _quartic_config(count: int, queries: int, seed: int = 3) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        "n": 2,
+        "hamiltonian": QUARTIC,
+        "friction": 1.0,
+        "metric": "friction-analytic",
+        "samples": {"count": count, "seed": seed, "box": 1.0},
+        "t_max": 3.0,
+        "queries": [
+            {"point": rng.uniform(-1.0, 1.0, 4).tolist(), "time": float(rng.uniform(0.0, 2.0))}
+            for _ in range(queries)
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# One draw per sample set: the streams of the per-row loops, bit for bit.
+
+
+def _loop_sample_points(chart, count, seed, box, time):
+    rng = np.random.default_rng(seed)
+    pts = [PhasePoint(np.zeros(chart.dim), time)]
+    pts += [PhasePoint(rng.uniform(-box, box, chart.dim), time) for _ in range(count)]
+    return tuple(pts)
+
+
+def _loop_audit_draws(seed, count, d, box, t_max):
+    rng = np.random.default_rng(seed)
+    X = np.empty((count, d))
+    T = np.empty(count)
+    for b in range(count):
+        X[b] = rng.uniform(-box, box, d)
+        T[b] = rng.uniform(0.0, t_max)
+    draws = [(rng.uniform(-box, box, d), rng.uniform(0.2, t_max)) for _ in range(min(20, count))]
+    return X, T, draws
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed, count, box, time", [(0, 1, 1.0, 0.0), (7, 50, 0.3, 1.5), (12345, 9, 2.5, -0.25)])
+def test_classify_samples_are_the_loop_stream(n, seed, count, box, time):
+    chart = CoordinateChart(n)
+    ref = _loop_sample_points(chart, count, seed, box, time)
+    X, T = sample_points(chart, count=count, seed=seed, box=box, time=time)
+    assert np.array_equal(X, np.array([x.coords for x in ref]))
+    assert np.array_equal(T, np.array([x.time for x in ref]))
+    V = VectorFieldSpec.from_components(chart, [f"p{i + 1}" for i in range(n)] + [f"-q{i + 1}" for i in range(n)])
+    report = classify(V, canonical_metric(chart), count=count, seed=seed, box=box, time=time)
+    assert np.array_equal(report.coords, X) and np.array_equal(report.times, T)
+
+
+@pytest.mark.parametrize(
+    "n, seed, count, box, t_max",
+    [(1, 0, 30, 1.0, 3.0), (2, 5, 7, 0.4, 1.5), (1, 123, 25, 2.5, 0.5), (3, 9, 21, 1.0, 6.0)],
+)
+def test_audit_samples_and_trajectories_are_the_loop_stream(monkeypatch, n, seed, count, box, t_max):
+    seen = {}
+    residuals, lanes = cli_mod.invariance_residuals, cli_mod.flow_lanes
+
+    def record_residuals(V, X, T, *rest):
+        seen["X"], seen["T"] = np.array(X), np.array(T)
+        return residuals(V, X, T, *rest)
+
+    def record_lanes(V, starts, t1s, *rest, **kwargs):
+        seen["starts"], seen["t1s"] = list(starts), list(t1s)
+        return lanes(V, starts, t1s, *rest, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "invariance_residuals", record_residuals)
+    monkeypatch.setattr(cli_mod, "flow_lanes", record_lanes)
+    H = " + ".join(f"(p{i}^2 + q{i}^2)/2" for i in range(1, n + 1))
+    cfg = load_config({
+        "n": n, "hamiltonian": H, "friction": 0.5, "metric": "friction-analytic",
+        "samples": {"count": count, "seed": seed, "box": box}, "t_max": t_max,
+    })
+    payload, _ = cmd_audit(cfg)
+    X, T, draws = _loop_audit_draws(seed, count, 2 * n, box, t_max)
+    assert np.array_equal(seen["X"], X) and np.array_equal(seen["T"], T)
+    # the trajectory draws follow, so the stream position after the samples is pinned
+    assert payload["samples"]["trajectories"] == len(draws) == len(seen["starts"])
+    assert all(np.array_equal(x.coords, x0) and x.time == 0.0 for x, (x0, _) in zip(seen["starts"], draws))
+    assert seen["t1s"] == [t for _, t in draws]
+
+
+# ---------------------------------------------------------------------------
+# Stacked bracket frames against the per-point frame formulas.
+
+
+def _point_frame_values(M, V, A, B, C, x):
+    """The per-point BracketFrame's bracket, Jacobi residual and Leibniz
+    formula at ``x``, as it computed them."""
+    chart, d = M.chart, M.chart.dim
+    W, dW_dx, dW_dt = M.jet(x.coords, x.time)
+    P = -invert_metric(W)
+    dP, dPt = P @ dW_dx @ P, P @ dW_dt @ P
+
+    def grad(o):
+        return evaluate_compiled(o._compiled("grad", chart), chart, x.coords, x.time)
+
+    def hess(o):
+        return evaluate_compiled(o._compiled("hess", chart), chart, x.coords, x.time).reshape(d, d)
+
+    obs = (A, B, C)
+    grads, hessians = [grad(o) for o in obs], [hess(o) for o in obs]
+
+    def nested(i, j, k):
+        gj, gk, hj, hk = grads[j], grads[k], hessians[j], hessians[k]
+        inner_grad = (
+            np.einsum("mkl,k,l->m", dP, gj, gk)
+            + np.einsum("kl,mk,l->m", P, hj, gk)
+            + np.einsum("kl,k,ml->m", P, gj, hk)
+        )
+        return float(grads[i] @ P @ inner_grad)
+
+    Xv, J = V.eval(x.coords, x.time), V.jacobian(x.coords, x.time)
+    D = dPt + np.einsum("m,mkl->kl", Xv, dP) - J @ P - P @ J.T
+    return (
+        float(grads[0] @ P @ grads[1]),
+        nested(0, 1, 2) + nested(1, 2, 0) + nested(2, 0, 1),
+        float(grads[0] @ D @ grads[1]),
+        float(grad(observable_time_derivative(A, V)) @ P @ grads[1]),
+    )
+
+
+def _bracket_cases():
+    chart = CoordinateChart(2)
+    V = VectorFieldSpec.from_components(chart, ["p1 + q2^2", "p2", "-q1 - q1*q2", "-q2 - p2/2"])
+    expr = ExprMetric(
+        chart,
+        [
+            ["0", "q1*t", "1+q2^2", "0"],
+            ["-q1*t", "0", "sin(p2)", "1"],
+            ["-(1+q2^2)", "-sin(p2)", "0", "p1*exp(-t)"],
+            ["0", "-1", "-p1*exp(-t)", "0"],
+        ],
+    )
+    system = FrictionSystem.build(chart, QUARTIC, [[1.0, 0.2], [0.1, 0.5]])
+    return [(V, expr, 2.0), (system.vector_field, FrictionAnalyticMetric(system, t0=0.25), 3.0)]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_stacked_frame_has_the_bits_of_the_point_formulas(case):
+    V, M, t_max = _bracket_cases()[case]
+    chart = M.chart
+    A, B, C = (Observable.parse(s, chart) for s in ("q1*p2*t + sin(q2)", "exp(p1/3) - q1^2*t", "q2*p1*p2"))
+    rng = np.random.default_rng(31 + case)
+    points = [PhasePoint(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.0, t_max))) for _ in range(24)]
+    frame = BracketFrame(M, points)
+    brackets, jacobi = frame.bracket(A, B), frame.jacobi_residual(A, B, C)
+    defect = frame.leibniz_defect(A, B, V)
+    adot = frame.bracket(observable_time_derivative(A, V), B)
+    assert frame.P.shape == (24, 4, 4) and brackets.shape == jacobi.shape == defect.formula.shape == (24,)
+    for b, x in enumerate(points):
+        ref = _point_frame_values(M, V, A, B, C, x)
+        assert (brackets[b], jacobi[b], defect.formula[b], adot[b]) == ref
+        one = leibniz_defect(A, B, V, M, x)
+        assert (one.formula, one.numerical) == (defect.formula[b], defect.numerical[b])
+
+
+# ---------------------------------------------------------------------------
+# Work counters.
+
+
+def test_classify_builds_no_point_per_sample(monkeypatch):
+    built = []
+    original = PhasePoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", counted)
+    payload, _ = cmd_classify(load_config(_quartic_config(4000, 0)))
+    assert len(payload["per_point"]) == 4001
+    assert built == []
+
+
+def test_bracket_evaluates_each_observable_once_per_frame(monkeypatch):
+    batches, singles = [], []
+    batch, single = brackets_mod.evaluate_batch, exprlang_mod.evaluate_compiled
+
+    def counted_batch(compiled, chart, X, time):
+        batches.append((id(compiled), len(X)))
+        return batch(compiled, chart, X, time)
+
+    def counted_single(compiled, *args):
+        singles.append(id(compiled))
+        return single(compiled, *args)
+
+    monkeypatch.setattr(brackets_mod, "evaluate_batch", counted_batch)
+    monkeypatch.setattr(exprlang_mod, "evaluate_compiled", counted_single)
+    Q = 12
+    payload, _ = cmd_bracket(load_config(_quartic_config(10, Q)), "q1*q2", "p1^2/2 + p2", "q1*p1")
+    assert len(payload["queries"]) == Q
+    # the query frame: gradients of A, B, C, dA/dt, dB/dt and Hessians of
+    # A, B, C; the frame of the 2Q Leibniz end points: gradients of A and B
+    assert Counter(rows for _, rows in batches) == {Q: 8, 2 * Q: 2}
+    assert len(set(batches)) == len(batches)
+    assert not {key for key, _ in batches} & set(singles)
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer.
+
+_leaves = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats().map(np.float64)
+    | st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1e-300, 2.0**1023])
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=6)
+    | st.sampled_from(["\x00", "a\x00b", "\n\t\x1f\x7f", "é \U0001f600", '"\\', ""])
+)
+_keys = st.text(max_size=4) | st.sampled_from(["\x00", "a\x00", "é"])
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_values)
+def test_writer_is_indented_sorted_json_dumps(value):
+    assert cli_mod._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_on_nested_empty_containers():
+    for value in ({}, [], (), [[]], {"a": {}}, {"b": [[], {}], "a": ()}, [{}, [[]]]):
+        assert cli_mod._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Every JSON output is indented, sorted json.dumps.
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify"], cli_mod.EXIT_NON_HAMILTONIAN),
+        (["audit"], cli_mod.EXIT_OK),
+        (["bracket", "--A", "q1*q2", "--B", "p1^2/2 + p2", "--C", "q1*p1"], cli_mod.EXIT_OK),
+        (["bracket", "--A", "sqrt(q1 - 5)", "--B", "p1"], cli_mod.EXIT_CONFIG),  # a domain error
+    ],
+)
+def test_cli_output_is_indented_sorted_json(tmp_path, capsys, argv, expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_quartic_config(40, 5)))
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == expected
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
