@@ -91,20 +91,17 @@ def bracket_tensor(M: MetricField, x: PhasePoint) -> np.ndarray:
 
 
 class BracketFrame:
-    """The raised tensor P of a metric at B points, shared by every bracket
-    of :class:`Observable` s taken there: the metric's jets are read in one
-    ``jet_batch`` and inverted as one stack, the derivatives of P are formed
-    on first use, and each observable's gradients and Hessians are evaluated
-    once, at all points together.  Values come as arrays over the points."""
+    """The raised tensor P of a metric at the B points (X[b], T[b]), X (B, d)
+    and T (B,), shared by every bracket of :class:`Observable` s taken
+    there: the metric's jets are read in one ``jet_batch`` and inverted as
+    one stack, the derivatives of P are formed on first use, and each
+    observable's gradients and Hessians are evaluated once, at all points
+    together.  Values come as arrays over the points."""
 
-    def __init__(self, M: MetricField, points):
-        """``points``: a sequence of :class:`PhasePoint` s, or one (B = 1)."""
-        self.points = [points] if isinstance(points, PhasePoint) else list(points)
-        for x in self.points:
-            _check_point(M.chart, x)
+    def __init__(self, M: MetricField, X: np.ndarray, T: np.ndarray):
         self.M = M
-        self.X = np.array([x.coords for x in self.points]).reshape(len(self.points), M.chart.dim)
-        self.T = np.array([x.time for x in self.points])
+        self.X = np.ascontiguousarray(X, dtype=float)
+        self.T = np.asarray(T, dtype=float)
         W, self._dW_dx, self._dW_dt = M.jet_batch(self.X, self.T)
         self.P = -invert_metrics(W)
         self._memo = {}
@@ -167,29 +164,35 @@ class BracketFrame:
         -delta flows of all points are the lanes of one :func:`flow_lanes`,
         and their end points one frame; the first failing point raises."""
         P = self.P
-        J = V.jacobian_batch(self.X)  # J[b, k, m] = d X^k / d x^m
-        D = self.d_dt + np.einsum("bm,bmkl->bkl", V.eval_batch(self.X), self.d_dx) - J @ P - P @ np.swapaxes(J, 1, 2)
+        Xv, J = V.eval_jacobian(self.X)  # J[b, k, m] = d X^k / d x^m
+        D = self.d_dt + np.einsum("bm,bmkl->bkl", Xv, self.d_dx) - J @ P - P @ np.swapaxes(J, 1, 2)
         formula = _contract(self._at_points(A, "gradient"), D, self._at_points(B, "gradient"))
 
         Adot = observable_time_derivative(A, V)
         Bdot = observable_time_derivative(B, V)
-        starts = [x for x in self.points for _ in (0, 1)]
-        ends, _, _ = flow_lanes(V, starts, [x.time + dt for x in self.points for dt in (delta, -delta)], opts)
-        c = BracketFrame(self.M, ends).bracket(A, B)
+        T0 = np.repeat(self.T, 2)
+        T1 = T0 + np.tile([delta, -delta], len(self.T))
+        Y, _ = flow_lanes(V, np.repeat(self.X, 2, axis=0), T1 - T0, opts)
+        c = BracketFrame(self.M, Y[:, : V.chart.dim], T1).bracket(A, B)
         numerical = (c[::2] - c[1::2]) / (2.0 * delta) - self.bracket(Adot, B) - self.bracket(A, Bdot)
         return LeibnizDefect(formula, numerical)
+
+
+def _point_frame(M: MetricField, x: PhasePoint) -> BracketFrame:
+    _check_point(M.chart, x)
+    return BracketFrame(M, x.coords[None], [x.time])
 
 
 def poisson_bracket(A, B, M: MetricField, x: PhasePoint) -> float:
     """{A, B} at ``x`` with the metric raised through its inverse."""
     A, B = (_as_observable(o, M.chart) for o in (A, B))
-    return float(BracketFrame(M, x).bracket(A, B)[0])
+    return float(_point_frame(M, x).bracket(A, B)[0])
 
 
 def bracket_jacobi_residual(A, B, C, M: MetricField, x: PhasePoint) -> float:
     """{A,{B,C}} + {B,{C,A}} + {C,{A,B}} at ``x`` (:meth:`BracketFrame.jacobi_residual`)."""
     A, B, C = (_as_observable(o, M.chart) for o in (A, B, C))
-    return float(BracketFrame(M, x).jacobi_residual(A, B, C)[0])
+    return float(_point_frame(M, x).jacobi_residual(A, B, C)[0])
 
 
 def observable_time_derivative(A, V: VectorFieldSpec) -> Observable:
@@ -225,5 +228,5 @@ def leibniz_defect(
     integral of motion.
     """
     A, B = (_as_observable(o, M.chart) for o in (A, B))
-    defect = BracketFrame(M, x).leibniz_defect(A, B, V, delta, opts)
+    defect = _point_frame(M, x).leibniz_defect(A, B, V, delta, opts)
     return LeibnizDefect(float(defect.formula[0]), float(defect.numerical[0]))

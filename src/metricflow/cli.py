@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import locale  # noqa: F401  argparse's gettext imports it on first use; not inside a command
+import math
 import sys
 from dataclasses import dataclass
 
@@ -39,11 +40,10 @@ from .phasespace import (
     ExprMetric,
     MetricError,
     MetricField,
-    PhasePoint,
     TransportedMetric,
     canonical_metric,
     jacobi_residuals,
-    metric_determinant,
+    value_determinant,
 )
 
 EXIT_OK = 0
@@ -73,7 +73,8 @@ class SystemConfig:
     samples_count: int
     samples_seed: int
     samples_box: float
-    queries: list[dict]
+    query_coords: np.ndarray  # (Q, d), the query points
+    query_times: np.ndarray  # (Q,)
     t_grid: list[float]
     t_max: float
     methods: list[str] | None
@@ -88,6 +89,24 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _number(value, key: str, integer: bool = False, positive: bool = False):
+    """The config number at ``key``: a finite JSON number, not a boolean;
+    integral, and returned as an int, if ``integer``; > 0 if ``positive``."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and (not integer or float(value).is_integer())
+    except (TypeError, OverflowError):  # not a number, or an int beyond the floats
+        ok = False
+    kind = "integer" if integer else "number"
+    _require(ok and (not positive or value > 0), f"'{key}' must be {'a positive' if positive else 'a finite'} {kind}")
+    return int(value) if integer else float(value)
+
+
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    _require(isinstance(section, dict), f"'{key}' must be an object")
+    return section
+
+
 def load_config(data: dict) -> SystemConfig:
     _require(isinstance(data, dict), "config must be a JSON object")
     known = {
@@ -98,8 +117,7 @@ def load_config(data: dict) -> SystemConfig:
     unknown = set(data) - known
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("n" in data, "config needs 'n' (degrees of freedom)")
-    n = data["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    n = _number(data["n"], "n", integer=True, positive=True)
     names = data.get("names")
     if names is not None:
         _require(
@@ -122,32 +140,22 @@ def load_config(data: dict) -> SystemConfig:
             f"'components' must be a list of {2 * n} string expressions",
         )
         _require("friction" not in data, "'friction' requires the 'hamiltonian' form")
-    integ = data.get("integrator", {})
-    _require(isinstance(integ, dict), "'integrator' must be an object")
-    try:
-        integrator = IntegratorOptions(
-            abs_tol=float(integ.get("abs_tol", 1e-10)),
-            rel_tol=float(integ.get("rel_tol", 1e-10)),
-            max_steps=int(integ.get("max_steps", 1_000_000)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid integrator options: {exc}") from None
-    series = data.get("series", {})
-    _require(isinstance(series, dict), "'series' must be an object")
-    series_order = int(series.get("order", 20))
-    _require(series_order >= 1, "series order must be >= 1")
+    integ = _section(data, "integrator")
+    integrator = IntegratorOptions(
+        abs_tol=_number(integ.get("abs_tol", 1e-10), "integrator.abs_tol", positive=True),
+        rel_tol=_number(integ.get("rel_tol", 1e-10), "integrator.rel_tol", positive=True),
+        max_steps=_number(integ.get("max_steps", 1_000_000), "integrator.max_steps", integer=True, positive=True),
+    )
+    series = _section(data, "series")
+    series_order = _number(series.get("order", 20), "series.order", integer=True, positive=True)
     series_mode = series.get("mode", "auto")
     _require(series_mode in ("auto", "linear", "generic"), "series mode must be auto|linear|generic")
-    splitting = data.get("splitting", {})
-    _require(isinstance(splitting, dict), "'splitting' must be an object")
-    splitting_steps = int(splitting.get("steps", 100))
-    _require(splitting_steps >= 1, "splitting steps must be >= 1")
-    samples = data.get("samples", {})
-    _require(isinstance(samples, dict), "'samples' must be an object")
-    samples_count = int(samples.get("count", 50))
-    samples_seed = int(samples.get("seed", 0))
-    samples_box = float(samples.get("box", 1.0))
-    _require(samples_count >= 1, "samples count must be >= 1")
+    splitting_steps = _number(_section(data, "splitting").get("steps", 100), "splitting.steps", integer=True,
+                              positive=True)
+    samples = _section(data, "samples")
+    samples_count = _number(samples.get("count", 50), "samples.count", integer=True, positive=True)
+    samples_seed = _number(samples.get("seed", 0), "samples.seed", integer=True)
+    samples_box = _number(samples.get("box", 1.0), "samples.box", positive=True)
     queries = data.get("queries", [])
     _require(isinstance(queries, list), "'queries' must be a list")
     for q in queries:
@@ -156,8 +164,11 @@ def load_config(data: dict) -> SystemConfig:
             "each query needs a 'point' list",
         )
         _require(len(q["point"]) == 2 * n, f"query points need {2 * n} coordinates")
-    t_grid = [float(t) for t in data.get("t_grid", [1.0])]
-    t_max = float(data.get("t_max", max([3.0] + t_grid)))
+    X = np.array([[_number(v, f"queries[{i}].point") for v in q["point"]] for i, q in enumerate(queries)])
+    T = np.array([_number(q.get("time", 0.0), f"queries[{i}].time") for i, q in enumerate(queries)])
+    t_grid = data.get("t_grid", [1.0])
+    _require(isinstance(t_grid, list), "'t_grid' must be a list")
+    t_grid = [_number(t, f"t_grid[{i}]") for i, t in enumerate(t_grid)]
     methods = data.get("methods")
     if methods is not None:
         _require(
@@ -179,9 +190,10 @@ def load_config(data: dict) -> SystemConfig:
         samples_count=samples_count,
         samples_seed=samples_seed,
         samples_box=samples_box,
-        queries=queries,
+        query_coords=X.reshape(len(queries), 2 * n),
+        query_times=T,
         t_grid=t_grid,
-        t_max=t_max,
+        t_max=_number(data.get("t_max", max([3.0] + t_grid)), "t_max"),
         methods=methods,
     )
 
@@ -213,17 +225,6 @@ def _build_metric(cfg: SystemConfig, fsys: FrictionSystem | None) -> MetricField
         except Exception as exc:
             raise ConfigError(f"invalid metric entries: {exc}") from None
     raise ConfigError("metric must be 'canonical', 'friction-analytic' or a matrix of strings")
-
-
-def _query_points(cfg: SystemConfig) -> list[PhasePoint]:
-    return [PhasePoint(q["point"], float(q.get("time", 0.0))) for q in cfg.queries]
-
-
-def _eval_point(cfg: SystemConfig) -> np.ndarray:
-    pts = _query_points(cfg)
-    if pts:
-        return pts[0].coords
-    return np.zeros(cfg.chart.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     d = cfg.chart.dim
     M0 = _build_metric(cfg, fsys)
     W0 = _initial_matrix(cfg, M0)
-    x_eval = _eval_point(cfg)
+    x_eval = cfg.query_coords[0] if len(cfg.query_coords) else np.zeros(d)
     grid = cfg.t_grid if t_grid is None else [float(t) for t in t_grid]
 
     warning_text = ""
@@ -368,14 +369,11 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
     # volume law along trajectories: |ln sqrt_g + integral kappa| at endpoints
     n_traj = min(20, count)
     X0, T1 = draw(n_traj, 0.2)
-    ends, Y, _ = flow_lanes(V, [PhasePoint(x0) for x0 in X0], T1.tolist(), cfg.integrator, tangent=False)
+    Y, _ = flow_lanes(V, X0, T1, cfg.integrator, tangent=False)
     gaps = []
-    for end, kap in zip(ends, Y[:, -1].tolist()):
-        det = metric_determinant(M, end)
-        if det.sqrt_g <= 0:
-            gaps.append(float("inf"))
-            continue
-        gaps.append(abs(float(np.log(det.sqrt_g)) + kap))
+    for W_end, kap in zip(M.jet_batch(Y[:, :d], T1)[0], Y[:, -1].tolist()):
+        sqrt_g = value_determinant(W_end).sqrt_g
+        gaps.append(float("inf") if sqrt_g <= 0 else abs(float(np.log(sqrt_g)) + kap))
     max_gap = max(gaps)
 
     ok = max_inv < tol and max_jac < tol and max_gap < det_tol
@@ -400,7 +398,8 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
         C = Observable.parse(c_text, chart) if c_text else None
     except ExprError as exc:
         raise ConfigError(str(exc)) from None
-    frame = BracketFrame(M, _query_points(cfg) or [PhasePoint(np.zeros(chart.dim))])
+    X, T = (cfg.query_coords, cfg.query_times) if len(cfg.query_times) else (np.zeros((1, chart.dim)), np.zeros(1))
+    frame = BracketFrame(M, X, T)
     columns = {"point": frame.X.tolist(), "time": frame.T.tolist(), "bracket": frame.bracket(A, B).tolist()}
     if C is not None:
         columns["jacobi_residual"] = frame.jacobi_residual(A, B, C).tolist()

@@ -178,29 +178,20 @@ class VectorFieldSpec:
         return simplify(acc)
 
     @cached_property
-    def _field_fn(self):
-        return self.components, compile_vector(self.components, self.chart)
-
-    @cached_property
-    def _jac_fn(self):
-        flat = [e for row in self.jacobian_exprs for e in row]
-        return flat, compile_vector(flat, self.chart)
-
-    @cached_property
     def _hess_fn(self):
         """Flat indices and compiled entries of the second derivatives but Num(+0.0); -0.0 is a value."""
         flat = [h for row in self.jacobian_exprs for e in row for h in gradient(e, self.chart.names)]
         index = [k for k, h in enumerate(flat) if not (h == Num(0.0) and math.copysign(1.0, h.value) > 0)]
         return np.array(index, dtype=int), ([flat[k] for k in index], compile_vector([flat[k] for k in index], self.chart))
 
-    @cached_property
-    def _div_fn(self):
-        return (self.divergence_expr,), compile_vector([self.divergence_expr], self.chart)
-
-    # the lanes' right-hand sides: the Jacobian's entries or the divergence, then the field's
+    # the two kernels of the field: the lanes' right-hand sides, of which eval,
+    # jacobian and divergence read their slices.  _tangent_fn is the Jacobian's
+    # entries, when it varies, then the field's; _volume_fn the divergence, then
+    # the field's.
     @cached_property
     def _tangent_fn(self):
-        flat = [e for row in self.jacobian_exprs for e in row] + list(self.components)
+        flat = [] if self.constant_jacobian is not None else [e for row in self.jacobian_exprs for e in row]
+        flat += self.components
         return flat, compile_vector(flat, self.chart)
 
     @cached_property
@@ -209,13 +200,13 @@ class VectorFieldSpec:
         return flat, compile_vector(flat, self.chart)
 
     def eval(self, coords, time: float = 0.0) -> np.ndarray:
-        return evaluate_compiled(self._field_fn, self.chart, coords, time)
+        return evaluate_compiled(self._tangent_fn, self.chart, coords, time, slice(-self.chart.dim, None))
 
     def jacobian(self, coords, time: float = 0.0) -> np.ndarray:
         if self.constant_jacobian is not None:
             return self.constant_jacobian
         d = self.chart.dim
-        return evaluate_compiled(self._jac_fn, self.chart, coords, time).reshape(d, d)
+        return evaluate_compiled(self._tangent_fn, self.chart, coords, time, slice(0, d * d)).reshape(d, d)
 
     def hessian(self, coords, time: float = 0.0) -> np.ndarray:
         """Second derivatives T[i, a, b] = d^2 X^i / dx_a dx_b, compiled on
@@ -227,18 +218,17 @@ class VectorFieldSpec:
         return out.reshape(d, d, d)
 
     def divergence(self, coords, time: float = 0.0) -> float:
-        return evaluate_compiled(self._div_fn, self.chart, coords, time)[0]
+        return evaluate_compiled(self._volume_fn, self.chart, coords, time, slice(0, 1))[0]
 
-    # the same at each row of X (B, d), with the bits of one call per row
-
-    def eval_batch(self, X) -> np.ndarray:
-        return evaluate_batch(self._field_fn, self.chart, X)
-
-    def jacobian_batch(self, X) -> np.ndarray:
-        d = self.chart.dim
+    def eval_jacobian(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """The field (B, d) and its Jacobian (B, d, d) at each row of X (B, d),
+        with the bits of eval and jacobian, from one read of the tangent
+        kernel.  Where entries of both fail, the field's node is named."""
+        B, d = len(X), self.chart.dim
         if self.constant_jacobian is not None:
-            return np.broadcast_to(self.constant_jacobian, (len(X), d, d))
-        return evaluate_batch(self._jac_fn, self.chart, X).reshape(len(X), d, d)
+            return evaluate_batch(self._tangent_fn, self.chart, X), np.broadcast_to(self.constant_jacobian, (B, d, d))
+        E = evaluate_batch(self._tangent_fn, self.chart, X, entries=np.arange(-d, d * d))  # the field's first
+        return np.ascontiguousarray(E[:, :d]), np.ascontiguousarray(E[:, d:]).reshape(B, d, d)
 
 
 def eval_field(V: VectorFieldSpec, x: PhasePoint) -> np.ndarray:
@@ -446,28 +436,26 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
     return Y, [IntegrationStats(*c) for c in counts]
 
 
-def flow_lanes(V: VectorFieldSpec, starts: Sequence[PhasePoint], t1s: Sequence[float],
-               opts: IntegratorOptions | None = None, tangent: int = 1
-               ) -> tuple[list[PhasePoint], np.ndarray, list[IntegrationStats]]:
-    """The trajectories from ``starts`` to the times ``t1s``, integrated as
-    the lanes of one :func:`_integrate_lanes`.
+def flow_lanes(V: VectorFieldSpec, X0: np.ndarray, durations, opts: IntegratorOptions | None = None,
+               tangent: int = 1) -> tuple[np.ndarray, list[IntegrationStats]]:
+    """The trajectories from the rows of X0 (B, d), row b for the time
+    durations[b] (negative: backward), integrated as the lanes of one
+    :func:`_integrate_lanes`.
 
     ``tangent`` is the order of the variational equations that each lane
     carries beside the flow: 1 (True) the tangent map M, 2 also
     H[i, j, k] = d_k M_ij, which obeys H_k' = D^2X(y)[M e_k, M] + DX(y) H_k
     (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), and 0 (False) none,
-    but the integral of the compressibility.  Returns the end points (a
-    start point itself where t1 is its time), the end states, (B, d + d^2),
-    (B, d + d^2 + d^3) or (B, d + 1), and the :class:`IntegrationStats` of
-    each lane."""
+    but the integral of the compressibility.  Returns the end states,
+    (B, d + d^2), (B, d + d^2 + d^3) or (B, d + 1), with the end point first
+    (the start itself for a zero duration), and the
+    :class:`IntegrationStats` of each lane."""
     opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
-    for x in starts:
-        _check_point(V.chart, x)
-    T = [float(t1) - x.time for x, t1 in zip(starts, t1s)]
+    T = [float(s) for s in durations]
     sign = np.array([1.0 if s > 0 else -1.0 for s in T])  # backward lanes integrate -X forward
 
     dd, jac, last = d * d, V.constant_jacobian, [None, None]  # last: F's last lane array, its signs
-    compiled = V._volume_fn if not tangent else V._field_fn if jac is not None else V._tangent_fn
+    compiled = V._tangent_fn if tangent else V._volume_fn
 
     def F(lanes, Y):
         X, B, out = Y[:, :d], len(Y), np.empty_like(Y)
@@ -491,17 +479,16 @@ def flow_lanes(V: VectorFieldSpec, starts: Sequence[PhasePoint], t1s: Sequence[f
         return out
 
     Y0 = np.zeros((len(T), d + (dd + (d**3 if tangent == 2 else 0) if tangent else 1)))
-    Y0[:, :d] = np.reshape([x.coords for x in starts], (len(T), d))
+    Y0[:, :d] = X0
     if tangent:
         Y0[:, d : d + dd : d + 1] = 1.0  # M = I
-    Y, stats = _integrate_lanes(F, Y0, [abs(s) for s in T], opts)
-    return [x if T[b] == 0.0 else PhasePoint(Y[b, :d], t1) for b, (x, t1) in enumerate(zip(starts, t1s))], Y, stats
+    return _integrate_lanes(F, Y0, [abs(s) for s in T], opts)
 
 
-def _integrate(V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None, tangent: int):
-    """One lane of :func:`flow_lanes`: (end point, end state, stats)."""
-    ends, Y, stats = flow_lanes(V, [x0], [t1], opts, tangent)
-    return ends[0], Y[0], stats[0]
+def _integrate(V: VectorFieldSpec, x0, duration: float, opts: IntegratorOptions | None, tangent: int):
+    """One lane of :func:`flow_lanes` from the coordinates x0: (end point, end state, stats)."""
+    Y, stats = flow_lanes(V, [x0], [duration], opts, tangent)
+    return Y[0, : V.chart.dim], Y[0], stats[0]
 
 
 def integrate_flow(
@@ -518,6 +505,7 @@ def integrate_flow(
     is a lane of its own from ``x0``, so its sample has the bits of the end
     point of ``integrate_flow(V, x0, sample_time)``.
     """
+    _check_point(V.chart, x0)
     d, t0, t1 = V.chart.dim, x0.time, float(t1)
     direction, duration = (1.0 if t1 > t0 else -1.0), abs(t1 - t0)
     inner = []
@@ -528,10 +516,11 @@ def integrate_flow(
         if 0.0 < tau < duration:
             inner.append((tau, float(ts)))
     times = [t1] + [ts for _, ts in sorted(inner)]
-    ends, Y, stats = flow_lanes(V, [x0] * len(times), times, opts)
-    samples = [(t0, x0.coords)] + [(ts, end.coords) for ts, end in zip(times[1:], ends[1:])]
-    samples += [(t1, ends[0].coords)] if duration else []
-    return FlowSegment(x0, ends[0], tuple(samples), Y[0, d:].reshape(d, d), stats[0])
+    Y, stats = flow_lanes(V, [x0.coords] * len(times), [ts - t0 for ts in times], opts)
+    end = PhasePoint(Y[0, :d], t1) if duration else x0
+    samples = [(t0, x0.coords)] + [(ts, y[:d]) for ts, y in zip(times[1:], Y[1:])]
+    samples += [(t1, end.coords)] if duration else []
+    return FlowSegment(x0, end, tuple(samples), Y[0, d:].reshape(d, d), stats[0])
 
 
 def flow_jet(
@@ -546,7 +535,7 @@ def flow_jet(
     integrated.
     """
     d, order = V.chart.dim, 1 if V.constant_jacobian is not None else 2
-    _, y, _ = _integrate(V, PhasePoint(coords), t, opts, order)
+    _, y, _ = _integrate(V, coords, t, opts, order)
     H = y[d + d * d :].reshape(d, d, d) if order == 2 else np.zeros((d, d, d))
     return y[:d], y[d : d + d * d].reshape(d, d), H
 
@@ -563,8 +552,10 @@ def compressibility_flow(
 ) -> tuple[PhasePoint, float]:
     """The end point of the trajectory from x0 to t1 and the integral of the
     compressibility along it, from one integration of (y, integral)."""
-    end, y, _ = _integrate(V, x0, t1, opts, False)
-    return end, float(y[-1])
+    _check_point(V.chart, x0)
+    t1 = float(t1)
+    end, y, _ = _integrate(V, x0.coords, t1 - x0.time, opts, False)
+    return (PhasePoint(end, t1) if t1 != x0.time else x0), float(y[-1])
 
 
 def compressibility_integral(

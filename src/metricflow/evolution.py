@@ -170,7 +170,7 @@ class SeriesPropagator:
     def propagate(
         self,
         t: float,
-        x: PhasePoint | None = None,
+        coords=None,
         order: int = DEFAULT_SERIES_ORDER,
         mode: str = "auto",
     ) -> tuple[np.ndarray, SeriesInfo]:
@@ -184,9 +184,9 @@ class SeriesPropagator:
         if A is not None:
             W = congruence(expm(-t * A), self.W0)
             return W, SeriesInfo("linear-exact", 0, 0.0, False)
-        if x is None:
+        if coords is None:
             raise ValueError("the generic series path needs an evaluation point")
-        total, terms, last_norm = self._sum(x.coords, t, order, relative=True)
+        total, terms, last_norm = self._sum(coords, t, order, relative=True)
         diverging = last_norm > max(1.0, float(np.max(np.abs(total))))
         if diverging:
             warnings.warn(
@@ -237,9 +237,9 @@ def _backward_subflow(X: VectorFieldSpec, h: float, rate: float):
 
         def step(y):
             end, D, D2 = flow_jet(X, y, -h, TRANSPORT_OPTIONS)
-            DX = X.jacobian(end)
+            Xe, DX = (v[0] for v in X.eval_jacobian(end[None]))
             E = np.block([[D, (end - D @ y)[:, None]], [np.zeros(d), 1.0]])
-            G = np.block([[DX, (X.eval(end) - DX @ end)[:, None]], [np.zeros(d), 0.0]])
+            G = np.block([[DX, (Xe - DX @ end)[:, None]], [np.zeros(d), 0.0]])
             return E, rate * G, D2
 
         return step
@@ -300,8 +300,9 @@ def pullback_jet(
     time they move as dx0/dt = -X(x0) and dM/dt = -DX(x0) M.
     """
     x0, M, H = flow_jet(V, coords, -time, opts or TRANSPORT_OPTIONS)
-    J = np.column_stack([M, -V.eval(x0)])
-    dM = np.concatenate([H.transpose(2, 0, 1), [-V.jacobian(x0) @ M]])
+    Xv, DX = V.eval_jacobian(x0[None])
+    J = np.column_stack([M, -Xv[0]])
+    dM = np.concatenate([H.transpose(2, 0, 1), [-DX[0] @ M]])
     W0, dW0, _ = M0.jet(x0, 0.0)
     return congruence_jet(W0, dW0, J, dM)
 
@@ -377,7 +378,7 @@ class SeriesMetric(MetricField):
         self.prop = SeriesPropagator(V, W0)
 
     def jet(self, coords, time):
-        W, info = self.prop.propagate(time, x=PhasePoint(coords, time), order=self.order, mode=self.mode)
+        W, info = self.prop.propagate(time, coords, order=self.order, mode=self.mode)
         if info.path == "linear-exact":
             # dW/dt = J W(t), one exact operator application
             A = self.V.constant_jacobian

@@ -945,24 +945,25 @@ def compile_vector(exprs: Iterable[Expr], chart: CoordinateChart):
         raise ExprError("an expression is nested too deeply to process") from None
 
 
-def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float) -> np.ndarray:
-    """``compiled`` = (exprs, compile_vector(exprs)) at the point, with
+def evaluate_compiled(compiled, chart: CoordinateChart, coords, time: float, entries=slice(None)) -> np.ndarray:
+    """The entries ``entries`` (a slice or index array, in its order) of
+    ``compiled`` = (exprs, compile_vector(exprs)) at the point, with
     :func:`evaluate`'s semantics.
 
     The compiled code runs on Python floats, so it raises wherever
     :func:`evaluate` raises a DomainError, and on overflow, where evaluate
-    gives inf.  The interpreter then evaluates the entries again and raises
-    the DomainError naming the node, or gives inf.
+    gives inf.  The interpreter then evaluates the picked entries alone, in
+    order, and raises the DomainError naming the node, or gives inf.
     """
     exprs, fn = compiled
     try:
-        return np.array(fn(np.asarray(coords, dtype=float).tolist(), float(time)))
+        return np.array(fn(np.asarray(coords, dtype=float).tolist(), float(time)))[entries]
     except (ArithmeticError, ValueError):
         env = chart.env(coords, time)
-        return np.array([evaluate(e, env) for e in exprs])
+        return np.array([evaluate(exprs[k], env) for k in np.arange(len(exprs))[entries]])
 
 
-def evaluate_batch(compiled, chart: CoordinateChart, X, time=0.0) -> np.ndarray:
+def evaluate_batch(compiled, chart: CoordinateChart, X, time=0.0, entries=slice(None)) -> np.ndarray:
     """:func:`evaluate_compiled` at each row of X (B, d), with its bits: the
     compiled code runs once with x[i] the column X[:, i], t the time or the
     times (B,) of the rows, and a constant entry broadcast.  On any error
@@ -972,14 +973,14 @@ def evaluate_batch(compiled, chart: CoordinateChart, X, time=0.0) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     T = time if isinstance(time, float) else np.broadcast_to(np.asarray(time, dtype=float), len(X))
     if len(X) == 1:  # on floats, without numpy's cost per operation
-        return evaluate_compiled(compiled, chart, X[0], T if T is time else T[0])[None]
+        return evaluate_compiled(compiled, chart, X[0], T if T is time else T[0], entries)[None]
     try:
         with np.errstate(all="raise"):
             values = types.FunctionType(fn.__code__, _LANE_GLOBALS)(list(X.T), T)
     except (ArithmeticError, ValueError):
         rows = zip(X, np.broadcast_to(T, len(X)))
-        return np.array([evaluate_compiled(compiled, chart, x, t) for x, t in rows]).reshape(len(X), len(exprs))
+        return np.array([evaluate_compiled(compiled, chart, x, t, entries) for x, t in rows]).reshape(len(X), -1)
     out = np.empty((len(X), len(values)))
     for k, v in enumerate(values):
         out[:, k] = v
-    return out
+    return out[:, entries]

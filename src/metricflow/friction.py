@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import VectorFieldSpec, compressibility, expm
+from .dynamics import VectorFieldSpec, expm
 from .exprlang import (
     CoordinateChart,
     Expr,
@@ -34,7 +34,7 @@ from .exprlang import (
     probe_points,
     to_string,
 )
-from .phasespace import MetricField, PhasePoint, zeros_view
+from .phasespace import MetricField, zeros_view
 
 
 class FrictionError(Exception):
@@ -343,7 +343,7 @@ def determinant_factor(sys: FrictionSystem, t0: float, t: float) -> float:
             f"determinant factor {value} disagrees with the metric determinant {sqrt_g}"
         )
     if sys.k_matrix is not None:
-        kappa = compressibility(sys.vector_field, PhasePoint(np.zeros(sys.chart.dim)))
+        kappa = sys.vector_field.divergence(np.zeros(sys.chart.dim))
         via_kappa = float(np.exp(-kappa * (t - t0)))
         if abs(via_kappa - value) > 1e-8 * max(1.0, abs(value)):
             raise FrictionError(

@@ -257,8 +257,12 @@ def degeneracy_ratios(W: np.ndarray) -> np.ndarray:
 
 
 def metric_determinant(M: MetricField, x: PhasePoint) -> MetricDeterminant:
-    """Determinant g and density sqrt(|g|), flagging near-degeneracy."""
-    W = metric_eval(M, x)
+    """Determinant g and density sqrt(|g|) at ``x`` (:func:`value_determinant`)."""
+    return value_determinant(metric_eval(M, x))
+
+
+def value_determinant(W: np.ndarray) -> MetricDeterminant:
+    """Determinant g and density sqrt(|g|) of a metric value W, flagging near-degeneracy."""
     g = float(np.linalg.det(W))
     degenerate = bool(degeneracy_ratios(W[None])[0] < DEGENERACY_TOL)
     if degenerate:

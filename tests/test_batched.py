@@ -361,7 +361,7 @@ def test_brackets_match_interpreted_derivatives():
     for _ in range(5):
         x = PhasePoint(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.0, 1.0)))
         env = chart.env(x.coords, x.time)
-        frame = BracketFrame(M, x)  # a frame of one point
+        frame = BracketFrame(M, x.coords[None], [x.time])  # a frame of one point
         P = bracket_tensor(M, x)
         assert np.array_equal(frame.P, P[None])
         assert frame.bracket(A, B)[0] == float(_old_grad(A.expr, chart, env) @ P @ _old_grad(B.expr, chart, env))

@@ -107,6 +107,38 @@ class TestConfig:
             load_config({"n": 1, "components": ["p1"]})
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, patch, key",
+    [
+        ("evolve-metric", {"queries": [{"point": [0.3, 0.7], "time": None}]}, "queries[0].time"),
+        ("evolve-metric", {"queries": [{"point": [0.3, None]}]}, "queries[0].point"),
+        ("evolve-metric", {"queries": [{"point": [NAN, 0.7]}]}, "queries[0].point"),
+        ("evolve-metric", {"t_grid": [None]}, "t_grid[0]"),
+        ("evolve-metric", {"t_grid": [0.5, NAN]}, "t_grid[1]"),
+        ("evolve-metric", {"t_grid": 1.0}, "t_grid"),
+        ("audit", {"t_max": None}, "t_max"),
+        ("classify", {"samples": {"count": None}}, "samples.count"),
+        ("audit", {"samples": {"box": -1}}, "samples.box"),
+        ("evolve-metric", {"series": {"order": None}}, "series.order"),
+        ("evolve-metric", {"splitting": {"steps": 1.5}}, "splitting.steps"),
+        ("evolve-metric", {"integrator": {"abs_tol": None}}, "integrator.abs_tol"),
+        ("evolve-metric", {"integrator": {"abs_tol": NAN}}, "integrator.abs_tol"),
+        ("evolve-metric", {"integrator": {"max_steps": True}}, "integrator.max_steps"),
+    ],
+)
+def test_config_numbers_are_checked(tmp_path, capsys, command, patch, key):
+    # each of these once gave a traceback, a runtime error, NaN rows or a
+    # silently truncated number
+    assert main([command, "--config", write_config(tmp_path, {**DAMPED_ANALYTIC, **patch})]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "config" and f"'{key}'" in error["message"]
+    assert captured.err == ""
+
+
 class TestClassify:
     def test_harmonic(self):
         payload, code = cmd_classify(load_config(HARMONIC))

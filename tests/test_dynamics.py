@@ -78,17 +78,56 @@ class TestVectorFieldSpec:
     def test_batched_evaluation_is_per_point(self, chart2):
         # the quartic's divergence is the constant -2; the harmonic field's
         # Jacobian is constant.  The lanes of flow_lanes evaluate the
-        # Jacobian or the divergence with the field in one call.
+        # Jacobian or the divergence with the field in one call, and eval,
+        # jacobian, divergence and the pair read take their slices of it.
         V = VectorFieldSpec.from_hamiltonian(chart2, "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", np.eye(2))
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 4))
-        assert V.eval_batch(X).tobytes() == np.array([V.eval(x) for x in X]).tobytes()
-        assert V.jacobian_batch(X).tobytes() == np.array([V.jacobian(x) for x in X]).tobytes()
-        for fused, parts in ((V._tangent_fn, (V.jacobian, V.eval)), (V._volume_fn, (V.divergence, V.eval))):
-            rows = [np.concatenate([np.ravel(part(x)) for part in parts]) for x in X]
-            assert evaluate_batch(fused, V.chart, X).tobytes() == np.array(rows).tobytes()
-        assert evaluate_batch(V._volume_fn, V.chart, X)[:, 0].tolist() == [-2.0] * 6
+
+        def interpreted(exprs):
+            return np.array([[evaluate(e, V.chart.env(x, 0.0)) for e in exprs] for x in X])
+
+        field, jac = interpreted(V.components), interpreted([e for row in V.jacobian_exprs for e in row])
+        F, J = V.eval_jacobian(X)
+        assert F.tobytes() == field.tobytes() == np.array([V.eval(x) for x in X]).tobytes()
+        assert J.tobytes() == jac.tobytes() == np.array([V.jacobian(x) for x in X]).tobytes()
+        assert np.array([V.divergence(x) for x in X]).tolist() == [-2.0] * 6
+        assert evaluate_batch(V._tangent_fn, V.chart, X).tobytes() == np.hstack([jac, field]).tobytes()
+        assert evaluate_batch(V._volume_fn, V.chart, X).tobytes() == np.hstack([np.full((6, 1), -2.0), field]).tobytes()
         H = VectorFieldSpec.from_hamiltonian(chart2, "(p1^2+p2^2+q1^2+q2^2)/2", np.eye(2))
-        assert np.array_equal(H.jacobian_batch(X), np.broadcast_to(H.constant_jacobian, (6, 4, 4)))
+        F, J = H.eval_jacobian(X)
+        assert np.array_equal(J, np.broadcast_to(H.constant_jacobian, (6, 4, 4)))
+        # an affine field's tangent kernel is the field alone
+        assert evaluate_batch(H._tangent_fn, H.chart, X).tobytes() == F.tobytes()
+        assert F.tobytes() == np.array([H.eval(x) for x in X]).tobytes()
+
+    def test_a_reader_fails_only_on_its_own_entries(self, chart1):
+        # p1*sqrt(q1) at q1 = 0: the field is 0, its Jacobian entry divides
+        # by sqrt(q1); p1 + log(p1) at p1 = 0: the divergence is 0, the field
+        # takes log(0)
+        V = VectorFieldSpec.from_components(chart1, ["p1*sqrt(q1)", "-q1"])
+        x = np.array([0.0, 1.0])
+        assert V.eval(x).tolist() == [0.0, -0.0]
+        with pytest.raises(DomainError, match="division by zero in"):
+            V.jacobian(x)
+        W = VectorFieldSpec.from_components(chart1, ["p1 + log(p1)", "-q1"])
+        x = np.array([0.5, 0.0])
+        assert W.divergence(x) == 0.0
+        with pytest.raises(DomainError, match="log of non-positive value in"):
+            W.eval(x)
+
+    def test_pair_read_names_the_field_node_first(self, chart1):
+        # at the origin both -log(q1) and its derivative 1/q1 fail; where only
+        # the Jacobian fails, the pair read fails
+        V = VectorFieldSpec.from_components(chart1, ["p1", "-log(q1)"])
+        X = np.array([[0.5, 0.5], [0.0, 0.0]])
+        for rows in (X, X[1:]):
+            with pytest.raises(DomainError, match=r"log of non-positive value in 'log\(q1\)'"):
+                V.eval_jacobian(rows)
+        with pytest.raises(DomainError, match="division by zero in"):
+            V.jacobian(X[1])
+        W = VectorFieldSpec.from_components(chart1, ["p1*sqrt(q1)", "-q1"])
+        with pytest.raises(DomainError, match="division by zero in"):
+            W.eval_jacobian(np.array([[0.0, 1.0]]))
 
     def test_compiled_failures_name_the_node(self, chart1):
         # sqrt(q1) at q1 = -1: the compiled code raises a bare ValueError
@@ -97,9 +136,8 @@ class TestVectorFieldSpec:
         for method in (V.eval, V.jacobian, V.hessian):
             with pytest.raises(DomainError, match="sqrt of negative value in"):
                 method(x)
-        for method in (V.eval_batch, V.jacobian_batch):
-            with pytest.raises(DomainError, match="sqrt of negative value in"):
-                method(np.array([[4.0, 0.5], x]))
+        with pytest.raises(DomainError, match="sqrt of negative value in"):
+            V.eval_jacobian(np.array([[4.0, 0.5], x]))
         assert np.array_equal(V.eval(np.array([4.0, 0.5])), [2.0, 0.5])
 
     def test_division_by_zero_raises_without_a_warning(self, chart1):

@@ -57,8 +57,7 @@ class TestSeries:
         assert W[1, 0] == pytest.approx(-np.e, abs=1e-12)
 
     def test_generic_path_matches_exact(self, damped):
-        x = PhasePoint([0.5, 0.5])
-        W, _ = SeriesPropagator(damped, J2).propagate(0.1, x=x, order=8, mode="generic")
+        W, _ = SeriesPropagator(damped, J2).propagate(0.1, [0.5, 0.5], order=8, mode="generic")
         assert W[0, 1] == pytest.approx(np.exp(0.1), abs=1e-12)
 
     def test_linear_mode_requires_linearity(self, quartic_system):
@@ -70,7 +69,7 @@ class TestSeries:
         # at large t leaves the last term dominating the running sum
         V = VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + q1^2/2", [[-1.0]])
         with pytest.warns(SeriesDivergenceWarning):
-            SeriesPropagator(V, J2).propagate(10.0, x=PhasePoint([0.1, 0.1]), order=3, mode="generic")
+            SeriesPropagator(V, J2).propagate(10.0, [0.1, 0.1], order=3, mode="generic")
 
     def test_propagator_reuse(self, damped):
         prop = SeriesPropagator(damped, J2)
@@ -97,11 +96,10 @@ class TestSeries:
 
         # state-dependent compressibility makes the powers grow in degree
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1"])
-        x = PhasePoint([0.2, 0.1])
-        SeriesPropagator(V, J2).propagate(0.1, x=x, order=10)
+        SeriesPropagator(V, J2).propagate(0.1, [0.2, 0.1], order=10)
         monkeypatch.setattr(evolution, "MAX_SERIES_COEFFS", 50)
         with pytest.raises(evolution.ExpressionSizeError):
-            SeriesPropagator(V, J2).propagate(0.1, x=x, order=10)
+            SeriesPropagator(V, J2).propagate(0.1, [0.2, 0.1], order=10)
 
 
 def symbolic_powers(V, W0, order):
@@ -528,13 +526,13 @@ class TestTransportStencil:
         calls = []
 
         def counting(name, orig):
-            def call(*args):
+            def call(*args, **kwargs):
                 calls.append(name)
-                return orig(*args)
+                return orig(*args, **kwargs)
 
             return call
 
-        for name in ("eval", "jacobian", "hessian"):
+        for name in ("eval", "jacobian", "hessian", "eval_jacobian"):
             monkeypatch.setattr(VectorFieldSpec, name, counting(name, getattr(VectorFieldSpec, name)))
         monkeypatch.setattr(dynamics, "evaluate_batch", counting("rhs", dynamics.evaluate_batch))
         for V in (self.affine_chain(), self.coupled_quartic(chart2)):
@@ -544,9 +542,10 @@ class TestTransportStencil:
             field.value(x, 0.5)
             # per right-hand side of (y, M, H) one compiled evaluation of X
             # with its Jacobian and one of the second derivatives, none per
-            # column; one eval and one jacobian give dx0/dt and dM/dt
-            n = calls.count("rhs")
-            assert n > 1 and calls.count("eval") == calls.count("jacobian") == 1
+            # column; one read of X with its Jacobian, itself one compiled
+            # evaluation, gives dx0/dt and dM/dt
+            n = calls.count("rhs") - 1
+            assert n > 1 and calls.count("eval_jacobian") == 1 and calls.count("eval") == calls.count("jacobian") == 0
             assert calls.count("hessian") == (0 if V.constant_jacobian is not None else n)
             calls.clear()
             field.d_dx(x, 0.5)

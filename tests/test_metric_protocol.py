@@ -22,7 +22,6 @@ from metricflow import (
     FrictionSystem,
     MetricField,
     Observable,
-    PhasePoint,
     SeriesPropagator,
     TransportedMetric,
     canonical_metric,
@@ -215,9 +214,9 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     original = BracketFrame.__init__
     original_batch = FrictionAnalyticMetric.jet_batch
 
-    def init(self, M, points):
-        frames.append(points)
-        original(self, M, points)
+    def init(self, M, X, T):
+        frames.append(list(T))
+        original(self, M, X, T)
 
     def jet_batch(self, X, T):
         batches.append(list(T))
@@ -228,7 +227,7 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     chart = CoordinateChart(2)
     M = _field("friction-diagonal")
     A, B, C = (Observable.parse(s, chart) for s in ("q1*q2", "p1^2/2 + p2", "q1*p1"))
-    frame = BracketFrame(M, PhasePoint([0.1, -0.3, 0.2, 0.4], 0.7))
+    frame = BracketFrame(M, np.array([[0.1, -0.3, 0.2, 0.4]]), [0.7])
     frame.bracket(A, B)
     frame.jacobi_residual(A, B, C)
     frame.d_dt
@@ -248,8 +247,8 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     # one frame of the 4 query points and one of the 8 Leibniz difference
     # points, each point read once: one batch per frame, no single jet
     assert len(payload["queries"]) == 4
-    assert [len(points) for points in frames] == [4, 8] and not calls
-    assert batches == [[x.time for x in points] for points in frames]
+    assert [len(times) for times in frames] == [4, 8] and not calls
+    assert batches == frames
 
 
 # ---------------------------------------------------------------------------

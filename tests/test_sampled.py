@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import metricflow.brackets as brackets_mod
 import metricflow.cli as cli_mod
+import metricflow.dynamics as dynamics_mod
 import metricflow.exprlang as exprlang_mod
 from metricflow import (
     CoordinateChart,
@@ -35,6 +36,8 @@ from metricflow import (
 )
 from metricflow.brackets import BracketFrame, observable_time_derivative
 from metricflow.cli import cmd_audit, cmd_bracket, cmd_classify, load_config, main
+from metricflow.dynamics import flow_jet, flow_lanes
+from metricflow.evolution import pullback_jet
 from metricflow.exprlang import evaluate_compiled
 from metricflow.helmholtz import sample_points
 from metricflow.phasespace import invert_metric
@@ -105,9 +108,9 @@ def test_audit_samples_and_trajectories_are_the_loop_stream(monkeypatch, n, seed
         seen["X"], seen["T"] = np.array(X), np.array(T)
         return residuals(V, X, T, *rest)
 
-    def record_lanes(V, starts, t1s, *rest, **kwargs):
-        seen["starts"], seen["t1s"] = list(starts), list(t1s)
-        return lanes(V, starts, t1s, *rest, **kwargs)
+    def record_lanes(V, X0, durations, *rest, **kwargs):
+        seen["X0"], seen["durations"] = np.array(X0), np.array(durations)
+        return lanes(V, X0, durations, *rest, **kwargs)
 
     monkeypatch.setattr(cli_mod, "invariance_residuals", record_residuals)
     monkeypatch.setattr(cli_mod, "flow_lanes", record_lanes)
@@ -120,9 +123,9 @@ def test_audit_samples_and_trajectories_are_the_loop_stream(monkeypatch, n, seed
     X, T, draws = _loop_audit_draws(seed, count, 2 * n, box, t_max)
     assert np.array_equal(seen["X"], X) and np.array_equal(seen["T"], T)
     # the trajectory draws follow, so the stream position after the samples is pinned
-    assert payload["samples"]["trajectories"] == len(draws) == len(seen["starts"])
-    assert all(np.array_equal(x.coords, x0) and x.time == 0.0 for x, (x0, _) in zip(seen["starts"], draws))
-    assert seen["t1s"] == [t for _, t in draws]
+    assert payload["samples"]["trajectories"] == len(draws) == len(seen["X0"])
+    assert np.array_equal(seen["X0"], [x0 for x0, _ in draws])
+    assert seen["durations"].tolist() == [t for _, t in draws]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def test_stacked_frame_has_the_bits_of_the_point_formulas(case):
     A, B, C = (Observable.parse(s, chart) for s in ("q1*p2*t + sin(q2)", "exp(p1/3) - q1^2*t", "q2*p1*p2"))
     rng = np.random.default_rng(31 + case)
     points = [PhasePoint(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.0, t_max))) for _ in range(24)]
-    frame = BracketFrame(M, points)
+    frame = BracketFrame(M, np.array([x.coords for x in points]), [x.time for x in points])
     brackets, jacobi = frame.bracket(A, B), frame.jacobi_residual(A, B, C)
     defect = frame.leibniz_defect(A, B, V)
     adot = frame.bracket(observable_time_derivative(A, V), B)
@@ -204,7 +207,7 @@ def test_stacked_frame_has_the_bits_of_the_point_formulas(case):
 # Work counters.
 
 
-def test_classify_builds_no_point_per_sample(monkeypatch):
+def _count_points(monkeypatch) -> list:
     built = []
     original = PhasePoint.__post_init__
 
@@ -213,9 +216,43 @@ def test_classify_builds_no_point_per_sample(monkeypatch):
         original(self)
 
     monkeypatch.setattr(PhasePoint, "__post_init__", counted)
+    return built
+
+
+def test_classify_builds_no_point_per_sample(monkeypatch):
+    built = _count_points(monkeypatch)
     payload, _ = cmd_classify(load_config(_quartic_config(4000, 0)))
     assert len(payload["per_point"]) == 4001
     assert built == []
+
+
+def test_bracket_and_one_lane_jets_build_no_point(monkeypatch):
+    built = _count_points(monkeypatch)
+    payload, _ = cmd_bracket(load_config(_quartic_config(10, 50)), "q1*q2", "p1^2/2 + p2", "q1*p1")
+    assert len(payload["queries"]) == 50 and all("leibniz" in q for q in payload["queries"])
+    V = VectorFieldSpec.from_components(CoordinateChart(1), ["p1", "-q1 - q1^2*p1"])
+    flow_jet(V, np.array([0.3, -0.2]), -0.5)
+    pullback_jet(V, canonical_metric(V.chart), np.array([0.3, -0.2]), 0.5)
+    assert built == []
+
+
+def test_field_and_jacobian_are_compiled_once(monkeypatch):
+    compiled = []
+    compile_vector = dynamics_mod.compile_vector
+
+    def counted(exprs, chart):
+        compiled.extend(exprs)
+        return compile_vector(exprs, chart)
+
+    monkeypatch.setattr(dynamics_mod, "compile_vector", counted)
+    V = VectorFieldSpec.from_components(CoordinateChart(2), ["p1 + q2^2", "p2", "-q1 - q1*q2", "-q2 - p1*p2/2"])
+    X = np.array([[0.3, -0.2, 0.1, 0.4], [-0.1, 0.5, 0.2, -0.3]])
+    V.eval(X[0])
+    V.jacobian(X[1])
+    V.eval_jacobian(X)
+    flow_lanes(V, X, [0.5, -0.5])
+    assert V.constant_jacobian is None
+    assert compiled == [e for row in V.jacobian_exprs for e in row] + list(V.components)
 
 
 def test_bracket_evaluates_each_observable_once_per_frame(monkeypatch):

@@ -6,6 +6,7 @@ function, or a new import between modules, can break every traced benchmark
 pass; these tests show it first.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -64,3 +65,20 @@ def test_traced_benchmark_runs_the_lane_commands(tmp_path, argv):
     _, result, spans = run_traced(tmp_path, config, argv)
     assert result["trace"][f"cli.cmd_{argv[0]}.calls"] == 1
     assert spans["spans"]
+
+
+def test_benchmark_names_resolve():
+    # the tracer skips a listed method that its class does not define, so
+    # that layer's metric would vanish without an error
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAZY.items():
+        module = importlib.import_module(f"metricflow.{layer}")
+        assert all(hasattr(module, name) for name in names), (layer, names)
+    cli = importlib.import_module("metricflow.cli")
+    assert all(hasattr(cli, name) for name in tracing.CLI_STEPS)
+    for owner, methods in tracing.METHODS.items():
+        layer, cls_name = owner.split(".")
+        cls = getattr(importlib.import_module(f"metricflow.{layer}"), cls_name)
+        assert all(name in vars(cls) for name in methods), (owner, methods)
