@@ -155,6 +155,7 @@ def load_config(data: dict) -> SystemConfig:
     samples = _section(data, "samples")
     samples_count = _number(samples.get("count", 50), "samples.count", integer=True, positive=True)
     samples_seed = _number(samples.get("seed", 0), "samples.seed", integer=True)
+    _require(samples_seed >= 0, "'samples.seed' must be a non-negative integer")
     samples_box = _number(samples.get("box", 1.0), "samples.box", positive=True)
     queries = data.get("queries", [])
     _require(isinstance(queries, list), "'queries' must be a list")
@@ -265,34 +266,29 @@ def cmd_classify(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     return payload, code
 
 
-def _evolve_methods(cfg: SystemConfig, V, fsys) -> list[str]:
-    if cfg.methods is not None:
-        methods = list(cfg.methods)
-        if "analytic" in methods and fsys is None:
-            raise ConfigError("the analytic route needs the hamiltonian+friction form")
-        if ("series" in methods or "split" in methods or "pullback" in methods) and V is None:
-            raise ConfigError("series/split/pullback need a constant friction matrix")
-        if "split" in methods and (V is None or V.part1 is None):
-            raise ConfigError("the split route needs a declared Hamiltonian/friction split")
-        return methods
-    methods = []
-    if fsys is not None:
-        methods.append("analytic")
-    if V is not None:
-        methods.append("series")
-        if V.part1 is not None:
-            methods.append("split")
-        methods.append("pullback")
-    if not methods:
-        raise ConfigError("no evolution route is applicable to this configuration")
-    return methods
-
-
-def _initial_matrix(cfg: SystemConfig, M0: MetricField) -> np.ndarray:
-    if isinstance(M0, ExprMetric) and any(free_vars(e) for row in M0.entries for e in row):
-        raise ConfigError("metric evolution needs a constant initial metric")
-    # friction-analytic starts from its own t0 value
-    return M0.value(np.zeros(cfg.chart.dim), 0.0)
+def _route_table(cfg: SystemConfig, V: VectorFieldSpec | None, fsys, M0: MetricField) -> dict[str, MetricField | str]:
+    """Each evolve-metric route, in the default order, mapped to its metric
+    field, or to the reason (a string) that it does not apply."""
+    W0 = None  # the initial metric's value, where it is constant
+    if not (isinstance(M0, ExprMetric) and any(free_vars(e) for row in M0.entries for e in row)):
+        W0 = M0.value(np.zeros(cfg.chart.dim), 0.0)  # friction-analytic: its t0 value
+    field = (V is not None, "needs an autonomous vector field (constant friction)")
+    constant = (W0 is not None, "needs a constant initial metric")
+    canonical = W0 is not None and np.array_equal(W0, canonical_metric(cfg.chart).matrix)
+    routes = {  # route: its requirements, each (met, reason if not), and its field
+        "analytic": ([(fsys is not None, "needs the hamiltonian+friction form"),
+                      (canonical, "starts from the canonical metric")],
+                     lambda: FrictionAnalyticMetric(fsys)),
+        "series": ([field, constant], lambda: SeriesMetric(V, W0, order=cfg.series_order, mode=cfg.series_mode)),
+        "split": ([field, (V is not None and V.part1 is not None, "needs a declared Hamiltonian/friction split"),
+                   constant], lambda: SplitMetric(V, W0, cfg.splitting_steps)),
+        "pullback": ([field], lambda: TransportedMetric(M0, V, opts=cfg.integrator)),
+    }
+    table = {}
+    for route, (needs, build) in routes.items():
+        unmet = [reason for met, reason in needs if not met]
+        table[route] = f"the {route} route {unmet[0]}" if unmet else build()
+    return table
 
 
 def _evolve_cells(V: VectorFieldSpec | None, M: MetricField, x: np.ndarray, t: float, pairs) -> list[str]:
@@ -309,25 +305,18 @@ def _evolve_cells(V: VectorFieldSpec | None, M: MetricField, x: np.ndarray, t: f
 
 def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     V, fsys = _build_system(cfg)
-    methods = _evolve_methods(cfg, V, fsys)
+    fields = _route_table(cfg, V, fsys, _build_metric(cfg, fsys))
+    methods = cfg.methods
+    if methods is None:
+        methods = [m for m, field in fields.items() if not isinstance(field, str)]
+        _require(methods, "no evolution route is applicable to this configuration")
+    for m in methods:
+        _require(not isinstance(fields[m], str), fields[m])
     d = cfg.chart.dim
-    M0 = _build_metric(cfg, fsys)
-    W0 = _initial_matrix(cfg, M0)
     x_eval = cfg.query_coords[0] if len(cfg.query_coords) else np.zeros(d)
     grid = cfg.t_grid if t_grid is None else [float(t) for t in t_grid]
 
-    warning_text = ""
-    fields: dict[str, MetricField] = {}
-    if fsys is not None:
-        check = applicability_check(fsys)
-        if not check.ok:
-            warning_text = check.detail
-        fields["analytic"] = FrictionAnalyticMetric(fsys)
-    if V is not None:
-        fields["series"] = SeriesMetric(V, W0, order=cfg.series_order, mode=cfg.series_mode)
-        if V.parts is not None:
-            fields["split"] = SplitMetric(V, W0, cfg.splitting_steps)
-        fields["pullback"] = TransportedMetric(M0, V, opts=cfg.integrator)
+    warning_text = (applicability_check(fsys).detail or "") if "analytic" in methods else ""
 
     pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
     header = ["t", "method"] + [f"w{k + 1}_{l + 1}" for k, l in pairs] + [
@@ -348,6 +337,7 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
 
 
 def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed: int | None = None):
+    _require(cfg.t_max >= 0.2, "'t_max' must be at least 0.2, the start of the audited trajectories")
     V, fsys = _build_system(cfg)
     if V is None:
         raise ConfigError("audit needs an autonomous vector field (constant friction)")
@@ -415,6 +405,13 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
 # Entry point.
 
 
+def _seed(text: str) -> int:
+    """The --seed value: a non-negative integer (argparse reports a ValueError)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -472,7 +469,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON system definition")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
-        p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the sampling seed")
         if name == "bracket":
             p.add_argument("--A", required=True, help="first observable")
             p.add_argument("--B", required=True, help="second observable")

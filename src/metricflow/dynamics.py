@@ -60,9 +60,9 @@ class IntegratorOptions:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0) or not (self.rel_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
+        if not (self.max_steps >= 1):
             raise ValueError("max_steps must be positive")
 
 

@@ -869,16 +869,6 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise ExprError(f"unknown node {e!r}")
 
 
-def count_nodes(e: Expr) -> int:
-    if isinstance(e, (Num, Var)):
-        return 1
-    if isinstance(e, (Neg, Call)):
-        return 1 + count_nodes(e.arg)
-    if isinstance(e, BinOp):
-        return 1 + count_nodes(e.lhs) + count_nodes(e.rhs)
-    raise ExprError(f"unknown node {e!r}")
-
-
 def is_zero(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 

@@ -118,8 +118,10 @@ class FrictionSystem:
             if arr.ndim == 1:
                 arr = np.diag(arr)
             return cls(chart, H, arr, None)
-        diag = tuple(as_expr(e, chart) for e in friction)
-        return cls(chart, H, None, diag)
+        system = cls(chart, H, None, tuple(as_expr(e, chart) for e in friction))
+        if system.time_dependent:  # the checked entries depend on t alone
+            return system
+        return cls(chart, H, np.diag([evaluate(e, {}) for e in system.k_diagonal]), None)
 
     @property
     def time_dependent(self) -> bool:

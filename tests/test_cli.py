@@ -24,6 +24,9 @@ from metricflow.cli import (
     load_config,
     main,
 )
+from metricflow.evolution import invariance_residuals
+from metricflow.friction import FrictionSystem
+from metricflow.phasespace import ExprMetric, TransportedMetric
 
 HARMONIC = {
     "n": 1,
@@ -57,6 +60,28 @@ COUPLED = {
     "metric": "friction-analytic",
     "t_grid": [1.0],
     "methods": ["analytic"],
+}
+
+
+VARYING = [["0", "1+q1^2"], ["-1-q1^2", "0"]]
+NON_CANONICAL = [["0", "2"], ["-2", "0"]]
+ROUTE_SYSTEM = {
+    "n": 1,
+    "hamiltonian": "p1^2/2 + q1^2/2",
+    "friction": 0.5,
+    "t_grid": [0.5],
+    "splitting": {"steps": 10},
+    "queries": [{"point": [0.3, -0.2], "time": 0.0}],
+}
+ALL_ROUTES = ["analytic", "series", "split", "pullback"]
+NO_FIELD = "needs an autonomous vector field (constant friction)"
+# metric kind: (metric, default routes, config patch, a route that then
+# does not apply, and its reason)
+ROUTE_CASES = {
+    "canonical": ("canonical", ALL_ROUTES, {"friction": ["1/(1+t)"]}, "pullback", NO_FIELD),
+    "friction-analytic": ("friction-analytic", ALL_ROUTES, {"friction": ["1/(1+t)"]}, "split", NO_FIELD),
+    "non-canonical": (NON_CANONICAL, ALL_ROUTES[1:], {}, "analytic", "starts from the canonical metric"),
+    "varying": (VARYING, ["pullback"], {}, "series", "needs a constant initial metric"),
 }
 
 
@@ -127,6 +152,10 @@ NAN = float("nan")
         ("evolve-metric", {"integrator": {"abs_tol": None}}, "integrator.abs_tol"),
         ("evolve-metric", {"integrator": {"abs_tol": NAN}}, "integrator.abs_tol"),
         ("evolve-metric", {"integrator": {"max_steps": True}}, "integrator.max_steps"),
+        ("classify", {"samples": {"seed": -1}}, "samples.seed"),
+        ("audit", {"samples": {"seed": -1}}, "samples.seed"),
+        ("audit", {"t_max": 0.1}, "t_max"),
+        ("audit", {"t_max": -1.0}, "t_max"),
     ],
 )
 def test_config_numbers_are_checked(tmp_path, capsys, command, patch, key):
@@ -137,6 +166,46 @@ def test_config_numbers_are_checked(tmp_path, capsys, command, patch, key):
     error = json.loads(captured.out)["error"]
     assert error["kind"] == "config" and f"'{key}'" in error["message"]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["classify", "audit"])
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_config(tmp_path, DAMPED_ANALYTIC), "--seed", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "evolve-metric", "bracket"])
+def test_only_audit_bounds_t_max(tmp_path, capsys, command):
+    path = write_config(tmp_path, {**DAMPED_ANALYTIC, "t_max": -1.0})
+    argv = ["--A", "q1", "--B", "p1"] if command == "bracket" else []
+    assert main([command, "--config", path, *argv]) in (EXIT_OK, EXIT_NON_HAMILTONIAN)
+    assert "error" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["evolve-metric"], ["audit"], ["bracket", "--A", "q1*q2", "--B", "p1", "--C", "q2*p2"]],
+    ids=["classify", "evolve-metric", "audit", "bracket"],
+)
+def test_constant_friction_expressions_read_as_numbers(tmp_path, capsys, argv):
+    data = {
+        "n": 2,
+        "hamiltonian": "(p1^2+p2^2)/2 + (q1^2+q2^2)/2",
+        "metric": "friction-analytic",
+        "samples": {"count": 10, "seed": 1},
+        "t_grid": [0.5],
+        "splitting": {"steps": 10},
+        "queries": [{"point": [0.4, -0.3, 0.2, 0.6], "time": 0.5}],
+    }
+    outputs = []
+    for friction in ([0.5, 1.0], ["0.5", "1.0"]):
+        path = write_config(tmp_path, {**data, "friction": friction})
+        code = main([argv[0], "--config", path, *argv[1:]])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (EXIT_OK, EXIT_NON_HAMILTONIAN)
 
 
 class TestClassify:
@@ -222,16 +291,60 @@ class TestEvolveMetric:
         assert max(abs(split[k] - pullback[k]) for k in split) < 1e-3
 
     def test_requires_constant_initial_metric(self):
-        cfg = load_config(
-            {
-                "n": 1,
-                "hamiltonian": "p1^2/2",
-                "friction": 1.0,
-                "metric": [["0", "1+q1^2"], ["-(1+q1^2)", "0"]],
-            }
+        # the series and split routes start from a constant W0; pullback
+        # transports any initial metric field
+        data = {"n": 1, "hamiltonian": "p1^2/2", "friction": 1.0, "metric": VARYING}
+        for method in ("series", "split"):
+            with pytest.raises(ConfigError, match=f"the {method} route needs a constant initial metric"):
+                cmd_evolve_metric(load_config({**data, "methods": [method]}))
+        _, rows = parse_csv(cmd_evolve_metric(load_config(data))[0])
+        assert [r["method"] for r in rows] == ["pullback"]
+
+    @pytest.mark.parametrize("methods", ["default", "explicit", "inapplicable"])
+    @pytest.mark.parametrize("kind", ROUTE_CASES)
+    def test_route_table(self, tmp_path, capsys, kind, methods):
+        metric, default, patch, bad, reason = ROUTE_CASES[kind]
+        data = {**ROUTE_SYSTEM, "metric": metric}
+        if methods == "explicit":
+            data["methods"] = expected = default[::-1]
+        elif methods == "inapplicable":
+            data.update(patch, methods=[default[0], bad])
+        else:
+            expected = default
+        code = main(["evolve-metric", "--config", write_config(tmp_path, data)])
+        out = capsys.readouterr().out
+        if methods == "inapplicable":
+            assert code == EXIT_CONFIG
+            assert json.loads(out)["error"] == {"kind": "config", "message": f"the {bad} route {reason}"}
+        else:
+            assert code == EXIT_OK
+            assert [r["method"] for r in parse_csv(out)[1]] == expected
+
+    def test_no_route_applies(self, tmp_path, capsys):
+        data = {**ROUTE_SYSTEM, "metric": VARYING, "friction": ["1/(1+t)"]}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+            "no evolution route is applicable to this configuration"
         )
-        with pytest.raises(ConfigError):
-            cmd_evolve_metric(cfg)
+
+    def test_varying_metric_pullback_row_is_the_library_jet(self):
+        cfg = load_config({**ROUTE_SYSTEM, "metric": VARYING})
+        _, rows = parse_csv(cmd_evolve_metric(cfg)[0])
+        V = FrictionSystem.build(cfg.chart, cfg.hamiltonian, cfg.friction).vector_field
+        W, D, Wt = TransportedMetric(ExprMetric(cfg.chart, VARYING), V, cfg.integrator).jet(cfg.query_coords[0], 0.5)
+        inv = np.max(np.abs(invariance_residuals(V, cfg.query_coords, [0.5], W[None], D[None], Wt[None])))
+        expected = [f"{W[0, 1]:.17g}", f"{np.sqrt(abs(np.linalg.det(W))):.17g}", "0", f"{inv:.17g}", ""]
+        assert [list(r.values())[2:] for r in rows] == [expected]
+        assert inv < 1e-12
+
+    def test_generic_w0_rows_agree_with_pullback(self):
+        # the closed form evolves the canonical metric only, so it gives no row
+        # here; the other routes transport W0 = 2 J to w1_2 = 2 e^{Kt}
+        _, rows = parse_csv(cmd_evolve_metric(load_config({**ROUTE_SYSTEM, "metric": NON_CANONICAL}))[0])
+        assert [r["method"] for r in rows] == ["series", "split", "pullback"]
+        w = {r["method"]: float(r["w1_2"]) for r in rows}
+        tol = {"series": 1e-10, "split": 1e-3, "pullback": 1e-7}
+        assert all(abs(w[m] - 2 * np.exp(0.5 * 0.5)) < tol[m] for m in w), w
 
 
 class TestAudit:

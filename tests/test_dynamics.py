@@ -339,3 +339,14 @@ class TestFlowProperties:
             return np.max(np.abs(seg.end.coords - exact))
 
         assert err(1e-6) / max(err(1e-8), 1e-16) >= 4.0
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("abs_tol", "tolerances must be positive"), ("rel_tol", "tolerances must be positive"),
+     ("max_steps", "max_steps must be positive")],
+)
+def test_integrator_options_reject_nan(field, message):
+    # NaN passes a `<= 0` test; a NaN max_steps would turn off the step cap
+    with pytest.raises(ValueError, match=message):
+        IntegratorOptions(**{field: float("nan")})

@@ -49,6 +49,13 @@ class TestConstruction:
             # diagonal entries may depend on t only
             FrictionSystem.build(chart2, "(p1^2+p2^2)/2", ["q1", "1"])
 
+    def test_constant_expression_diagonal_is_a_matrix(self, chart2):
+        H = "(p1^2+p2^2)/2"
+        written = FrictionSystem.build(chart2, H, ["0.5", "2/2"])
+        assert written.k_diagonal is None and not written.time_dependent
+        np.testing.assert_array_equal(written.k_matrix, np.diag([0.5, 1.0]))
+        assert written.vector_field.components == FrictionSystem.build(chart2, H, [0.5, 1.0]).vector_field.components
+
     def test_time_dependent_has_no_field(self, chart1):
         sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", ["cos(t)"])
         with pytest.raises(FrictionError):
