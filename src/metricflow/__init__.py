@@ -31,7 +31,6 @@ from .phasespace import (
     MetricField,
     PhasePoint,
     SingularMetricError,
-    TransportedMetric,
     canonical_metric,
     inverse_metric,
     jacobi_residual,
@@ -61,6 +60,7 @@ from .evolution import (
     SeriesMetric,
     SeriesPropagator,
     SplitMetric,
+    TransportedMetric,
     congruence,
     invariance_residual,
     invariance_residuals,

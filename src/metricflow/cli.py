@@ -31,6 +31,7 @@ from .evolution import (
     EvolutionError,
     SeriesMetric,
     SplitMetric,
+    TransportedMetric,
     invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
@@ -40,7 +41,6 @@ from .phasespace import (
     ExprMetric,
     MetricError,
     MetricField,
-    TransportedMetric,
     canonical_metric,
     jacobi_residuals,
     value_determinant,
@@ -52,6 +52,8 @@ EXIT_AUDIT_FAILED = 20
 EXIT_USAGE = 64
 EXIT_CONFIG = 65
 EXIT_RUNTIME = 70
+# audit's bound on the volume-law gap |ln sqrt_g + integral of the compressibility|
+VOLUME_LAW_TOL = 1e-6
 
 
 class ConfigError(Exception):
@@ -303,7 +305,7 @@ def _evolve_cells(V: VectorFieldSpec | None, M: MetricField, x: np.ndarray, t: f
     return [f"{W[k, l]:.17g}" for k, l in pairs] + [f"{sqrt_g:.17g}", f"{jac:.17g}", f"{inv:.17g}"]
 
 
-def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
+def cmd_evolve_metric(cfg: SystemConfig):
     V, fsys = _build_system(cfg)
     fields = _route_table(cfg, V, fsys, _build_metric(cfg, fsys))
     methods = cfg.methods
@@ -314,8 +316,6 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
         _require(not isinstance(fields[m], str), fields[m])
     d = cfg.chart.dim
     x_eval = cfg.query_coords[0] if len(cfg.query_coords) else np.zeros(d)
-    grid = cfg.t_grid if t_grid is None else [float(t) for t in t_grid]
-
     warning_text = (applicability_check(fsys).detail or "") if "analytic" in methods else ""
 
     pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
@@ -326,7 +326,7 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
         "warning",
     ]
     rows = [header]
-    for t in grid:
+    for t in cfg.t_grid:
         for method in methods:
             warn_cell = warning_text if method == "analytic" else ""
             rows.append([f"{t:.17g}", method, *_evolve_cells(V, fields[method], x_eval, t, pairs), warn_cell])
@@ -336,7 +336,7 @@ def cmd_evolve_metric(cfg: SystemConfig, t_grid: list[float] | None = None):
     return buf.getvalue(), EXIT_OK
 
 
-def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed: int | None = None):
+def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     _require(cfg.t_max >= 0.2, "'t_max' must be at least 0.2, the start of the audited trajectories")
     V, fsys = _build_system(cfg)
     if V is None:
@@ -366,12 +366,12 @@ def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, det_tol: float = 1e-6, seed:
         gaps.append(float("inf") if sqrt_g <= 0 else abs(float(np.log(sqrt_g)) + kap))
     max_gap = max(gaps)
 
-    ok = max_inv < tol and max_jac < tol and max_gap < det_tol
+    ok = max_inv < tol and max_jac < tol and max_gap < VOLUME_LAW_TOL
     payload = {
         "max_invariance_residual": max_inv,
         "max_jacobi_residual": max_jac,
         "max_volume_law_gap": max_gap,
-        "tolerances": {"residual": tol, "volume_law": det_tol},
+        "tolerances": {"residual": tol, "volume_law": VOLUME_LAW_TOL},
         "samples": {"count": count, "trajectories": n_traj, "t_max": cfg.t_max},
         "pass": bool(ok),
     }
@@ -416,6 +416,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
+        sys.stdout.write(_dumps({"error": {"kind": "usage", "message": message}}) + "\n")
         raise SystemExit(EXIT_USAGE)
 
 

@@ -340,9 +340,11 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
     ``lanes``.  Each lane has its own t, step size and step control, with
     the comparisons and powers on its own scalars, so it takes the steps,
     and ends with the bits, of a run of its own.  A stage that raises
-    rejects only its lane's step, at h * 0.2.  A lane that underflows or
-    exceeds ``max_steps`` stops; at the end the lowest-index failed lane
-    raises.  Returns (Y_end, stats per lane).
+    rejects only its lane's step, at h * 0.2.  A lane whose remaining time
+    is at most 16 eps max(|t|, 1) has finished, with its last accepted
+    state.  A lane that underflows or exceeds ``max_steps`` stops; at the
+    end the lowest-index failed lane raises.  Returns (Y_end, stats per
+    lane).
     """
     atol, rtol = opts.abs_tol, opts.rel_tol
     Y, dur = np.array(Y0, dtype=float), [float(s) for s in durations]
@@ -378,7 +380,8 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
         for r, b in enumerate(ids):
             if counts[b][0] + counts[b][1] > opts.max_steps:
                 failed[b] = IntegrationError(f"exceeded {opts.max_steps} steps")
-            elif t[b] >= dur[b]:
+            elif dur[b] - t[b] <= 16 * _EPS * max(abs(t[b]), 1.0):
+                # done, or one rounding of t + h short of the end
                 Y[b] = y[r]
             else:
                 h[b] = hs[r, 0] = min(h[b], dur[b] - t[b])

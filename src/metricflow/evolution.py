@@ -39,14 +39,7 @@ import numpy as np
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
 from .exprlang import Monomials, taylor_expand
 from .helmholtz import helmholtz_residuals
-from .phasespace import (
-    SKEW_TOL,
-    ConstantMetric,
-    MetricField,
-    PhasePoint,
-    TransportedMetric,
-    _check_point,
-)
+from .phasespace import SKEW_TOL, ConstantMetric, MetricField, PhasePoint, _check_point
 
 MAX_SERIES_COEFFS = 250_000
 SERIES_STOP_NORM = 1e-14
@@ -307,6 +300,24 @@ def pullback_jet(
     return congruence_jet(W0, dW0, J, dM)
 
 
+class TransportedMetric(MetricField):
+    """Representation (d): an initial metric transported along a flow.
+
+    Each jet pulls the time-0 metric back along the trajectory through the
+    queried point (:func:`pullback_jet`): one backward integration per
+    query, whose cost is the caller's.
+    """
+
+    def __init__(self, initial: MetricField, field: VectorFieldSpec, opts: IntegratorOptions | None = None):
+        self.chart = initial.chart
+        self.initial = initial
+        self.field = field
+        self.opts = opts
+
+    def jet(self, coords, time):
+        return pullback_jet(self.field, self.initial, np.asarray(coords, dtype=float), float(time), self.opts)
+
+
 def pullback_metric(
     V: VectorFieldSpec,
     M0: MetricField,
@@ -389,10 +400,10 @@ class SeriesMetric(MetricField):
         return W, dx, self.prop._sum(coords, time, self.order, first=1)[0]
 
 
-class SplitMetric(TransportedMetric):
+class SplitMetric(MetricField):
     """The metric transported by the Strang-split backward flow, as a field
     with exact derivatives: value and derivatives come from one split walk
-    per point (:func:`split_jet`), memoized like the pullback's.
+    per point (:func:`split_jet`).
     """
 
     def __init__(self, V: VectorFieldSpec, W0, steps: int):
@@ -400,8 +411,10 @@ class SplitMetric(TransportedMetric):
             raise EvolutionError("split propagation requires declared split parts")
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        super().__init__(ConstantMetric(V.chart, _check_constant_skew(W0)), V)
+        self.chart = V.chart
+        self.V = V
+        self.W0 = ConstantMetric(V.chart, _check_constant_skew(W0)).matrix
         self.steps = steps
 
-    def _jet(self, coords, time):
-        return split_jet(self.field, self.initial.matrix, self.steps, coords, time)
+    def jet(self, coords, time):
+        return split_jet(self.V, self.W0, self.steps, np.asarray(coords, dtype=float), float(time))

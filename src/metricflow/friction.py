@@ -162,10 +162,10 @@ class FrictionSystem:
         return out
 
     def growth_matrix(self, t0: float, t: float) -> np.ndarray:
-        """G(t) with dG/dt = G K and G(t0) = identity."""
-        if self.k_matrix is not None:
-            return expm((t - t0) * self.k_matrix)
-        return np.diag(np.exp(np.diag(self.friction_integral(t0, t))))
+        """G(t) with dG/dt = G K and G(t0) = identity: the exponential of
+        the friction integral, which commutes with K at every time (K is
+        constant or diagonal)."""
+        return expm(self.friction_integral(t0, t))
 
     @cached_property
     def _diagonal_rates(self) -> np.ndarray | None:

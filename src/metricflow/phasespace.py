@@ -3,15 +3,15 @@
 A metric field assigns a skew-symmetric 2n x 2n matrix to every phase-space
 point and time.  Four representations are supported: constant matrices,
 matrices of symbolic expressions, the analytic linear-friction form (see
-:mod:`metricflow.friction`) and flow-transported fields (values produced on
-demand by pulling the initial metric back along the flow).  Each computes
-the jet (W, dW/dx, dW/dt) in one place (:class:`MetricField`).
+:mod:`metricflow.friction`) and flow-transported fields (see
+:mod:`metricflow.evolution`).  Each computes the jet (W, dW/dx, dW/dt) in
+one place (:class:`MetricField`).  This module holds that protocol, the
+first two representations and the structural tests.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -30,8 +30,6 @@ from .exprlang import (
 SKEW_TOL = 1e-12
 # bound on degeneracy_ratios, which does not depend on the scale of the metric
 DEGENERACY_TOL = 1e-12
-# transported metric fields keep the state of this many most recently used points
-TRANSPORT_CACHE_SIZE = 256
 _ZERO = bytes(8)
 
 
@@ -167,45 +165,6 @@ class ExprMetric(MetricField):
         if np.max(np.abs(v[0] + v[0].T)) > SKEW_TOL:
             raise MetricError("metric entries are not skew-symmetric at the evaluated point")
         return v[0], v[1 : d + 1], v[d + 1]
-
-
-class TransportedMetric(MetricField):
-    """Representation (d): an initial metric transported along a flow.
-
-    Values are produced on demand by pulling the time-0 metric back along
-    the trajectory through the queried point (an integration per query; the
-    cost is the caller's).  That one backward integration also carries the
-    second-order variational equation, so the jet comes from one state,
-    memoized per (coords, time) in an LRU of TRANSPORT_CACHE_SIZE read-only
-    (W, dW/dx, dW/dt) triples.
-    """
-
-    def __init__(self, initial: MetricField, field, opts=None):
-        self.chart = initial.chart
-        self.initial = initial
-        self.field = field
-        self.opts = opts
-        self._cache: OrderedDict[tuple[bytes, float], tuple[np.ndarray, ...]] = OrderedDict()
-
-    def _jet(self, coords: np.ndarray, time: float) -> tuple[np.ndarray, ...]:
-        from .evolution import pullback_jet
-
-        return pullback_jet(self.field, self.initial, coords, time, self.opts)
-
-    def jet(self, coords, time):
-        coords = np.asarray(coords, dtype=float)
-        key = (coords.tobytes(), float(time))
-        state = self._cache.get(key)
-        if state is not None:
-            self._cache.move_to_end(key)
-            return state
-        state = self._jet(coords, float(time))
-        for arr in state:
-            arr.setflags(write=False)
-        self._cache[key] = state
-        if len(self._cache) > TRANSPORT_CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return state
 
 
 class MetricDeterminant(NamedTuple):

@@ -25,6 +25,7 @@ from metricflow import (
     ExprMetric,
     FrictionAnalyticMetric,
     FrictionSystem,
+    MetricField,
     Observable,
     PhasePoint,
     TransportedMetric,
@@ -96,6 +97,26 @@ def ref_friction_d_dt(system, t0, t):
     return np.block([[Z, GK], [-GK.T, Z]])
 
 
+class JetMemo(MetricField):
+    """A field that computes each (point, time) jet once, read-only.  The
+    per-point references read one point several times, and a transported
+    field integrates the flow for each read."""
+
+    def __init__(self, inner: MetricField):
+        self.chart = inner.chart
+        self.inner = inner
+        self._jets = {}
+
+    def jet(self, coords, time):
+        key = (np.asarray(coords, dtype=float).tobytes(), float(time))
+        if key not in self._jets:
+            jet = self.inner.jet(coords, time)
+            for arr in jet:
+                arr.setflags(write=False)
+            self._jets[key] = jet
+        return self._jets[key]
+
+
 # ---------------------------------------------------------------------------
 # Metric cases: (field, metric, points) with repeated times among the points.
 
@@ -133,7 +154,7 @@ def _case(name):
     if name == "transported":
         chart1 = CoordinateChart(1)
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^3 - 0.3*p1"])
-        return V, TransportedMetric(canonical_metric(chart1), V), _points(2, 6, 4, 1.0)
+        return V, JetMemo(TransportedMetric(canonical_metric(chart1), V)), _points(2, 6, 4, 1.0)
     kind = name.split("-", 1)[1]
     system = FrictionSystem.build(chart, "(p1^2+p2^2)/2 + (q1^2+q2^2)/2", FRICTIONS[kind])
     return system.vector_field, FrictionAnalyticMetric(system, t0=0.25), _points(4, 40, 5, 3.0)

@@ -24,9 +24,9 @@ from metricflow.cli import (
     load_config,
     main,
 )
-from metricflow.evolution import invariance_residuals
+from metricflow.evolution import TransportedMetric, invariance_residuals
 from metricflow.friction import FrictionSystem
-from metricflow.phasespace import ExprMetric, TransportedMetric
+from metricflow.phasespace import ExprMetric
 
 HARMONIC = {
     "n": 1,
@@ -176,6 +176,22 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--config", "config.json", "--seed", "-1"], "argument --seed: must be a non-negative integer: '-1'"),
+        (["classify"], "the following arguments are required: --config"),
+    ],
+)
+def test_usage_error_writes_json(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": {"kind": "usage", "message": message}}
+    assert captured.err.startswith("usage: ") and f"error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["classify", "evolve-metric", "bracket"])
 def test_only_audit_bounds_t_max(tmp_path, capsys, command):
     path = write_config(tmp_path, {**DAMPED_ANALYTIC, "t_max": -1.0})
@@ -240,6 +256,16 @@ class TestEvolveMetric:
         tol = {"analytic": 1e-12, "series": 1e-10, "split": 1e-5, "pullback": 1e-7}
         for method, row in at_one.items():
             assert abs(float(row["w1_2"]) - np.e) < tol[method]
+
+    def test_a_flow_one_rounding_short_of_its_end_finishes(self, tmp_path, capsys):
+        # the backward flow to t = 0.013 lands one ulp short of its end
+        config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "damped_oscillator.json"
+        data = {**json.loads(config.read_text()), "queries": [{"point": [0.3, -0.2]}], "t_grid": [0.013]}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [r["method"] for r in rows] == ["analytic", "series", "split", "pullback"]
+        for row in rows:
+            assert abs(float(row["w1_2"]) - np.exp(0.013)) < 1e-12
 
     def test_t_zero_exact_one(self):
         text, _ = cmd_evolve_metric(load_config(DAMPED_ANALYTIC))

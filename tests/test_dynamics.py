@@ -17,6 +17,7 @@ from metricflow import (
     tangent_map,
 )
 from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate_lanes, flow_jet
+from metricflow.dynamics import expm as metricflow_expm
 from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_at, evaluate_batch, parse
 
 
@@ -251,6 +252,12 @@ class TestIntegrateFlow:
         seg = integrate_flow(harmonic, PhasePoint([1.0, 0.0]), 1.0)
         assert seg.stats.n_steps > 0
         assert seg.stats.max_error_estimate < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_of_a_non_finite_argument_is_nan(bad):
+    E = metricflow_expm(np.array([[0.0, 1.0], [bad, 0.0]]))
+    assert E.shape == (2, 2) and np.isnan(E).all()
 
 
 class TestTangentMap:

@@ -96,6 +96,15 @@ class TestAnalyticMetric:
             W = M.value(np.zeros(2), t)
             assert W[0, 1] == pytest.approx(np.exp(np.sin(t)), abs=1e-10)
 
+    def test_constant_entry_beside_a_time_dependent_one(self, chart2):
+        system = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + (q1^2+q2^2)/2", ["exp(-t)", "0.5"])
+        assert system.time_dependent
+        G = system.growth_matrix(0.0, 1.0)
+        # the integral of exp(-t) over [0, 1] is 1 - 1/e; the constant entry needs no quadrature
+        assert G[0, 0] == pytest.approx(np.exp(1.0 - np.exp(-1.0)), rel=1e-12)
+        assert G[1, 1] == np.exp(0.5)
+        assert G[0, 1] == G[1, 0] == 0.0
+
     def test_inverse_entries(self, damped_system):
         M = analytic_metric(damped_system)
         inv = inverse_metric(M, PhasePoint(np.zeros(2), 1.0))
@@ -193,6 +202,18 @@ class TestApplicability:
 
     def test_time_dependent_equal_rates_ok(self, chart2):
         sys_t = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2", ["cos(t)", "cos(t)"])
+        assert applicability_check(sys_t).ok
+
+    def test_time_dependent_unequal_rates_coupled(self, chart2):
+        sys_bad = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2/2", ["1 + t", "2 + t"])
+        result = applicability_check(sys_bad)
+        assert not result.ok
+        assert result.pair == (1, 2)
+
+    def test_time_dependent_rates_equal_in_value(self, chart2):
+        # t + t and 2*t are different trees; probing in t finds them equal
+        sys_t = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2/2", ["t + t", "2*t"])
+        assert sys_t.k_diagonal[0] != sys_t.k_diagonal[1]
         assert applicability_check(sys_t).ok
 
     def test_free_name_whose_mixed_partial_folds_to_zero(self, chart2):

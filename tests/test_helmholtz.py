@@ -3,6 +3,8 @@ import pytest
 
 from metricflow import (
     ConstantMetric,
+    DegenerateMetricWarning,
+    ExprMetric,
     PhasePoint,
     VectorFieldSpec,
     canonical_helmholtz,
@@ -133,6 +135,13 @@ class TestClassify:
         assert report.verdict == "non-hamiltonian"
         r = invariance_residual(damped, M, PhasePoint([0.4, -0.8], 0.0))
         assert np.max(np.abs(r)) < 1e-10
+
+    def test_degenerate_sample_warns(self, harmonic, chart1):
+        # [[0, q1], [-q1, 0]] vanishes at the origin only
+        M = ExprMetric(chart1, [["0", "q1"], ["-q1", "0"]])
+        with pytest.warns(DegenerateMetricWarning, match="degenerate at sampled point") as record:
+            classify(harmonic, M, points=(PhasePoint([0.0, 0.0]), PhasePoint([0.5, 0.2])))
+        assert len(record) == 1
 
     def test_requires_points(self, harmonic, canonical1):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metricflow.phasespace as phasespace
 from metricflow import (
     ConstantMetric,
     CoordinateChart,
@@ -11,8 +14,6 @@ from metricflow import (
     MetricError,
     PhasePoint,
     SingularMetricError,
-    TransportedMetric,
-    VectorFieldSpec,
     canonical_metric,
     inverse_metric,
     jacobi_residual,
@@ -290,22 +291,25 @@ def per_matrix_inverse(W):
     return 0.5 * (inv - inv.T)
 
 
-class TestTransportedCache:
-    def test_cache_is_bounded(self, monkeypatch):
-        import metricflow.phasespace as phasespace
+def package_imports(source: str) -> set[str]:
+    """The metricflow modules that a module's source imports, at any depth,
+    function bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level:
+                found.update([parts[0]] if node.module else [alias.name for alias in node.names])
+            elif parts[0] == "metricflow":
+                found.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("metricflow."))
+    return found
 
-        monkeypatch.setattr(phasespace, "TRANSPORT_CACHE_SIZE", 4)
-        chart = CoordinateChart(1)
-        V = VectorFieldSpec.from_components(chart, ["p1", "-q1 - q1^2*p1/4"])
-        M = TransportedMetric(canonical_metric(chart), V)
-        fresh = TransportedMetric(canonical_metric(chart), V)
-        points = [np.array([0.1 * i, -0.2]) for i in range(5)]
-        values = [M.value(c, 0.3).copy() for c in points]
-        assert len(M._cache) == 4
-        # the first point was evicted, the last one is still cached
-        assert (points[0].tobytes(), 0.3) not in M._cache
-        assert M.value(points[-1], 0.3) is M._cache[(points[-1].tobytes(), 0.3)][0]
-        for c, v in zip(points, values):
-            assert np.array_equal(M.value(c, 0.3), v)
-            assert np.array_equal(fresh.value(c, 0.3), v)
-            assert len(M._cache) <= 4
+
+def test_phasespace_imports_only_exprlang():
+    # the metric protocol sits below every module that builds on a flow; an
+    # import of one of them, even inside a function body, makes a cycle
+    assert package_imports("def f():\n    from .evolution import pullback_jet\n") == {"evolution"}
+    assert package_imports("import metricflow.dynamics\nfrom metricflow import brackets\n") == {"dynamics", "brackets"}
+    assert package_imports(Path(phasespace.__file__).read_text(encoding="utf-8")) == {"exprlang"}
