@@ -142,6 +142,16 @@ def load_config(data: dict) -> SystemConfig:
             f"'components' must be a list of {2 * n} string expressions",
         )
         _require("friction" not in data, "'friction' requires the 'hamiltonian' form")
+    friction = data.get("friction")
+    if isinstance(friction, list):  # numbers follow the number rules; expression strings stay
+        friction = [
+            row if isinstance(row, str)
+            else [_number(v, f"friction[{i}][{j}]") for j, v in enumerate(row)] if isinstance(row, list)
+            else _number(row, f"friction[{i}]")
+            for i, row in enumerate(friction)
+        ]
+    elif friction is not None:
+        friction = _number(friction, "friction")
     integ = _section(data, "integrator")
     integrator = IntegratorOptions(
         abs_tol=_number(integ.get("abs_tol", 1e-10), "integrator.abs_tol", positive=True),
@@ -183,7 +193,7 @@ def load_config(data: dict) -> SystemConfig:
         n=n,
         names=names,
         hamiltonian=hamiltonian,
-        friction=data.get("friction"),
+        friction=friction,
         components=components,
         metric=data.get("metric", "canonical"),
         integrator=integrator,
@@ -454,12 +464,10 @@ def _dumps(value) -> str:
     return "".join(next(encoded) if p is None else p for p in parts)
 
 
-def _write_output(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_output(text: str, out):
+    out.write(text)
+    if out is not sys.stdout:  # the --out file, opened by argparse
+        out.close()
 
 
 def main(argv=None) -> int:
@@ -468,9 +476,11 @@ def main(argv=None) -> int:
     for name in ("classify", "evolve-metric", "audit", "bracket"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON system definition")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
-        p.add_argument("--seed", type=_seed, default=None, help="override the sampling seed")
+        p.add_argument("--out", type=argparse.FileType("w", encoding="utf-8"), default=sys.stdout,
+                       help="output file (default: stdout; '-' is stdout too)")
+        if name in ("classify", "audit"):
+            p.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
+            p.add_argument("--seed", type=_seed, default=None, help="override the sampling seed")
         if name == "bracket":
             p.add_argument("--A", required=True, help="first observable")
             p.add_argument("--B", required=True, help="second observable")
@@ -494,9 +504,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             payload, code = cmd_classify(cfg, tol=args.tol, seed=args.seed)
         elif args.command == "evolve-metric":
-            text, code = cmd_evolve_metric(cfg)
-            _write_output(text, args.out)
-            return code
+            payload, code = cmd_evolve_metric(cfg)  # CSV text
         elif args.command == "audit":
             payload, code = cmd_audit(cfg, tol=args.tol, seed=args.seed)
         else:
@@ -518,7 +526,7 @@ def main(argv=None) -> int:
         return emit_error(EXIT_RUNTIME, "metric", str(exc))
     except EvolutionError as exc:
         return emit_error(EXIT_RUNTIME, "evolution", str(exc))
-    _write_output(_dumps(payload) + "\n", args.out)
+    _write_output(payload if isinstance(payload, str) else _dumps(payload) + "\n", args.out)
     return code
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
 from .exprlang import Monomials, taylor_expand
 from .helmholtz import helmholtz_residuals
-from .phasespace import SKEW_TOL, ConstantMetric, MetricField, PhasePoint, _check_point
+from .phasespace import ConstantMetric, MetricField, PhasePoint, _check_point, not_skew
 
 MAX_SERIES_COEFFS = 250_000
 SERIES_STOP_NORM = 1e-14
@@ -80,7 +80,7 @@ def _check_constant_skew(W0) -> np.ndarray:
     W = np.array(W0, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("initial metric must be a square matrix")
-    if np.max(np.abs(W + W.T)) > SKEW_TOL:
+    if not_skew(W):
         raise ValueError("initial metric must be skew-symmetric")
     return W
 

@@ -31,7 +31,11 @@ TIME_NAME = "t"
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# a number, a name or any other non-blank character; blanks (str.isspace)
+# separate tokens, and a digit outside 0-9, such as '²', is a character
+_TOKEN_RE = re.compile(
+    rf"(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)|(?P<name>{_IDENT_RE.pattern})|(?P<char>\S)"
+)
 
 
 class ExprError(Exception):
@@ -205,49 +209,41 @@ class CoordinateChart:
 
 
 class _Parser:
+    """Recursive descent over (offset, kind, text) tokens; errors are reported at token offset + 1."""
+
     def __init__(self, text: str, chart: CoordinateChart):
-        self.text = text
-        self.chart = chart
-        self.pos = 0
+        self.tokens = [(m.start(), m.lastgroup, m.group()) for m in _TOKEN_RE.finditer(text)]
+        self.tokens.append((len(text), "end", ""))
+        self.i = 0
+        self.names = {TIME_NAME, *chart.names}
 
-    def fail(self, message: str, pos: int | None = None):
-        offset = (self.pos if pos is None else pos) + 1
-        raise ExprSyntaxError(message, offset)
+    def fail(self, message: str):
+        raise ExprSyntaxError(message, self.tokens[self.i][0] + 1)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def accept(self, chars: str) -> str | None:
-        self.skip_ws()
-        if self.peek() in chars and self.peek():
-            ch = self.peek()
-            self.pos += 1
-            return ch
+    def accept(self, *ops: str) -> str | None:
+        text = self.tokens[self.i][2]
+        if text in ops:
+            self.i += 1
+            return text
         return None
 
     def parse(self) -> Expr:
-        self.skip_ws()
-        if self.pos == len(self.text):
+        if self.tokens[0][1] == "end":
             self.fail("empty expression")
         e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected '{self.peek()}'")
+        if self.tokens[self.i][1] != "end":
+            self.fail(f"unexpected '{self.tokens[self.i][2][0]}'")
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while (op := self.accept("+-")) is not None:
+        while (op := self.accept("+", "-")) is not None:
             e = BinOp(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while (op := self.accept("*/")) is not None:
+        while (op := self.accept("*", "/")) is not None:
             e = BinOp(op, e, self.factor())
         return e
 
@@ -263,40 +259,29 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        self.skip_ws()
-        ch = self.peek()
-        if not ch:
+        offset, kind, text = self.tokens[self.i]
+        if kind == "number":
+            self.i += 1
+            return Num(float(text))
+        if kind == "name":
+            self.i += 1
+            if self.accept("("):
+                if text in FUNCTIONS:
+                    return Call(text, self.closed())
+            elif text in self.names:
+                return Var(text)
+            raise UnknownIdentifierError(text, offset + 1)
+        if self.accept("("):
+            return self.closed()
+        if kind == "end":
             self.fail("expected expression")
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(self.text, self.pos)
-            if m is None:
-                self.fail("malformed number")
-            self.pos = m.end()
-            return Num(float(m.group()))
-        if ch == "(":
-            self.pos += 1
-            e = self.expr()
-            if not self.accept(")"):
-                self.fail("expected ')'")
-            return e
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m is None:
-            self.fail(f"unexpected '{ch}'")
-        name = m.group()
-        start = self.pos
-        self.pos = m.end()
-        self.skip_ws()
-        if self.peek() == "(":
-            if name not in FUNCTIONS:
-                raise UnknownIdentifierError(name, start + 1)
-            self.pos += 1
-            arg = self.expr()
-            if not self.accept(")"):
-                self.fail("expected ')'")
-            return Call(name, arg)
-        if name == TIME_NAME or name in self.chart.names:
-            return Var(name)
-        raise UnknownIdentifierError(name, start + 1)
+        self.fail("malformed number" if text.isdigit() or text == "." else f"unexpected '{text}'")
+
+    def closed(self) -> Expr:  # the rest of "(" expr ")"
+        e = self.expr()
+        if not self.accept(")"):
+            self.fail("expected ')'")
+        return e
 
 
 def parse(text: str, chart: CoordinateChart) -> Expr:

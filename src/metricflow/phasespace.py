@@ -31,6 +31,7 @@ SKEW_TOL = 1e-12
 # bound on degeneracy_ratios, which does not depend on the scale of the metric
 DEGENERACY_TOL = 1e-12
 _ZERO = bytes(8)
+_FLOAT_MAX = np.finfo(float).max
 
 
 class MetricError(Exception):
@@ -66,6 +67,12 @@ class PhasePoint:
 def _check_point(chart: CoordinateChart, point: PhasePoint):
     if point.dim != chart.dim:
         raise ValueError(f"point has {point.dim} coordinates, chart needs {chart.dim}")
+
+
+def not_skew(W: np.ndarray):
+    """max|W + W^T| > SKEW_TOL max|W| over the last two axes; NaN passes, an infinite sum fails."""
+    scale = np.minimum(np.abs(W).max(axis=(-2, -1)), _FLOAT_MAX)
+    return np.abs(W + np.swapaxes(W, -2, -1)).max(axis=(-2, -1)) > SKEW_TOL * scale
 
 
 def zeros_view(*shape: int) -> np.ndarray:
@@ -118,7 +125,7 @@ class ConstantMetric(MetricField):
         W = np.array(matrix, dtype=float)
         if W.shape != (chart.dim, chart.dim):
             raise MetricError(f"expected {chart.dim}x{chart.dim} matrix, got {W.shape}")
-        if np.max(np.abs(W + W.T)) > SKEW_TOL:
+        if not_skew(W):
             raise MetricError("constant metric is not skew-symmetric")
         W.setflags(write=False)
         self.matrix = W
@@ -162,7 +169,7 @@ class ExprMetric(MetricField):
     def jet(self, coords, time):
         d = self.chart.dim
         v = evaluate_compiled(self._jet_fn, self.chart, coords, time).reshape(d + 2, d, d)
-        if np.max(np.abs(v[0] + v[0].T)) > SKEW_TOL:
+        if not_skew(v[0]):
             raise MetricError("metric entries are not skew-symmetric at the evaluated point")
         return v[0], v[1 : d + 1], v[d + 1]
 
@@ -174,7 +181,7 @@ class MetricDeterminant(NamedTuple):
 
 
 def _checked_skew(W: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(W + W.T)) > SKEW_TOL:
+    if not_skew(W):
         raise MetricError("metric evaluation lost skew-symmetry")
     return W
 
@@ -248,8 +255,7 @@ def invert_metrics(W: np.ndarray) -> np.ndarray:
     """:func:`invert_metric` of each matrix of the stack W (B, d, d), with
     its bits; the first matrix that is not skew-symmetric or is singular
     raises."""
-    skew = np.max(np.abs(W + np.swapaxes(W, 1, 2)), axis=(1, 2)) > SKEW_TOL
-    for k in np.flatnonzero(skew | (degeneracy_ratios(W) < DEGENERACY_TOL))[:1]:
+    for k in np.flatnonzero(not_skew(W) | (degeneracy_ratios(W) < DEGENERACY_TOL))[:1]:
         _checked_skew(W[k])
         g = float(np.linalg.det(W[k]))
         raise SingularMetricError(f"metric is singular at the query point (det={g:.3e})")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -190,6 +191,107 @@ def test_usage_error_writes_json(capsys, argv, message):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": {"kind": "usage", "message": message}}
     assert captured.err.startswith("usage: ") and f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "friction, key",
+    [
+        (True, "friction"),
+        (NAN, "friction"),
+        ("12", "friction"),
+        ("0.5", "friction"),
+        ([1.0, float("inf")], "friction[1]"),
+        ([1.0, None], "friction[1]"),
+        ([[1.0, 0.0], [0.0, True]], "friction[1][1]"),
+        ([[1.0, NAN], [0.0, 1.0]], "friction[0][1]"),
+        ([[1.0, "0"], [0.0, 1.0]], "friction[0][1]"),
+    ],
+)
+def test_friction_numbers_are_checked(tmp_path, capsys, friction, key):
+    # a boolean once ran as 1, a string was split into its characters, and a
+    # non-finite number reached the integrator
+    data = {"n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^2+q2^2)/2", "friction": friction, "t_grid": [0.5]}
+    assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {"kind": "config", "message": f"'{key}' must be a finite number"}
+    assert captured.err == ""
+
+
+def test_friction_expression_strings_stay_expressions():
+    cfg = load_config({"n": 2, "hamiltonian": "(p1^2+p2^2)/2", "friction": ["1/(1+t)", 2]})
+    assert cfg.friction == ["1/(1+t)", 2.0]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--config", write_config(tmp_path, DAMPED_ANALYTIC), "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "usage" and error["message"].startswith(f"argument --out: can't open '{out}'")
+    assert captured.err.startswith("usage: ") and "Traceback" not in captured.err
+    assert not out.parent.exists()
+
+
+def test_out_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["evolve-metric", "--config", write_config(tmp_path, DAMPED_ANALYTIC), "--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("t,method,")
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--tol", "1e-3"]])
+@pytest.mark.parametrize("command", ["evolve-metric", "bracket"])
+def test_seed_and_tol_belong_to_classify_and_audit(tmp_path, capsys, command, flag):
+    argv = ["--A", "q1", "--B", "p1"] if command == "bracket" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_config(tmp_path, DAMPED_ANALYTIC), *argv, *flag])
+    assert exc.value.code == EXIT_USAGE
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message == f"unrecognized arguments: {' '.join(flag)}"
+
+
+@pytest.mark.parametrize("command", ["classify", "evolve-metric", "audit", "bracket"])
+def test_help_lists_the_readme_synopsis_options(capsys, command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = [line for line in readme.splitlines() if line.startswith(f"metricflow {command} ")]
+    assert len(synopsis) == 1
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+    assert set(flags.findall(capsys.readouterr().out)) - {"--help"} == set(flags.findall(synopsis[0]))
+
+
+SCALED_SKEW = {
+    "n": 1,
+    "hamiltonian": "p1^2/2 + q1^2/2",
+    "friction": 0.5,
+    "samples": {"count": 10},
+    "queries": [{"point": [0.7, 0.3]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [(["audit"], EXIT_AUDIT_FAILED), (["bracket", "--A", "q1", "--B", "p1"], EXIT_OK)],
+    ids=["audit", "bracket"],
+)
+def test_skewness_does_not_depend_on_the_metric_scale(tmp_path, capsys, command, code):
+    # the two entries are the same sum, rounded 1.1e-10 apart at a scale of 2e6
+    metric = [["0", "1e6*((q1 + 0.1) + 0.2) + 1e6"], ["-1e6*(q1 + (0.1 + 0.2)) - 1e6", "0"]]
+    path = write_config(tmp_path, {**SCALED_SKEW, "metric": metric})
+    assert main([command[0], "--config", path, *command[1:]]) == code
+    assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def test_relative_skew_defect_still_fails(tmp_path, capsys):
+    metric = [["0", "1e6*(1 + q1)"], ["-1.000000001e6*(1 + q1)", "0"]]
+    path = write_config(tmp_path, {**SCALED_SKEW, "metric": metric})
+    assert main(["bracket", "--config", path, "--A", "q1", "--B", "p1"]) == EXIT_RUNTIME
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "metric", "message": "metric entries are not skew-symmetric at the evaluated point"}
 
 
 @pytest.mark.parametrize("command", ["classify", "evolve-metric", "bracket"])

@@ -110,6 +110,41 @@ class TestParse:
         assert evaluate(parse(".25", chart), {}) == 0.25
         assert evaluate(parse("3.", chart), {}) == 3.0
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("", "empty expression", 1),
+            (" \t ", "empty expression", 4),
+            ("q1 + $", "unexpected '$'", 6),
+            ("q1 λ", "unexpected 'λ'", 4),
+            ("q1 + 2 q1", "unexpected 'q'", 8),
+            ("q1 * .", "malformed number", 6),
+            ("2*²", "malformed number", 3),
+            ("1 + ٣", "malformed number", 5),
+            ("(q1 + p1", "expected ')'", 9),
+            ("sin(q1 p1)", "expected ')'", 8),
+            ("q1^  ", "expected expression", 6),
+            ("-", "expected expression", 2),
+        ],
+    )
+    def test_syntax_errors(self, text, message, offset):
+        # the offset is 1-based, at the start of the token where parsing stopped
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text, CoordinateChart(1))
+        assert str(exc.value) == f"{message} at offset {offset}"
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, name, offset",
+        [("q1 + x", "x", 6), ("q1*q2", "q2", 4), ("2*foo (q1)", "foo", 3), ("sin + 1", "sin", 1)],
+    )
+    def test_unknown_names(self, text, name, offset):
+        # an unknown variable, or a name called as a function outside the function set
+        with pytest.raises(UnknownIdentifierError) as exc:
+            parse(text, CoordinateChart(1))
+        assert str(exc.value) == f"unknown identifier '{name}' at offset {offset}"
+        assert (exc.value.name, exc.value.offset) == (name, offset)
+
 
 class TestEvaluate:
     def test_examples(self):

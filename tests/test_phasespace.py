@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import metricflow.phasespace as phasespace
+from metricflow.evolution import _check_constant_skew
 from metricflow import (
     ConstantMetric,
     CoordinateChart,
@@ -20,7 +21,7 @@ from metricflow import (
     metric_determinant,
     metric_eval,
 )
-from metricflow.phasespace import invert_metrics
+from metricflow.phasespace import invert_metrics, not_skew
 
 
 def brute_force_jacobi(M, x):
@@ -277,6 +278,32 @@ class TestInverse:
         with pytest.raises(MetricError, match="lost skew-symmetry") as exc:
             invert_metrics(np.array([good, crooked, singular]))
         assert type(exc.value) is MetricError
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 2e6, 1e12])
+def test_skewness_is_relative_to_the_metric_scale(scale):
+    # a rounding-level defect passes and a 1e-9 relative one fails at every
+    # scale, in the constant metric, the evolution check and the stacked inverse
+    J = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rounded, crooked = J.copy(), J.copy()
+    rounded[1, 0] *= 1 + 1e-15
+    crooked[1, 0] *= 1 + 1e-9
+    assert not not_skew(rounded) and not_skew(crooked)
+    assert not_skew(np.array([J, rounded, crooked])).tolist() == [False, False, True]
+    ConstantMetric(CoordinateChart(1), rounded)
+    with pytest.raises(MetricError, match="constant metric is not skew-symmetric"):
+        ConstantMetric(CoordinateChart(1), crooked)
+    with pytest.raises(ValueError, match="initial metric must be skew-symmetric"):
+        _check_constant_skew(crooked)
+    with pytest.raises(MetricError, match="lost skew-symmetry"):
+        invert_metrics(np.array([rounded, crooked]))
+
+
+def test_skewness_of_non_finite_entries():
+    # a NaN entry passes, as it did under the absolute bound; an infinite sum fails
+    assert not not_skew(np.array([[0.0, np.nan], [-1.0, 0.0]]))
+    assert not_skew(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    assert not_skew(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
 
 def per_matrix_inverse(W):
