@@ -14,7 +14,7 @@ from metricflow import (
     analytic_metric,
     applicability_check,
     compressibility,
-    compressibility_integral,
+    compressibility_flow,
     determinant_factor,
     integrate_flow,
     invariance_residual,
@@ -53,7 +53,7 @@ print(f"sqrt(g)(t={t}) = {determinant_factor(system, 0.0, t):.6f}"
 
 x0 = PhasePoint([0.8, -0.3, 0.2, 0.5], 0.0)
 seg = integrate_flow(V, x0, t)
-s = compressibility_integral(V, x0, t)
+s = compressibility_flow(V, x0, t)[1]
 det = metric_determinant(metric, seg.end)
 print(f"along a trajectory: |ln sqrt_g + integral kappa| = "
       f"{abs(np.log(det.sqrt_g) + s):.3e}")

@@ -17,7 +17,6 @@ from .exprlang import (
     UnknownIdentifierError,
     differentiate,
     evaluate,
-    evaluate_at,
     parse,
     simplify,
     to_string,
@@ -47,10 +46,7 @@ from .dynamics import (
     VectorFieldSpec,
     compressibility,
     compressibility_flow,
-    compressibility_integral,
-    eval_field,
     integrate_flow,
-    tangent_map,
 )
 from .helmholtz import HelmholtzReport, canonical_helmholtz, classify, helmholtz_residual, helmholtz_residuals
 from .evolution import (

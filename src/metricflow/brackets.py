@@ -28,7 +28,7 @@ from .exprlang import (
     gradient,
     simplify,
 )
-from .phasespace import MetricField, PhasePoint, _check_point, invert_metrics, inverse_metric
+from .phasespace import MetricField, PhasePoint, _check_point, invert_metrics
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,6 @@ def _as_observable(A, chart) -> Observable:
 def _contract(a: np.ndarray, T: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ T[i] @ b[i] for each i, as stacked matrix products."""
     return (a[:, None] @ T @ b[:, :, None])[:, 0, 0]
-
-
-def bracket_tensor(M: MetricField, x: PhasePoint) -> np.ndarray:
-    """Raised tensor B with {A,B} = B^{kl} d_k A d_l B and {q,p} = +1."""
-    return -inverse_metric(M, x)
 
 
 class BracketFrame:

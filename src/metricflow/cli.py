@@ -35,7 +35,7 @@ from .evolution import (
     invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
-from .friction import ApplicabilityError, FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check
+from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check
 from .helmholtz import classify
 from .phasespace import (
     ExprMetric,
@@ -144,6 +144,8 @@ def load_config(data: dict) -> SystemConfig:
         _require("friction" not in data, "'friction' requires the 'hamiltonian' form")
     friction = data.get("friction")
     if isinstance(friction, list):  # numbers follow the number rules; expression strings stay
+        widths = {len(row) if isinstance(row, list) else None for row in friction}
+        _require(len(widths) <= 1, "'friction' must be rows of one length, or numbers and expression strings")
         friction = [
             row if isinstance(row, str)
             else [_number(v, f"friction[{i}][{j}]") for j, v in enumerate(row)] if isinstance(row, list)
@@ -422,6 +424,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _tol(text: str) -> float:
+    """The --tol value: a finite number > 0 (argparse reports a ValueError)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -479,7 +489,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=argparse.FileType("w", encoding="utf-8"), default=sys.stdout,
                        help="output file (default: stdout; '-' is stdout too)")
         if name in ("classify", "audit"):
-            p.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
+            p.add_argument("--tol", type=_tol, default=1e-8, help="verdict tolerance")
             p.add_argument("--seed", type=_seed, default=None, help="override the sampling seed")
         if name == "bracket":
             p.add_argument("--A", required=True, help="first observable")
@@ -511,8 +521,6 @@ def main(argv=None) -> int:
             payload, code = cmd_bracket(cfg, args.A, args.B, args.C)
     except DomainError as exc:
         return emit_error(EXIT_CONFIG, "domain", str(exc))
-    except ApplicabilityError as exc:
-        return emit_error(EXIT_CONFIG, "applicability", str(exc))
     except (ConfigError, ExprError, FrictionError) as exc:
         return emit_error(EXIT_CONFIG, "config", str(exc))
     except RecursionError:

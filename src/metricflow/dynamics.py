@@ -3,12 +3,12 @@
 The vector field is autonomous (components may not reference ``t``).  One
 adaptive Dormand-Prince 5(4) stepper integrates every flow.  Its callers are
 lanes, trajectories advanced as the rows of one array, each with its own step
-control (:func:`flow_lanes`); a single trajectory is one lane.  Beside its
-trajectory a lane carries the tangent map from the variational equations,
-also its derivatives (:func:`flow_jet`), or the integral of the
-compressibility.  Backward flow integrates the field forward with its sign
-reversed.  :func:`expm` is the matrix exponential of the linear and
-closed-form routes.
+control (:func:`flow_lanes`); a trajectory to one end time is one lane, and
+states at several times are a lane each.  Beside its trajectory a lane
+carries the tangent map from the variational equations, also its
+derivatives (:func:`flow_jet`), or the integral of the compressibility.
+Backward flow integrates the field forward with its sign reversed.
+:func:`expm` is the matrix exponential of the linear and closed-form routes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -80,11 +79,9 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class FlowSegment:
-    """A numerically integrated trajectory with its tangent map."""
+    """The end of a numerically integrated trajectory with its tangent map."""
 
-    start: PhasePoint
     end: PhasePoint
-    samples: tuple[tuple[float, np.ndarray], ...]
     tangent: np.ndarray
     stats: IntegrationStats
 
@@ -229,11 +226,6 @@ class VectorFieldSpec:
             return evaluate_batch(self._tangent_fn, self.chart, X), np.broadcast_to(self.constant_jacobian, (B, d, d))
         E = evaluate_batch(self._tangent_fn, self.chart, X, entries=np.arange(-d, d * d))  # the field's first
         return np.ascontiguousarray(E[:, :d]), np.ascontiguousarray(E[:, d:]).reshape(B, d, d)
-
-
-def eval_field(V: VectorFieldSpec, x: PhasePoint) -> np.ndarray:
-    _check_point(V.chart, x)
-    return V.eval(x.coords, x.time)
 
 
 def compressibility(V: VectorFieldSpec, x: PhasePoint) -> float:
@@ -495,35 +487,18 @@ def _integrate(V: VectorFieldSpec, x0, duration: float, opts: IntegratorOptions 
 
 
 def integrate_flow(
-    V: VectorFieldSpec,
-    x0: PhasePoint,
-    t1: float,
-    opts: IntegratorOptions | None = None,
-    sample_times: Sequence[float] | None = None,
+    V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
 ) -> FlowSegment:
-    """Integrate the flow (and tangent map) from ``x0`` to time ``t1``.
+    """Integrate the flow and its tangent map from ``x0`` to time ``t1``, as
+    one lane of :func:`flow_lanes`.
 
     ``t1`` may precede ``x0.time``; backward segments integrate the field
-    with its sign reversed.  Each requested sample time inside the segment
-    is a lane of its own from ``x0``, so its sample has the bits of the end
-    point of ``integrate_flow(V, x0, sample_time)``.
+    with its sign reversed.
     """
     _check_point(V.chart, x0)
-    d, t0, t1 = V.chart.dim, x0.time, float(t1)
-    direction, duration = (1.0 if t1 > t0 else -1.0), abs(t1 - t0)
-    inner = []
-    for ts in () if sample_times is None else sample_times:
-        tau = (float(ts) - t0) * direction
-        if not 0.0 <= tau <= duration:
-            raise ValueError(f"sample time {ts} outside the segment")
-        if 0.0 < tau < duration:
-            inner.append((tau, float(ts)))
-    times = [t1] + [ts for _, ts in sorted(inner)]
-    Y, stats = flow_lanes(V, [x0.coords] * len(times), [ts - t0 for ts in times], opts)
-    end = PhasePoint(Y[0, :d], t1) if duration else x0
-    samples = [(t0, x0.coords)] + [(ts, y[:d]) for ts, y in zip(times[1:], Y[1:])]
-    samples += [(t1, end.coords)] if duration else []
-    return FlowSegment(x0, end, tuple(samples), Y[0, d:].reshape(d, d), stats[0])
+    d, t1 = V.chart.dim, float(t1)
+    end, y, stats = _integrate(V, x0.coords, t1 - x0.time, opts, True)
+    return FlowSegment(PhasePoint(end, t1) if t1 != x0.time else x0, y[d:].reshape(d, d), stats)
 
 
 def flow_jet(
@@ -543,13 +518,6 @@ def flow_jet(
     return y[:d], y[d : d + d * d].reshape(d, d), H
 
 
-def tangent_map(
-    V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
-) -> np.ndarray:
-    """Jacobian of the time-t1 flow map with respect to ``x0``."""
-    return integrate_flow(V, x0, t1, opts).tangent
-
-
 def compressibility_flow(
     V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
 ) -> tuple[PhasePoint, float]:
@@ -560,9 +528,3 @@ def compressibility_flow(
     end, y, _ = _integrate(V, x0.coords, t1 - x0.time, opts, False)
     return (PhasePoint(end, t1) if t1 != x0.time else x0), float(y[-1])
 
-
-def compressibility_integral(
-    V: VectorFieldSpec, x0: PhasePoint, t1: float, opts: IntegratorOptions | None = None
-) -> float:
-    """Integral of the compressibility along the trajectory from x0 to t1."""
-    return compressibility_flow(V, x0, t1, opts)[1]

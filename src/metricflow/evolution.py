@@ -39,7 +39,7 @@ import numpy as np
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
 from .exprlang import Monomials, taylor_expand
 from .helmholtz import helmholtz_residuals
-from .phasespace import ConstantMetric, MetricField, PhasePoint, _check_point, not_skew
+from .phasespace import ConstantMetric, MetricField, PhasePoint, _check_point
 
 MAX_SERIES_COEFFS = 250_000
 SERIES_STOP_NORM = 1e-14
@@ -76,15 +76,6 @@ def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
     return 0.5 * (R - R.T)
 
 
-def _check_constant_skew(W0) -> np.ndarray:
-    W = np.array(W0, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("initial metric must be a square matrix")
-    if not_skew(W):
-        raise ValueError("initial metric must be skew-symmetric")
-    return W
-
-
 class _SeriesBasis(Monomials):
     """Monomials that stop growing once a d x d array of series, one
     operator power, would hold more than MAX_SERIES_COEFFS coefficients."""
@@ -113,9 +104,7 @@ class SeriesPropagator:
 
     def __init__(self, V: VectorFieldSpec, W0):
         self.V = V
-        self.W0 = _check_constant_skew(W0)
-        if self.W0.shape[0] != V.chart.dim:
-            raise ValueError("initial metric does not match the chart dimension")
+        self.W0 = ConstantMetric(V.chart, W0).matrix
         self.basis = _SeriesBasis(V.chart.dim)
         self._point: tuple[bytes, int] | None = None
         self._X: np.ndarray | None = None
@@ -413,7 +402,7 @@ class SplitMetric(MetricField):
             raise ValueError("steps must be >= 1")
         self.chart = V.chart
         self.V = V
-        self.W0 = ConstantMetric(V.chart, _check_constant_skew(W0)).matrix
+        self.W0 = ConstantMetric(V.chart, W0).matrix
         self.steps = steps
 
     def jet(self, coords, time):

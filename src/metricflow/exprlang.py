@@ -581,10 +581,6 @@ def taylor_expand(
     return np.array([np.pad(s, (0, n - len(s))) for s in series])
 
 
-def evaluate_at(e: Expr, chart: CoordinateChart, coords: Sequence[float], time: float = 0.0) -> float:
-    return evaluate(e, chart.env(coords, time))
-
-
 def probe_points(count: int, low: Sequence[float], high: Sequence[float]) -> np.ndarray:
     """``count`` fixed points of the box [low, high], for checking an identity
     numerically: coordinate j of point i is read off cos(i * len(low) + j + 1),

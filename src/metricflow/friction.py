@@ -111,9 +111,7 @@ class FrictionSystem:
         if np.isscalar(friction) and not isinstance(friction, str):
             return cls(chart, H, float(friction) * np.eye(n), None)
         friction = list(friction) if not isinstance(friction, np.ndarray) else friction
-        if isinstance(friction, np.ndarray) or (
-            friction and not isinstance(friction[0], (str, Expr))
-        ):
+        if isinstance(friction, np.ndarray) or (friction and not any(isinstance(e, (str, Expr)) for e in friction)):
             arr = np.array(friction, dtype=float)
             if arr.ndim == 1:
                 arr = np.diag(arr)

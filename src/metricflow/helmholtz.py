@@ -41,10 +41,6 @@ class HelmholtzReport:
     per_point_max: tuple[float, ...]
     canonical_blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @property
-    def points(self) -> tuple[PhasePoint, ...]:
-        return tuple(PhasePoint(x, t) for x, t in zip(self.coords, self.times))
-
 
 def helmholtz_residuals(
     V: VectorFieldSpec, X: np.ndarray, T: np.ndarray, W: np.ndarray, D: np.ndarray

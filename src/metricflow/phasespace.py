@@ -240,21 +240,15 @@ def value_determinant(W: np.ndarray) -> MetricDeterminant:
 
 
 def inverse_metric(M: MetricField, x: PhasePoint) -> np.ndarray:
-    """Matrix inverse of the metric at ``x`` (:func:`invert_metric`)."""
+    """Matrix inverse of the metric at ``x`` (:func:`invert_metrics`)."""
     _check_point(M.chart, x)
-    return invert_metric(M.value(x.coords, x.time))
-
-
-def invert_metric(W: np.ndarray) -> np.ndarray:
-    """Matrix inverse of the metric value W; skew-symmetric, raises when W
-    is not skew-symmetric or is singular."""
-    return invert_metrics(np.asarray(W)[None])[0]
+    return invert_metrics(M.value(x.coords, x.time)[None])[0]
 
 
 def invert_metrics(W: np.ndarray) -> np.ndarray:
-    """:func:`invert_metric` of each matrix of the stack W (B, d, d), with
-    its bits; the first matrix that is not skew-symmetric or is singular
-    raises."""
+    """The matrix inverse of each metric value of the stack W (B, d, d),
+    skew-symmetric; the first matrix that is not skew-symmetric or is
+    singular raises."""
     for k in np.flatnonzero(not_skew(W) | (degeneracy_ratios(W) < DEGENERACY_TOL))[:1]:
         _checked_skew(W[k])
         g = float(np.linalg.det(W[k]))

@@ -21,7 +21,7 @@ from metricflow import (
     bracket_jacobi_residual,
     canonical_metric,
     classify,
-    compressibility_integral,
+    compressibility_flow,
     integrate_flow,
     invariance_residual,
     jacobi_residual,
@@ -139,7 +139,7 @@ def test_criterion_4_determinant_compressibility_identity():
             t = rng.uniform(0.2, 2.0)
             seg = integrate_flow(V, x0, t)
             det = metric_determinant(M, seg.end)
-            s = compressibility_integral(V, x0, t)
+            s = compressibility_flow(V, x0, t)[1]
             worst = max(worst, abs(float(np.log(det.sqrt_g)) + s))
     ok = worst < 1e-6
     report(4, ok, f"max |ln sqrt_g + integral kappa| = {worst:.2e} over 40 trajectories")

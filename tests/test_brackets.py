@@ -9,11 +9,10 @@ from metricflow import (
     SingularMetricError,
     bracket_jacobi_residual,
     integrate_flow,
+    inverse_metric,
     leibniz_defect,
     poisson_bracket,
-    tangent_map,
 )
-from metricflow.brackets import bracket_tensor
 from metricflow.friction import analytic_metric
 
 
@@ -35,7 +34,7 @@ def fd_nested_bracket(A, B, C, M, x, h=1e-5):
         grad_inner[k] = (inner(xp) - inner(xm)) / (2 * h)
     env = chart.env(x.coords, x.time)
     gA = np.array([evaluate(differentiate(A.expr, n), env) for n in chart.names])
-    P = bracket_tensor(M, x)
+    P = -inverse_metric(M, x)
     return float(gA @ P @ grad_inner)
 
 
@@ -187,8 +186,8 @@ class TestConservedBrackets:
         def invariant_bracket(t):
             seg = integrate_flow(damped, x0, t)
             x = seg.end
-            Mb = tangent_map(damped, PhasePoint(x.coords, 0.0), -t)
-            P = bracket_tensor(M, x)
+            Mb = integrate_flow(damped, PhasePoint(x.coords, 0.0), -t).tangent
+            P = -inverse_metric(M, x)
             return (Mb @ P @ Mb.T)[0, 1]  # {I_q, I_p}
 
         values = [invariant_bracket(t) for t in (0.0, 0.4, 1.0, 2.0)]

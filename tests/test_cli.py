@@ -177,6 +177,19 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["classify", "audit"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    # nan, -1 and 0 once failed every system and inf passed every one
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_config(tmp_path, HARMONIC), f"--tol={tol}"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    message = f"argument --tol: must be a finite number > 0: '{tol}'"
+    assert json.loads(captured.out) == {"error": {"kind": "usage", "message": message}}
+    assert captured.err.startswith("usage: ")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -215,6 +228,28 @@ def test_friction_numbers_are_checked(tmp_path, capsys, friction, key):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["error"] == {"kind": "config", "message": f"'{key}' must be a finite number"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "friction", [[1.0, [1.0, 0.0]], [[1.0, 0.0], 2.0], ["t", [1.0, 2.0]], [[1.0, 0.0], [0.0]]]
+)
+def test_friction_list_shape_is_checked(tmp_path, capsys, friction):
+    # these once ended in numpy messages that did not name the key, or in a traceback
+    data = {"n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^2+q2^2)/2", "friction": friction, "t_grid": [0.5]}
+    assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    message = "'friction' must be rows of one length, or numbers and expression strings"
+    assert json.loads(captured.out)["error"] == {"kind": "config", "message": message}
+    assert captured.err == ""
+
+
+def test_friction_number_among_expression_strings(tmp_path, capsys):
+    outputs = []
+    for friction in ([1, "t"], ["1", "t"]):
+        data = {"n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^2+q2^2)/2", "friction": friction, "t_grid": [0.5]}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
 
 
 def test_friction_expression_strings_stay_expressions():

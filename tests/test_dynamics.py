@@ -11,14 +11,12 @@ from metricflow import (
     PhasePoint,
     VectorFieldSpec,
     compressibility,
-    compressibility_integral,
-    eval_field,
+    compressibility_flow,
     integrate_flow,
-    tangent_map,
 )
 from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate_lanes, flow_jet
 from metricflow.dynamics import expm as metricflow_expm
-from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_at, evaluate_batch, parse
+from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_batch, parse
 
 
 def fd_divergence(V, x, h=1e-6):
@@ -35,12 +33,12 @@ def fd_divergence(V, x, h=1e-6):
 
 class TestVectorFieldSpec:
     def test_damped_field_values(self, damped):
-        assert np.allclose(eval_field(damped, PhasePoint([1.0, 0.0])), [0.0, -1.0])
-        assert np.allclose(eval_field(damped, PhasePoint([0.0, 1.0])), [1.0, -1.0])
+        assert np.allclose(damped.eval([1.0, 0.0]), [0.0, -1.0])
+        assert np.allclose(damped.eval([0.0, 1.0]), [1.0, -1.0])
 
     def test_zero_field(self, chart1):
         V = VectorFieldSpec.from_components(chart1, ["0", "0"])
-        assert np.allclose(eval_field(V, PhasePoint([0.3, 0.7])), [0.0, 0.0])
+        assert np.allclose(V.eval([0.3, 0.7]), [0.0, 0.0])
 
     def test_time_dependence_rejected(self, chart1):
         with pytest.raises(ValueError):
@@ -58,8 +56,8 @@ class TestVectorFieldSpec:
     def test_hamiltonian_split(self, damped):
         x = np.array([0.4, -0.3])
         total = damped.eval(x)
-        p1 = np.array([evaluate_at(e, damped.chart, x) for e in damped.part1])
-        p2 = np.array([evaluate_at(e, damped.chart, x) for e in damped.part2])
+        p1 = np.array([evaluate(e, damped.chart.env(x)) for e in damped.part1])
+        p2 = np.array([evaluate(e, damped.chart.env(x)) for e in damped.part2])
         assert np.allclose(total, p1 + p2, atol=1e-14)
         assert np.allclose(p2, [0.0, 0.3], atol=1e-14)
 
@@ -191,9 +189,9 @@ class TestIntegrateFlow:
     def test_energy_monotone_under_friction(self, damped, chart1):
         # dH/dt = -K p^2 <= 0 along trajectories
         H = parse("p1^2/2 + q1^2/2", chart1)
-        times = np.linspace(0.0, 4.0, 41)[1:]
-        seg = integrate_flow(damped, PhasePoint([1.0, 0.5]), 4.0, sample_times=times)
-        energies = [evaluate_at(H, chart1, x) for _, x in seg.samples]
+        x0 = PhasePoint([1.0, 0.5])
+        states = [x0.coords] + [integrate_flow(damped, x0, t).end.coords for t in np.linspace(0.0, 4.0, 41)[1:]]
+        energies = [evaluate(H, chart1.env(x)) for x in states]
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-10)
 
@@ -202,14 +200,6 @@ class TestIntegrateFlow:
         fwd = integrate_flow(damped, x0, 2.0)
         back = integrate_flow(damped, fwd.end, 0.0)
         assert np.max(np.abs(back.end.coords - x0.coords)) < 1e-8
-
-    def test_dense_samples_match_direct(self, damped):
-        x0 = PhasePoint([1.0, 0.0])
-        times = [0.31, 0.97, 1.55]
-        seg = integrate_flow(damped, x0, 2.0, sample_times=times)
-        sampled = {t: x for t, x in seg.samples}
-        for t in times:
-            assert np.array_equal(sampled[t], integrate_flow(damped, x0, t).end.coords)
 
     def test_blowup_reported(self, chart1):
         V = VectorFieldSpec.from_components(chart1, ["1 + q1^2", "0"])
@@ -262,24 +252,24 @@ def test_expm_of_a_non_finite_argument_is_nan(bad):
 
 class TestTangentMap:
     def test_identity_at_start(self, damped):
-        M = tangent_map(damped, PhasePoint([0.5, 0.5]), 0.0)
+        M = integrate_flow(damped, PhasePoint([0.5, 0.5]), 0.0).tangent
         assert np.array_equal(M, np.eye(2))
 
     def test_linear_field_matches_expm(self, damped):
         # damped oscillator is linear: M = exp(t A), A = [[0,1],[-1,-1]]
         A = np.array([[0.0, 1.0], [-1.0, -1.0]])
         for t in (0.5, 1.0, 2.3):
-            M = tangent_map(damped, PhasePoint([0.3, -0.1]), t)
+            M = integrate_flow(damped, PhasePoint([0.3, -0.1]), t).tangent
             assert np.max(np.abs(M - expm(t * A))) < 1e-8
 
     def test_abel_liouville(self, damped):
         # det M = exp(integral of kappa) = exp(-t) for unit friction
         for t in (0.7, 1.5):
-            M = tangent_map(damped, PhasePoint([0.2, 0.9]), t)
+            M = integrate_flow(damped, PhasePoint([0.2, 0.9]), t).tangent
             assert np.linalg.det(M) == pytest.approx(np.exp(-t), abs=1e-8)
 
     def test_det_positive_along_flow(self, damped):
-        M = tangent_map(damped, PhasePoint([1.0, 1.0]), 3.0)
+        M = integrate_flow(damped, PhasePoint([1.0, 1.0]), 3.0).tangent
         assert np.linalg.det(M) > 0
 
 
@@ -295,15 +285,15 @@ class TestFlowJet:
         h = 1e-4
         for k in range(2):
             e = np.eye(2)[k] * h
-            Mp = tangent_map(V, PhasePoint(x + e), t, TRANSPORT_OPTIONS)
-            Mm = tangent_map(V, PhasePoint(x - e), t, TRANSPORT_OPTIONS)
+            Mp = integrate_flow(V, PhasePoint(x + e), t, TRANSPORT_OPTIONS).tangent
+            Mm = integrate_flow(V, PhasePoint(x - e), t, TRANSPORT_OPTIONS).tangent
             assert np.max(np.abs(H[:, :, k] - (Mp - Mm) / (2 * h))) < 1e-6
         assert np.max(np.abs(H - H.transpose(0, 2, 1))) < 1e-8  # d_k M_ij = d_j M_ik
 
     def test_affine_fields_carry_no_second_derivative(self, damped):
         y, M, H = flow_jet(damped, np.array([0.3, -0.1]), 1.0)
         assert np.array_equal(H, np.zeros((2, 2, 2)))
-        assert np.max(np.abs(M - tangent_map(damped, PhasePoint([0.3, -0.1]), 1.0))) == 0.0
+        assert np.max(np.abs(M - integrate_flow(damped, PhasePoint([0.3, -0.1]), 1.0).tangent)) == 0.0
 
 
 class TestFlowProperties:
@@ -323,8 +313,8 @@ class TestFlowProperties:
         for V in self._random_fields(chart1, 17, 5):
             x0 = PhasePoint([0.3, -0.2])
             t = 0.8
-            M = tangent_map(V, x0, t)
-            s = compressibility_integral(V, x0, t)
+            M = integrate_flow(V, x0, t).tangent
+            s = compressibility_flow(V, x0, t)[1]
             assert np.linalg.det(M) == pytest.approx(np.exp(s), rel=1e-7)
 
     def test_cocycle_composition(self, chart1):
@@ -332,7 +322,7 @@ class TestFlowProperties:
             x0 = PhasePoint([0.4, 0.1])
             seg1 = integrate_flow(V, x0, 0.6)
             seg2 = integrate_flow(V, seg1.end, 1.1)
-            M_total = tangent_map(V, x0, 1.1)
+            M_total = integrate_flow(V, x0, 1.1).tangent
             assert np.max(np.abs(seg2.tangent @ seg1.tangent - M_total)) < 1e-7
 
     def test_tolerance_scaling(self, harmonic):

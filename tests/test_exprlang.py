@@ -16,7 +16,6 @@ from metricflow.exprlang import (
     compile_vector,
     differentiate,
     evaluate,
-    evaluate_at,
     free_vars,
     parse,
     simplify,
@@ -34,10 +33,10 @@ def fd_derivative(e, chart, coords, time, name, h_rel=1e-6):
 
     def at(v):
         if idx is None:
-            return evaluate_at(e, chart, coords, v)
+            return evaluate(e, chart.env(coords, v))
         shifted = np.array(coords, dtype=float)
         shifted[idx] = v
-        return evaluate_at(e, chart, shifted, time)
+        return evaluate(e, chart.env(shifted, time))
 
     return (at(x0 + h) - at(x0 - h)) / (2 * h)
 
@@ -149,28 +148,28 @@ class TestParse:
 class TestEvaluate:
     def test_examples(self):
         chart = CoordinateChart(1)
-        assert evaluate_at(parse("p1^2/2", chart), chart, [0.0, 2.0]) == 2.0
-        assert evaluate_at(parse("exp(t)", chart), chart, [0.0, 0.0], 0.0) == 1.0
+        assert evaluate(parse("p1^2/2", chart), chart.env([0.0, 2.0])) == 2.0
+        assert evaluate(parse("exp(t)", chart), chart.env([0.0, 0.0], 0.0)) == 1.0
 
     def test_log_domain(self):
         chart = CoordinateChart(1)
         with pytest.raises(DomainError):
-            evaluate_at(parse("log(q1)", chart), chart, [-1.0, 0.0])
+            evaluate(parse("log(q1)", chart), chart.env([-1.0, 0.0]))
 
     def test_division_by_zero(self):
         chart = CoordinateChart(1)
         with pytest.raises(DomainError):
-            evaluate_at(parse("1/q1", chart), chart, [0.0, 0.0])
+            evaluate(parse("1/q1", chart), chart.env([0.0, 0.0]))
 
     def test_sqrt_domain(self):
         chart = CoordinateChart(1)
         with pytest.raises(DomainError):
-            evaluate_at(parse("sqrt(q1)", chart), chart, [-4.0, 0.0])
+            evaluate(parse("sqrt(q1)", chart), chart.env([-4.0, 0.0]))
 
     def test_negative_fractional_power(self):
         chart = CoordinateChart(1)
         with pytest.raises(DomainError):
-            evaluate_at(parse("q1^0.5", chart), chart, [-2.0, 0.0])
+            evaluate(parse("q1^0.5", chart), chart.env([-2.0, 0.0]))
 
     def test_deterministic(self):
         chart = CoordinateChart(2)
@@ -252,11 +251,11 @@ class TestTaylor:
         x, time = np.array([0.7, 0.3]), 0.4
         basis = Monomials(2)
         s = taylor_expand([e], chart, x, time, 10, basis)[0]
-        assert s[0] == evaluate_at(e, chart, x, time)
+        assert s[0] == evaluate(e, chart.env(x, time))
         for k, name in enumerate(chart.names):
-            assert s[1 + k] == pytest.approx(evaluate_at(differentiate(e, name), chart, x, time), rel=1e-13)
+            assert s[1 + k] == pytest.approx(evaluate(differentiate(e, name), chart.env(x, time)), rel=1e-13)
         h = np.array([0.01, -0.02])
-        assert self.polynomial(basis, s, h) == pytest.approx(evaluate_at(e, chart, x + h, time), rel=1e-12)
+        assert self.polynomial(basis, s, h) == pytest.approx(evaluate(e, chart.env(x + h, time)), rel=1e-12)
 
     def test_polynomials_stay_short(self):
         chart = CoordinateChart(2)
@@ -285,7 +284,7 @@ class TestTaylor:
         e = parse(text, chart)
         expand = lambda: taylor_expand([e], chart, point, 1.0, 4, Monomials(2))  # noqa: E731
         if message is None:
-            assert expand()[0, 0] == evaluate_at(e, chart, point, 1.0)
+            assert expand()[0, 0] == evaluate(e, chart.env(point, 1.0))
         else:
             with pytest.raises(DomainError) as info:
                 expand()
@@ -317,7 +316,7 @@ class TestDifferentiate:
         rng = np.random.default_rng(11)
         for _ in range(10):
             coords = rng.uniform(-2.0, 2.0, 4)
-            got = evaluate_at(d, chart, coords)
+            got = evaluate(d, chart.env(coords))
             want = fd_derivative(e, chart, coords, 0.0, "q1")
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -345,7 +344,7 @@ class TestDifferentiate:
             for _ in range(6):
                 coords = rng.uniform(0.2, 1.5, 2)
                 time = rng.uniform(0.1, 1.0)
-                got = evaluate_at(d, chart, coords, time)
+                got = evaluate(d, chart.env(coords, time))
                 want = fd_derivative(e, chart, coords, time, var)
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -359,8 +358,8 @@ class TestDifferentiate:
             rng = np.random.default_rng(5)
             for _ in range(10):
                 coords = rng.uniform(-1.2, 1.2, 2)
-                va = evaluate_at(ab, chart, coords)
-                vb = evaluate_at(ba, chart, coords)
+                va = evaluate(ab, chart.env(coords))
+                vb = evaluate(ba, chart.env(coords))
                 assert abs(va - vb) <= 1e-9 * max(1.0, abs(va))
 
 
@@ -397,8 +396,8 @@ class TestPrinting:
             for _ in range(100 // 40 + 3):
                 coords = rng.uniform(-2.0, 2.0, 4)
                 time = rng.uniform(0.0, 2.0)
-                v1 = evaluate_at(e, chart, coords, time)
-                v2 = evaluate_at(back, chart, coords, time)
+                v1 = evaluate(e, chart.env(coords, time))
+                v2 = evaluate(back, chart.env(coords, time))
                 assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
 
     def test_parenthesization(self):
@@ -447,7 +446,7 @@ class TestCompile:
                 coords = rng.uniform(-1.5, 1.5, 4)
                 time = rng.uniform(0.0, 1.0)
                 (value,) = fn(coords, time)
-                assert value == pytest.approx(evaluate_at(e, chart, coords, time), abs=0, rel=1e-15)
+                assert value == pytest.approx(evaluate(e, chart.env(coords, time)), abs=0, rel=1e-15)
 
     def test_folded_infinite_constant(self):
         # d(q1*exp(1000))/dq1 folds to the constant inf

@@ -10,13 +10,13 @@ from metricflow import (
     analytic_metric,
     canonical_metric,
     determinant_factor,
+    integrate_flow,
     invariance_residual,
     inverse_metric,
     jacobi_residual,
     metric_determinant,
     metric_eval,
     pullback_metric,
-    tangent_map,
 )
 from metricflow.exprlang import differentiate, free_vars
 from metricflow.friction import (
@@ -55,6 +55,12 @@ class TestConstruction:
         assert written.k_diagonal is None and not written.time_dependent
         np.testing.assert_array_equal(written.k_matrix, np.diag([0.5, 1.0]))
         assert written.vector_field.components == FrictionSystem.build(chart2, H, [0.5, 1.0]).vector_field.components
+
+    def test_a_number_among_expressions_is_an_expression(self, chart2):
+        # the first entry no longer picks the path: [1, "t"] once failed in numpy
+        H = "(p1^2+p2^2)/2"
+        assert FrictionSystem.build(chart2, H, [1, "t"]).k_diagonal == FrictionSystem.build(chart2, H, ["1", "t"]).k_diagonal
+        np.testing.assert_array_equal(FrictionSystem.build(chart2, H, [0.5, "2/2"]).k_matrix, np.diag([0.5, 1.0]))
 
     def test_time_dependent_has_no_field(self, chart1):
         sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", ["cos(t)"])
@@ -166,7 +172,7 @@ class TestDeterminantFactor:
         t = 2.0
         value = determinant_factor(damped_system, 0.0, t)
         assert value == pytest.approx(np.exp(2.0), rel=1e-12)
-        M = tangent_map(damped_system.vector_field, PhasePoint([0.4, -0.1]), t)
+        M = integrate_flow(damped_system.vector_field, PhasePoint([0.4, -0.1]), t).tangent
         assert value == pytest.approx(1.0 / np.linalg.det(M), rel=1e-7)
 
 

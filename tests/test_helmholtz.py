@@ -110,7 +110,7 @@ class TestClassify:
         report = classify(harmonic, canonical1, count=50, seed=0)
         assert report.verdict == "hamiltonian"
         assert report.max_abs < 1e-12
-        assert len(report.points) == 51  # origin + draws
+        assert len(report.coords) == len(report.times) == 51  # origin + draws
 
     def test_damped(self, damped, canonical1):
         report = classify(damped, canonical1, count=50, seed=0)

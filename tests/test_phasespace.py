@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import metricflow.phasespace as phasespace
-from metricflow.evolution import _check_constant_skew
+from metricflow.evolution import SeriesPropagator, SplitMetric
 from metricflow import (
     ConstantMetric,
     CoordinateChart,
@@ -281,9 +281,10 @@ class TestInverse:
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 2e6, 1e12])
-def test_skewness_is_relative_to_the_metric_scale(scale):
+def test_skewness_is_relative_to_the_metric_scale(damped, scale):
     # a rounding-level defect passes and a 1e-9 relative one fails at every
-    # scale, in the constant metric, the evolution check and the stacked inverse
+    # scale, in the constant metric, the evolution routes' initial metric and
+    # the stacked inverse
     J = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
     rounded, crooked = J.copy(), J.copy()
     rounded[1, 0] *= 1 + 1e-15
@@ -293,8 +294,10 @@ def test_skewness_is_relative_to_the_metric_scale(scale):
     ConstantMetric(CoordinateChart(1), rounded)
     with pytest.raises(MetricError, match="constant metric is not skew-symmetric"):
         ConstantMetric(CoordinateChart(1), crooked)
-    with pytest.raises(ValueError, match="initial metric must be skew-symmetric"):
-        _check_constant_skew(crooked)
+    for route in (lambda W0: SeriesPropagator(damped, W0), lambda W0: SplitMetric(damped, W0, 2)):
+        route(rounded)
+        with pytest.raises(MetricError, match="constant metric is not skew-symmetric"):
+            route(crooked)
     with pytest.raises(MetricError, match="lost skew-symmetry"):
         invert_metrics(np.array([rounded, crooked]))
 
@@ -307,8 +310,8 @@ def test_skewness_of_non_finite_entries():
 
 
 def per_matrix_inverse(W):
-    """The inverse one matrix at a time, as invert_metric computed it before
-    it served stacks: inv, then up to two Newton steps, then the skew part."""
+    """The inverse one matrix at a time, as the one-matrix inverse computed
+    it before stacks: inv, then up to two Newton steps, then the skew part."""
     inv = np.linalg.inv(W)
     I = np.eye(len(W))
     for _ in range(2):

@@ -40,7 +40,7 @@ from metricflow.dynamics import flow_jet, flow_lanes
 from metricflow.evolution import pullback_jet
 from metricflow.exprlang import evaluate_compiled
 from metricflow.helmholtz import sample_points
-from metricflow.phasespace import invert_metric
+from metricflow.phasespace import invert_metrics
 
 QUARTIC = "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2"
 
@@ -137,7 +137,7 @@ def _point_frame_values(M, V, A, B, C, x):
     formula at ``x``, as it computed them."""
     chart, d = M.chart, M.chart.dim
     W, dW_dx, dW_dt = M.jet(x.coords, x.time)
-    P = -invert_metric(W)
+    P = -invert_metrics(W[None])[0]
     dP, dPt = P @ dW_dx @ P, P @ dW_dt @ P
 
     def grad(o):
