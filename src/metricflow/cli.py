@@ -35,7 +35,7 @@ from .evolution import (
     invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
-from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check
+from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check, check_friction_rows
 from .helmholtz import classify
 from .phasespace import (
     ExprMetric,
@@ -144,8 +144,7 @@ def load_config(data: dict) -> SystemConfig:
         _require("friction" not in data, "'friction' requires the 'hamiltonian' form")
     friction = data.get("friction")
     if isinstance(friction, list):  # numbers follow the number rules; expression strings stay
-        widths = {len(row) if isinstance(row, list) else None for row in friction}
-        _require(len(widths) <= 1, "'friction' must be rows of one length, or numbers and expression strings")
+        check_friction_rows(friction)
         friction = [
             row if isinstance(row, str)
             else [_number(v, f"friction[{i}][{j}]") for j, v in enumerate(row)] if isinstance(row, list)
@@ -264,17 +263,14 @@ def cmd_classify(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
         "verdict": report.verdict,
         "max_abs": report.max_abs,
         "tolerance": report.tol,
-        "per_point": [
-            {"point": x, "time": t, "max_abs": m}
-            for x, t, m in zip(report.coords.tolist(), report.times.tolist(), report.per_point_max)
-        ],
+        "per_point": Rows({"point": report.coords, "time": report.times, "max_abs": report.per_point_max}),
     }
     if report.canonical_blocks is not None:
         R1, R2, R3 = report.canonical_blocks
         payload["canonical_blocks"] = {
-            "positions_antisymmetry": R3.tolist(),
-            "cross_symmetry": R2.tolist(),
-            "momenta_antisymmetry": R1.tolist(),
+            "positions_antisymmetry": R3,
+            "cross_symmetry": R2,
+            "momenta_antisymmetry": R1,
         }
     code = EXIT_OK if report.verdict == "hamiltonian" else EXIT_NON_HAMILTONIAN
     return payload, code
@@ -402,34 +398,35 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
         raise ConfigError(str(exc)) from None
     X, T = (cfg.query_coords, cfg.query_times) if len(cfg.query_times) else (np.zeros((1, chart.dim)), np.zeros(1))
     frame = BracketFrame(M, X, T)
-    columns = {"point": frame.X.tolist(), "time": frame.T.tolist(), "bracket": frame.bracket(A, B).tolist()}
+    columns = {"point": frame.X, "time": frame.T, "bracket": frame.bracket(A, B)}
     if C is not None:
-        columns["jacobi_residual"] = frame.jacobi_residual(A, B, C).tolist()
+        columns["jacobi_residual"] = frame.jacobi_residual(A, B, C)
     if V is not None:
         defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
-        columns["leibniz"] = [
-            {"formula": f, "numerical": n} for f, n in zip(defect.formula.tolist(), defect.numerical.tolist())
-        ]
-    return {"queries": [dict(zip(columns, row)) for row in zip(*columns.values())]}, EXIT_OK
+        columns["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
+    return {"queries": Rows(columns)}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Entry point.
 
 
-def _seed(text: str) -> int:
-    """The --seed value: a non-negative integer (argparse reports a ValueError)."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
-    return int(text)
+def _flag(need: str, parse, ok):
+    """The argparse type of a flag that must be ``need``: what ``parse`` reads, if that is ``ok``."""
 
+    def value(text: str):
+        try:
+            if ok(v := parse(text)):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {need}: {text!r}")
 
-def _tol(text: str) -> float:
-    """The --tol value: a finite number > 0 (argparse reports a ValueError)."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0: {text!r}")
     return value
+
+
+_seed = _flag("a non-negative integer", int, lambda v: v >= 0)
+_tol = _flag("a finite number > 0", float, lambda v: math.isfinite(v) and v > 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -446,15 +443,49 @@ class _Parser(argparse.ArgumentParser):
 _LEAVES = json.JSONEncoder(separators=("\x00", ":"))
 
 
+class Rows(dict):
+    """A JSON list of records given by columns, for :func:`_dumps`: each key
+    maps to an array whose first axis runs over the records, or to a dict of such columns."""
+
+
+def _arrays(columns: dict) -> list:
+    """The arrays of a column dict by sorted key, nested dicts in place."""
+    return [a for k, c in sorted(columns.items()) for a in (_arrays(c) if isinstance(c, dict) else [np.asarray(c)])]
+
+
+def _template(shape: tuple, pad: str, columns: dict | None = None) -> str:
+    """The %-template at indent ``pad`` of nested lists of ``shape`` of leaves, or of ``columns``' records."""
+    inner = pad + "  "
+    if shape:
+        items, ends = [_template(shape[1:], inner, columns)] * shape[0], "[]"
+    elif columns is None:
+        return "%s"
+    else:  # a record: its keys are encoded here, with "%" escaped
+        items, ends = [_LEAVES.encode(k).replace("%", "%%") + ": "
+                       + (_template((), inner, c) if isinstance(c, dict) else _template(np.shape(c)[1:], inner))
+                       for k, c in sorted(columns.items())], "{}"
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}" if items else ends
+
+
 def _dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` of a value whose dicts
-    have str keys, byte for byte: the containers are laid out here, and all
-    keys and leaves are encoded by one call of the C encoder."""
-    parts, leaves = [], []  # None in parts marks the next encoded leaf
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a value whose dicts have str keys, byte for byte,
+    an array standing for its ``tolist()`` and a :class:`Rows` for its records: one %-template, arrays and
+    tables laid out from their shapes, filled by one format with one C-encoder call's keys and leaves."""
+    parts, leaves = [], []  # each "%s" in parts is the next encoded leaf
 
     def walk(v, pad: str):
+        if isinstance(v, np.ndarray):
+            parts.append(_template(v.shape, pad))
+            leaves.extend(v.ravel().tolist())
+            return
+        if isinstance(v, Rows):  # the leaves in row order, each column keeping its type
+            flat = [a.reshape(len(a), math.prod(a.shape[1:])).astype(object) for a in _arrays(v)]
+            table = np.concatenate(flat or [np.empty((0, 0), object)], axis=1)
+            parts.append(_template(table.shape[:1], pad, v))
+            leaves.extend(table.ravel().tolist())
+            return
         if not (isinstance(v, (dict, list, tuple)) and v):
-            parts.append(None)
+            parts.append("%s")
             leaves.append(v)
             return
         is_dict, sep, inner = isinstance(v, dict), "\n", pad + "  "
@@ -462,7 +493,7 @@ def _dumps(value) -> str:
         for item in sorted(v) if is_dict else v:
             parts.append(sep + inner)
             if is_dict:
-                parts.extend((None, ": "))
+                parts.append("%s: ")
                 leaves.append(item)
                 item = v[item]
             walk(item, inner)
@@ -470,8 +501,7 @@ def _dumps(value) -> str:
         parts.append("\n" + pad + ("}" if is_dict else "]"))
 
     walk(value, "")
-    encoded = iter(_LEAVES.encode(leaves)[1:-1].split("\x00"))
-    return "".join(next(encoded) if p is None else p for p in parts)
+    return "".join(parts) % tuple(_LEAVES.encode(leaves)[1:-1].split("\x00") if leaves else ())
 
 
 def _write_output(text: str, out):

@@ -41,6 +41,12 @@ class FrictionError(Exception):
     """Unsupported friction configuration."""
 
 
+def check_friction_rows(friction: list) -> None:
+    """Raise a FrictionError unless ``friction`` is rows of one length, or numbers and expression strings."""
+    if len({len(row) if isinstance(row, (list, tuple)) else None for row in friction}) > 1:
+        raise FrictionError("'friction' must be rows of one length, or numbers and expression strings")
+
+
 class ApplicabilityError(FrictionError):
     """Closed form requested for a system outside its proven scope."""
 
@@ -111,6 +117,7 @@ class FrictionSystem:
         if np.isscalar(friction) and not isinstance(friction, str):
             return cls(chart, H, float(friction) * np.eye(n), None)
         friction = list(friction) if not isinstance(friction, np.ndarray) else friction
+        check_friction_rows(friction)
         if isinstance(friction, np.ndarray) or (friction and not any(isinstance(e, (str, Expr)) for e in friction)):
             arr = np.array(friction, dtype=float)
             if arr.ndim == 1:

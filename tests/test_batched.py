@@ -284,7 +284,7 @@ def test_bracket_differentiates_independently_of_query_count(monkeypatch):
     for queries in (10, 20):
         calls.clear()
         payload, _ = cmd_bracket(_sampled_config(5, queries), "q1*q2", "p1^2/2 + p2", "q1*p1")
-        assert len(payload["queries"]) == queries
+        assert len(payload["queries"]["time"]) == queries
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 

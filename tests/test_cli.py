@@ -177,10 +177,11 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
 @pytest.mark.parametrize("command", ["classify", "audit"])
 def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, command, tol):
-    # nan, -1 and 0 once failed every system and inf passed every one
+    # nan, -1 and 0 once failed every system and inf passed every one; abc
+    # once named the flag's private type function
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", write_config(tmp_path, HARMONIC), f"--tol={tol}"])
     assert exc.value.code == EXIT_USAGE
@@ -195,6 +196,9 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, command, tol):
     [
         (["classify", "--config", "config.json", "--seed", "-1"], "argument --seed: must be a non-negative integer: '-1'"),
         (["classify"], "the following arguments are required: --config"),
+        (["classify", "--config", "config.json", "--seed", "abc"], "argument --seed: must be a non-negative integer: 'abc'"),
+        (["audit", "--config", "config.json", "--seed", "1.5"], "argument --seed: must be a non-negative integer: '1.5'"),
+        (["audit", "--config", "config.json", "--tol", "abc"], "argument --tol: must be a finite number > 0: 'abc'"),
     ],
 )
 def test_usage_error_writes_json(capsys, argv, message):
@@ -534,24 +538,24 @@ class TestBracket:
         cfg = load_config({**HARMONIC, "queries": [{"point": [0.0, 0.0]}]})
         payload, code = cmd_bracket(cfg, "q1", "p1")
         assert code == EXIT_OK
-        assert payload["queries"][0]["bracket"] == 1.0
+        assert payload["queries"]["bracket"][0] == 1.0
 
     def test_friction_metric_value(self):
         cfg = load_config({**DAMPED_ANALYTIC, "queries": [{"point": [0.3, 0.7], "time": 1.0}]})
         payload, _ = cmd_bracket(cfg, "q1", "p1")
-        assert payload["queries"][0]["bracket"] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert payload["queries"]["bracket"][0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_same_observable_zero(self):
         cfg = load_config({**HARMONIC, "queries": [{"point": [0.5, 0.5]}]})
         payload, _ = cmd_bracket(cfg, "q1", "q1")
-        assert payload["queries"][0]["bracket"] == 0.0
+        assert payload["queries"]["bracket"][0] == 0.0
 
     def test_jacobi_and_leibniz_fields(self):
         cfg = load_config({**DAMPED_ANALYTIC, "queries": [{"point": [0.3, 0.7], "time": 0.5}]})
         payload, _ = cmd_bracket(cfg, "q1", "p1", "q1*p1")
-        entry = payload["queries"][0]
-        assert abs(entry["jacobi_residual"]) < 1e-8
-        assert abs(entry["leibniz"]["numerical"]) < 1e-6
+        columns = payload["queries"]
+        assert abs(columns["jacobi_residual"][0]) < 1e-8
+        assert abs(columns["leibniz"]["numerical"][0]) < 1e-6
 
 
 class TestMainEntry:

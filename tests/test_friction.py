@@ -62,6 +62,14 @@ class TestConstruction:
         assert FrictionSystem.build(chart2, H, [1, "t"]).k_diagonal == FrictionSystem.build(chart2, H, ["1", "t"]).k_diagonal
         np.testing.assert_array_equal(FrictionSystem.build(chart2, H, [0.5, "2/2"]).k_matrix, np.diag([0.5, 1.0]))
 
+    @pytest.mark.parametrize(
+        "friction", [["t", [1.0, 2.0]], [[1, 0], [0]], (1.0, (1.0, 0.0)), [[1.0, 0.0], 2.0]]
+    )
+    def test_mixed_or_ragged_rows_rejected(self, chart2, friction):
+        # the first two once raised exprlang's TypeError and numpy's ValueError
+        with pytest.raises(FrictionError, match="'friction' must be rows of one length"):
+            FrictionSystem.build(chart2, "(p1^2+p2^2)/2", friction)
+
     def test_time_dependent_has_no_field(self, chart1):
         sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", ["cos(t)"])
         with pytest.raises(FrictionError):

@@ -246,7 +246,7 @@ def test_bracket_frame_reads_one_jet(monkeypatch):
     payload, _ = cmd_bracket(cfg, "q1*q2", "p1^2/2 + p2", "q1*p1")
     # one frame of the 4 query points and one of the 8 Leibniz difference
     # points, each point read once: one batch per frame, no single jet
-    assert len(payload["queries"]) == 4
+    assert len(payload["queries"]["time"]) == 4
     assert [len(times) for times in frames] == [4, 8] and not calls
     assert batches == frames
 

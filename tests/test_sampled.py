@@ -6,7 +6,10 @@ replaced.
   references are the per-row draw loops, compared bit for bit.
 * A :class:`BracketFrame` of B points gives the bits of the per-point
   frame formulas (copied here) and of B frames of one point.
-* ``cli._dumps`` is ``json.dumps(value, indent=2, sort_keys=True)``.
+* ``cli._dumps`` is ``json.dumps(value, indent=2, sort_keys=True)``, where
+  an array stands for its ``tolist()`` and a ``Rows`` table for its list of
+  records; ``classify`` and ``bracket`` print the records that their
+  per-record dicts, copied here, gave.
 """
 
 import json
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import metricflow.brackets as brackets_mod
 import metricflow.cli as cli_mod
@@ -222,14 +226,14 @@ def _count_points(monkeypatch) -> list:
 def test_classify_builds_no_point_per_sample(monkeypatch):
     built = _count_points(monkeypatch)
     payload, _ = cmd_classify(load_config(_quartic_config(4000, 0)))
-    assert len(payload["per_point"]) == 4001
+    assert len(payload["per_point"]["time"]) == 4001
     assert built == []
 
 
 def test_bracket_and_one_lane_jets_build_no_point(monkeypatch):
     built = _count_points(monkeypatch)
     payload, _ = cmd_bracket(load_config(_quartic_config(10, 50)), "q1*q2", "p1^2/2 + p2", "q1*p1")
-    assert len(payload["queries"]) == 50 and all("leibniz" in q for q in payload["queries"])
+    assert len(payload["queries"]["time"]) == 50 and "leibniz" in payload["queries"]
     V = VectorFieldSpec.from_components(CoordinateChart(1), ["p1", "-q1 - q1^2*p1"])
     flow_jet(V, np.array([0.3, -0.2]), -0.5)
     pullback_jet(V, canonical_metric(V.chart), np.array([0.3, -0.2]), 0.5)
@@ -271,7 +275,7 @@ def test_bracket_evaluates_each_observable_once_per_frame(monkeypatch):
     monkeypatch.setattr(exprlang_mod, "evaluate_compiled", counted_single)
     Q = 12
     payload, _ = cmd_bracket(load_config(_quartic_config(10, Q)), "q1*q2", "p1^2/2 + p2", "q1*p1")
-    assert len(payload["queries"]) == Q
+    assert len(payload["queries"]["time"]) == Q
     # the query frame: gradients of A, B, C, dA/dt, dB/dt and Hessians of
     # A, B, C; the frame of the 2Q Leibniz end points: gradients of A and B
     assert Counter(rows for _, rows in batches) == {Q: 8, 2 * Q: 2}
@@ -311,6 +315,97 @@ def test_writer_is_indented_sorted_json_dumps(value):
 def test_writer_on_nested_empty_containers():
     for value in ({}, [], (), [[]], {"a": {}}, {"b": [[], {}], "a": ()}, [{}, [[]]]):
         assert cli_mod._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Tables and arrays: laid out from their columns and shapes.
+
+_column_leaves = {
+    np.float64: st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300, 2.0**1023]),
+    np.int64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    np.bool_: st.booleans(),
+}
+_column_keys = st.text(max_size=3) | st.sampled_from(["%", "%s", "a%%b", "\x00", '"\\', "é\U0001f600"])
+
+
+def _column(rows: int):
+    """An array over ``rows`` records: a leaf, a row of 0-2 or a matrix per record."""
+    return st.tuples(st.sampled_from(list(_column_leaves)), st.lists(st.integers(0, 2), max_size=2)).flatmap(
+        lambda spec: hnp.arrays(spec[0], (rows, *spec[1]), elements=_column_leaves[spec[0]])
+    )
+
+
+def _column_dict(rows: int, depth: int = 1):
+    """A dict of columns over ``rows`` records, with dicts of columns ``depth`` levels deep."""
+    inner = _column(rows) | _column_dict(rows, depth - 1) if depth else _column(rows)
+    return st.dictionaries(_column_keys, inner, max_size=3)
+
+
+def _records(columns: dict, rows: int) -> list:
+    """The list of dicts a table stands for; a table with no array has no rows."""
+
+    def record(cols: dict, i: int) -> dict:
+        return {k: record(c, i) if isinstance(c, dict) else c[i].tolist() for k, c in cols.items()}
+
+    def arrays(cols: dict) -> bool:
+        return any(arrays(c) if isinstance(c, dict) else True for c in cols.values())
+
+    return [record(columns, i) for i in range(rows if arrays(columns) else 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda rows: st.tuples(st.just(rows), _column_dict(rows), _column(rows))))
+def test_writer_lays_out_tables_and_arrays_as_json_dumps(drawn):
+    rows, columns, array = drawn
+    arrays = [array, *map(np.asarray, array[:1]), np.array(-0.0)]  # with its first row, and a 0-d array
+    value = {"table": cli_mod.Rows(columns), "arrays": arrays, "%s": 1}
+    reference = {"table": _records(columns, rows), "arrays": [a.tolist() for a in arrays], "%s": 1}
+    assert cli_mod._dumps(value) == json.dumps(reference, indent=2, sort_keys=True)
+    assert cli_mod._dumps(cli_mod.Rows(columns)) == json.dumps(_records(columns, rows), indent=2, sort_keys=True)
+    assert cli_mod._dumps(array) == json.dumps(array.tolist(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("metric", ["friction-analytic", "canonical"])
+def test_classify_and_bracket_print_their_records(tmp_path, capsys, metric):
+    data = {**_quartic_config(200, 12), "metric": metric}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    cfg = load_config(data)
+    fsys = FrictionSystem.build(cfg.chart, QUARTIC, 1.0)
+    M = canonical_metric(cfg.chart) if metric == "canonical" else FrictionAnalyticMetric(fsys)
+    report = classify(fsys.vector_field, M, count=cfg.samples_count, seed=cfg.samples_seed, box=cfg.samples_box)
+    # the per-record dicts that classify and bracket once built
+    ref = {
+        "verdict": report.verdict,
+        "max_abs": report.max_abs,
+        "tolerance": report.tol,
+        "per_point": [
+            {"point": x, "time": t, "max_abs": m}
+            for x, t, m in zip(report.coords.tolist(), report.times.tolist(), report.per_point_max)
+        ],
+    }
+    if metric == "canonical":
+        R1, R2, R3 = report.canonical_blocks
+        ref["canonical_blocks"] = {
+            "positions_antisymmetry": R3.tolist(),
+            "cross_symmetry": R2.tolist(),
+            "momenta_antisymmetry": R1.tolist(),
+        }
+    assert main(["classify", "--config", str(path)]) == cli_mod.EXIT_NON_HAMILTONIAN
+    assert capsys.readouterr().out == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+
+    frame = BracketFrame(M, cfg.query_coords, cfg.query_times)
+    A, B, C = (Observable.parse(text, cfg.chart) for text in ("q1*q2", "p1^2/2 + p2", "q1*p1"))
+    defect = frame.leibniz_defect(A, B, fsys.vector_field, opts=cfg.integrator)
+    columns = {
+        "point": frame.X.tolist(),
+        "time": frame.T.tolist(),
+        "bracket": frame.bracket(A, B).tolist(),
+        "jacobi_residual": frame.jacobi_residual(A, B, C).tolist(),
+        "leibniz": [{"formula": f, "numerical": n} for f, n in zip(defect.formula.tolist(), defect.numerical.tolist())],
+    }
+    ref = {"queries": [dict(zip(columns, row)) for row in zip(*columns.values())]}
+    assert main(["bracket", "--config", str(path), "--A", "q1*q2", "--B", "p1^2/2 + p2", "--C", "q1*p1"]) == 0
+    assert capsys.readouterr().out == json.dumps(ref, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
