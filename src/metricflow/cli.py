@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import BracketFrame, Observable
-from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, flow_lanes
+from .dynamics import IntegrationError, IntegratorOptions, VectorFieldSpec, finite_number, flow_lanes
 from .evolution import (
     EvolutionError,
     SeriesMetric,
@@ -35,7 +35,7 @@ from .evolution import (
     invariance_residuals,
 )
 from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
-from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check, check_friction_rows
+from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check, read_friction
 from .helmholtz import classify
 from .phasespace import (
     ExprMetric,
@@ -62,8 +62,7 @@ class ConfigError(Exception):
 
 @dataclass
 class SystemConfig:
-    n: int
-    names: tuple[str, ...] | None
+    chart: CoordinateChart
     hamiltonian: str | None
     friction: object
     components: list[str] | None
@@ -81,10 +80,6 @@ class SystemConfig:
     t_max: float
     methods: list[str] | None
 
-    @property
-    def chart(self) -> CoordinateChart:
-        return CoordinateChart(self.n, self.names or ())
-
 
 def _require(cond: bool, message: str):
     if not cond:
@@ -94,10 +89,7 @@ def _require(cond: bool, message: str):
 def _number(value, key: str, integer: bool = False, positive: bool = False):
     """The config number at ``key``: a finite JSON number, not a boolean;
     integral, and returned as an int, if ``integer``; > 0 if ``positive``."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value) and (not integer or float(value).is_integer())
-    except (TypeError, OverflowError):  # not a number, or an int beyond the floats
-        ok = False
+    ok = finite_number(value) and (not integer or float(value).is_integer())
     kind = "integer" if integer else "number"
     _require(ok and (not positive or value > 0), f"'{key}' must be {'a positive' if positive else 'a finite'} {kind}")
     return int(value) if integer else float(value)
@@ -126,7 +118,10 @@ def load_config(data: dict) -> SystemConfig:
             isinstance(names, list) and all(isinstance(s, str) for s in names),
             "'names' must be a list of strings",
         )
-        names = tuple(names)
+    try:
+        chart = CoordinateChart(n, tuple(names or ()))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     has_h = "hamiltonian" in data
     has_c = "components" in data
     _require(has_h != has_c, "config needs exactly one of 'hamiltonian' or 'components'")
@@ -142,17 +137,7 @@ def load_config(data: dict) -> SystemConfig:
             f"'components' must be a list of {2 * n} string expressions",
         )
         _require("friction" not in data, "'friction' requires the 'hamiltonian' form")
-    friction = data.get("friction")
-    if isinstance(friction, list):  # numbers follow the number rules; expression strings stay
-        check_friction_rows(friction)
-        friction = [
-            row if isinstance(row, str)
-            else [_number(v, f"friction[{i}][{j}]") for j, v in enumerate(row)] if isinstance(row, list)
-            else _number(row, f"friction[{i}]")
-            for i, row in enumerate(friction)
-        ]
-    elif friction is not None:
-        friction = _number(friction, "friction")
+    friction = read_friction(data.get("friction"))
     integ = _section(data, "integrator")
     integrator = IntegratorOptions(
         abs_tol=_number(integ.get("abs_tol", 1e-10), "integrator.abs_tol", positive=True),
@@ -191,8 +176,7 @@ def load_config(data: dict) -> SystemConfig:
             "methods must be drawn from analytic|series|split|pullback",
         )
     return SystemConfig(
-        n=n,
-        names=names,
+        chart=chart,
         hamiltonian=hamiltonian,
         friction=friction,
         components=components,

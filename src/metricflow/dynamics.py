@@ -65,6 +65,14 @@ class IntegratorOptions:
             raise ValueError("max_steps must be positive")
 
 
+def finite_number(value) -> bool:
+    """Whether ``value``, read from input, is a finite number and not a boolean."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the floats
+        return False
+
+
 DEFAULT_OPTIONS = IntegratorOptions()
 # tangent maps that transport a metric are integrated at this fixed tolerance
 TRANSPORT_OPTIONS = IntegratorOptions(abs_tol=1e-12, rel_tol=1e-12)
@@ -125,14 +133,17 @@ class VectorFieldSpec:
     def from_hamiltonian(cls, chart: CoordinateChart, hamiltonian, friction=None) -> "VectorFieldSpec":
         """Build dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i - sum_j K_ij p_j.
 
-        ``friction`` is an n x n constant matrix (or None for K = 0); the
-        split parts are the Hamiltonian field and the -K p friction term.
+        ``friction`` is an n x n matrix of finite numbers (or None for K = 0);
+        the split parts are the Hamiltonian field and the -K p friction term.
         """
         H = as_expr(hamiltonian, chart)
         n = chart.n
-        K = np.zeros((n, n)) if friction is None else np.array(friction, dtype=float)
+        K = np.zeros((n, n), dtype=object) if friction is None else np.array(friction, dtype=object)
         if K.shape != (n, n):
             raise ValueError(f"friction matrix must be {n}x{n}, got {K.shape}")
+        for (i, j), v in np.ndenumerate(K):
+            if not finite_number(v):
+                raise ValueError(f"friction matrix entry [{i}][{j}] must be a finite number, got {v!r}")
         grad = gradient(H, chart.momentum_names + chart.position_names)
         part1 = grad[:n] + [simplify(-g) for g in grad[n:]]
         part2: list[Expr] = [Num(0.0)] * n

@@ -2,9 +2,11 @@
 
 For dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i - K_ij p_j with H = T(p) + U(q),
 the block metric [[0, G(t)], [-G(t)^T, 0]] with G solving dG/dt = G K is an
-integral of motion, G(t0) = identity.  For constant K this is a plain
-matrix exponential; for a diagonal time-dependent K the diagonal entries
-are exp of the integrated coefficients.
+integral of motion, G(t0) = identity.  K is held as one n x n matrix of
+numbers and, on the diagonal only, expressions in t; ``read_friction`` reads
+every friction input.  For constant K this is a plain matrix exponential;
+for a diagonal time-dependent K the diagonal entries are exp of the
+integrated coefficients.
 
 The closed form silently assumes that unequal damping rates never couple
 through the potential (or kinetic) Hessian; ``applicability_check`` guards
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import VectorFieldSpec, expm
+from .dynamics import VectorFieldSpec, expm, finite_number
 from .exprlang import (
     CoordinateChart,
     Expr,
@@ -41,10 +43,31 @@ class FrictionError(Exception):
     """Unsupported friction configuration."""
 
 
-def check_friction_rows(friction: list) -> None:
-    """Raise a FrictionError unless ``friction`` is rows of one length, or numbers and expression strings."""
+def _finite(value, key: str) -> float:
+    """``value`` as a float, if it is a finite number and not a boolean."""
+    if not finite_number(value):
+        raise FrictionError(f"'{key}' must be a finite number")
+    return float(value)
+
+
+def read_friction(friction):
+    """The friction input checked, numbers as floats: None, a number, rows of one length of
+    numbers (K), or numbers and expression strings (the diagonal of K).  A number must be
+    finite and not a boolean; the error names its key, such as ``'friction[0][1]'``."""
+    if friction is None:
+        return None
+    if isinstance(friction, np.ndarray):
+        friction = friction.tolist()
+    if not isinstance(friction, (list, tuple)):
+        return _finite(friction, "friction")
     if len({len(row) if isinstance(row, (list, tuple)) else None for row in friction}) > 1:
         raise FrictionError("'friction' must be rows of one length, or numbers and expression strings")
+    return [
+        [_finite(v, f"friction[{i}][{j}]") for j, v in enumerate(row)] if isinstance(row, (list, tuple))
+        else row if isinstance(row, (str, Expr))
+        else _finite(row, f"friction[{i}]")
+        for i, row in enumerate(friction)
+    ]
 
 
 class ApplicabilityError(FrictionError):
@@ -69,17 +92,15 @@ class ApplicabilityResult:
 class FrictionSystem:
     """H = T(p) + U(q) with a linear friction term -K p.
 
-    ``friction`` may be a constant n x n matrix or a sequence of n
-    expressions in ``t`` (a diagonal time-dependent matrix).  Any other
-    shape is rejected; a general time-dependent non-diagonal K(t) would
-    need a time-ordered product where the closed form writes a plain
-    exponential, so it is refused rather than silently substituted.
+    ``friction`` is K, one n x n matrix: floats, or where K varies an
+    object array whose diagonal holds floats and expressions in ``t``.  A
+    time-dependent non-diagonal K(t) would need a time-ordered product where
+    the closed form writes a plain exponential, so it has no input form.
     """
 
     chart: CoordinateChart
     hamiltonian: Expr
-    k_matrix: np.ndarray | None
-    k_diagonal: tuple[Expr, ...] | None
+    friction: np.ndarray
 
     def __post_init__(self):
         n = self.chart.n
@@ -93,51 +114,47 @@ class FrictionSystem:
                     )
         if TIME_NAME in free_vars(H):
             raise FrictionError("hamiltonian must be time independent")
-        if (self.k_matrix is None) == (self.k_diagonal is None):
-            raise FrictionError("exactly one friction representation is required")
-        if self.k_matrix is not None:
-            if self.k_matrix.shape != (n, n):
-                raise FrictionError(f"friction matrix must be {n}x{n}")
-        else:
-            if len(self.k_diagonal) != n:
-                raise FrictionError(f"expected {n} diagonal friction entries")
-            for e in self.k_diagonal:
-                extra = free_vars(e) - {TIME_NAME}
-                if extra:
-                    raise FrictionError(
-                        f"diagonal friction entries may depend on t only, found {sorted(extra)}"
-                    )
+        if self.friction.shape != (n, n):
+            raise FrictionError(f"friction needs {n} diagonal entries or {n}x{n} matrix entries")
+        extra = set().union(*(free_vars(e) for e in self.rates if isinstance(e, Expr))) - {TIME_NAME}
+        if extra:
+            raise FrictionError(f"diagonal friction entries may depend on t only, found {sorted(extra)}")
 
     @classmethod
     def build(cls, chart: CoordinateChart, hamiltonian, friction) -> "FrictionSystem":
+        """The system of ``hamiltonian`` and the friction input that :func:`read_friction` reads."""
         H = as_expr(hamiltonian, chart)
         n = chart.n
-        if friction is None:
-            return cls(chart, H, np.zeros((n, n)), None)
-        if np.isscalar(friction) and not isinstance(friction, str):
-            return cls(chart, H, float(friction) * np.eye(n), None)
-        friction = list(friction) if not isinstance(friction, np.ndarray) else friction
-        check_friction_rows(friction)
-        if isinstance(friction, np.ndarray) or (friction and not any(isinstance(e, (str, Expr)) for e in friction)):
-            arr = np.array(friction, dtype=float)
-            if arr.ndim == 1:
-                arr = np.diag(arr)
-            return cls(chart, H, arr, None)
-        system = cls(chart, H, None, tuple(as_expr(e, chart) for e in friction))
-        if system.time_dependent:  # the checked entries depend on t alone
-            return system
-        return cls(chart, H, np.diag([evaluate(e, {}) for e in system.k_diagonal]), None)
+        friction = read_friction(friction)
+        if friction is None or isinstance(friction, float):
+            return cls(chart, H, np.zeros((n, n)) if friction is None else friction * np.eye(n))
+        if friction and isinstance(friction[0], list):
+            return cls(chart, H, np.array(friction, dtype=float))
+        rates = [as_expr(r, chart) if isinstance(r, str) else r for r in friction]
+        rates = [  # an expression without free names is read as its value
+            _finite(evaluate(r, {}), f"friction[{i}]") if isinstance(r, Expr) and not free_vars(r) else r
+            for i, r in enumerate(rates)
+        ]
+        return cls(chart, H, np.diag(rates))  # an object array if an expression is left
+
+    @cached_property
+    def rates(self) -> list:
+        """The diagonal of K: floats, and expressions in t where K varies."""
+        return self.friction.diagonal().tolist()
 
     @property
     def time_dependent(self) -> bool:
-        return self.k_diagonal is not None and any(
-            TIME_NAME in free_vars(e) for e in self.k_diagonal
-        )
+        return self.friction.dtype == object
+
+    @property
+    def k_matrix(self) -> np.ndarray | None:
+        """K where it is constant, otherwise None."""
+        return None if self.time_dependent else self.friction
 
     def friction_at(self, time: float) -> np.ndarray:
         if self.k_matrix is not None:
             return self.k_matrix
-        return np.diag([evaluate(e, {TIME_NAME: time}) for e in self.k_diagonal])
+        return np.diag([_rate_at(r, time) for r in self.rates])
 
     @cached_property
     def vector_field(self) -> VectorFieldSpec:
@@ -154,9 +171,9 @@ class FrictionSystem:
         if self.k_matrix is not None:
             return (t - t0) * self.k_matrix
         out = np.zeros((self.chart.n, self.chart.n))
-        for j, e in enumerate(self.k_diagonal):
-            if TIME_NAME not in free_vars(e):
-                out[j, j] = (t - t0) * evaluate(e, {})
+        for j, e in enumerate(self.rates):
+            if not isinstance(e, Expr):
+                out[j, j] = (t - t0) * e
                 continue
             val, err = _quadrature(lambda tau: evaluate(e, {TIME_NAME: tau}), t0, t)
             if not err <= 1e-9 * max(1.0, abs(val)):
@@ -172,14 +189,6 @@ class FrictionSystem:
         constant or diagonal)."""
         return expm(self.friction_integral(t0, t))
 
-    @cached_property
-    def _diagonal_rates(self) -> np.ndarray | None:
-        """The diagonal of a constant diagonal K, otherwise None."""
-        K = self.k_matrix
-        if K is None or np.any(K != np.diag(np.diag(K))):
-            return None
-        return np.diag(K).copy()
-
     def growth_matrices(self, t0: float, times) -> np.ndarray:
         """G at each of the ``times``, stacked to (len(times), n, n).
 
@@ -189,13 +198,13 @@ class FrictionSystem:
         distinct time.
         """
         times = np.asarray(times, dtype=float)
-        k = self._diagonal_rates
-        if k is None:
+        K = self.k_matrix
+        if K is None or np.any(K != np.diag(np.diag(K))):
             distinct, where = np.unique(times, return_inverse=True)
             return np.array([self.growth_matrix(t0, float(t)) for t in distinct])[where]
-        n = len(k)
+        n = len(K)
         G = np.zeros((len(times), n, n))
-        G[:, np.arange(n), np.arange(n)] = np.exp((times - t0)[:, None] * k)
+        G[:, np.arange(n), np.arange(n)] = np.exp((times - t0)[:, None] * np.diag(K))
         return G
 
 
@@ -221,9 +230,8 @@ class FrictionAnalyticMetric(MetricField):
         time; the metric does not depend on the coordinates."""
         T = np.asarray(T, dtype=float)
         G = self.system.growth_matrices(self.t0, T)
-        if self.system.k_matrix is not None:
-            K = self.system.k_matrix
-        else:
+        K = self.system.k_matrix
+        if K is None:
             K = np.array([self.system.friction_at(float(t)) for t in T])
         d = self.chart.dim
         return self._blocks(G), zeros_view(len(T), d, d, d), self._blocks(G @ K)
@@ -238,8 +246,8 @@ def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:
     pair criterion and is reported conservatively.
     """
     n = sys.chart.n
-    if sys.k_matrix is not None:
-        K = sys.k_matrix
+    K = sys.k_matrix
+    if K is not None:
         off = np.abs(K - np.diag(np.diag(K)))
         if off.max() > 0.0:
             i, j = np.unravel_index(np.argmax(off), off.shape)
@@ -252,16 +260,8 @@ def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:
                 ),
                 pair=(int(i) + 1, int(j) + 1),
             )
-        rates = np.diag(K)
-        unequal = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rates[i] != rates[j]
-        ]
-    else:
-        unequal = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not _exprs_probably_equal(sys.k_diagonal[i], sys.k_diagonal[j]):
-                    unequal.append((i, j))
+    rates = sys.rates
+    unequal = [(i, j) for i in range(n) for j in range(i + 1, n) if not _rates_equal(rates[i], rates[j])]
     if not unequal:
         return ApplicabilityResult(True)
     H = sys.hamiltonian
@@ -308,13 +308,17 @@ def _quadrature(f, a: float, b: float) -> tuple[float, float]:
         heapq.heappush(parts, interval(0.5 * (lo + hi), hi))
 
 
-def _exprs_probably_equal(a: Expr, b: Expr) -> bool:
-    if a == b:
-        return True
-    for tval in probe_points(16, [0.0], [3.0])[:, 0].tolist():
-        if abs(evaluate(a, {TIME_NAME: tval}) - evaluate(b, {TIME_NAME: tval})) > 1e-12:
-            return False
-    return True
+def _rate_at(rate, time: float) -> float:
+    """A diagonal entry of K at ``time``: a float, or an expression in t."""
+    return evaluate(rate, {TIME_NAME: time}) if isinstance(rate, Expr) else rate
+
+
+def _rates_equal(a, b) -> bool:
+    """Two numeric rates compare exactly; where one is an expression in t,
+    they are equal if they agree to 1e-12 at 16 probe times in [0, 3]."""
+    if a == b or not (isinstance(a, Expr) or isinstance(b, Expr)):
+        return a == b
+    return not any(abs(_rate_at(a, t) - _rate_at(b, t)) > 1e-12 for t in probe_points(16, [0.0], [3.0])[:, 0].tolist())
 
 
 def analytic_metric(

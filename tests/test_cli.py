@@ -18,6 +18,7 @@ from metricflow.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _build_system,
     cmd_audit,
     cmd_bracket,
     cmd_classify,
@@ -26,7 +27,8 @@ from metricflow.cli import (
     main,
 )
 from metricflow.evolution import TransportedMetric, invariance_residuals
-from metricflow.friction import FrictionSystem
+from metricflow.exprlang import CoordinateChart
+from metricflow.friction import FrictionError, FrictionSystem
 from metricflow.phasespace import ExprMetric
 
 HARMONIC = {
@@ -259,6 +261,58 @@ def test_friction_number_among_expression_strings(tmp_path, capsys):
 def test_friction_expression_strings_stay_expressions():
     cfg = load_config({"n": 2, "hamiltonian": "(p1^2+p2^2)/2", "friction": ["1/(1+t)", 2]})
     assert cfg.friction == ["1/(1+t)", 2.0]
+
+
+HAMILTONIANS = {1: "p1^2/2 + q1^2/2", 2: "(p1^2+p2^2)/2 + (q1^2+q2^2)/2"}
+
+
+@pytest.mark.parametrize(
+    "n, friction",
+    [
+        (1, 1.0), (2, [1.0, 2.0]), (1, 0.5), (1, ["1/(1+t)"]), (1, ["cos(1000*t)"]),
+        (2, True), (2, NAN), (2, "12"), (2, "0.5"), (2, float("inf")),
+        (2, [1.0, float("inf")]), (2, [1.0, None]), (2, [NAN, 1.0]),
+        (2, [[1.0, 0.0], [0.0, True]]), (2, [[1.0, NAN], [0.0, 1.0]]), (2, [[1.0, "0"], [0.0, 1.0]]),
+        (2, [["t", 0], [0, 1]]), (2, [[1.0, 0.3], [0.0, 2.0]]),
+        (2, [1.0, [1.0, 0.0]]), (2, [[1.0, 0.0], 2.0]), (2, ["t", [1.0, 2.0]]), (2, [[1.0, 0.0], [0.0]]),
+        (2, [1, "t"]), (2, ["1", "t"]), (2, ["1/(1+t)", 2]), (2, [0.5, 1.0]), (2, ["0.5", "1.0"]),
+        (2, [1.0, 2.0, 3.0]), (2, ["q1", "1"]), (2, ["exp(1000)", "t"]),
+    ],
+)
+def test_cli_and_library_read_friction_alike(n, friction):
+    # load_config and _build_system give the library's K, or its FrictionError message
+    def read(build):
+        try:
+            return build()
+        except (ConfigError, FrictionError) as exc:
+            return str(exc)
+
+    data = {"n": n, "hamiltonian": HAMILTONIANS[n], "friction": friction}
+    via_cli = read(lambda: _build_system(load_config(data))[1])
+    try:
+        via_library = FrictionSystem.build(CoordinateChart(n), HAMILTONIANS[n], friction)
+    except FrictionError as exc:
+        via_library = str(exc)
+    if isinstance(via_library, str):
+        assert via_cli == via_library
+    else:
+        assert via_cli.friction.dtype == via_library.friction.dtype
+        assert via_cli.friction.tolist() == via_library.friction.tolist()
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["q"], "expected 2 coordinate names, got 1"),
+        (["t", "p"], "'t' is reserved for time"),
+        (["x", "x"], "coordinate names must be distinct"),
+        (["x", "1p"], "invalid coordinate name '1p'"),
+    ],
+)
+def test_bad_names_are_a_config_error(tmp_path, capsys, names, message):
+    data = {"n": 1, "names": names, "hamiltonian": "p1^2/2", "t_grid": [0.5]}
+    assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "config", "message": message}
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -44,6 +44,23 @@ class TestVectorFieldSpec:
         with pytest.raises(ValueError):
             VectorFieldSpec.from_components(chart1, ["p1", "-q1*t"])
 
+    @pytest.mark.parametrize(
+        "friction, message",
+        [
+            ([[float("nan")]], r"entry \[0\]\[0\] must be a finite number, got nan"),
+            ([[True]], r"entry \[0\]\[0\] must be a finite number, got True"),
+            ([["2"]], r"entry \[0\]\[0\] must be a finite number, got '2'"),
+            (np.array([[np.inf]]), r"entry \[0\]\[0\] must be a finite number, got inf"),
+            ([[1.0, 0.0]], "friction matrix must be 1x1"),
+            ([1.0], "friction matrix must be 1x1"),
+            (1.0, "friction matrix must be 1x1"),
+        ],
+    )
+    def test_friction_must_be_a_matrix_of_finite_numbers(self, chart1, friction, message):
+        # [[nan]] once built the field -q1+-nan*p1, [[True]] read as 1 and [["2"]] as 2
+        with pytest.raises(ValueError, match=message):
+            VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + q1^2/2", friction)
+
     def test_split_must_sum(self, chart1):
         with pytest.raises(ValueError):
             VectorFieldSpec(

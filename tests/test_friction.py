@@ -18,7 +18,7 @@ from metricflow import (
     metric_eval,
     pullback_metric,
 )
-from metricflow.exprlang import differentiate, free_vars
+from metricflow.exprlang import differentiate, free_vars, parse
 from metricflow.friction import (
     ApplicabilityError,
     ApplicabilityWarning,
@@ -52,14 +52,21 @@ class TestConstruction:
     def test_constant_expression_diagonal_is_a_matrix(self, chart2):
         H = "(p1^2+p2^2)/2"
         written = FrictionSystem.build(chart2, H, ["0.5", "2/2"])
-        assert written.k_diagonal is None and not written.time_dependent
+        assert not written.time_dependent and written.friction.dtype == float
         np.testing.assert_array_equal(written.k_matrix, np.diag([0.5, 1.0]))
+        assert [type(r) for r in written.rates] == [float, float]
         assert written.vector_field.components == FrictionSystem.build(chart2, H, [0.5, 1.0]).vector_field.components
 
     def test_a_number_among_expressions_is_an_expression(self, chart2):
-        # the first entry no longer picks the path: [1, "t"] once failed in numpy
+        # the first entry no longer picks the path: [1, "t"] once failed in numpy;
+        # 1 and "1" are both held as the float 1.0 beside the expression t
         H = "(p1^2+p2^2)/2"
-        assert FrictionSystem.build(chart2, H, [1, "t"]).k_diagonal == FrictionSystem.build(chart2, H, ["1", "t"]).k_diagonal
+        for friction in ([1, "t"], ["1", "t"]):
+            system = FrictionSystem.build(chart2, H, friction)
+            assert system.time_dependent and system.k_matrix is None
+            assert system.rates == [1.0, parse("t", chart2)] and type(system.rates[0]) is float
+            assert system.friction[0, 1] == system.friction[1, 0] == 0
+            np.testing.assert_array_equal(system.friction_at(0.7), np.diag([1.0, 0.7]))
         np.testing.assert_array_equal(FrictionSystem.build(chart2, H, [0.5, "2/2"]).k_matrix, np.diag([0.5, 1.0]))
 
     @pytest.mark.parametrize(
@@ -227,8 +234,15 @@ class TestApplicability:
     def test_time_dependent_rates_equal_in_value(self, chart2):
         # t + t and 2*t are different trees; probing in t finds them equal
         sys_t = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2/2", ["t + t", "2*t"])
-        assert sys_t.k_diagonal[0] != sys_t.k_diagonal[1]
+        assert sys_t.rates == [parse("t + t", chart2), parse("2*t", chart2)]
+        assert sys_t.rates[0] != sys_t.rates[1]
         assert applicability_check(sys_t).ok
+
+    def test_numeric_rates_compare_exactly(self, chart2):
+        # only expressions in t are probed to a tolerance; numbers 1e-13 apart are unequal rates
+        sys_n = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2/2", [1.0, 1.0 + 1e-13])
+        result = applicability_check(sys_n)
+        assert not result.ok and result.pair == (1, 2)
 
     def test_free_name_whose_mixed_partial_folds_to_zero(self, chart2):
         # p1 is free in dH/dq1 = q1 + 1^p1 + 1^q2, yet both checks differentiate
