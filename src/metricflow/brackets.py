@@ -159,7 +159,7 @@ class BracketFrame:
         -delta flows of all points are the lanes of one :func:`flow_lanes`,
         and their end points one frame; the first failing point raises."""
         P = self.P
-        Xv, J = V.eval_jacobian(self.X)  # J[b, k, m] = d X^k / d x^m
+        Xv, J = V.eval_jacobian(self.X, self.T)  # J[b, k, m] = d X^k / d x^m
         D = self.d_dt + np.einsum("bm,bmkl->bkl", Xv, self.d_dx) - J @ P - P @ np.swapaxes(J, 1, 2)
         formula = _contract(self._at_points(A, "gradient"), D, self._at_points(B, "gradient"))
 

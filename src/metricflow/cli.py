@@ -34,7 +34,7 @@ from .evolution import (
     TransportedMetric,
     invariance_residuals,
 )
-from .exprlang import CoordinateChart, DomainError, ExprError, free_vars
+from .exprlang import TIME_NAME, CoordinateChart, DomainError, ExprError, free_vars
 from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check, read_friction
 from .helmholtz import classify
 from .phasespace import (
@@ -171,9 +171,9 @@ def load_config(data: dict) -> SystemConfig:
     methods = data.get("methods")
     if methods is not None:
         _require(
-            isinstance(methods, list)
+            isinstance(methods, list) and methods
             and all(m in ("analytic", "series", "split", "pullback") for m in methods),
-            "methods must be drawn from analytic|series|split|pullback",
+            "methods must be a non-empty list drawn from analytic|series|split|pullback",
         )
     return SystemConfig(
         chart=chart,
@@ -197,14 +197,13 @@ def load_config(data: dict) -> SystemConfig:
 
 
 def _build_system(cfg: SystemConfig):
-    """Returns (vector field or None, friction system or None)."""
+    """Returns (vector field, friction system or None)."""
     chart = cfg.chart
     try:
         if cfg.components is not None:
             return VectorFieldSpec.from_components(chart, cfg.components), None
         fsys = FrictionSystem.build(chart, cfg.hamiltonian, cfg.friction)
-        V = fsys.vector_field if fsys.k_matrix is not None else None
-        return V, fsys
+        return fsys.vector_field, fsys
     except (ExprError, FrictionError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -232,8 +231,6 @@ def _build_metric(cfg: SystemConfig, fsys: FrictionSystem | None) -> MetricField
 
 def cmd_classify(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     V, fsys = _build_system(cfg)
-    if V is None:
-        raise ConfigError("classification needs an autonomous vector field (constant friction)")
     M = _build_metric(cfg, fsys)
     report = classify(
         V,
@@ -260,22 +257,23 @@ def cmd_classify(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     return payload, code
 
 
-def _route_table(cfg: SystemConfig, V: VectorFieldSpec | None, fsys, M0: MetricField) -> dict[str, MetricField | str]:
+def _route_table(cfg: SystemConfig, V: VectorFieldSpec, fsys, M0: MetricField) -> dict[str, MetricField | str]:
     """Each evolve-metric route, in the default order, mapped to its metric
     field, or to the reason (a string) that it does not apply."""
-    W0 = None  # the initial metric's value, where it is constant
-    if not (isinstance(M0, ExprMetric) and any(free_vars(e) for row in M0.entries for e in row)):
-        W0 = M0.value(np.zeros(cfg.chart.dim), 0.0)  # friction-analytic: its t0 value
-    field = (V is not None, "needs an autonomous vector field (constant friction)")
+    W0 = None  # the initial metric's value, where it is constant in the coordinates
+    if not (isinstance(M0, ExprMetric) and any(free_vars(e) - {TIME_NAME} for row in M0.entries for e in row)):
+        W0 = M0.value(np.zeros(cfg.chart.dim), 0.0)  # its t = 0 value, as pullback reads it
+    field = (V.autonomous, "needs an autonomous vector field (constant friction)")
     constant = (W0 is not None, "needs a constant initial metric")
     canonical = W0 is not None and np.array_equal(W0, canonical_metric(cfg.chart).matrix)
+    linear = (cfg.series_mode != "linear" or V.constant_jacobian is not None, "needs a linear field in mode 'linear'")
     routes = {  # route: its requirements, each (met, reason if not), and its field
         "analytic": ([(fsys is not None, "needs the hamiltonian+friction form"),
                       (canonical, "starts from the canonical metric")],
                      lambda: FrictionAnalyticMetric(fsys)),
-        "series": ([field, constant], lambda: SeriesMetric(V, W0, order=cfg.series_order, mode=cfg.series_mode)),
-        "split": ([field, (V is not None and V.part1 is not None, "needs a declared Hamiltonian/friction split"),
-                   constant], lambda: SplitMetric(V, W0, cfg.splitting_steps)),
+        "series": ([field, linear, constant], lambda: SeriesMetric(V, W0, cfg.series_order, cfg.series_mode)),
+        "split": ([field, (V.part1 is not None, "needs a declared Hamiltonian/friction split"), constant],
+                  lambda: SplitMetric(V, W0, cfg.splitting_steps)),
         "pullback": ([field], lambda: TransportedMetric(M0, V, opts=cfg.integrator)),
     }
     table = {}
@@ -285,15 +283,13 @@ def _route_table(cfg: SystemConfig, V: VectorFieldSpec | None, fsys, M0: MetricF
     return table
 
 
-def _evolve_cells(V: VectorFieldSpec | None, M: MetricField, x: np.ndarray, t: float, pairs) -> list[str]:
+def _evolve_cells(V: VectorFieldSpec, M: MetricField, x: np.ndarray, t: float, pairs) -> list[str]:
     """The upper entries of W, sqrt_g and the Jacobi and invariance residuals
     of one evolve-metric row, from one jet of M at (x, t)."""
     W, D, Wt = M.jet(x, t)
     sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
     jac = float(jacobi_residuals(D[None])[0])
-    inv = float("nan")
-    if V is not None:
-        inv = float(np.max(np.abs(invariance_residuals(V, x[None], [t], W[None], D[None], Wt[None]))))
+    inv = float(np.max(np.abs(invariance_residuals(V, x[None], [t], W[None], D[None], Wt[None]))))
     return [f"{W[k, l]:.17g}" for k, l in pairs] + [f"{sqrt_g:.17g}", f"{jac:.17g}", f"{inv:.17g}"]
 
 
@@ -331,7 +327,7 @@ def cmd_evolve_metric(cfg: SystemConfig):
 def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     _require(cfg.t_max >= 0.2, "'t_max' must be at least 0.2, the start of the audited trajectories")
     V, fsys = _build_system(cfg)
-    if V is None:
+    if not V.autonomous:
         raise ConfigError("audit needs an autonomous vector field (constant friction)")
     M = _build_metric(cfg, fsys)
     rng = np.random.default_rng(cfg.samples_seed if seed is None else seed)
@@ -385,7 +381,7 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
     columns = {"point": frame.X, "time": frame.T, "bracket": frame.bracket(A, B)}
     if C is not None:
         columns["jacobi_residual"] = frame.jacobi_residual(A, B, C)
-    if V is not None:
+    if V.autonomous:  # the +-delta flows integrate the field
         defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
         columns["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
     return {"queries": Rows(columns)}, EXIT_OK

@@ -1,6 +1,6 @@
-"""Dynamical systems dx/dt = X(x): fields, flows, tangent maps.
+"""Dynamical systems dx/dt = X(x, t): fields, flows, tangent maps.
 
-The vector field is autonomous (components may not reference ``t``).  One
+A field may read ``t``, but only an autonomous one is integrated.  One
 adaptive Dormand-Prince 5(4) stepper integrates every flow.  Its callers are
 lanes, trajectories advanced as the rows of one array, each with its own step
 control (:func:`flow_lanes`); a trajectory to one end time is one lane, and
@@ -108,9 +108,6 @@ class VectorFieldSpec:
         d = self.chart.dim
         if len(self.components) != d:
             raise ValueError(f"expected {d} components, got {len(self.components)}")
-        for c in self.components:
-            if TIME_NAME in free_vars(c):
-                raise ValueError("vector field components must be time independent")
         if (self.part1 is None) != (self.part2 is None):
             raise ValueError("either both split parts or neither")
         if self.part1 is not None:
@@ -133,8 +130,8 @@ class VectorFieldSpec:
     def from_hamiltonian(cls, chart: CoordinateChart, hamiltonian, friction=None) -> "VectorFieldSpec":
         """Build dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i - sum_j K_ij p_j.
 
-        ``friction`` is an n x n matrix of finite numbers (or None for K = 0);
-        the split parts are the Hamiltonian field and the -K p friction term.
+        ``friction`` is an n x n matrix of finite numbers and expressions (or
+        None for K = 0); the split parts are the Hamiltonian field and -K p.
         """
         H = as_expr(hamiltonian, chart)
         n = chart.n
@@ -142,7 +139,7 @@ class VectorFieldSpec:
         if K.shape != (n, n):
             raise ValueError(f"friction matrix must be {n}x{n}, got {K.shape}")
         for (i, j), v in np.ndenumerate(K):
-            if not finite_number(v):
+            if not (isinstance(v, Expr) or finite_number(v)):
                 raise ValueError(f"friction matrix entry [{i}][{j}] must be a finite number, got {v!r}")
         grad = gradient(H, chart.momentum_names + chart.position_names)
         part1 = grad[:n] + [simplify(-g) for g in grad[n:]]
@@ -151,10 +148,15 @@ class VectorFieldSpec:
             acc: Expr = Num(0.0)
             for j in range(n):
                 if K[i, j] != 0.0:
-                    acc = acc + Num(K[i, j]) * Var(chart.momentum_names[j])
+                    acc = acc + (K[i, j] if isinstance(K[i, j], Expr) else Num(K[i, j])) * Var(chart.momentum_names[j])
             part2.append(simplify(-acc))
         components = tuple(simplify(a + b) for a, b in zip(part1, part2))
         return cls(chart, components, tuple(part1), tuple(part2))
+
+    @cached_property
+    def autonomous(self) -> bool:
+        """Whether no component reads ``t``; only such a field is integrated."""
+        return not any(TIME_NAME in free_vars(c) for c in self.components)
 
     @cached_property
     def jacobian_exprs(self) -> tuple[tuple[Expr, ...], ...]:
@@ -228,14 +230,14 @@ class VectorFieldSpec:
     def divergence(self, coords, time: float = 0.0) -> float:
         return evaluate_compiled(self._volume_fn, self.chart, coords, time, slice(0, 1))[0]
 
-    def eval_jacobian(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """The field (B, d) and its Jacobian (B, d, d) at each row of X (B, d),
-        with the bits of eval and jacobian, from one read of the tangent
-        kernel.  Where entries of both fail, the field's node is named."""
+    def eval_jacobian(self, X, T=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """The field (B, d) and its Jacobian (B, d, d) at each row b of X (B, d)
+        and time T or T[b], with the bits of eval and jacobian, from one read
+        of the tangent kernel.  Where entries of both fail, the field's node is named."""
         B, d = len(X), self.chart.dim
         if self.constant_jacobian is not None:
-            return evaluate_batch(self._tangent_fn, self.chart, X), np.broadcast_to(self.constant_jacobian, (B, d, d))
-        E = evaluate_batch(self._tangent_fn, self.chart, X, entries=np.arange(-d, d * d))  # the field's first
+            return evaluate_batch(self._tangent_fn, self.chart, X, T), np.broadcast_to(self.constant_jacobian, (B, d, d))
+        E = evaluate_batch(self._tangent_fn, self.chart, X, T, entries=np.arange(-d, d * d))  # the field's first
         return np.ascontiguousarray(E[:, :d]), np.ascontiguousarray(E[:, d:]).reshape(B, d, d)
 
 
@@ -455,7 +457,9 @@ def flow_lanes(V: VectorFieldSpec, X0: np.ndarray, durations, opts: IntegratorOp
     but the integral of the compressibility.  Returns the end states,
     (B, d + d^2), (B, d + d^2 + d^3) or (B, d + 1), with the end point first
     (the start itself for a zero duration), and the
-    :class:`IntegrationStats` of each lane."""
+    :class:`IntegrationStats` of each lane; a field that reads t raises ValueError."""
+    if not V.autonomous:
+        raise ValueError("cannot integrate a vector field that reads t")
     opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
     T = [float(s) for s in durations]
     sign = np.array([1.0 if s > 0 else -1.0 for s in T])  # backward lanes integrate -X forward

@@ -103,6 +103,8 @@ class SeriesPropagator:
     """
 
     def __init__(self, V: VectorFieldSpec, W0):
+        if not V.autonomous:
+            raise EvolutionError("series propagation needs an autonomous vector field; this one reads t")
         self.V = V
         self.W0 = ConstantMetric(V.chart, W0).matrix
         self.basis = _SeriesBasis(V.chart.dim)
@@ -396,8 +398,8 @@ class SplitMetric(MetricField):
     """
 
     def __init__(self, V: VectorFieldSpec, W0, steps: int):
-        if V.parts is None:
-            raise EvolutionError("split propagation requires declared split parts")
+        if V.parts is None or not V.autonomous:
+            raise EvolutionError("split propagation requires an autonomous field with declared split parts")
         if steps < 1:
             raise ValueError("steps must be >= 1")
         self.chart = V.chart

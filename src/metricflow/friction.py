@@ -158,13 +158,8 @@ class FrictionSystem:
 
     @cached_property
     def vector_field(self) -> VectorFieldSpec:
-        """The phase-space field; requires a constant friction matrix."""
-        if self.k_matrix is None:
-            raise FrictionError(
-                "time-dependent friction has no autonomous vector field; "
-                "only the analytic metric path supports it"
-            )
-        return VectorFieldSpec.from_hamiltonian(self.chart, self.hamiltonian, self.k_matrix)
+        """The phase-space field; where K varies it reads t, and is not integrated."""
+        return VectorFieldSpec.from_hamiltonian(self.chart, self.hamiltonian, self.friction)
 
     def friction_integral(self, t0: float, t: float) -> np.ndarray:
         """Matrix of integrated friction coefficients over [t0, t]."""

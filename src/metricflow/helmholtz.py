@@ -52,7 +52,7 @@ def helmholtz_residuals(
     Jacobian are evaluated at all points at once, and the assembly is
     stacked.
     """
-    Xv, A = V.eval_jacobian(X)  # A[b, m, k] = d X^m / d x^k
+    Xv, A = V.eval_jacobian(X, T)  # A[b, m, k] = d X^m / d x^k
     # E[k, l] = d_k w_lm X^m, F[k, l] = w_lm d_k X^m
     G = np.einsum("bklm,bm->bkl", D, Xv)
     G += np.swapaxes(W @ A, 1, 2)

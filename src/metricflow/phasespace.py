@@ -255,7 +255,7 @@ def invert_metrics(W: np.ndarray) -> np.ndarray:
         raise SingularMetricError(f"metric is singular at the query point (det={g:.3e})")
     inv = np.linalg.inv(W)
     I = np.eye(W.shape[-1])
-    # one Newton refinement step where conditioning ate into the residual
+    # up to two Newton refinement steps where conditioning ate into the residual
     for _ in range(2):
         rough = ~(np.max(np.abs(W @ inv - I), axis=(1, 2)) <= 1e-10)
         if not rough.any():

@@ -67,6 +67,7 @@ COUPLED = {
 
 
 VARYING = [["0", "1+q1^2"], ["-1-q1^2", "0"]]
+IN_T_ONLY = [["0", "exp(t)"], ["-exp(t)", "0"]]
 NON_CANONICAL = [["0", "2"], ["-2", "0"]]
 ROUTE_SYSTEM = {
     "n": 1,
@@ -85,6 +86,7 @@ ROUTE_CASES = {
     "friction-analytic": ("friction-analytic", ALL_ROUTES, {"friction": ["1/(1+t)"]}, "split", NO_FIELD),
     "non-canonical": (NON_CANONICAL, ALL_ROUTES[1:], {}, "analytic", "starts from the canonical metric"),
     "varying": (VARYING, ["pullback"], {}, "series", "needs a constant initial metric"),
+    "varying-in-t-only": (IN_T_ONLY, ALL_ROUTES, {"friction": ["1/(1+t)"]}, "series", NO_FIELD),
 }
 
 
@@ -541,6 +543,30 @@ class TestEvolveMetric:
             assert code == EXIT_OK
             assert [r["method"] for r in parse_csv(out)[1]] == expected
 
+    def test_metric_varying_only_in_t_starts_from_its_t0_value(self, tmp_path, capsys):
+        # series, split and analytic transport the t = 0 value, as pullback does
+        config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "damped_oscillator.json"
+        data = {**json.loads(config.read_text()), "metric": IN_T_ONLY, "t_grid": [0.5]}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        w = {r["method"]: float(r["w1_2"]) for r in parse_csv(capsys.readouterr().out)[1]}
+        assert list(w) == ALL_ROUTES
+        assert abs(w["series"] - np.exp(0.5)) < 1e-12 and abs(w["series"] - w["pullback"]) < 1e-9
+
+    def test_forced_linear_series_of_a_nonlinear_field_is_a_route_reason(self, tmp_path, capsys):
+        # the series route once passed the table and failed mid-command with exit 70
+        data = {"n": 1, "components": ["p1", "-q1 - p1 + q1^2"], "series": {"mode": "linear"}}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, {**data, "methods": ["series"]})]) == EXIT_CONFIG
+        message = "the series route needs a linear field in mode 'linear'"
+        assert json.loads(capsys.readouterr().out)["error"] == {"kind": "config", "message": message}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert [r["method"] for r in parse_csv(capsys.readouterr().out)[1]] == ["pullback"]
+
+    def test_empty_methods_is_a_config_error(self, tmp_path, capsys):
+        # [] once printed a header without rows and exited 0
+        assert main(["evolve-metric", "--config", write_config(tmp_path, {**DAMPED_ANALYTIC, "methods": []})]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "config" and error["message"].startswith("methods must be a non-empty list")
+
     def test_no_route_applies(self, tmp_path, capsys):
         data = {**ROUTE_SYSTEM, "metric": VARYING, "friction": ["1/(1+t)"]}
         assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
@@ -566,6 +592,54 @@ class TestEvolveMetric:
         w = {r["method"]: float(r["w1_2"]) for r in rows}
         tol = {"series": 1e-10, "split": 1e-3, "pullback": 1e-7}
         assert all(abs(w[m] - 2 * np.exp(0.5 * 0.5)) < tol[m] for m in w), w
+
+
+QUARTIC_KT = {
+    "n": 2,
+    "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2",
+    "t_grid": [0.5, 1.0, 1.5],
+    "samples": {"count": 10},
+    "queries": [{"point": [0.3, -0.2, 0.1, 0.4], "time": 0.0}],
+}
+EQUAL_RATES = ["0.5 + 0.1*t", "0.5 + 0.1*t"]
+UNEQUAL_RATES = ["0.5 + 0.1*t", "1"]
+
+
+class TestTimeDependentFriction:
+    """A friction matrix K(t) has the field -K(t) p, evaluated at each point's time."""
+
+    def run(self, tmp_path, capsys, friction, argv):
+        path = write_config(tmp_path, {**QUARTIC_KT, "friction": friction})
+        code = main([argv[0], "--config", path, *argv[1:]])
+        return code, capsys.readouterr().out
+
+    def test_equal_rates_closed_form_is_invariant(self, tmp_path, capsys):
+        # the invariance residual once read nan
+        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["evolve-metric"])
+        rows = parse_csv(out)[1]
+        assert code == EXIT_OK and [r["method"] for r in rows] == ["analytic"] * 3
+        assert all(float(r["invariance_residual"]) <= 1e-12 and r["warning"] == "" for r in rows)
+
+    def test_unequal_rates_residual_shows_the_defect(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, UNEQUAL_RATES, ["evolve-metric"])
+        rows = parse_csv(out)[1]
+        assert code == EXIT_OK and len(rows) == 3
+        assert all("unequal damping" in r["warning"] and float(r["invariance_residual"]) > 1e-3 for r in rows)
+
+    def test_classify_gives_a_verdict(self, tmp_path, capsys):
+        # once exit 65: "classification needs an autonomous vector field"
+        code, out = self.run(tmp_path, capsys, UNEQUAL_RATES, ["classify"])
+        assert code == EXIT_NON_HAMILTONIAN and json.loads(out)["verdict"] == "non-hamiltonian"
+
+    def test_audit_still_needs_an_autonomous_field(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["audit"])
+        message = "audit needs an autonomous vector field (constant friction)"
+        assert code == EXIT_CONFIG and json.loads(out)["error"] == {"kind": "config", "message": message}
+
+    def test_bracket_has_no_leibniz_flows(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["bracket", "--A", "q1", "--B", "p1", "--C", "q1*p1"])
+        columns = json.loads(out)["queries"][0]
+        assert code == EXIT_OK and "leibniz" not in columns and columns["bracket"] == 1.0
 
 
 class TestAudit:

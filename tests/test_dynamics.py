@@ -41,8 +41,20 @@ class TestVectorFieldSpec:
         assert np.allclose(V.eval([0.3, 0.7]), [0.0, 0.0])
 
     def test_time_dependence_rejected(self, chart1):
-        with pytest.raises(ValueError):
-            VectorFieldSpec.from_components(chart1, ["p1", "-q1*t"])
+        # a field that reads t is built and evaluated, but the lanes carry no time
+        V = VectorFieldSpec.from_components(chart1, ["p1", "-q1*t"])
+        assert not V.autonomous and VectorFieldSpec.from_components(chart1, ["p1", "-q1"]).autonomous
+        with pytest.raises(ValueError, match="cannot integrate a vector field that reads t"):
+            integrate_flow(V, PhasePoint([0.5, 0.2]), 1.0)
+
+    def test_eval_jacobian_reads_the_times(self, chart1):
+        V = VectorFieldSpec.from_components(chart1, ["p1*t", "-q1*t^2"])
+        X, T = np.array([[0.5, 0.2], [-0.3, 0.7], [0.1, -0.4]]), np.array([0.0, 1.5, -2.0])
+        for rows in (slice(None), slice(1, 2)):  # the batch and the one-row path
+            Xv, J = V.eval_jacobian(X[rows], T[rows])
+            np.testing.assert_array_equal(Xv, [V.eval(x, t) for x, t in zip(X[rows], T[rows])])
+            np.testing.assert_array_equal(J, [V.jacobian(x, t) for x, t in zip(X[rows], T[rows])])
+        np.testing.assert_array_equal(V.eval_jacobian(X, 1.5)[0], [V.eval(x, 1.5) for x in X])
 
     @pytest.mark.parametrize(
         "friction, message",

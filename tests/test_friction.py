@@ -18,7 +18,8 @@ from metricflow import (
     metric_eval,
     pullback_metric,
 )
-from metricflow.exprlang import differentiate, free_vars, parse
+from metricflow.evolution import EvolutionError, SeriesPropagator, SplitMetric
+from metricflow.exprlang import BinOp, Neg, Num, Var, differentiate, free_vars, parse
 from metricflow.friction import (
     ApplicabilityError,
     ApplicabilityWarning,
@@ -77,10 +78,24 @@ class TestConstruction:
         with pytest.raises(FrictionError, match="'friction' must be rows of one length"):
             FrictionSystem.build(chart2, "(p1^2+p2^2)/2", friction)
 
-    def test_time_dependent_has_no_field(self, chart1):
-        sys_t = FrictionSystem.build(chart1, "p1^2/2 + q1^2/2", ["cos(t)"])
-        with pytest.raises(FrictionError):
-            sys_t.vector_field
+    def test_time_dependent_field_is_not_expanded(self, chart2):
+        # the field's friction part is -K(t) p; the series expands a field at t = 0, so refuses it
+        sys_t = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2", ["cos(t)", "1 + t^2"])
+        V, x = sys_t.vector_field, np.array([0.3, -0.2, 0.1, 0.4])
+        for t in (0.0, 0.7, 2.0):
+            np.testing.assert_array_equal(V.parts[1].eval(x, t)[2:], -sys_t.friction_at(t) @ x[2:])
+            np.testing.assert_array_equal(V.jacobian(x, t)[2:, 2:], -sys_t.friction_at(t))
+        assert not V.autonomous
+        with pytest.raises(EvolutionError, match="reads t"):
+            SeriesPropagator(V, canonical_metric(chart2).matrix)
+        with pytest.raises(EvolutionError, match="autonomous"):
+            SplitMetric(V, canonical_metric(chart2).matrix, 10)
+
+    def test_constant_friction_field_is_unchanged(self, chart2):
+        # float entries of K build the trees Num(k) * p, as before expressions were accepted
+        V = FrictionSystem.build(chart2, "(p1^2+p2^2)/2 + q1*q2", [0.5, 2.0]).vector_field
+        assert V.autonomous
+        assert V.part2[2:] == tuple(Neg(BinOp("*", Num(k), Var(p))) for k, p in ((0.5, "p1"), (2.0, "p2")))
 
 
 class TestAnalyticMetric:
