@@ -36,7 +36,7 @@ from .evolution import (
 )
 from .exprlang import TIME_NAME, CoordinateChart, DomainError, ExprError, free_vars
 from .friction import FrictionAnalyticMetric, FrictionError, FrictionSystem, applicability_check, read_friction
-from .helmholtz import classify
+from .helmholtz import UniformStream, classify
 from .phasespace import (
     ExprMetric,
     MetricError,
@@ -54,6 +54,7 @@ EXIT_CONFIG = 65
 EXIT_RUNTIME = 70
 # audit's bound on the volume-law gap |ln sqrt_g + integral of the compressibility|
 VOLUME_LAW_TOL = 1e-6
+NEEDS_AUTONOMOUS = "needs an autonomous vector field, one that does not read t"
 
 
 class ConfigError(Exception):
@@ -263,7 +264,7 @@ def _route_table(cfg: SystemConfig, V: VectorFieldSpec, fsys, M0: MetricField) -
     W0 = None  # the initial metric's value, where it is constant in the coordinates
     if not (isinstance(M0, ExprMetric) and any(free_vars(e) - {TIME_NAME} for row in M0.entries for e in row)):
         W0 = M0.value(np.zeros(cfg.chart.dim), 0.0)  # its t = 0 value, as pullback reads it
-    field = (V.autonomous, "needs an autonomous vector field (constant friction)")
+    field = (V.autonomous, NEEDS_AUTONOMOUS)
     constant = (W0 is not None, "needs a constant initial metric")
     canonical = W0 is not None and np.array_equal(W0, canonical_metric(cfg.chart).matrix)
     linear = (cfg.series_mode != "linear" or V.constant_jacobian is not None, "needs a linear field in mode 'linear'")
@@ -327,16 +328,15 @@ def cmd_evolve_metric(cfg: SystemConfig):
 def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     _require(cfg.t_max >= 0.2, "'t_max' must be at least 0.2, the start of the audited trajectories")
     V, fsys = _build_system(cfg)
-    if not V.autonomous:
-        raise ConfigError("audit needs an autonomous vector field (constant friction)")
+    _require(V.autonomous, f"audit {NEEDS_AUTONOMOUS}")
     M = _build_metric(cfg, fsys)
-    rng = np.random.default_rng(cfg.samples_seed if seed is None else seed)
+    stream = UniformStream(cfg.samples_seed if seed is None else seed)
     count, d, box = cfg.samples_count, cfg.chart.dim, cfg.samples_box
 
     def draw(rows: int, t_min: float):
         # rows of (x in [-box, box]^d, then t in [t_min, t_max]) in one call,
         # which takes the stream of one draw of x and one of t per row
-        S = rng.uniform([-box] * d + [t_min], [box] * d + [cfg.t_max], (rows, d + 1))
+        S = stream.uniform([-box] * d + [t_min], [box] * d + [cfg.t_max], (rows, d + 1))
         return S[:, :d], S[:, d]
 
     X, T = draw(count, 0.0)

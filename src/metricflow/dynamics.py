@@ -308,9 +308,9 @@ _DP_A = (
 )
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
-# the coefficients of stages 2-7; the last stage is the fifth-order end state
-_DP_STAGES = _DP_A[1:] + (_DP_B5[:6],)
+# stages 2-7 (the last is the fifth-order end state) and the error, as weights of K (7, B, n)
+_DP_STAGES = [np.array(a)[:, None, None] for a in _DP_A[1:] + (_DP_B5[:6],)]
+_DP_E = (_DP_B5 - _DP_B4)[:, None, None]
 
 _EPS = np.finfo(float).eps
 # a stage whose state leaves the field's domain raises one of these; the
@@ -402,20 +402,22 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
         if not ids:
             break
         # the stages of the lanes in sl; a lane whose stage raises leaves sl for retry
-        sl, sy, sh, K, retry = lanes, y, hs, [fy], []
-        for coeffs in _DP_STAGES:
-            yi = sy + sh * sum(a * K[j] for j, a in enumerate(coeffs))
+        # the sums over stages add left to right from +0.0, as Python's sum does
+        sl, sy, sh, K, retry = lanes, y, hs, np.empty((7, *y.shape)), []
+        K[0] = fy
+        for i, coeffs in enumerate(_DP_STAGES, 1):
+            yi = sy + sh * np.add.reduce(K[:i] * coeffs, axis=0, initial=0.0)
             k_i, bad = _eval_lanes(F, sl, yi)
             if bad:
                 keep = np.array([r not in bad for r in range(len(sl))], dtype=bool)
                 retry += [int(sl[r]) for r in bad]
-                sl, sy, sh, yi, k_i, K = sl[keep], sy[keep], sh[keep], yi[keep], k_i[keep], [k[keep] for k in K]
+                sl, sy, sh, yi, k_i, K = sl[keep], sy[keep], sh[keep], yi[keep], k_i[keep], K[:, keep]
                 if not len(sl):
                     break
-            K.append(k_i)
+            K[i] = k_i
         errs, err_max = [], []
         if len(sl):
-            err_vec = sh * sum(e * K[i] for i, e in enumerate(_DP_E))
+            err_vec = sh * np.add.reduce(K * _DP_E, axis=0, initial=0.0)
             sc = atol + rtol * np.maximum(np.abs(sy), np.abs(yi))
             with np.errstate(invalid="ignore", over="ignore"):
                 errs = [math.sqrt(s / n) for s in np.add.reduce((err_vec / sc) ** 2, axis=1).tolist()]

@@ -91,6 +91,81 @@ def canonical_helmholtz(G, F, chart: CoordinateChart, x: PhasePoint):
     return _canonical_blocks(V.jacobian(x.coords, x.time), n)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# shifts and masks as uint64 scalars, so that the arithmetic stays uint64 under every numpy casting rule
+_U11, _U32, _U58, _U63, _U64, _U_M32 = map(np.uint64, (11, 32, 58, 63, 64, _M32))
+
+
+def _mulhi(x: np.ndarray, a: np.uint64) -> np.ndarray:
+    """The high words of the 128-bit products of the uint64 array ``x`` and ``a``."""
+    x1, x0, a1, a0 = x >> _U32, x & _U_M32, a >> _U32, a & _U_M32
+    p00, p01, p10 = x0 * a0, x0 * a1, x1 * a0
+    carry = ((p00 >> _U32) + (p01 & _U_M32) + (p10 & _U_M32)) >> _U32
+    return x1 * a1 + (p01 >> _U32) + (p10 >> _U32) + carry
+
+
+class UniformStream:
+    """numpy's ``default_rng(seed).uniform`` stream, bit for bit, held here so
+    that sampling neither imports ``numpy.random`` nor depends on its release.
+
+    SeedSequence hashes the seed into PCG64's 128-bit state and increment; a
+    draw of N numbers forms the N next states of the LCG by jump-ahead
+    doubling, in (hi, lo) uint64 arrays, and maps each through XSL-RR to
+    ``low + (high - low) * ((u64 >> 11) * 2**-53)``.  Successive draws continue one stream.
+    """
+
+    def __init__(self, seed: int):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"a seed must be a non-negative integer, not {seed!r}")
+        seed = int(seed)
+        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]  # 32-bit words, low first
+        h = [0x43B0D7E5]  # SeedSequence's running hash constant
+
+        def hashmix(v: int, mult: int = 0x931E8875) -> int:
+            v, h[0] = v ^ h[0], h[0] * mult & _M32
+            v = v * h[0] & _M32
+            return v ^ v >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for v, dst in [(v, d) for v in entropy[4:] for d in range(4)]:
+            pool[dst] = mix(pool[dst], hashmix(v))
+        h[0] = 0x8B51F9DD  # generate_state(4, np.uint64): 8 words of 32 bits, low word first
+        words = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        w = [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+        self._inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _M128  # srandom: two steps from 0
+
+    def uniform(self, low, high, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``prod(shape)`` draws, in C order, from [low, high) broadcast to ``shape``."""
+        low, high = np.broadcast_to(low, shape).astype(float), np.broadcast_to(high, shape).astype(float)
+        with np.errstate(over="ignore"):
+            span = high - low
+        if not np.isfinite(span).all():
+            raise OverflowError("the sampling range high - low overflows a float")
+        n = span.size
+        hi, lo = np.array([self._state >> 64], np.uint64), np.array([self._state & _M64], np.uint64)
+        mult, add = _PCG_MULT, self._inc  # the LCG map of len(hi) steps
+        while len(hi) <= n:
+            m_hi, m_lo, a_hi, a_lo = (np.uint64(v) for v in (mult >> 64, mult & _M64, add >> 64, add & _M64))
+            s_hi, s_lo = hi[: n + 1 - len(hi)], lo[: n + 1 - len(hi)]  # no more than the draw needs
+            new_lo = s_lo * m_lo + a_lo
+            new_hi = _mulhi(s_lo, m_lo) + s_hi * m_lo + s_lo * m_hi + a_hi + (new_lo < a_lo)
+            hi, lo = np.concatenate([hi, new_hi]), np.concatenate([lo, new_lo])
+            mult, add = mult * mult & _M128, (mult * add + add) & _M128
+        self._state = int(hi[n]) << 64 | int(lo[n])
+        hi, lo = hi[1 : n + 1], lo[1 : n + 1]
+        x, rot = hi ^ lo, hi >> _U58  # XSL-RR
+        out = x >> rot | x << ((_U64 - rot) & _U63)
+        return low + span * ((out >> _U11) * 2.0**-53).reshape(shape)
+
+
 def sample_points(
     chart: CoordinateChart,
     count: int = 50,
@@ -102,7 +177,7 @@ def sample_points(
     coordinates (count + 1, 2n) and times (count + 1,).  One draw of
     count x 2n numbers takes the stream of ``count`` draws of one point."""
     X = np.zeros((count + 1, chart.dim))
-    X[1:] = np.random.default_rng(seed).uniform(-box, box, (count, chart.dim))
+    X[1:] = UniformStream(seed).uniform(-box, box, (count, chart.dim))
     return X, np.full(count + 1, float(time))
 
 

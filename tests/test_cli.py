@@ -78,7 +78,7 @@ ROUTE_SYSTEM = {
     "queries": [{"point": [0.3, -0.2], "time": 0.0}],
 }
 ALL_ROUTES = ["analytic", "series", "split", "pullback"]
-NO_FIELD = "needs an autonomous vector field (constant friction)"
+NO_FIELD = "needs an autonomous vector field, one that does not read t"
 # metric kind: (metric, default routes, config patch, a route that then
 # does not apply, and its reason)
 ROUTE_CASES = {
@@ -103,18 +103,37 @@ def parse_csv(text):
 
 
 def test_cli_import_skips_scipy(tmp_path):
-    # neither the import nor a whole command loads scipy or numpy.random
+    # neither the import nor a whole command loads scipy or numpy.random,
+    # also where classify and audit draw their seeded samples
     config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "two_rate_system.json"
     code = (
         "import sys, metricflow.cli\n"
-        f"code = metricflow.cli.main(['evolve-metric', '--config', {str(config)!r}, "
-        f"'--out', {str(tmp_path / 'out.csv')!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy') "
+        f"codes = [metricflow.cli.main([cmd, '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path)!r} + '/' + cmd]) for cmd in ('evolve-metric', 'classify', 'audit')]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy') "
         "or m.startswith('numpy.random')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 []"
-    assert (tmp_path / "out.csv").read_text(encoding="utf-8").startswith("t,method,")
+    assert out.stdout.strip() == "[0, 10, 0] []"
+    assert (tmp_path / "evolve-metric").read_text(encoding="utf-8").startswith("t,method,")
+    assert "verdict" in json.loads((tmp_path / "classify").read_text(encoding="utf-8"))
+    assert json.loads((tmp_path / "audit").read_text(encoding="utf-8"))["pass"] is True
+
+
+def test_an_overflowing_sampling_range_is_one_domain_error(tmp_path):
+    # 2 * box overflows a float: no warning on stderr, and one message for both commands
+    path = write_config(tmp_path, {**DAMPED_ANALYTIC, "samples": {"count": 3, "box": 1e308}})
+    code = (
+        "import metricflow.cli\n"
+        f"print([metricflow.cli.main([cmd, '--config', {path!r}, '--out', {str(tmp_path)!r} + '/' + cmd]) "
+        "for cmd in ('classify', 'audit')])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[65, 65]" and out.stderr == ""
+    message = "the sampling range high - low overflows a float"
+    for cmd in ("classify", "audit"):
+        error = json.loads((tmp_path / cmd).read_text(encoding="utf-8"))["error"]
+        assert error == {"kind": "domain", "message": message}
 
 
 class TestConfig:
@@ -633,7 +652,7 @@ class TestTimeDependentFriction:
 
     def test_audit_still_needs_an_autonomous_field(self, tmp_path, capsys):
         code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["audit"])
-        message = "audit needs an autonomous vector field (constant friction)"
+        message = "audit needs an autonomous vector field, one that does not read t"
         assert code == EXIT_CONFIG and json.loads(out)["error"] == {"kind": "config", "message": message}
 
     def test_bracket_has_no_leibniz_flows(self, tmp_path, capsys):
@@ -643,6 +662,12 @@ class TestTimeDependentFriction:
 
 
 class TestAudit:
+    def test_components_that_read_t_get_the_same_reason(self):
+        # a components config has no friction; its field reads t
+        cfg = load_config({"n": 1, "components": ["p1", "-q1 - t*p1"]})
+        with pytest.raises(ConfigError, match="^audit needs an autonomous vector field, one that does not read t$"):
+            cmd_audit(cfg)
+
     def test_invariant_metric_passes(self):
         payload, code = cmd_audit(load_config(DAMPED_ANALYTIC))
         assert code == EXIT_OK

@@ -3,7 +3,9 @@ the JSON writer, each against a test-local copy of the per-point code it
 replaced.
 
 * ``classify`` and ``audit`` take each sample set in one draw; the
-  references are the per-row draw loops, compared bit for bit.
+  references are the per-row draw loops, compared bit for bit.  The draws
+  come from ``UniformStream``, which is numpy's ``default_rng(seed).uniform``
+  stream bit for bit.
 * A :class:`BracketFrame` of B points gives the bits of the per-point
   frame formulas (copied here) and of B frames of one point.
 * ``cli._dumps`` is ``json.dumps(value, indent=2, sort_keys=True)``, where
@@ -43,7 +45,7 @@ from metricflow.cli import cmd_audit, cmd_bracket, cmd_classify, load_config, ma
 from metricflow.dynamics import flow_jet, flow_lanes
 from metricflow.evolution import pullback_jet
 from metricflow.exprlang import evaluate_compiled
-from metricflow.helmholtz import sample_points
+from metricflow.helmholtz import UniformStream, sample_points
 from metricflow.phasespace import invert_metrics
 
 QUARTIC = "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2"
@@ -130,6 +132,31 @@ def test_audit_samples_and_trajectories_are_the_loop_stream(monkeypatch, n, seed
     assert payload["samples"]["trajectories"] == len(draws) == len(seen["X0"])
     assert np.array_equal(seen["X0"], [x0 for x0, _ in draws])
     assert seen["durations"].tolist() == [t for _, t in draws]
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128 + 5]), st.integers(0, 2**200))
+_BOUND = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.lists(st.integers(0, 9), max_size=2), st.integers(1, 4), st.booleans(), st.data())
+def test_uniform_stream_is_numpys_default_rng(seed, lead, cols, per_column, data):
+    # two successive draws, each of scalar or per-column bounds, against numpy's generator
+    rng, stream = np.random.default_rng(seed), UniformStream(seed)
+    for shape in ((*lead, cols), (data.draw(st.integers(0, 30)), cols)):
+        ends = data.draw(st.lists(st.tuples(_BOUND, _BOUND), min_size=cols, max_size=cols))
+        low, high = np.array([min(e) for e in ends]), np.array([max(e) for e in ends])
+        if not per_column:
+            low, high = low[0], high[0]
+        assert np.array_equal(stream.uniform(low, high, shape), rng.uniform(low, high, shape))
+
+
+def test_uniform_stream_seeds_are_non_negative_integers():
+    assert np.array_equal(UniformStream(np.uint64(2**63)).uniform(0.0, 1.0, (3,)),
+                          np.random.default_rng(2**63).uniform(0.0, 1.0, (3,)))
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            UniformStream(seed)
 
 
 # ---------------------------------------------------------------------------
