@@ -26,7 +26,6 @@ from .exprlang import (
     compile_vector,
     evaluate_batch,
     gradient,
-    simplify,
 )
 from .phasespace import MetricField, PhasePoint, _check_point, invert_metrics
 
@@ -35,8 +34,9 @@ from .phasespace import MetricField, PhasePoint, _check_point, invert_metrics
 class Observable:
     """A scalar phase-space function, optionally time dependent.
 
-    Its gradient and Hessian entries are differentiated and compiled once
-    per chart, on first use, and evaluated at a stack of points at once.
+    Its gradient entries, their gradients (the Hessian) and their time
+    derivatives are differentiated and compiled once per chart, on first
+    use, and evaluated at a stack of points at once.
     """
 
     expr: Expr
@@ -51,8 +51,9 @@ class Observable:
         if compiled is None:
             if kind == "grad":
                 flat = gradient(self.expr, chart.names)
-            else:  # the Hessian, from the gradient's entries
-                flat = [h for g in self._compiled("grad", chart)[0] for h in gradient(g, chart.names)]
+            else:  # the Hessian or the time derivatives, from the gradient's entries
+                names = chart.names if kind == "hess" else (TIME_NAME,)
+                flat = [h for g in self._compiled("grad", chart)[0] for h in gradient(g, names)]
             compiled = self._memo[(kind, chart)] = (flat, compile_vector(flat, chart))
         return compiled
 
@@ -65,6 +66,11 @@ class Observable:
         d = chart.dim
         return evaluate_batch(self._compiled("hess", chart), chart, X, T).reshape(len(X), d, d)
 
+    def gradient_dt(self, chart: CoordinateChart, X: np.ndarray, T) -> np.ndarray:
+        """The time derivatives (B, d) of the gradient at the B points (X[b], T[b]);
+        zero where the observable does not read t."""
+        return evaluate_batch(self._compiled("grad_t", chart), chart, X, T)
+
 
 @dataclass(frozen=True)
 class LeibnizDefect:
@@ -72,6 +78,10 @@ class LeibnizDefect:
 
     formula: float | np.ndarray
     numerical: float | np.ndarray
+
+
+# the time step of the central difference that measures d/dt{A, B} along the flow
+LEIBNIZ_DELTA = 1e-4
 
 
 def _as_observable(A, chart) -> Observable:
@@ -148,28 +158,28 @@ class BracketFrame:
         return nested(0, 1, 2) + nested(1, 2, 0) + nested(2, 0, 1)
 
     def leibniz_defect(
-        self,
-        A: Observable,
-        B: Observable,
-        V: VectorFieldSpec,
-        delta: float = 1e-4,
-        opts: IntegratorOptions | None = None,
+        self, A: Observable, B: Observable, V: VectorFieldSpec, opts: IntegratorOptions | None = None
     ) -> LeibnizDefect:
-        """:func:`leibniz_defect` at the frame's points.  The +delta and
-        -delta flows of all points are the lanes of one :func:`flow_lanes`,
+        """:func:`leibniz_defect` at the frame's points.  The +LEIBNIZ_DELTA and
+        -LEIBNIZ_DELTA flows of all points are the lanes of one :func:`flow_lanes`,
         and their end points one frame; the first failing point raises."""
         P = self.P
         Xv, J = V.eval_jacobian(self.X, self.T)  # J[b, k, m] = d X^k / d x^m
         D = self.d_dt + np.einsum("bm,bmkl->bkl", Xv, self.d_dx) - J @ P - P @ np.swapaxes(J, 1, 2)
-        formula = _contract(self._at_points(A, "gradient"), D, self._at_points(B, "gradient"))
+        gA, gB = self._at_points(A, "gradient"), self._at_points(B, "gradient")
+        formula = _contract(gA, D, gB)
 
-        Adot = observable_time_derivative(A, V)
-        Bdot = observable_time_derivative(B, V)
+        def rate_gradient(O: Observable) -> np.ndarray:
+            # the gradient of dO/dt = d_t O + X^k d_k O: d_t grad O + (Hess O) X + (DX)^T grad O
+            g, H, dt = (self._at_points(O, kind) for kind in ("gradient", "hessian", "gradient_dt"))
+            return dt + (H @ Xv[:, :, None] + np.swapaxes(J, 1, 2) @ g[:, :, None])[:, :, 0]
+
         T0 = np.repeat(self.T, 2)
-        T1 = T0 + np.tile([delta, -delta], len(self.T))
+        T1 = T0 + np.tile([LEIBNIZ_DELTA, -LEIBNIZ_DELTA], len(self.T))
         Y, _ = flow_lanes(V, np.repeat(self.X, 2, axis=0), T1 - T0, opts)
         c = BracketFrame(self.M, Y[:, : V.chart.dim], T1).bracket(A, B)
-        numerical = (c[::2] - c[1::2]) / (2.0 * delta) - self.bracket(Adot, B) - self.bracket(A, Bdot)
+        numerical = ((c[::2] - c[1::2]) / (2.0 * LEIBNIZ_DELTA) - _contract(rate_gradient(A), P, gB)
+                     - _contract(gA, P, rate_gradient(B)))
         return LeibnizDefect(formula, numerical)
 
 
@@ -190,38 +200,25 @@ def bracket_jacobi_residual(A, B, C, M: MetricField, x: PhasePoint) -> float:
     return float(_point_frame(M, x).jacobi_residual(A, B, C)[0])
 
 
-def observable_time_derivative(A, V: VectorFieldSpec) -> Observable:
-    """dA/dt along the flow: explicit time dependence plus X^k d_k A.
-
-    Formed once per (observable, field) and kept on the observable.
-    """
-    A = _as_observable(A, V.chart)
-    cached = A._memo.get(("time-derivative", id(V)))
-    if cached is not None and cached[0] is V:
-        return cached[1]
-    dt, *grad = gradient(A.expr, (TIME_NAME,) + V.chart.names)
-    Adot = Observable(simplify(sum((c * g for c, g in zip(V.components, grad)), dt)))
-    A._memo[("time-derivative", id(V))] = (V, Adot)
-    return Adot
-
-
 def leibniz_defect(
     A,
     B,
     V: VectorFieldSpec,
     M: MetricField,
     x: PhasePoint,
-    delta: float = 1e-4,
     opts: IntegratorOptions | None = None,
 ) -> LeibnizDefect:
     """Defect of term-by-term time differentiation of {A, B} at ``x``.
 
     ``formula`` contracts d_t P + L_X P (P the raised tensor) with the
     observable gradients; ``numerical`` measures d/dt{A,B} - {dA,B} -
-    {A,dB} along the trajectory through ``x`` by central differences.  The
-    two agree for closed-form metrics and both vanish when the metric is an
+    {A,dB} along the trajectory through ``x``: d/dt{A,B} by central
+    differences of step ``LEIBNIZ_DELTA``, and the gradient of dA/dt =
+    d_t A + X^k d_k A as d_t grad A + (Hess A) X + (DX)^T grad A, from the
+    observable's compiled derivatives and the field's Jacobian.  The two
+    agree for closed-form metrics and both vanish when the metric is an
     integral of motion.
     """
     A, B = (_as_observable(o, M.chart) for o in (A, B))
-    defect = _point_frame(M, x).leibniz_defect(A, B, V, delta, opts)
+    defect = _point_frame(M, x).leibniz_defect(A, B, V, opts)
     return LeibnizDefect(float(defect.formula[0]), float(defect.numerical[0]))

@@ -55,6 +55,8 @@ EXIT_RUNTIME = 70
 # audit's bound on the volume-law gap |ln sqrt_g + integral of the compressibility|
 VOLUME_LAW_TOL = 1e-6
 NEEDS_AUTONOMOUS = "needs an autonomous vector field, one that does not read t"
+# the largest 'n': the dense symbolic Jacobian of a field holds (2n)^2 entries
+MAX_DOF = 1000
 
 
 class ConfigError(Exception):
@@ -113,6 +115,7 @@ def load_config(data: dict) -> SystemConfig:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("n" in data, "config needs 'n' (degrees of freedom)")
     n = _number(data["n"], "n", integer=True, positive=True)
+    _require(n <= MAX_DOF, f"'n' must be at most {MAX_DOF}")
     names = data.get("names")
     if names is not None:
         _require(

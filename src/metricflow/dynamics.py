@@ -115,11 +115,13 @@ class VectorFieldSpec:
                 raise ValueError("split parts must have the full component count")
             for x in probe_points(5, -np.ones(d), np.ones(d)):
                 env = self.chart.env(x, 0.0)
-                for c, c1, c2 in zip(self.components, self.part1, self.part2):
-                    total = evaluate(c, env)
-                    parts = evaluate(c1, env) + evaluate(c2, env)
-                    if abs(total - parts) > 1e-9 * max(1.0, abs(total)):
-                        raise ValueError("split parts do not sum to the field")
+                try:
+                    values = [(evaluate(c, env), evaluate(c1, env) + evaluate(c2, env))
+                              for c, c1, c2 in zip(self.components, self.part1, self.part2)]
+                except DomainError:  # a point outside the field's domain checks nothing
+                    continue
+                if any(abs(total - parts) > 1e-9 * max(1.0, abs(total)) for total, parts in values):
+                    raise ValueError("split parts do not sum to the field")
 
     @classmethod
     def from_components(cls, chart: CoordinateChart, components) -> "VectorFieldSpec":
@@ -401,31 +403,28 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
             ids = lanes.tolist()
         if not ids:
             break
-        # the stages of the lanes in sl; a lane whose stage raises leaves sl for retry
-        # the sums over stages add left to right from +0.0, as Python's sum does
-        sl, sy, sh, K, retry = lanes, y, hs, np.empty((7, *y.shape)), []
+        # the sums over stages add left to right from +0.0, as Python's sum does;
+        # a lane whose stage raised takes its later stages at its state y, where
+        # F does not raise, and its step is rejected
+        K, raised = np.empty((7, *y.shape)), []
         K[0] = fy
         for i, coeffs in enumerate(_DP_STAGES, 1):
-            yi = sy + sh * np.add.reduce(K[:i] * coeffs, axis=0, initial=0.0)
-            k_i, bad = _eval_lanes(F, sl, yi)
-            if bad:
-                keep = np.array([r not in bad for r in range(len(sl))], dtype=bool)
-                retry += [int(sl[r]) for r in bad]
-                sl, sy, sh, yi, k_i, K = sl[keep], sy[keep], sh[keep], yi[keep], k_i[keep], K[:, keep]
-                if not len(sl):
-                    break
-            K[i] = k_i
-        errs, err_max = [], []
-        if len(sl):
-            err_vec = sh * np.add.reduce(K * _DP_E, axis=0, initial=0.0)
-            sc = atol + rtol * np.maximum(np.abs(sy), np.abs(yi))
-            with np.errstate(invalid="ignore", over="ignore"):
-                errs = [math.sqrt(s / n) for s in np.add.reduce((err_vec / sc) ** 2, axis=1).tolist()]
-            err_max = np.abs(err_vec).max(axis=1).tolist()
-        # a non-finite estimate forces a rejection; a retry is one at h * 0.2
-        errs = [e if math.isfinite(e) else 2.0 for e in errs] + [math.inf] * len(retry)
+            yi = y + hs * np.add.reduce(K[:i] * coeffs, axis=0, initial=0.0)
+            if raised:
+                yi[raised] = y[raised]
+            K[i], bad = _eval_lanes(F, lanes, yi)
+            raised.extend(bad)
+        err_vec = hs * np.add.reduce(K * _DP_E, axis=0, initial=0.0)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
+        with np.errstate(invalid="ignore", over="ignore"):
+            errs = [math.sqrt(s / n) for s in np.add.reduce((err_vec / sc) ** 2, axis=1).tolist()]
+        err_max = np.abs(err_vec).max(axis=1).tolist()
+        # a non-finite estimate forces a rejection; a raised stage one at h * 0.2
+        errs = [e if math.isfinite(e) else 2.0 for e in errs]
+        for r in raised:
+            errs[r] = math.inf
         acc = [e <= 1.0 for e in errs]
-        for r, b in enumerate(sl.tolist() + retry):
+        for r, b in enumerate(ids):
             err, c = errs[r], counts[b]
             if acc[r]:
                 t[b] += h[b]
@@ -438,9 +437,7 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
         if all(acc):
             y, fy = yi, K[6]
         elif any(acc):
-            acc = acc[: len(sl)]
-            rows = np.searchsorted(lanes, sl)[acc]
-            y[rows], fy[rows] = yi[acc], K[6][acc]
+            y[acc], fy[acc] = yi[acc], K[6][acc]
     if failed:
         raise failed[min(failed)]
     return Y, [IntegrationStats(*c) for c in counts]

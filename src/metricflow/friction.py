@@ -28,12 +28,11 @@ from .exprlang import (
     Expr,
     TIME_NAME,
     as_expr,
-    differentiate,
     evaluate,
     free_vars,
-    gradient,
     is_zero,
     probe_points,
+    simplify,
     to_string,
 )
 from .phasespace import MetricField, zeros_view
@@ -104,21 +103,21 @@ class FrictionSystem:
 
     def __post_init__(self):
         n = self.chart.n
-        H = self.hamiltonian
-        for qname, dq in zip(self.chart.position_names, gradient(H, self.chart.position_names)):
-            for pname, mixed in zip(self.chart.momentum_names, gradient(dq, self.chart.momentum_names)):
-                if not is_zero(mixed):
-                    raise FrictionError(
-                        f"hamiltonian couples {qname} and {pname}: "
-                        "expected the additive form T(p) + U(q)"
-                    )
-        if TIME_NAME in free_vars(H):
+        if TIME_NAME in free_vars(self.hamiltonian):
             raise FrictionError("hamiltonian must be time independent")
         if self.friction.shape != (n, n):
             raise FrictionError(f"friction needs {n} diagonal entries or {n}x{n} matrix entries")
         extra = set().union(*(free_vars(e) for e in self.rates if isinstance(e, Expr))) - {TIME_NAME}
         if extra:
             raise FrictionError(f"diagonal friction entries may depend on t only, found {sorted(extra)}")
+        J = self.vector_field.jacobian_exprs  # J[i][j] = d^2 H / dp_i dq_j, which K does not enter
+        for j, qname in enumerate(self.chart.position_names):
+            for i, pname in enumerate(self.chart.momentum_names):
+                if not is_zero(J[i][j]):
+                    raise FrictionError(
+                        f"hamiltonian couples {qname} and {pname}: "
+                        "expected the additive form T(p) + U(q)"
+                    )
 
     @classmethod
     def build(cls, chart: CoordinateChart, hamiltonian, friction) -> "FrictionSystem":
@@ -259,11 +258,11 @@ def applicability_check(sys: FrictionSystem) -> ApplicabilityResult:
     unequal = [(i, j) for i in range(n) for j in range(i + 1, n) if not _rates_equal(rates[i], rates[j])]
     if not unequal:
         return ApplicabilityResult(True)
-    H = sys.hamiltonian
-    qn, pn = sys.chart.position_names, sys.chart.momentum_names
-    dq, dp = gradient(H, qn), gradient(H, pn)
+    # rows i and n + i of the field's Jacobian are d/dx of dH/dp_i and of
+    # -dH/dq_i - (K p)_i; the q columns of row n + i do not read K
+    J = sys.vector_field.jacobian_exprs
     for i, j in unequal:
-        u_mixed, t_mixed = differentiate(dq[i], qn[j]), differentiate(dp[i], pn[j])
+        u_mixed, t_mixed = simplify(-J[n + i][j]), J[i][n + j]
         if not is_zero(u_mixed) or not is_zero(t_mixed):
             coupling = u_mixed if not is_zero(u_mixed) else t_mixed
             return ApplicabilityResult(

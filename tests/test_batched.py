@@ -399,17 +399,6 @@ def test_brackets_match_interpreted_derivatives():
         assert defect.formula == pytest.approx(defect.numerical, abs=1e-6)
 
 
-def test_time_derivative_is_cached_per_field():
-    chart = CoordinateChart(1)
-    V1 = VectorFieldSpec.from_components(chart, ["p1", "-q1"])
-    V2 = VectorFieldSpec.from_components(chart, ["p1", "-q1 - p1"])
-    A = Observable.parse("q1*p1", chart)
-    d1 = brackets_mod.observable_time_derivative(A, V1)
-    assert brackets_mod.observable_time_derivative(A, V1) is d1
-    d2 = brackets_mod.observable_time_derivative(A, V2)
-    assert d2 is not d1 and d2.expr != d1.expr
-
-
 # ---------------------------------------------------------------------------
 # One integration for the audit's trajectory end and its compressibility.
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from metricflow.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    MAX_DOF,
     _build_system,
     cmd_audit,
     cmd_bracket,
@@ -659,6 +661,63 @@ class TestTimeDependentFriction:
         code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["bracket", "--A", "q1", "--B", "p1", "--C", "q1*p1"])
         columns = json.loads(out)["queries"][0]
         assert code == EXIT_OK and "leibniz" not in columns and columns["bracket"] == 1.0
+
+
+# K(t) = log(t) leaves its domain at t = 0, where the field's split parts are
+# probed; its integral t ln t - t is finite
+LOG_FRICTION = {
+    "n": 1,
+    "hamiltonian": "p1^2/2 + q1^2/2",
+    "friction": ["log(t)"],
+    "t_grid": [0.5, 1.0],
+    "queries": [{"point": [0.3, 0.2], "time": 1.0}],
+}
+
+
+class TestFrictionSingularAtZero:
+    """Each command once exited 65 with "log of non-positive value in 'log(t)'"
+    while building the field."""
+
+    def run(self, tmp_path, capsys, argv):
+        code = main([argv[0], "--config", write_config(tmp_path, LOG_FRICTION), *argv[1:]])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    def test_evolve_metric_has_the_closed_form(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, ["evolve-metric"])
+        rows = parse_csv(out)[1]
+        assert code == EXIT_OK and [r["method"] for r in rows] == ["analytic"] * 2
+        assert [r["w1_2"] for r in rows] == ["0.42888194248050343", "0.36787944117157101"]
+        for t, r in zip((0.5, 1.0), rows):
+            assert float(r["w1_2"]) == pytest.approx(math.exp(t * math.log(t) - t), rel=1e-14)
+            assert float(r["invariance_residual"]) == 0.0
+
+    def test_classify_samples_at_t_zero(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, ["classify"])
+        error = json.loads(out)["error"]
+        assert code == EXIT_CONFIG and error == {"kind": "domain", "message": "log of non-positive value in 'log(t)'"}
+
+    def test_bracket_answers_at_t_one(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, ["bracket", "--A", "q1", "--B", "p1"])
+        columns = json.loads(out)["queries"][0]
+        assert code == EXIT_OK and columns["time"] == 1.0 and columns["bracket"] == 1.0
+
+
+@pytest.mark.parametrize("n", [1e308, MAX_DOF + 1], ids=["huge", "one-past"])
+def test_n_past_the_bound_is_a_config_error(tmp_path, capsys, n):
+    # a huge n once ran out of memory with a traceback, or kept allocating
+    path = write_config(tmp_path, {"n": n, "hamiltonian": "p1^2/2"})
+    start = time.perf_counter()
+    assert main(["classify", "--config", path]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {"kind": "config", "message": f"'n' must be at most {MAX_DOF}"}
+    assert captured.err == ""
+
+
+def test_n_at_the_bound_loads():
+    assert MAX_DOF == 1000 and load_config({"n": MAX_DOF, "hamiltonian": "p1^2/2"}).chart.dim == 2000
 
 
 class TestAudit:

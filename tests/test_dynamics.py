@@ -82,6 +82,17 @@ class TestVectorFieldSpec:
                 (parse("0", chart1), parse("p1", chart1)),
             )
 
+    def test_split_probe_outside_the_domain_checks_nothing(self, chart1):
+        # log(t) leaves its domain at every probe point, which has t = 0, and
+        # sqrt(q1) at those with q1 < 0
+        V = VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + q1^2/2", [[parse("log(t)", chart1)]])
+        assert V.eval([0.3, 0.2], 1.0).tolist() == [0.2, -0.3]
+        X = (parse("p1", chart1), parse("sqrt(q1) - q1", chart1))
+        X1 = (parse("p1", chart1), parse("sqrt(q1)", chart1))
+        VectorFieldSpec(chart1, X, X1, (parse("0", chart1), parse("-q1", chart1)))
+        with pytest.raises(ValueError, match="do not sum"):  # the points with q1 > 0 still check
+            VectorFieldSpec(chart1, X, X1, (parse("0", chart1), parse("p1 - q1", chart1)))
+
     def test_hamiltonian_split(self, damped):
         x = np.array([0.4, -0.3])
         total = damped.eval(x)

@@ -269,6 +269,31 @@ class TestApplicability:
         assert "p2" in free_vars(differentiate(system.hamiltonian, "p1"))
         assert applicability_check(system).ok
 
+    KINETIC = "(p1^2+p2^2)/2 + p1*p2*p2/3 + q1^2 + q2^2"
+
+    @pytest.mark.parametrize(
+        "H, friction, coupling",
+        [
+            ("(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", ["0.5 + 0.1*t", "1"], "0.5"),
+            (KINETIC, [1, 2], "(p2+p2)/3"),
+            (KINETIC + " + sin(q1)*cos(q2)", [1, 2], "cos(q1)*-sin(q2)"),
+        ],
+        ids=["potential", "kinetic", "potential-first"],
+    )
+    def test_coupling_text_is_read_off_the_field_jacobian(self, chart2, H, friction, coupling):
+        # the mixed partials are the q-q and p-p blocks of the field's Jacobian;
+        # a potential coupling is negated back, and names the same text as the
+        # second derivative of H
+        result = applicability_check(FrictionSystem.build(chart2, H, friction))
+        assert not result.ok and result.pair == (1, 2)
+        assert f"coupled through '{coupling}';" in result.detail
+
+    @pytest.mark.parametrize("H, pair", [("sin(q1*p1)", "q1 and p1"), ("(p1^2+p2^2)/2 + q2*p1", "q2 and p1"),
+                                         ("(p1^2+p2^2)/2 + q1*p2 + q2*p1", "q1 and p2")])
+    def test_separability_names_the_first_q_p_pair(self, chart2, H, pair):
+        with pytest.raises(FrictionError, match=f"^hamiltonian couples {pair}: expected the additive form T"):
+            FrictionSystem.build(chart2, H, [1.0, 2.0])
+
 
 class TestInvariants:
     def test_invariance_for_ok_systems(self, damped2_system):

@@ -40,11 +40,11 @@ from metricflow import (
     classify,
     leibniz_defect,
 )
-from metricflow.brackets import BracketFrame, observable_time_derivative
+from metricflow.brackets import LEIBNIZ_DELTA, BracketFrame
 from metricflow.cli import cmd_audit, cmd_bracket, cmd_classify, load_config, main
 from metricflow.dynamics import flow_jet, flow_lanes
 from metricflow.evolution import pullback_jet
-from metricflow.exprlang import evaluate_compiled
+from metricflow.exprlang import TIME_NAME, evaluate_compiled, gradient, simplify
 from metricflow.helmholtz import UniformStream, sample_points
 from metricflow.phasespace import invert_metrics
 
@@ -163,6 +163,13 @@ def test_uniform_stream_seeds_are_non_negative_integers():
 # Stacked bracket frames against the per-point frame formulas.
 
 
+def _time_derivative(A, V):
+    """dA/dt = d_t A + X^k d_k A along the flow of V, as the symbolic observable
+    that the bracket frame once formed per field."""
+    dt, *grad = gradient(A.expr, (TIME_NAME,) + V.chart.names)
+    return Observable(simplify(sum((c * g for c, g in zip(V.components, grad)), dt)))
+
+
 def _point_frame_values(M, V, A, B, C, x):
     """The per-point BracketFrame's bracket, Jacobi residual and Leibniz
     formula at ``x``, as it computed them."""
@@ -195,7 +202,7 @@ def _point_frame_values(M, V, A, B, C, x):
         float(grads[0] @ P @ grads[1]),
         nested(0, 1, 2) + nested(1, 2, 0) + nested(2, 0, 1),
         float(grads[0] @ D @ grads[1]),
-        float(grad(observable_time_derivative(A, V)) @ P @ grads[1]),
+        float(grad(_time_derivative(A, V)) @ P @ grads[1]),
     )
 
 
@@ -215,23 +222,46 @@ def _bracket_cases():
     return [(V, expr, 2.0), (system.vector_field, FrictionAnalyticMetric(system, t0=0.25), 3.0)]
 
 
+def _frame_points(case: int, t_max: float) -> list:
+    rng = np.random.default_rng(31 + case)
+    return [PhasePoint(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.0, t_max))) for _ in range(24)]
+
+
 @pytest.mark.parametrize("case", [0, 1])
 def test_stacked_frame_has_the_bits_of_the_point_formulas(case):
     V, M, t_max = _bracket_cases()[case]
     chart = M.chart
     A, B, C = (Observable.parse(s, chart) for s in ("q1*p2*t + sin(q2)", "exp(p1/3) - q1^2*t", "q2*p1*p2"))
-    rng = np.random.default_rng(31 + case)
-    points = [PhasePoint(rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.0, t_max))) for _ in range(24)]
+    points = _frame_points(case, t_max)
     frame = BracketFrame(M, np.array([x.coords for x in points]), [x.time for x in points])
     brackets, jacobi = frame.bracket(A, B), frame.jacobi_residual(A, B, C)
     defect = frame.leibniz_defect(A, B, V)
-    adot = frame.bracket(observable_time_derivative(A, V), B)
+    adot = frame.bracket(_time_derivative(A, V), B)
     assert frame.P.shape == (24, 4, 4) and brackets.shape == jacobi.shape == defect.formula.shape == (24,)
     for b, x in enumerate(points):
         ref = _point_frame_values(M, V, A, B, C, x)
         assert (brackets[b], jacobi[b], defect.formula[b], adot[b]) == ref
         one = leibniz_defect(A, B, V, M, x)
         assert (one.formula, one.numerical) == (defect.formula[b], defect.numerical[b])
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_leibniz_numerical_matches_the_symbolic_time_derivatives(case):
+    # the frame forms grad dA/dt from the Hessian of A and the field's Jacobian;
+    # the reference differentiates the symbolic dA/dt, from the same +-delta flows
+    V, M, t_max = _bracket_cases()[case]
+    chart = M.chart
+    A, B = (Observable.parse(s, chart) for s in ("q1*p2*t + sin(q2)", "exp(p1/3) - q1^2*t"))
+    points = _frame_points(case, t_max)
+    X, T = np.array([x.coords for x in points]), np.array([x.time for x in points])
+    frame = BracketFrame(M, X, T)
+    numerical = frame.leibniz_defect(A, B, V).numerical
+    T1 = np.repeat(T, 2) + np.tile([LEIBNIZ_DELTA, -LEIBNIZ_DELTA], 24)
+    Y, _ = flow_lanes(V, np.repeat(X, 2, axis=0), T1 - np.repeat(T, 2))
+    c = BracketFrame(M, Y[:, :4], T1).bracket(A, B)
+    ref = ((c[::2] - c[1::2]) / (2.0 * LEIBNIZ_DELTA) - frame.bracket(_time_derivative(A, V), B)
+           - frame.bracket(A, _time_derivative(B, V)))
+    assert np.max(np.abs(numerical - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
