@@ -287,14 +287,19 @@ def _route_table(cfg: SystemConfig, V: VectorFieldSpec, fsys, M0: MetricField) -
     return table
 
 
-def _evolve_cells(V: VectorFieldSpec, M: MetricField, x: np.ndarray, t: float, pairs) -> list[str]:
+def _evolve_cells(V: VectorFieldSpec, M: MetricField, x: np.ndarray, t: float, pairs, method: str) -> list[str]:
     """The upper entries of W, sqrt_g and the Jacobi and invariance residuals
-    of one evolve-metric row, from one jet of M at (x, t)."""
-    W, D, Wt = M.jet(x, t)
-    sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
-    jac = float(jacobi_residuals(D[None])[0])
-    inv = float(np.max(np.abs(invariance_residuals(V, x[None], [t], W[None], D[None], Wt[None]))))
-    return [f"{W[k, l]:.17g}" for k, l in pairs] + [f"{sqrt_g:.17g}", f"{jac:.17g}", f"{inv:.17g}"]
+    of one evolve-metric row, from one jet of M at (x, t); a row with a cell
+    that is not finite is an EvolutionError."""
+    with np.errstate(all="ignore"):
+        W, D, Wt = M.jet(x, t)
+        sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
+        jac = float(jacobi_residuals(D[None])[0])
+        inv = float(np.max(np.abs(invariance_residuals(V, x[None], [t], W[None], D[None], Wt[None]))))
+    cells = [W[k, l] for k, l in pairs] + [sqrt_g, jac, inv]
+    if not all(map(math.isfinite, cells)):
+        raise EvolutionError(f"the {method} route gives a non-finite row at t={t:.17g}")
+    return [f"{c:.17g}" for c in cells]
 
 
 def cmd_evolve_metric(cfg: SystemConfig):
@@ -321,7 +326,7 @@ def cmd_evolve_metric(cfg: SystemConfig):
     for t in cfg.t_grid:
         for method in methods:
             warn_cell = warning_text if method == "analytic" else ""
-            rows.append([f"{t:.17g}", method, *_evolve_cells(V, fields[method], x_eval, t, pairs), warn_cell])
+            rows.append([f"{t:.17g}", method, *_evolve_cells(V, fields[method], x_eval, t, pairs, method), warn_cell])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

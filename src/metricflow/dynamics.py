@@ -251,7 +251,8 @@ def compressibility(V: VectorFieldSpec, x: PhasePoint) -> float:
 
 # ---------------------------------------------------------------------------
 # Matrix exponential: scaling and squaring with [m/m] Pade approximants
-# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), and past theta_13 the
+# squarings of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009).
 
 # (m, theta_m): the largest 1-norm at which the degree-m approximant is
 # accurate to double precision (Higham 2005, Table 2.3)
@@ -260,14 +261,43 @@ _PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
 # the numerator's coefficients b_j = (2m - j)! / (j! (m - j)!)
 _PADE_B = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)]
            for m, _ in _PADE_THETA}
+# log2 |c_27|, the leading coefficient of the degree-13 approximant's backward error
+_LOG2_C27 = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
+
+
+def _squarings(A: np.ndarray, norm: float, theta: float) -> int:
+    """The squarings s of the degree-13 approximant for A with 1-norm
+    ``norm`` past theta = theta_13 (Al-Mohy & Higham 2009, Algorithm 5.1).
+
+    s scales eta = min(max(d6, d8), max(d8, d10)), d_k = ||A^k||_1^(1/k), to
+    theta, with the powers formed from A / ||A||_1, which cannot
+    overflow.  The ell correction adds squarings while the backward error
+    bound |c_27| || |2^-s A|^27 ||_1 / ||2^-s A||_1 exceeds 2^-53.
+    """
+    B = A / norm
+    B2 = B @ B
+    B4 = B2 @ B2
+    B6 = B4 @ B2
+    d6, d8, d10 = (norm * float(np.abs(P).sum(axis=0).max()) ** (1 / k)
+                   for P, k in ((B6, 6), (B4 @ B4, 8), (B4 @ B6, 10)))
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / theta)), 0) if eta > 0 else 0
+    v, abs_B = np.ones(len(A)), np.abs(B)
+    for _ in range(27):  # the column sums of |B|^27
+        v = v @ abs_B
+    if v.max() > 0:
+        log2_bound = _LOG2_C27 + 26 * (math.log2(norm) - s) + math.log2(v.max())
+        s += max(math.ceil((log2_bound + 53) / 26), 0)
+    return s
 
 
 def expm(A) -> np.ndarray:
     """exp(A) of a real square matrix.
 
     The degree m is the lowest whose theta_m bounds the 1-norm of A.  Past
-    theta_13, A is scaled by 2^-s for degree 13 and the result squared s
-    times.  A diagonal A gives diag(exp(diag A)), a non-finite one NaN.
+    theta_13, A is scaled by 2^-s for degree 13 (:func:`_squarings`) and
+    the result squared s times.  A diagonal A gives diag(exp(diag A)), a
+    non-finite one NaN.
     """
     A = np.asarray(A, dtype=float)
     diag = np.diagonal(A)
@@ -277,7 +307,7 @@ def expm(A) -> np.ndarray:
     if not math.isfinite(norm):
         return np.full(A.shape, np.nan)
     m, theta = next((m, theta) for m, theta in _PADE_THETA if norm <= theta or m == 13)
-    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    s = _squarings(A, norm, theta) if norm > theta else 0
     A = np.ldexp(A, -s)
     b, eye, A2 = _PADE_B[m], np.eye(len(A)), A @ A
     if m < 13:

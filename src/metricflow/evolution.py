@@ -1,7 +1,7 @@
 """Metric evolution: keep the 2-form an integral of motion.
 
-Three independent routes evolve an initial metric so that its total time
-derivative along the flow vanishes.  Each is evaluated as a metric field
+Three routes evolve an initial metric so that its total time derivative
+along the flow vanishes.  Each is evaluated as a metric field
 (:class:`SeriesMetric`, :class:`SplitMetric`, :class:`TransportedMetric`).
 Where a route works numerically it transports the metric by one primitive,
 the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
@@ -13,16 +13,16 @@ the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
 * Strang splitting of that exponential over the Hamiltonian/friction parts
   X = X1 + X2.  exp(hJ_X) is the pullback along the sub-flow of X (Lie
   series), so each step follows the backward sub-flows of X2 for dt/2, X1
-  for dt and X2 for dt/2 and M is the product of their tangent maps: exact
-  matrix exponentials for affine parts, DOPRI5 otherwise,
-* pullback transport: M is the Jacobian of the backward flow (invariant by
-  construction; this route is the reference oracle).
+  for dt and X2 for dt/2,
+* pullback along the backward flow of the whole field, one sub-flow
+  (invariant by construction; this route is the reference oracle).
 
-The split and pullback transports also give the exact derivatives of W in
-space and time (:func:`congruence_jet`): the backward integration carries
-the second-order variational equation for the derivatives of M (Hairer,
-Norsett & Wanner, *Solving ODEs I*, I.14), and the split walk carries them
-through its sub-flows by the chain rule.
+Split and pullback are one walk over backward sub-flows
+(:func:`_transport_jet`): M is the product of their tangent maps, exact
+matrix exponentials for affine fields, DOPRI5 otherwise.  The walk also
+gives the exact derivatives of W in space and time (:func:`congruence_jet`),
+carrying those of each tangent map, from the second-order variational
+equation (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), by the chain rule.
 
 The invariance residual dw_kl/dt - d_k(w_lm X^m) + d_l(w_km X^m) measures
 how far a given field is from being conserved.
@@ -30,6 +30,7 @@ how far a given field is from being conserved.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -77,12 +78,17 @@ def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
 
 
 class _SeriesBasis(Monomials):
-    """Monomials that stop growing once a d x d array of series, one
-    operator power, would hold more than MAX_SERIES_COEFFS coefficients."""
+    """Monomials that stop growing at ``cap``, the first degree at which a
+    d x d array of series, one operator power, would hold more than
+    MAX_SERIES_COEFFS coefficients."""
+
+    def __init__(self, d: int):
+        super().__init__(d)
+        self.cap = next(k for k in itertools.count() if d**2 * math.comb(k + d, d) > MAX_SERIES_COEFFS)
 
     def grow(self, degree: int) -> None:
-        size = self.d**2 * math.comb(degree + self.d, self.d)
-        if degree >= len(self.sizes) and size > MAX_SERIES_COEFFS:
+        if degree >= max(len(self.sizes), self.cap):
+            size = self.d**2 * math.comb(degree + self.d, self.d)
             raise ExpressionSizeError(
                 f"series terms of degree {degree} need {size} coefficients (cap {MAX_SERIES_COEFFS})"
             )
@@ -94,7 +100,7 @@ class SeriesPropagator:
 
     Linear fields take the exact congruence by expm(-tA).  Otherwise the
     powers P_j = J^j W0 come from truncated Taylor series at the point: the
-    field is expanded there to degree order + 1 (:func:`taylor_expand`),
+    field is expanded there to degree order + 1, at most cap + 1 (:func:`taylor_expand`),
     and each application of J, (J W)_kl = d_k(w_lm X^m) - d_l(w_km X^m),
     multiplies and differentiates coefficient arrays and so drops one
     degree.  P_j and its coordinate gradient are the degree-0 and degree-1
@@ -118,7 +124,11 @@ class SeriesPropagator:
         # the field is autonomous and W0 constant, so the powers do not involve t
         key = (np.asarray(coords, dtype=float).tobytes(), order)
         if key != self._point:
-            self._X = taylor_expand(self.V.components, self.V.chart, coords, 0.0, order + 1, self.basis)
+            # an expansion whose terms reach the cap raises; the Taylor coefficients
+            # of exp, sin, cos, tanh, log and u^b are never zero twice in a row
+            # before they end, so one at degree cap + 1 does too
+            degree = min(order + 1, self.basis.cap + 1)
+            self._X = taylor_expand(self.V.components, self.V.chart, coords, 0.0, degree, self.basis)
             self._W = self.W0[:, :, None]
             self._terms = []
             self._point = key
@@ -181,46 +191,45 @@ class SeriesPropagator:
         return total, SeriesInfo("series", terms, last_norm, diverging)
 
 
-def congruence_jet(
-    W0: np.ndarray, dW0: np.ndarray | None, J: np.ndarray, dM: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def congruence_jet(W0: np.ndarray, dW0: np.ndarray, J: np.ndarray,
+                   dM: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`congruence` with its derivatives along the columns of ``J``.
 
-    ``W0`` = w(x0) is the metric at the preimage x0 and dW0[a] = d_a w(x0)
-    (None for a constant metric).  Column k of ``J`` is the derivative of
-    x0 along direction k: the d coordinates, whose columns make up the
-    tangent map M = dx0/dx, then time.  dM[k] is the derivative of M along
-    direction k.  The derivative of W along it is the skew part of
-    dM[k]^T W0 M + M^T W0 dM[k] + M^T (sum_a dW0[a] J[a, k]) M.  Returns
-    (W, dW/dx, dW/dt).
+    ``W0`` = w(x0) is the metric at the preimage x0 and dW0[a] = d_a w(x0).
+    Column k of ``J`` is the derivative of x0 along direction k: the d
+    coordinates, whose columns make up the tangent map M = dx0/dx, then
+    time.  dM[k] is the derivative of M along direction k.  The derivative
+    of W along it is the skew part of dM[k]^T W0 M + M^T W0 dM[k] +
+    M^T (sum_a dW0[a] J[a, k]) M.  Returns (W, dW/dx, dW/dt).
     """
     d = W0.shape[0]
     M = J[:, :d]
     S = 0.5 * (W0 - W0.T)
     A = dM.transpose(0, 2, 1) @ (S @ M)
     D = A - A.transpose(0, 2, 1)
-    if dW0 is not None and dW0.any():
+    if dW0.any():
         C = M.T @ np.tensordot(J, dW0, axes=(0, 0)) @ M
         D += 0.5 * (C - C.transpose(0, 2, 1))
     return congruence(M, W0), D[:d], D[d]
 
 
-def _backward_subflow(X: VectorFieldSpec, h: float, rate: float):
-    """The time-(-h) flow Phi of the part field X, in homogeneous
-    coordinates, as y -> (E, G, D^2 Phi(y)).
+def _backward_subflow(X: VectorFieldSpec, h: float, rate: float, opts: IntegratorOptions):
+    """The time-(-h) flow Phi of the field X, in homogeneous coordinates,
+    as y -> (E, G, D^2 Phi(y)).
 
     E = [[D Phi(y), Phi(y) - D Phi(y) y], [0, 1]] maps [M | y] to the end
     point and the tangent map there.  G = rate [[DX, X - DX y], [0, 0]] at
     the end point maps them to their change with t when the sub-flow lasts
-    h = rate * t.  For affine X, E and G are the same at every y and the
-    second derivative is None.
+    h = rate * t.  For affine X, E and G are the same at every y, E is the
+    exact exponential of the augmented generator and the second derivative
+    is None; otherwise DOPRI5 integrates the flow at ``opts``.
     """
     d = X.chart.dim
     A = X.constant_jacobian
     if A is None:
 
         def step(y):
-            end, D, D2 = flow_jet(X, y, -h, TRANSPORT_OPTIONS)
+            end, D, D2 = flow_jet(X, y, -h, opts)
             Xe, DX = (v[0] for v in X.eval_jacobian(end[None]))
             E = np.block([[D, (end - D @ y)[:, None]], [np.zeros(d), 1.0]])
             G = np.block([[DX, (Xe - DX @ end)[:, None]], [np.zeros(d), 0.0]])
@@ -233,70 +242,66 @@ def _backward_subflow(X: VectorFieldSpec, h: float, rate: float):
     return lambda y: (E, rate * G, None)
 
 
-def split_jet(
-    V: VectorFieldSpec, W0: np.ndarray, steps: int, coords, time: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The split-propagated metric at (coords, time) with its exact derivatives.
+def _transport_jet(sub_flows, M0: MetricField, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric ``M0`` at time 0 carried to ``coords`` backward through
+    ``sub_flows`` (:func:`_backward_subflow`), with its exact derivatives.
 
-    Walks the 3N Strang sub-flows backward from ``coords``, carrying the
-    point y, its tangent map M, the derivatives d_k M, dM/dt and dy/dt by
-    the chain rule.  In homogeneous coordinates all of them move under a
-    sub-flow's E; its second derivative adds D^2 Phi [v, M] to the
-    derivative of M along each direction v, and its duration adds
-    -G [M | y] to (dM/dt, dy/dt).  Returns (W, dW/dx, dW/dt).
+    The walk carries the point y, its tangent map M, the derivatives d_k M,
+    dM/dt and dy/dt by the chain rule.  In homogeneous coordinates all of
+    them move under a sub-flow's E; its second derivative adds D^2 Phi [v, M]
+    to the derivative of M along each direction v, and its duration adds
+    -G [M | y] to (dM/dt, dy/dt).  It ends at the preimage y, where M0's jet
+    is read.  Returns (W, dW/dx, dW/dt).
     """
-    d = V.chart.dim
+    d = M0.chart.dim
     K = d + 1
-    dt = time / steps
-    X1, X2 = V.parts
-    half = _backward_subflow(X2, 0.5 * dt, 0.5 / steps)
-    strang = (half, _backward_subflow(X1, dt, 1.0 / steps), half)
     # columns [M | y | d_1 M | ... | d_d M | dM/dt | dy/dt]; the last row is
     # 1 under y and 0 elsewhere
     Q = np.zeros((K, K + K * d + 1))
     Q[:, :K] = np.eye(K)
     Q[:d, d] = coords
-    for _ in range(steps):
-        for sub_flow in strang:
-            E, G, D2 = sub_flow(Q[:d, d])
-            Q_next = E @ Q
-            if D2 is not None:
-                directions = np.column_stack((Q[:d, :d], Q[:d, -1]))  # e_k through M, then t
-                Q_next[:d, K:-1] += ((D2 @ directions).transpose(0, 2, 1) @ Q[:d, :d]).reshape(d, -1)
-            Q_next[:, -K:] -= G @ Q_next[:, :K]
-            Q = Q_next
+    for sub_flow in sub_flows:
+        E, G, D2 = sub_flow(Q[:d, d])
+        Q_next = E @ Q
+        if D2 is not None:
+            directions = np.column_stack((Q[:d, :d], Q[:d, -1]))  # e_k through M, then t
+            Q_next[:d, K:-1] += ((D2 @ directions).transpose(0, 2, 1) @ Q[:d, :d]).reshape(d, -1)
+        Q_next[:, -K:] -= G @ Q_next[:, :K]
+        Q = Q_next
     J = np.column_stack((Q[:d, :d], Q[:d, -1]))
-    return congruence_jet(W0, None, J, Q[:d, K:-1].reshape(d, K, d).transpose(1, 0, 2))
+    W0, dW0, _ = M0.jet(Q[:d, d], 0.0)
+    return congruence_jet(W0, dW0, J, Q[:d, K:-1].reshape(d, K, d).transpose(1, 0, 2))
 
 
-def pullback_jet(
-    V: VectorFieldSpec,
-    M0: MetricField,
-    coords,
-    time: float,
-    opts: IntegratorOptions | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_jet(V: VectorFieldSpec, M0: MetricField, steps: int, coords,
+              time: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split-propagated metric at (coords, time) with its exact
+    derivatives: the transport walk (:func:`_transport_jet`) over the 3N
+    Strang sub-flows, X2 for dt/2, X1 for dt and X2 for dt/2 per step."""
+    dt = time / steps
+    X1, X2 = V.parts
+    half = _backward_subflow(X2, 0.5 * dt, 0.5 / steps, TRANSPORT_OPTIONS)
+    strang = (half, _backward_subflow(X1, dt, 1.0 / steps, TRANSPORT_OPTIONS), half)
+    return _transport_jet(strang * steps, M0, coords)
+
+
+def pullback_jet(V: VectorFieldSpec, M0: MetricField, coords, time: float,
+                 opts: IntegratorOptions | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The time-0 metric pulled back to (coords, time), with its exact
-    derivatives: (W, dW/dx, dW/dt).
-
-    One backward integration gives the preimage x0, its tangent map M and
-    H = dM/dx (:func:`flow_jet`), at ``opts`` or TRANSPORT_OPTIONS.  With
-    time they move as dx0/dt = -X(x0) and dM/dt = -DX(x0) M.
-    """
-    x0, M, H = flow_jet(V, coords, -time, opts or TRANSPORT_OPTIONS)
-    Xv, DX = V.eval_jacobian(x0[None])
-    J = np.column_stack([M, -Xv[0]])
-    dM = np.concatenate([H.transpose(2, 0, 1), [-DX[0] @ M]])
-    W0, dW0, _ = M0.jet(x0, 0.0)
-    return congruence_jet(W0, dW0, J, dM)
+    derivatives: the transport walk (:func:`_transport_jet`) over one
+    backward sub-flow of the whole field, integrated at ``opts`` or
+    TRANSPORT_OPTIONS unless the field is affine."""
+    if not V.autonomous:  # the affine sub-flow reads X at t = 0
+        raise ValueError("cannot integrate a vector field that reads t")
+    return _transport_jet([_backward_subflow(V, time, 1.0, opts or TRANSPORT_OPTIONS)], M0, coords)
 
 
 class TransportedMetric(MetricField):
     """Representation (d): an initial metric transported along a flow.
 
     Each jet pulls the time-0 metric back along the trajectory through the
-    queried point (:func:`pullback_jet`): one backward integration per
-    query, whose cost is the caller's.
+    queried point (:func:`pullback_jet`): one matrix exponential for an
+    affine field, otherwise one backward integration, at the caller's cost.
     """
 
     def __init__(self, initial: MetricField, field: VectorFieldSpec, opts: IntegratorOptions | None = None):
@@ -309,17 +314,11 @@ class TransportedMetric(MetricField):
         return pullback_jet(self.field, self.initial, np.asarray(coords, dtype=float), float(time), self.opts)
 
 
-def pullback_metric(
-    V: VectorFieldSpec,
-    M0: MetricField,
-    x: PhasePoint,
-    t: float | None = None,
-    opts: IntegratorOptions | None = None,
-) -> np.ndarray:
-    """Transport the time-0 metric to ``x`` at time ``t`` along the flow.
-
-    Computes the backward-flow preimage x0 and its Jacobian M, then returns
-    M^T w(x0, 0) M.  Enforces conservation of the 2-form by construction.
+def pullback_metric(V: VectorFieldSpec, M0: MetricField, x: PhasePoint, t: float | None = None,
+                    opts: IntegratorOptions | None = None) -> np.ndarray:
+    """Transport the time-0 metric to ``x`` at time ``t`` along the flow:
+    M^T w(x0, 0) M for the backward-flow preimage x0 and its Jacobian M
+    (:func:`pullback_jet`), conserved by construction.
     """
     _check_point(V.chart, x)
     return pullback_jet(V, M0, x.coords, x.time if t is None else float(t), opts)[0]
@@ -404,8 +403,8 @@ class SplitMetric(MetricField):
             raise ValueError("steps must be >= 1")
         self.chart = V.chart
         self.V = V
-        self.W0 = ConstantMetric(V.chart, W0).matrix
+        self.initial = ConstantMetric(V.chart, W0)
         self.steps = steps
 
     def jet(self, coords, time):
-        return split_jet(self.V, self.W0, self.steps, np.asarray(coords, dtype=float), float(time))
+        return split_jet(self.V, self.initial, self.steps, np.asarray(coords, dtype=float), float(time))

@@ -463,24 +463,28 @@ class Monomials:
         du = u.copy()
         du[0] = 0.0
         du = self.trim(du)
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        out = np.array(coeffs[-1:])
-        for c in coeffs[-2::-1]:
+        top = len(coeffs) - 1
+        while top and coeffs[top] == 0.0:
+            top -= 1
+        out = np.array(coeffs[top : top + 1])
+        for c in reversed(coeffs[:top]):
             out = self.mul(out, du, degree)
             out[0] += c
         return out
 
 
 def _binomial(e: Expr, b: float, u0: float, degree: int) -> list[float]:
-    """Taylor coefficients of u^b at u0: binomial(b, n) u0^(b - n)."""
+    """Taylor coefficients of u^b at u0: binomial(b, n) u0^(b - n), up to
+    the first that is exactly zero (for an integer b >= 0, all after it are)."""
     if u0 == 0.0:
         if not (b >= 0.0 and float(b).is_integer()):
             raise DomainError("no Taylor expansion at 0", e)
-        return [float(n == b) for n in range(degree + 1)]
+        return [float(n == b) for n in range(int(min(degree, b)) + 1)]
     out, c = [], 1.0
     for n in range(degree + 1):
-        out.append(c * _pow(u0, b - n) if c else 0.0)
+        if not c:
+            break
+        out.append(c * _pow(u0, b - n))
         c *= (b - n) / (n + 1)
     return out
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -615,6 +616,32 @@ class TestEvolveMetric:
         assert all(abs(w[m] - 2 * np.exp(0.5 * 0.5)) < tol[m] for m in w), w
 
 
+DAMPED = {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "metric": "friction-analytic",
+          "t_grid": [0.25, 0.5, 1.0], "queries": [{"point": [0.3, 0.7], "time": 0.0}]}
+# dq/dt = 1e300 p, dp/dt = q: the exponential of its generator overflows
+HUGE_RATE = {"n": 1, "t_grid": [0.5], "queries": [{"point": [0.3, -0.2]}]}
+
+
+@pytest.mark.parametrize("data, method", [
+    ({**DAMPED, "friction": 1000.0}, "analytic"),
+    ({**DAMPED, "friction": 1000.0}, "pullback"),
+    ({**DAMPED, "friction": 1e20}, "analytic"),
+    ({**DAMPED, "friction": 1e20}, "pullback"),
+    ({**HUGE_RATE, "components": ["1e300*p1", "q1"]}, "series"),
+    ({**HUGE_RATE, "hamiltonian": "1e300*p1^2/2 - q1^2/2"}, "split"),
+    ({**HUGE_RATE, "components": ["1e300*p1", "q1"]}, "pullback"),
+])
+def test_a_non_finite_row_is_an_evolution_error(tmp_path, capsys, data, method):
+    path = write_config(tmp_path, {**data, "methods": [method]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve-metric", "--config", path]) == EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]  # one JSON object
+    assert error["kind"] == "evolution" and error["message"].startswith(f"the {method} route gives a non-finite row at t=")
+    assert err == "" and caught == []
+
+
 QUARTIC_KT = {
     "n": 2,
     "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2",
@@ -886,6 +913,19 @@ class TestMainEntry:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "evolution"
         assert "cap 250000" in error["message"]
+
+    def test_a_huge_series_order_ends_at_the_cap(self, tmp_path, capsys):
+        # the expansion stops two degrees past the cap, so the powers reach it at once
+        W0 = [["0", "0.3", "1", "-0.2"], ["-0.3", "0", "0.1", "1"], ["-1", "-0.1", "0", "0.4"], ["0.2", "-1", "-0.4", "0"]]
+        data = {"n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", "friction": 1.0, "metric": W0,
+                "series": {"order": 10**9, "mode": "generic"}, "methods": ["series"], "t_grid": [0.5],
+                "queries": [{"point": [0.3, -0.2, 0.1, 0.4], "time": 0.0}]}
+        path = write_config(tmp_path, data)
+        start = time.perf_counter()
+        assert main(["evolve-metric", "--config", path]) == EXIT_RUNTIME
+        assert time.perf_counter() - start < 0.2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "evolution" and "cap 250000" in error["message"]
 
     @pytest.mark.parametrize("entry", ["sin(exp(1000))", "cos(-exp(1000*q1))"])
     def test_trig_of_overflow_names_the_entry(self, tmp_path, entry):

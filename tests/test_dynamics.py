@@ -290,6 +290,32 @@ def test_expm_of_a_non_finite_argument_is_nan(bad):
     assert E.shape == (2, 2) and np.isnan(E).all()
 
 
+def test_expm_of_a_non_normal_argument_past_theta_13_is_not_finite():
+    # exp(+-1e150) overflows; scaling by the 1-norm alone returned zeros
+    with np.errstate(all="ignore"):
+        E = metricflow_expm(np.array([[0.0, 1e300], [1.0, 0.0]]))
+    assert not np.isfinite(E).all()
+
+
+@pytest.mark.parametrize("scale", [-100.0, -10.0])
+def test_expm_of_a_damped_chain_is_as_accurate_as_scipy(scale):
+    import mpmath
+
+    from metricflow import CoordinateChart, FrictionSystem
+
+    n = 6
+    H = " + ".join([f"p{i}^2/2 + q{i}^2/2" for i in range(1, n + 1)] + [f"(q{i} - q{i + 1})^2/2" for i in range(1, n)])
+    rates = [(0.5, 1.0, 1.5)[i % 3] for i in range(n)]
+    A = scale * FrictionSystem.build(CoordinateChart(n), H, rates).vector_field.constant_jacobian
+    with mpmath.workdps(40):
+        ref = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+
+    def error(E):
+        return np.abs(E - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+
+    assert error(metricflow_expm(A)) <= 2 * error(expm(A))
+
+
 class TestTangentMap:
     def test_identity_at_start(self, damped):
         M = integrate_flow(damped, PhasePoint([0.5, 0.5]), 0.0).tangent

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from metricflow import (
     ConstantMetric,
@@ -21,9 +22,10 @@ from metricflow import (
     metric_determinant,
     pullback_metric,
 )
-from metricflow.evolution import EvolutionError
+from metricflow.evolution import EvolutionError, congruence
 from metricflow.exprlang import DomainError, evaluate, parse
 from metricflow.friction import analytic_metric
+from metricflow.phasespace import ExprMetric
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -536,18 +538,59 @@ class TestTransportStencil:
         for name in ("eval", "jacobian", "hessian", "eval_jacobian"):
             monkeypatch.setattr(VectorFieldSpec, name, counting(name, getattr(VectorFieldSpec, name)))
         monkeypatch.setattr(dynamics, "evaluate_batch", counting("rhs", dynamics.evaluate_batch))
-        for V in (self.affine_chain(), self.coupled_quartic(chart2)):
-            field = TransportedMetric(canonical_metric(V.chart), V)
-            x = np.linspace(-0.4, 0.5, V.chart.dim)
-            calls.clear()
-            field.value(x, 0.5)
-            # per right-hand side of (y, M, H) one compiled evaluation of X
-            # with its Jacobian and one of the second derivatives, none per
-            # column; one read of X with its Jacobian, itself one compiled
-            # evaluation, gives dx0/dt and dM/dt
-            n = calls.count("rhs") - 1
-            assert n > 1 and calls.count("eval_jacobian") == 1 and calls.count("eval") == calls.count("jacobian") == 0
-            assert calls.count("hessian") == (0 if V.constant_jacobian is not None else n)
+        # the affine chain is transported by the exponential of its augmented
+        # generator, with no right-hand side
+        V = self.affine_chain()
+        W0 = canonical_metric(V.chart)
+        x = np.linspace(-0.4, 0.5, V.chart.dim)
+        calls.clear()
+        W = TransportedMetric(W0, V).value(x, 0.5)
+        assert calls.count("rhs") == calls.count("eval_jacobian") == calls.count("hessian") == 0
+        ref = congruence(scipy_expm(-0.5 * V.constant_jacobian), W0.matrix)
+        assert np.max(np.abs(W - ref)) <= 1e-13 * np.max(np.abs(ref))
+        V = self.coupled_quartic(chart2)
+        field = TransportedMetric(canonical_metric(V.chart), V)
+        calls.clear()
+        field.value(np.linspace(-0.4, 0.5, V.chart.dim), 0.5)
+        # per right-hand side of (y, M, H) one compiled evaluation of X
+        # with its Jacobian and one of the second derivatives, none per
+        # column; one read of X with its Jacobian, itself one compiled
+        # evaluation, gives dx0/dt and dM/dt
+        n = calls.count("rhs") - 1
+        assert n > 1 and calls.count("eval_jacobian") == 1 and calls.count("eval") == calls.count("jacobian") == 0
+        assert calls.count("hessian") == n
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+    def test_affine_pullback_is_exact(self, damped, t):
+        # the damped oscillator carries the canonical metric to e^t times it
+        W = TransportedMetric(canonical_metric(damped.chart), damped).value(np.array([0.3, 0.7]), t)
+        assert abs(W[0, 1] - np.exp(t)) <= 4 * np.spacing(np.exp(t))
+        assert abs(W[0, 0]) == abs(W[1, 1]) == 0.0 and W[1, 0] == -W[0, 1]
+
+    def test_pullback_refuses_a_field_that_reads_t(self, chart1):
+        # the field is affine in x, but its exponential would read X at t = 0
+        V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 + sin(t)"])
+        with pytest.raises(ValueError, match="cannot integrate a vector field that reads t"):
+            TransportedMetric(canonical_metric(chart1), V).value([0.3, -0.2], 0.5)
+
+    def test_pullback_of_a_varying_metric_matches_the_variational_jet(self, chart2):
+        # the one backward integration of (x0, M, H) with dx0/dt = -X(x0),
+        # dM/dt = -DX(x0) M, and the metric's jet read at x0
+        from metricflow.dynamics import TRANSPORT_OPTIONS, flow_jet
+        from metricflow.evolution import congruence_jet
+
+        V = self.coupled_quartic(chart2)
+        S = self.generic_w0(chart2).matrix
+        M0 = ExprMetric(chart2, [[f"({S[k, l]:.17g})*(1 + q1*p2/3 + q2^2/5)" for l in range(4)] for k in range(4)])
+        x, t = np.array([0.3, -0.2, 0.1, 0.4]), 0.5
+        x0, M, H = flow_jet(V, x, -t, TRANSPORT_OPTIONS)
+        Xv, DX = V.eval_jacobian(x0[None])
+        W0, dW0, _ = M0.jet(x0, 0.0)
+        assert dW0.any()
+        ref = congruence_jet(W0, dW0, np.column_stack([M, -Xv[0]]),
+                             np.concatenate([H.transpose(2, 0, 1), [-DX[0] @ M]]))
+        for got, want in zip(TransportedMetric(M0, V).jet(x, t), ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("t", [0.5, -0.3])
     def test_affine_chain_matches_per_copy_loop_exactly(self, t):
