@@ -176,7 +176,7 @@ class BracketFrame:
 
         T0 = np.repeat(self.T, 2)
         T1 = T0 + np.tile([LEIBNIZ_DELTA, -LEIBNIZ_DELTA], len(self.T))
-        Y, _ = flow_lanes(V, np.repeat(self.X, 2, axis=0), T1 - T0, opts)
+        Y, _ = flow_lanes(V, np.repeat(self.X, 2, axis=0), T1 - T0, opts, T0=T0)
         c = BracketFrame(self.M, Y[:, : V.chart.dim], T1).bracket(A, B)
         numerical = ((c[::2] - c[1::2]) / (2.0 * LEIBNIZ_DELTA) - _contract(rate_gradient(A), P, gB)
                      - _contract(gA, P, rate_gradient(B)))

@@ -278,7 +278,7 @@ def _route_table(cfg: SystemConfig, V: VectorFieldSpec, fsys, M0: MetricField) -
         "series": ([field, linear, constant], lambda: SeriesMetric(V, W0, cfg.series_order, cfg.series_mode)),
         "split": ([field, (V.part1 is not None, "needs a declared Hamiltonian/friction split"), constant],
                   lambda: SplitMetric(V, W0, cfg.splitting_steps)),
-        "pullback": ([field], lambda: TransportedMetric(M0, V, opts=cfg.integrator)),
+        "pullback": ([], lambda: TransportedMetric(M0, V, opts=cfg.integrator)),
     }
     table = {}
     for route, (needs, build) in routes.items():
@@ -308,7 +308,6 @@ def cmd_evolve_metric(cfg: SystemConfig):
     methods = cfg.methods
     if methods is None:
         methods = [m for m, field in fields.items() if not isinstance(field, str)]
-        _require(methods, "no evolution route is applicable to this configuration")
     for m in methods:
         _require(not isinstance(fields[m], str), fields[m])
     d = cfg.chart.dim
@@ -336,7 +335,6 @@ def cmd_evolve_metric(cfg: SystemConfig):
 def cmd_audit(cfg: SystemConfig, tol: float = 1e-8, seed: int | None = None):
     _require(cfg.t_max >= 0.2, "'t_max' must be at least 0.2, the start of the audited trajectories")
     V, fsys = _build_system(cfg)
-    _require(V.autonomous, f"audit {NEEDS_AUTONOMOUS}")
     M = _build_metric(cfg, fsys)
     stream = UniformStream(cfg.samples_seed if seed is None else seed)
     count, d, box = cfg.samples_count, cfg.chart.dim, cfg.samples_box
@@ -389,9 +387,8 @@ def cmd_bracket(cfg: SystemConfig, a_text: str, b_text: str, c_text: str | None 
     columns = {"point": frame.X, "time": frame.T, "bracket": frame.bracket(A, B)}
     if C is not None:
         columns["jacobi_residual"] = frame.jacobi_residual(A, B, C)
-    if V.autonomous:  # the +-delta flows integrate the field
-        defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
-        columns["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
+    defect = frame.leibniz_defect(A, B, V, opts=cfg.integrator)
+    columns["leibniz"] = {"formula": defect.formula, "numerical": defect.numerical}
     return {"queries": Rows(columns)}, EXIT_OK
 
 

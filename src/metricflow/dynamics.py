@@ -1,13 +1,13 @@
 """Dynamical systems dx/dt = X(x, t): fields, flows, tangent maps.
 
-A field may read ``t``, but only an autonomous one is integrated.  One
-adaptive Dormand-Prince 5(4) stepper integrates every flow.  Its callers are
-lanes, trajectories advanced as the rows of one array, each with its own step
-control (:func:`flow_lanes`); a trajectory to one end time is one lane, and
-states at several times are a lane each.  Beside its trajectory a lane
+One adaptive Dormand-Prince 5(4) stepper integrates every flow.  Its callers
+are lanes, trajectories advanced as the rows of one array, each with its own
+step control (:func:`flow_lanes`); a trajectory to one end time is one lane,
+and states at several times are a lane each.  Beside its trajectory a lane
 carries the tangent map from the variational equations, also its
-derivatives (:func:`flow_jet`), or the integral of the compressibility.
-Backward flow integrates the field forward with its sign reversed.
+derivatives (:func:`flow_jet`), or the integral of the compressibility; a
+lane of a field that reads ``t`` also carries its time.  Backward flow
+integrates the field forward with its sign reversed.
 :func:`expm` is the matrix exponential of the linear and closed-form routes.
 """
 
@@ -157,7 +157,7 @@ class VectorFieldSpec:
 
     @cached_property
     def autonomous(self) -> bool:
-        """Whether no component reads ``t``; only such a field is integrated."""
+        """Whether no component reads ``t``; the lanes of a field that does carry their time."""
         return not any(TIME_NAME in free_vars(c) for c in self.components)
 
     @cached_property
@@ -297,7 +297,7 @@ def expm(A) -> np.ndarray:
     The degree m is the lowest whose theta_m bounds the 1-norm of A.  Past
     theta_13, A is scaled by 2^-s for degree 13 (:func:`_squarings`) and
     the result squared s times.  A diagonal A gives diag(exp(diag A)), a
-    non-finite one NaN.
+    non-finite one NaN, and one with A^2 = 0 I + A.
     """
     A = np.asarray(A, dtype=float)
     diag = np.diagonal(A)
@@ -306,6 +306,8 @@ def expm(A) -> np.ndarray:
     norm = float(np.abs(A).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full(A.shape, np.nan)
+    if not (A @ A).any():  # nilpotent of index 2: the series ends at I + A
+        return np.eye(len(A)) + A
     m, theta = next((m, theta) for m, theta in _PADE_THETA if norm <= theta or m == 13)
     s = _squarings(A, norm, theta) if norm > theta else 0
     A = np.ldexp(A, -s)
@@ -474,59 +476,66 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
 
 
 def flow_lanes(V: VectorFieldSpec, X0: np.ndarray, durations, opts: IntegratorOptions | None = None,
-               tangent: int = 1) -> tuple[np.ndarray, list[IntegrationStats]]:
-    """The trajectories from the rows of X0 (B, d), row b for the time
-    durations[b] (negative: backward), integrated as the lanes of one
-    :func:`_integrate_lanes`.
+               tangent: int = 1, T0=0.0) -> tuple[np.ndarray, list[IntegrationStats]]:
+    """The trajectories from the rows of X0 (B, d) at the start times T0 (a
+    number or (B,)), row b for the time durations[b] (negative: backward),
+    integrated as the lanes of one :func:`_integrate_lanes`.
 
     ``tangent`` is the order of the variational equations that each lane
     carries beside the flow: 1 (True) the tangent map M, 2 also
     H[i, j, k] = d_k M_ij, which obeys H_k' = D^2X(y)[M e_k, M] + DX(y) H_k
     (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), and 0 (False) none,
-    but the integral of the compressibility.  Returns the end states,
-    (B, d + d^2), (B, d + d^2 + d^3) or (B, d + 1), with the end point first
-    (the start itself for a zero duration), and the
-    :class:`IntegrationStats` of each lane; a field that reads t raises ValueError."""
-    if not V.autonomous:
-        raise ValueError("cannot integrate a vector field that reads t")
+    but the integral of the compressibility.  A lane of a field that reads t
+    carries its time in a last column of derivative 1, dropped at the end.
+    Returns the end states, (B, d + d^2), (B, d + d^2 + d^3) or (B, d + 1),
+    with the end point first (the start itself for a zero duration), and
+    the :class:`IntegrationStats` of each lane."""
     opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
     T = [float(s) for s in durations]
     sign = np.array([1.0 if s > 0 else -1.0 for s in T])  # backward lanes integrate -X forward
 
     dd, jac, last = d * d, V.constant_jacobian, [None, None]  # last: F's last lane array, its signs
     compiled = V._tangent_fn if tangent else V._volume_fn
+    n = d + (dd + (d**3 if tangent == 2 else 0) if tangent else 1)  # the state's width, without time
+    timed = not V.autonomous
 
     def F(lanes, Y):
         X, B, out = Y[:, :d], len(Y), np.empty_like(Y)
-        E = evaluate_batch(compiled, V.chart, X)  # the divergence or a varying DX, then X
+        t = Y[:, n] if timed else 0.0
+        E = evaluate_batch(compiled, V.chart, X, t)  # the divergence or a varying DX, then X
         if not tangent:
             out[:, d] = E[:, 0]
         elif tangent == 1:
             A = E[:, :dd].reshape(B, d, d) if jac is None else jac
-            out[:, d:] = (A @ Y[:, d:].reshape(B, d, d)).reshape(B, dd)
+            out[:, d:n] = (A @ Y[:, d:n].reshape(B, d, d)).reshape(B, dd)
         else:  # row by row, the products of one lane's run
             A = E[:, :dd].reshape(B, d, d) if jac is None else [jac] * B
             for r in range(B):
-                x, a, y, o = X[r], A[r], Y[r], out[r]
-                M, H = y[d : d + dd].reshape(d, d), y[d + dd :].reshape(d, dd)
+                x, a, y, o, s = X[r], A[r], Y[r], out[r], t[r] if timed else 0.0
+                M, H = y[d : d + dd].reshape(d, d), y[d + dd : n].reshape(d, dd)
                 np.matmul(a, M, out=o[d : d + dd].reshape(d, d))
-                np.add((M.T @ (V.hessian(x) @ M)).reshape(d, dd), a @ H, out=o[d + dd :].reshape(d, dd))
+                np.add((M.T @ (V.hessian(x, s) @ M)).reshape(d, dd), a @ H, out=o[d + dd : n].reshape(d, dd))
         out[:, :d] = E[:, -d:]
+        if timed:
+            out[:, n] = 1.0
         if last[0] is not lanes:
             last[:] = lanes, sign[lanes, None]
         out *= last[1]
         return out
 
-    Y0 = np.zeros((len(T), d + (dd + (d**3 if tangent == 2 else 0) if tangent else 1)))
+    Y0 = np.zeros((len(T), n + timed))
     Y0[:, :d] = X0
     if tangent:
         Y0[:, d : d + dd : d + 1] = 1.0  # M = I
-    return _integrate_lanes(F, Y0, [abs(s) for s in T], opts)
+    if timed:
+        Y0[:, n] = T0
+    Y, stats = _integrate_lanes(F, Y0, [abs(s) for s in T], opts)
+    return Y[:, :n], stats
 
 
-def _integrate(V: VectorFieldSpec, x0, duration: float, opts: IntegratorOptions | None, tangent: int):
-    """One lane of :func:`flow_lanes` from the coordinates x0: (end point, end state, stats)."""
-    Y, stats = flow_lanes(V, [x0], [duration], opts, tangent)
+def _integrate(V: VectorFieldSpec, x0, duration: float, opts: IntegratorOptions | None, tangent: int, t0=0.0):
+    """One lane of :func:`flow_lanes` from the coordinates x0 at time t0: (end point, end state, stats)."""
+    Y, stats = flow_lanes(V, [x0], [duration], opts, tangent, t0)
     return Y[0, : V.chart.dim], Y[0], stats[0]
 
 
@@ -541,14 +550,14 @@ def integrate_flow(
     """
     _check_point(V.chart, x0)
     d, t1 = V.chart.dim, float(t1)
-    end, y, stats = _integrate(V, x0.coords, t1 - x0.time, opts, True)
+    end, y, stats = _integrate(V, x0.coords, t1 - x0.time, opts, True, x0.time)
     return FlowSegment(PhasePoint(end, t1) if t1 != x0.time else x0, y[d:].reshape(d, d), stats)
 
 
 def flow_jet(
-    V: VectorFieldSpec, coords, t: float, opts: IntegratorOptions | None = None
+    V: VectorFieldSpec, coords, t: float, opts: IntegratorOptions | None = None, t0: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The time-``t`` flow of ``coords`` with its first two derivatives.
+    """The flow of ``coords`` from time ``t0`` for the time ``t``, with its first two derivatives.
 
     Returns (y, M, H): the end point, the tangent map M = dy/dx and
     H[i, j, k] = d_k M_ij, from the first- and second-order variational
@@ -557,7 +566,7 @@ def flow_jet(
     integrated.
     """
     d, order = V.chart.dim, 1 if V.constant_jacobian is not None else 2
-    _, y, _ = _integrate(V, coords, t, opts, order)
+    _, y, _ = _integrate(V, coords, t, opts, order, t0)
     H = y[d + d * d :].reshape(d, d, d) if order == 2 else np.zeros((d, d, d))
     return y[:d], y[d : d + d * d].reshape(d, d), H
 
@@ -569,6 +578,6 @@ def compressibility_flow(
     compressibility along it, from one integration of (y, integral)."""
     _check_point(V.chart, x0)
     t1 = float(t1)
-    end, y, _ = _integrate(V, x0.coords, t1 - x0.time, opts, False)
+    end, y, _ = _integrate(V, x0.coords, t1 - x0.time, opts, False, x0.time)
     return (PhasePoint(end, t1) if t1 != x0.time else x0), float(y[-1])
 

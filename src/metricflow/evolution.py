@@ -19,7 +19,7 @@ the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
 
 Split and pullback are one walk over backward sub-flows
 (:func:`_transport_jet`): M is the product of their tangent maps, exact
-matrix exponentials for affine fields, DOPRI5 otherwise.  The walk also
+matrix exponentials for affine autonomous fields, DOPRI5 otherwise.  The walk also
 gives the exact derivatives of W in space and time (:func:`congruence_jet`),
 carrying those of each tangent map, from the second-order variational
 equation (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), by the chain rule.
@@ -214,32 +214,34 @@ def congruence_jet(W0: np.ndarray, dW0: np.ndarray, J: np.ndarray,
 
 
 def _backward_subflow(X: VectorFieldSpec, h: float, rate: float, opts: IntegratorOptions):
-    """The time-(-h) flow Phi of the field X, in homogeneous coordinates,
-    as y -> (E, G, D^2 Phi(y)).
+    """The flow Phi of the field X from time h back to time 0, in
+    homogeneous coordinates, as y -> (E, G, D^2 Phi(y), start).
 
     E = [[D Phi(y), Phi(y) - D Phi(y) y], [0, 1]] maps [M | y] to the end
     point and the tangent map there.  G = rate [[DX, X - DX y], [0, 0]] at
-    the end point maps them to their change with t when the sub-flow lasts
-    h = rate * t.  For affine X, E and G are the same at every y, E is the
-    exact exponential of the augmented generator and the second derivative
-    is None; otherwise DOPRI5 integrates the flow at ``opts``.
+    the end point, or where X reads t at the start (y, h) (``start``), maps
+    them to their change with t when the sub-flow lasts h = rate * t.  For
+    affine autonomous X, E and G are the same at every y, E is the exact
+    exponential of the augmented generator and the second derivative is
+    None; otherwise DOPRI5 integrates the flow at ``opts``.
     """
-    d = X.chart.dim
+    d, start = X.chart.dim, not X.autonomous
     A = X.constant_jacobian
-    if A is None:
+    if A is None or start:
 
         def step(y):
-            end, D, D2 = flow_jet(X, y, -h, opts)
-            Xe, DX = (v[0] for v in X.eval_jacobian(end[None]))
+            end, D, D2 = flow_jet(X, y, -h, opts, h)
+            at = y if start else end
+            Xe, DX = (v[0] for v in X.eval_jacobian(at[None], h))
             E = np.block([[D, (end - D @ y)[:, None]], [np.zeros(d), 1.0]])
-            G = np.block([[DX, (Xe - DX @ end)[:, None]], [np.zeros(d), 0.0]])
-            return E, rate * G, D2
+            G = np.block([[DX, (Xe - DX @ at)[:, None]], [np.zeros(d), 0.0]])
+            return E, rate * G, D2, start
 
         return step
     # affine X(y) = A y + b: exponentiate the augmented generator [[A, b], [0, 0]]
     G = np.block([[A, X.eval(np.zeros(d))[:, None]], [np.zeros(d), 0.0]])
     E = expm(-h * G)
-    return lambda y: (E, rate * G, None)
+    return lambda y: (E, rate * G, None, False)
 
 
 def _transport_jet(sub_flows, M0: MetricField, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,8 +252,9 @@ def _transport_jet(sub_flows, M0: MetricField, coords) -> tuple[np.ndarray, np.n
     dM/dt and dy/dt by the chain rule.  In homogeneous coordinates all of
     them move under a sub-flow's E; its second derivative adds D^2 Phi [v, M]
     to the derivative of M along each direction v, and its duration adds
-    -G [M | y] to (dM/dt, dy/dt).  It ends at the preimage y, where M0's jet
-    is read.  Returns (W, dW/dx, dW/dt).
+    -G [M | y] to (dM/dt, dy/dt), after E, or before E for G at the start
+    point, where E and D^2 Phi carry it.  The walk ends at the preimage y,
+    where M0's jet is read.  Returns (W, dW/dx, dW/dt).
     """
     d = M0.chart.dim
     K = d + 1
@@ -261,12 +264,15 @@ def _transport_jet(sub_flows, M0: MetricField, coords) -> tuple[np.ndarray, np.n
     Q[:, :K] = np.eye(K)
     Q[:d, d] = coords
     for sub_flow in sub_flows:
-        E, G, D2 = sub_flow(Q[:d, d])
+        E, G, D2, start = sub_flow(Q[:d, d])
+        if start:
+            Q[:, -K:] -= G @ Q[:, :K]
         Q_next = E @ Q
         if D2 is not None:
             directions = np.column_stack((Q[:d, :d], Q[:d, -1]))  # e_k through M, then t
             Q_next[:d, K:-1] += ((D2 @ directions).transpose(0, 2, 1) @ Q[:d, :d]).reshape(d, -1)
-        Q_next[:, -K:] -= G @ Q_next[:, :K]
+        if not start:
+            Q_next[:, -K:] -= G @ Q_next[:, :K]
         Q = Q_next
     J = np.column_stack((Q[:d, :d], Q[:d, -1]))
     W0, dW0, _ = M0.jet(Q[:d, d], 0.0)
@@ -290,9 +296,7 @@ def pullback_jet(V: VectorFieldSpec, M0: MetricField, coords, time: float,
     """The time-0 metric pulled back to (coords, time), with its exact
     derivatives: the transport walk (:func:`_transport_jet`) over one
     backward sub-flow of the whole field, integrated at ``opts`` or
-    TRANSPORT_OPTIONS unless the field is affine."""
-    if not V.autonomous:  # the affine sub-flow reads X at t = 0
-        raise ValueError("cannot integrate a vector field that reads t")
+    TRANSPORT_OPTIONS unless the field is affine and autonomous."""
     return _transport_jet([_backward_subflow(V, time, 1.0, opts or TRANSPORT_OPTIONS)], M0, coords)
 
 
@@ -301,7 +305,7 @@ class TransportedMetric(MetricField):
 
     Each jet pulls the time-0 metric back along the trajectory through the
     queried point (:func:`pullback_jet`): one matrix exponential for an
-    affine field, otherwise one backward integration, at the caller's cost.
+    affine autonomous field, otherwise one backward integration at ``opts``.
     """
 
     def __init__(self, initial: MetricField, field: VectorFieldSpec, opts: IntegratorOptions | None = None):

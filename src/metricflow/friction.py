@@ -157,7 +157,7 @@ class FrictionSystem:
 
     @cached_property
     def vector_field(self) -> VectorFieldSpec:
-        """The phase-space field; where K varies it reads t, and is not integrated."""
+        """The phase-space field; where K varies it reads t."""
         return VectorFieldSpec.from_hamiltonian(self.chart, self.hamiltonian, self.friction)
 
     def friction_integral(self, t0: float, t: float) -> np.ndarray:

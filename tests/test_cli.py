@@ -85,7 +85,7 @@ NO_FIELD = "needs an autonomous vector field, one that does not read t"
 # metric kind: (metric, default routes, config patch, a route that then
 # does not apply, and its reason)
 ROUTE_CASES = {
-    "canonical": ("canonical", ALL_ROUTES, {"friction": ["1/(1+t)"]}, "pullback", NO_FIELD),
+    "canonical": ("canonical", ALL_ROUTES, {"friction": ["1/(1+t)"]}, "series", NO_FIELD),
     "friction-analytic": ("friction-analytic", ALL_ROUTES, {"friction": ["1/(1+t)"]}, "split", NO_FIELD),
     "non-canonical": (NON_CANONICAL, ALL_ROUTES[1:], {}, "analytic", "starts from the canonical metric"),
     "varying": (VARYING, ["pullback"], {}, "series", "needs a constant initial metric"),
@@ -103,6 +103,19 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return header, [dict(zip(header, row)) for row in body]
+
+
+def metric_cells(row):
+    """The w and sqrt_g cells of an evolve-metric row as floats."""
+    return np.array([float(v) for k, v in row.items() if re.fullmatch(r"w\d+_\d+|sqrt_g", k)])
+
+
+def assert_rows_agree(rows, tol):
+    """Each analytic row and the pullback row after it agree to ``tol`` relative."""
+    assert [r["method"] for r in rows] == ["analytic", "pullback"] * (len(rows) // 2)
+    for analytic, pullback in zip(rows[::2], rows[1::2]):
+        a, p = metric_cells(analytic), metric_cells(pullback)
+        assert np.max(np.abs(a - p)) <= tol * np.max(np.abs(a))
 
 
 def test_cli_import_skips_scipy(tmp_path):
@@ -274,12 +287,14 @@ def test_friction_list_shape_is_checked(tmp_path, capsys, friction):
 
 
 def test_friction_number_among_expression_strings(tmp_path, capsys):
+    # K(t) has a pullback row beside the analytic one; the two agree
     outputs = []
     for friction in ([1, "t"], ["1", "t"]):
         data = {"n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^2+q2^2)/2", "friction": friction, "t_grid": [0.5]}
         assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+    assert outputs[0] == outputs[1]
+    assert_rows_agree(parse_csv(outputs[0])[1], 1e-9)
 
 
 def test_friction_expression_strings_stay_expressions():
@@ -590,11 +605,13 @@ class TestEvolveMetric:
         assert error["kind"] == "config" and error["message"].startswith("methods must be a non-empty list")
 
     def test_no_route_applies(self, tmp_path, capsys):
-        data = {**ROUTE_SYSTEM, "metric": VARYING, "friction": ["1/(1+t)"]}
-        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().out)["error"]["message"] == (
-            "no evolution route is applicable to this configuration"
-        )
+        # once exit 65, "no evolution route is applicable to this configuration":
+        # pullback now applies to every field, here one that reads t
+        data = {**ROUTE_SYSTEM, "metric": VARYING, "friction": ["1/(1+t)"], "t_grid": [0.5, 1.0]}
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        rows = parse_csv(capsys.readouterr().out)[1]
+        assert [r["method"] for r in rows] == ["pullback"] * 2
+        assert all(float(r["invariance_residual"]) <= 1e-9 for r in rows)
 
     def test_varying_metric_pullback_row_is_the_library_jet(self):
         cfg = load_config({**ROUTE_SYSTEM, "metric": VARYING})
@@ -642,6 +659,15 @@ def test_a_non_finite_row_is_an_evolution_error(tmp_path, capsys, data, method):
     assert err == "" and caught == []
 
 
+def test_a_generator_whose_square_is_zero_transports_exactly(tmp_path, capsys):
+    # X = (1e300, 0) keeps every metric; its augmented generator's exponential
+    # was NaN, a non-finite row with exit 70
+    data = {**HUGE_RATE, "components": ["1e300", "0"], "methods": ["pullback"]}
+    assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [r["w1_2"] for r in parse_csv(out)[1]] == ["1"] and err == ""
+
+
 QUARTIC_KT = {
     "n": 2,
     "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2",
@@ -656,38 +682,59 @@ UNEQUAL_RATES = ["0.5 + 0.1*t", "1"]
 class TestTimeDependentFriction:
     """A friction matrix K(t) has the field -K(t) p, evaluated at each point's time."""
 
-    def run(self, tmp_path, capsys, friction, argv):
-        path = write_config(tmp_path, {**QUARTIC_KT, "friction": friction})
+    def run(self, tmp_path, capsys, friction, argv, **patch):
+        path = write_config(tmp_path, {**QUARTIC_KT, "friction": friction, **patch})
         code = main([argv[0], "--config", path, *argv[1:]])
         return code, capsys.readouterr().out
 
     def test_equal_rates_closed_form_is_invariant(self, tmp_path, capsys):
-        # the invariance residual once read nan
-        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["evolve-metric"])
+        # the invariance residual once read nan; the pullback row checks the closed form
+        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["evolve-metric"], metric="friction-analytic")
         rows = parse_csv(out)[1]
-        assert code == EXIT_OK and [r["method"] for r in rows] == ["analytic"] * 3
-        assert all(float(r["invariance_residual"]) <= 1e-12 and r["warning"] == "" for r in rows)
+        assert code == EXIT_OK and len(rows) == 6
+        assert_rows_agree(rows, 1e-9)
+        assert all(float(r["invariance_residual"]) <= 1e-9 and r["warning"] == "" for r in rows)
+        assert all(float(r["invariance_residual"]) <= 1e-12 for r in rows[::2])
 
     def test_unequal_rates_residual_shows_the_defect(self, tmp_path, capsys):
-        code, out = self.run(tmp_path, capsys, UNEQUAL_RATES, ["evolve-metric"])
+        # the analytic rows keep their warning and residual; the pullback rows are invariant
+        code, out = self.run(tmp_path, capsys, UNEQUAL_RATES, ["evolve-metric"], metric="friction-analytic")
         rows = parse_csv(out)[1]
-        assert code == EXIT_OK and len(rows) == 3
-        assert all("unequal damping" in r["warning"] and float(r["invariance_residual"]) > 1e-3 for r in rows)
+        analytic, pullback = rows[::2], rows[1::2]
+        assert code == EXIT_OK and [r["method"] for r in pullback] == ["pullback"] * 3
+        assert all("unequal damping" in r["warning"] and float(r["invariance_residual"]) > 1e-3 for r in analytic)
+        assert [round(float(r["invariance_residual"]), 3) for r in analytic[:2]] == [0.174, 0.493]
+        assert all(float(r["invariance_residual"]) <= 1e-9 and r["warning"] == "" for r in pullback)
+        assert all(np.max(np.abs(metric_cells(a) - metric_cells(p))) > 1e-3 for a, p in zip(analytic, pullback))
 
     def test_classify_gives_a_verdict(self, tmp_path, capsys):
         # once exit 65: "classification needs an autonomous vector field"
         code, out = self.run(tmp_path, capsys, UNEQUAL_RATES, ["classify"])
         assert code == EXIT_NON_HAMILTONIAN and json.loads(out)["verdict"] == "non-hamiltonian"
 
-    def test_audit_still_needs_an_autonomous_field(self, tmp_path, capsys):
-        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["audit"])
-        message = "audit needs an autonomous vector field, one that does not read t"
-        assert code == EXIT_CONFIG and json.loads(out)["error"] == {"kind": "config", "message": message}
+    def test_audit_checks_the_flows(self, tmp_path, capsys):
+        # once exit 65, "audit needs an autonomous vector field"; the
+        # trajectories of the volume law start at t = 0
+        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["audit"], metric="friction-analytic")
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["pass"] is True
+        assert payload["max_invariance_residual"] <= 1e-9 and payload["max_volume_law_gap"] <= 1e-9
+        code, out = self.run(tmp_path, capsys, UNEQUAL_RATES, ["audit"], metric="friction-analytic")
+        assert code == EXIT_AUDIT_FAILED and json.loads(out)["max_volume_law_gap"] <= 1e-9
 
-    def test_bracket_has_no_leibniz_flows(self, tmp_path, capsys):
-        code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["bracket", "--A", "q1", "--B", "p1", "--C", "q1*p1"])
-        columns = json.loads(out)["queries"][0]
-        assert code == EXIT_OK and "leibniz" not in columns and columns["bracket"] == 1.0
+    def test_bracket_has_leibniz_flows(self, tmp_path, capsys):
+        # once without a 'leibniz' key.  {q1^2, p1 p2} reads the flow's
+        # position, so the +-delta flows must start at the query times: the
+        # canonical metric's defect is 2 q1 p2 k(t), k(t) = 0.5 + 0.1 t, there
+        queries = [{"point": [0.3, -0.2, 0.1, 0.4], "time": t} for t in (0.0, 0.7)]
+        for metric in ("canonical", "friction-analytic"):
+            code, out = self.run(tmp_path, capsys, EQUAL_RATES, ["bracket", "--A", "q1^2", "--B", "p1*p2"],
+                                 metric=metric, queries=queries)
+            assert code == EXIT_OK
+            for q in json.loads(out)["queries"]:
+                leibniz, rate = q["leibniz"], 0.5 + 0.1 * q["time"]
+                expected = 2 * 0.3 * 0.4 * rate if metric == "canonical" else 0.0
+                assert abs(leibniz["formula"] - expected) <= 1e-12 and abs(leibniz["numerical"] - expected) <= 1e-8
 
 
 # K(t) = log(t) leaves its domain at t = 0, where the field's split parts are
@@ -712,13 +759,22 @@ class TestFrictionSingularAtZero:
         return code, captured.out
 
     def test_evolve_metric_has_the_closed_form(self, tmp_path, capsys):
+        # the pullback rows integrate back to t = 0, where no stage reads log(0)
         code, out = self.run(tmp_path, capsys, ["evolve-metric"])
         rows = parse_csv(out)[1]
-        assert code == EXIT_OK and [r["method"] for r in rows] == ["analytic"] * 2
-        assert [r["w1_2"] for r in rows] == ["0.42888194248050343", "0.36787944117157101"]
-        for t, r in zip((0.5, 1.0), rows):
-            assert float(r["w1_2"]) == pytest.approx(math.exp(t * math.log(t) - t), rel=1e-14)
-            assert float(r["invariance_residual"]) == 0.0
+        assert code == EXIT_OK and [r["method"] for r in rows] == ["analytic", "pullback"] * 2
+        assert [r["w1_2"] for r in rows[::2]] == ["0.42888194248050343", "0.36787944117157101"]
+        for t, analytic, pullback in zip((0.5, 1.0), rows[::2], rows[1::2]):
+            assert float(analytic["w1_2"]) == pytest.approx(math.exp(t * math.log(t) - t), rel=1e-14)
+            assert float(analytic["invariance_residual"]) == 0.0
+            assert float(pullback["w1_2"]) == pytest.approx(math.exp(t * math.log(t) - t), rel=1e-8)
+            assert float(pullback["invariance_residual"]) <= 1e-12
+
+    def test_audit_cannot_start_at_t_zero(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, ["audit"])
+        error = json.loads(out)["error"]
+        assert code == EXIT_RUNTIME and set(json.loads(out)) == {"error"} and error["kind"] == "integration"
+        assert error["message"] == "cannot evaluate the field at the start state: log of non-positive value in 'log(t)'"
 
     def test_classify_samples_at_t_zero(self, tmp_path, capsys):
         code, out = self.run(tmp_path, capsys, ["classify"])
@@ -749,10 +805,14 @@ def test_n_at_the_bound_loads():
 
 class TestAudit:
     def test_components_that_read_t_get_the_same_reason(self):
-        # a components config has no friction; its field reads t
-        cfg = load_config({"n": 1, "components": ["p1", "-q1 - t*p1"]})
-        with pytest.raises(ConfigError, match="^audit needs an autonomous vector field, one that does not read t$"):
-            cmd_audit(cfg)
+        # a components config has no friction; its field reads t.  Both once
+        # exited 65 with one reason; both are audited now, to the same report
+        payload, code = cmd_audit(load_config({"n": 1, "components": ["p1", "-q1 - t*p1"]}))
+        same = cmd_audit(load_config({"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "friction": ["t"]}))
+        assert (payload, code) == same and code == EXIT_AUDIT_FAILED
+        # the canonical metric keeps ln sqrt_g = 0 while the integral of the
+        # compressibility -t is -T^2/2 at the end time T in [0.2, t_max = 3]
+        assert 0.2**2 / 2 <= payload["max_volume_law_gap"] <= 3.0**2 / 2
 
     def test_invariant_metric_passes(self):
         payload, code = cmd_audit(load_config(DAMPED_ANALYTIC))

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from metricflow import (
+    CoordinateChart,
     ExprMetric,
     IntegrationError,
     IntegratorOptions,
@@ -14,7 +15,7 @@ from metricflow import (
     compressibility_flow,
     integrate_flow,
 )
-from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate_lanes, flow_jet
+from metricflow.dynamics import TRANSPORT_OPTIONS, _integrate_lanes, flow_jet, flow_lanes
 from metricflow.dynamics import expm as metricflow_expm
 from metricflow.exprlang import DomainError, differentiate, evaluate, evaluate_batch, parse
 
@@ -40,12 +41,18 @@ class TestVectorFieldSpec:
         V = VectorFieldSpec.from_components(chart1, ["0", "0"])
         assert np.allclose(V.eval([0.3, 0.7]), [0.0, 0.0])
 
-    def test_time_dependence_rejected(self, chart1):
-        # a field that reads t is built and evaluated, but the lanes carry no time
+    def test_time_dependence_integrated(self, chart1):
+        # a field that reads t once raised ValueError in the lanes; q'' = -t q
+        # from (0.5, 0.2) at t = 0.3 for 1.0 agrees with the same system with t a coordinate
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1*t"])
         assert not V.autonomous and VectorFieldSpec.from_components(chart1, ["p1", "-q1"]).autonomous
-        with pytest.raises(ValueError, match="cannot integrate a vector field that reads t"):
-            integrate_flow(V, PhasePoint([0.5, 0.2]), 1.0)
+        chart2 = CoordinateChart(2)
+        U = VectorFieldSpec.from_components(chart2, ["p1", "1", "-q1*q2", "0"])  # q2 is the time
+        seg = integrate_flow(V, PhasePoint([0.5, 0.2], 0.3), 1.3, TRANSPORT_OPTIONS)
+        ref = integrate_flow(U, PhasePoint([0.5, 0.3, 0.2, 0.0]), 1.0, TRANSPORT_OPTIONS)
+        assert seg.end.time == 1.3
+        assert np.max(np.abs(seg.end.coords - ref.end.coords[[0, 2]])) < 1e-11
+        assert np.max(np.abs(seg.tangent - ref.tangent[np.ix_([0, 2], [0, 2])])) < 1e-11
 
     def test_eval_jacobian_reads_the_times(self, chart1):
         V = VectorFieldSpec.from_components(chart1, ["p1*t", "-q1*t^2"])
@@ -297,6 +304,15 @@ def test_expm_of_a_non_normal_argument_past_theta_13_is_not_finite():
     assert not np.isfinite(E).all()
 
 
+@pytest.mark.parametrize("A", [[[0.0, 1e300], [0.0, 0.0]], [[0.0, 0.0, 1e200], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+def test_expm_of_an_argument_whose_square_is_zero_is_i_plus_a(A):
+    # the first was NaN with a RuntimeWarning, the second 1 - eps on the diagonal
+    A = np.array(A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(metricflow_expm(A), np.eye(len(A)) + A)
+
+
 @pytest.mark.parametrize("scale", [-100.0, -10.0])
 def test_expm_of_a_damped_chain_is_as_accurate_as_scipy(scale):
     import mpmath
@@ -360,6 +376,48 @@ class TestFlowJet:
         y, M, H = flow_jet(damped, np.array([0.3, -0.1]), 1.0)
         assert np.array_equal(H, np.zeros((2, 2, 2)))
         assert np.max(np.abs(M - integrate_flow(damped, PhasePoint([0.3, -0.1]), 1.0).tangent)) == 0.0
+
+
+class TestTimedLanes:
+    """q' = t, p' = -t p^2: with s = (t1^2 - t0^2)/2, q = q0 + s, p = p0/(1 + p0 s),
+    M = diag(1, (p/p0)^2) and the integral of the compressibility is 2 ln(p/p0)."""
+
+    X0 = np.array([0.3, 0.5])
+
+    @pytest.fixture
+    def field(self, chart1):
+        return VectorFieldSpec.from_components(chart1, ["t", "-t*p1^2"])
+
+    def test_lanes_from_several_start_times_match_the_closed_form(self, field):
+        q0, p0 = self.X0
+        for tangent in (0, 1, 2):
+            T0 = np.repeat([0.0, 0.5, 1.0], 2)
+            durations = np.tile([0.7, -0.4], 3)
+            Y, _ = flow_lanes(field, np.tile(self.X0, (6, 1)), durations, TRANSPORT_OPTIONS, tangent, T0=T0)
+            assert Y.shape == (6, {0: 3, 1: 6, 2: 14}[tangent])
+            for y, t0, duration in zip(Y, T0, durations):
+                s = ((t0 + duration) ** 2 - t0**2) / 2
+                p = p0 / (1 + p0 * s)
+                expected = [q0 + s, p]
+                if tangent == 0:
+                    expected.append(2 * np.log(p / p0))
+                if tangent >= 1:
+                    expected += [1.0, 0.0, 0.0, (p / p0) ** 2]
+                if tangent == 2:  # d_k M_ij: only d^2 p / dp0^2 is not zero
+                    expected += [0.0] * 7 + [-2 * s / (1 + p0 * s) ** 3]
+                assert np.max(np.abs(y - expected)) < 1e-11
+
+    def test_one_lane_starts_at_the_points_time(self, field):
+        x0, s = PhasePoint(self.X0, 0.5), (1.2**2 - 0.5**2) / 2
+        p = 0.5 / (1 + 0.5 * s)
+        seg = integrate_flow(field, x0, 1.2, TRANSPORT_OPTIONS)
+        end, integral = compressibility_flow(field, x0, 1.2, TRANSPORT_OPTIONS)
+        assert seg.end.time == end.time == 1.2
+        assert abs(seg.end.coords[0] - 0.895) < 1e-12 and abs(end.coords[1] - p) < 1e-11
+        assert abs(seg.tangent[1, 1] - (p / 0.5) ** 2) < 1e-11 and abs(integral - 2 * np.log(p / 0.5)) < 1e-11
+        y, M, H = flow_jet(field, self.X0, -0.4, TRANSPORT_OPTIONS, 1.0)
+        s = (0.6**2 - 1.0) / 2
+        assert abs(y[0] - (0.3 + s)) < 1e-12 and abs(H[1, 1, 1] + 2 * s / (1 + 0.5 * s) ** 3) < 1e-10
 
 
 class TestFlowProperties:

@@ -567,11 +567,41 @@ class TestTransportStencil:
         assert abs(W[0, 1] - np.exp(t)) <= 4 * np.spacing(np.exp(t))
         assert abs(W[0, 0]) == abs(W[1, 1]) == 0.0 and W[1, 0] == -W[0, 1]
 
-    def test_pullback_refuses_a_field_that_reads_t(self, chart1):
-        # the field is affine in x, but its exponential would read X at t = 0
+    def test_pullback_along_a_field_that_reads_t(self, chart1, monkeypatch):
+        # once a ValueError.  The field is affine in x, but its exponential
+        # would read X at t = 0, so the lanes integrate it; its flow preserves
+        # area, so it keeps the canonical metric
+        from metricflow import evolution
+
+        monkeypatch.setattr(evolution, "expm", lambda A: pytest.fail("the affine exponential read X at t = 0"))
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 + sin(t)"])
-        with pytest.raises(ValueError, match="cannot integrate a vector field that reads t"):
-            TransportedMetric(canonical_metric(chart1), V).value([0.3, -0.2], 0.5)
+        assert V.constant_jacobian is not None
+        for t in (0.5, 1.0):
+            W, D, Wt = TransportedMetric(canonical_metric(chart1), V).jet([0.3, -0.2], t)
+            assert np.max(np.abs(W - J2)) <= 1e-9 and np.max(np.abs(D)) <= 1e-9 and np.max(np.abs(Wt)) <= 1e-9
+
+    @pytest.mark.parametrize("t", [0.5, -0.3])
+    def test_pullback_along_a_field_that_reads_t_matches_the_autonomized_flow(self, chart1, chart2, t):
+        # the reference carries the time as the coordinate q2 of an autonomous
+        # field: x0 = Phi((x, t), -t), so dx0/dt = D Phi e_q2 - U(x0) and
+        # dM/dt = D^2 Phi [e_q2] - DU(x0) D Phi
+        from metricflow.dynamics import TRANSPORT_OPTIONS, flow_jet
+        from metricflow.evolution import congruence_jet
+
+        V = VectorFieldSpec.from_components(chart1, ["p1*(1 + 0.3*t)", "-sin(q1) - (0.2 + 0.1*t*q1)*p1"])
+        U = VectorFieldSpec.from_components(chart2, ["p1*(1 + 0.3*q2)", "1", "-sin(q1) - (0.2 + 0.1*q2*q1)*p1", "0"])
+        M0 = ExprMetric(chart1, [["0", "1 + q1^2/10 + p1/20"], ["-(1 + q1^2/10 + p1/20)", "0"]])
+        x, keep = np.array([0.3, -0.2]), [0, 2]
+        y, M, H = flow_jet(U, np.array([x[0], t, x[1], 0.0]), -t, TRANSPORT_OPTIONS)
+        Uy, DU = (v[0] for v in U.eval_jacobian(y[None]))
+        assert abs(y[1]) < 1e-14
+        W0, dW0, _ = M0.jet(y[keep], 0.0)
+        dM = np.concatenate([H.transpose(2, 0, 1)[keep], [H[:, :, 1] - DU @ M]])[:, keep][:, :, keep]
+        ref = congruence_jet(W0, dW0, np.column_stack([M[keep][:, keep], (M[:, 1] - Uy)[keep]]), dM)
+        got = TransportedMetric(M0, V).jet(x, t)
+        for g, want in zip(got, ref):
+            assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(invariance_residual(V, TransportedMetric(M0, V), PhasePoint(x, t)))) < 1e-12
 
     def test_pullback_of_a_varying_metric_matches_the_variational_jet(self, chart2):
         # the one backward integration of (x0, M, H) with dx0/dt = -X(x0),
