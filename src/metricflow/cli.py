@@ -21,6 +21,7 @@ import json
 import locale  # noqa: F401  argparse's gettext imports it on first use; not inside a command
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,10 +289,11 @@ def _route_table(cfg: SystemConfig, V: VectorFieldSpec, fsys, M0: MetricField) -
 
 
 def _evolve_cells(V: VectorFieldSpec, M: MetricField, x: np.ndarray, t: float, pairs, method: str) -> list[str]:
-    """The upper entries of W, sqrt_g and the Jacobi and invariance residuals
-    of one evolve-metric row, from one jet of M at (x, t); a row with a cell
-    that is not finite is an EvolutionError."""
-    with np.errstate(all="ignore"):
+    """The upper entries of W, sqrt_g, the Jacobi and invariance residuals
+    and the warnings, which it does not print, of one evolve-metric row,
+    from one jet of M at (x, t); a non-finite cell is an EvolutionError."""
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # the package's warnings, each row its own
         W, D, Wt = M.jet(x, t)
         sqrt_g = float(np.sqrt(abs(np.linalg.det(W))))
         jac = float(jacobi_residuals(D[None])[0])
@@ -299,7 +301,7 @@ def _evolve_cells(V: VectorFieldSpec, M: MetricField, x: np.ndarray, t: float, p
     cells = [W[k, l] for k, l in pairs] + [sqrt_g, jac, inv]
     if not all(map(math.isfinite, cells)):
         raise EvolutionError(f"the {method} route gives a non-finite row at t={t:.17g}")
-    return [f"{c:.17g}" for c in cells]
+    return [f"{c:.17g}" for c in cells] + ["; ".join(str(w.message) for w in caught)]
 
 
 def cmd_evolve_metric(cfg: SystemConfig):
@@ -324,8 +326,8 @@ def cmd_evolve_metric(cfg: SystemConfig):
     rows = [header]
     for t in cfg.t_grid:
         for method in methods:
-            warn_cell = warning_text if method == "analytic" else ""
-            rows.append([f"{t:.17g}", method, *_evolve_cells(V, fields[method], x_eval, t, pairs, method), warn_cell])
+            *cells, warned = _evolve_cells(V, fields[method], x_eval, t, pairs, method)
+            rows.append([f"{t:.17g}", method, *cells, warning_text if method == "analytic" else warned])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

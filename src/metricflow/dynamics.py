@@ -190,9 +190,14 @@ class VectorFieldSpec:
         return simplify(acc)
 
     @cached_property
+    def hessian_exprs(self) -> tuple[Expr, ...]:
+        """The second derivatives d^2 X^i / dx_a dx_b, flat in (i, a, b)."""
+        return tuple(h for row in self.jacobian_exprs for e in row for h in gradient(e, self.chart.names))
+
+    @cached_property
     def _hess_fn(self):
-        """Flat indices and compiled entries of the second derivatives but Num(+0.0); -0.0 is a value."""
-        flat = [h for row in self.jacobian_exprs for e in row for h in gradient(e, self.chart.names)]
+        """Flat indices and compiled entries of :attr:`hessian_exprs` but Num(+0.0); -0.0 is a value."""
+        flat = self.hessian_exprs
         index = [k for k, h in enumerate(flat) if not (h == Num(0.0) and math.copysign(1.0, h.value) > 0)]
         return np.array(index, dtype=int), ([flat[k] for k in index], compile_vector([flat[k] for k in index], self.chart))
 
@@ -401,16 +406,19 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
         keep = [r not in bad for r in range(len(lanes))]
         lanes, y, fy = lanes[keep], y[keep], fy[keep]
     ids = lanes.tolist()
-    # the initial step (Hairer, Norsett & Wanner, II.4) from the RMS norms d0, d1, d2
-    sc = atol + rtol * np.abs(y)
-    d0, d1 = ([math.sqrt(s / n) for s in np.add.reduce((v / sc) ** 2, axis=1).tolist()] for v in (y, fy))
-    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, dur[lane]) for a, b, lane in zip(d0, d1, ids)]
-    hs = np.array(h0)[:, None]
-    f1, bad = _eval_lanes(F, lanes, y + hs * fy)
-    d2 = (np.sqrt(np.add.reduce(((f1 - fy) / sc) ** 2, axis=1) / n) / hs[:, 0]).tolist()
+    # the initial step (Hairer, Norsett & Wanner, II.4) from the RMS norms d0, d1, d2;
+    # a d1 or max(d1, d2) that is not finite, as for a field of 1e300, takes the small step
+    with np.errstate(all="ignore"):
+        sc = atol + rtol * np.abs(y)
+        d0, d1 = ([math.sqrt(s / n) for s in np.add.reduce((v / sc) ** 2, axis=1).tolist()] for v in (y, fy))
+        h0 = [min(1e-6 if a < 1e-5 or not 1e-5 <= b < math.inf else 0.01 * a / b, dur[lane])
+              for a, b, lane in zip(d0, d1, ids)]
+        hs = np.array(h0)[:, None]
+        f1, bad = _eval_lanes(F, lanes, y + hs * fy)
+        d2 = (np.sqrt(np.add.reduce(((f1 - fy) / sc) ** 2, axis=1) / n) / hs[:, 0]).tolist()
     for r, b in enumerate(ids):
         dmax = max(d1[r], d2[r])
-        h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0[r] * 1e-3)
+        h1 = (0.01 / dmax) ** 0.2 if 1e-15 < dmax < math.inf else max(1e-6, h0[r] * 1e-3)
         h[b] = min(h0[r] * 1e-3, dur[b]) if r in bad else min(100 * h0[r], h1, dur[b])
     # lanes, y, fy and the column hs of step sizes hold the running lanes;
     # they are rebuilt only when one stops

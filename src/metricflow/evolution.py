@@ -6,10 +6,10 @@ along the flow vanishes.  Each is evaluated as a metric field
 Where a route works numerically it transports the metric by one primitive,
 the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
 
-* an exponential series exp(tJ) built from repeated applications of the
-  generating operator J, at a point on truncated Taylor series of the
-  field (:class:`SeriesPropagator`); for a linear field dx/dt = A x it is
-  the congruence by expm(-tA) (Kronecker-sum identity),
+* an exponential series exp(tJ) W0 of the generating operator J, the Taylor
+  series in t of the pullback, from the backward flow's state at a point in
+  truncated series in t (:class:`SeriesPropagator`); for a linear field
+  dx/dt = A x it is the congruence by expm(-tA) (Kronecker-sum identity),
 * Strang splitting of that exponential over the Hamiltonian/friction parts
   X = X1 + X2.  exp(hJ_X) is the pullback along the sub-flow of X (Lie
   series), so each step follows the backward sub-flows of X2 for dt/2, X1
@@ -31,18 +31,17 @@ how far a given field is from being conserved.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import TRANSPORT_OPTIONS, IntegratorOptions, VectorFieldSpec, expm, flow_jet
-from .exprlang import Monomials, taylor_expand
+from .exprlang import taylor_series
 from .helmholtz import helmholtz_residuals
 from .phasespace import ConstantMetric, MetricField, PhasePoint, _check_point
 
-MAX_SERIES_COEFFS = 250_000
+MAX_SERIES_PRODUCTS = 4_000_000
 SERIES_STOP_NORM = 1e-14
 DEFAULT_SERIES_ORDER = 20
 
@@ -52,7 +51,7 @@ class EvolutionError(Exception):
 
 
 class ExpressionSizeError(EvolutionError):
-    """The series coefficients outgrew MAX_SERIES_COEFFS."""
+    """A series would sum more than MAX_SERIES_PRODUCTS products of coefficients."""
 
 
 class SeriesDivergenceWarning(UserWarning):
@@ -77,35 +76,46 @@ def congruence(M: np.ndarray, W0: np.ndarray) -> np.ndarray:
     return 0.5 * (R - R.T)
 
 
-class _SeriesBasis(Monomials):
-    """Monomials that stop growing at ``cap``, the first degree at which a
-    d x d array of series, one operator power, would hold more than
-    MAX_SERIES_COEFFS coefficients."""
-
-    def __init__(self, d: int):
-        super().__init__(d)
-        self.cap = next(k for k in itertools.count() if d**2 * math.comb(k + d, d) > MAX_SERIES_COEFFS)
-
-    def grow(self, degree: int) -> None:
-        if degree >= max(len(self.sizes), self.cap):
-            size = self.d**2 * math.comb(degree + self.d, self.d)
-            raise ExpressionSizeError(
-                f"series terms of degree {degree} need {size} coefficients (cap {MAX_SERIES_COEFFS})"
-            )
-        super().grow(degree)
+def _taylor_transport(V: VectorFieldSpec, W0: np.ndarray, coords):
+    """The Taylor coefficients in t, at t = 0, of the pullback W = M^T W0 M
+    and of its gradient, (w_n, dw_n) with dw_n[k, l, m] = d_k w_n[l, m], for
+    n = 0, 1, ...: the recursive Taylor method on the backward flow from
+    ``coords``, y' = -X(y) and G' = -(DX(y) G + [0 | D^2X(y)[M e_k, M]]) for
+    the columns G = [M | d_1 M | ... | d_d M].  Coefficient n of the state
+    follows from coefficient n - 1 of X, DX and D^2X along y, which
+    :func:`taylor_series` walks from y's coefficients up to n - 1.  As W0 is
+    skew, d_k W = R_k - R_k^T with R_k = d_k M^T W0 M.
+    """
+    d, names = len(W0), V.chart.names
+    y = {name: [float(x)] for name, x in zip(names, coords)}
+    walk = taylor_series([*V.components, *(e for row in V.jacobian_exprs for e in row), *V.hessian_exprs], y)
+    # the coefficients of DX(y) (A), D^2X(y) (T), D^2X(y)[., M] (Z), G
+    # (G[i, j, 0] = M_ij, G[i, j, k + 1] = d_k M_ij) and N = W0 M
+    A, T, Z, G, N = [], [], [], [np.eye(d)[:, :, None] * np.eye(1, d + 1)], [W0]
+    for n in itertools.count(1):
+        R = np.einsum("aijk,aim->kjm", np.array(G), np.array(N[::-1]))  # R[0] = M^T W0 M
+        yield 0.5 * (R[0] - R[0].T), R[1:] - R[1:].transpose(0, 2, 1)
+        flat = np.array(next(walk))
+        for name, x in zip(names, flat[:d] / -n):
+            y[name].append(float(x))
+        A.append(flat[d : d + d * d].reshape(d, d))
+        T.append(flat[d + d * d :].reshape(d, d, d))
+        past = np.array(G[::-1])  # G_{n-1}, ..., G_0
+        Z.append(np.einsum("piab,pbj->iaj", np.array(T), past[..., 0]))
+        S = np.einsum("pim,pmjk->ijk", np.array(A), past)
+        S[..., 1:] += np.einsum("qaj,qiak->ijk", past[::-1, ..., 0], np.array(Z[::-1]))
+        G.append(S / -n)
+        N.append(W0 @ G[-1][..., 0])
 
 
 class SeriesPropagator:
     """Exponential-series propagator for one (field, initial metric) pair.
 
     Linear fields take the exact congruence by expm(-tA).  Otherwise the
-    powers P_j = J^j W0 come from truncated Taylor series at the point: the
-    field is expanded there to degree order + 1, at most cap + 1 (:func:`taylor_expand`),
-    and each application of J, (J W)_kl = d_k(w_lm X^m) - d_l(w_km X^m),
-    multiplies and differentiates coefficient arrays and so drops one
-    degree.  P_j and its coordinate gradient are the degree-0 and degree-1
-    coefficients of power j.  They are kept for the most recent point and
-    order only, and the higher coefficients for the latest power only.
+    series sum_j t^j/j! P_j, P_j = J^j W0, is the Taylor series of the
+    pullback (Grobner's Lie series), so P_j = j! w_j and its gradient j! dw_j
+    for the coefficients of :func:`_taylor_transport`, grown on demand and
+    kept for the most recent point.
     """
 
     def __init__(self, V: VectorFieldSpec, W0):
@@ -113,48 +123,29 @@ class SeriesPropagator:
             raise EvolutionError("series propagation needs an autonomous vector field; this one reads t")
         self.V = V
         self.W0 = ConstantMetric(V.chart, W0).matrix
-        self.basis = _SeriesBasis(V.chart.dim)
-        self._point: tuple[bytes, int] | None = None
-        self._X: np.ndarray | None = None
-        self._W: np.ndarray | None = None
-        self._terms: list[tuple[np.ndarray, np.ndarray]] = []
+        self._point: bytes | None = None
 
-    def _at_point(self, coords, j: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Power j at the point: (P, dP) with dP[k, l, m] = d_k P[l, m]."""
-        # the field is autonomous and W0 constant, so the powers do not involve t
-        key = (np.asarray(coords, dtype=float).tobytes(), order)
-        if key != self._point:
-            # an expansion whose terms reach the cap raises; the Taylor coefficients
-            # of exp, sin, cos, tanh, log and u^b are never zero twice in a row
-            # before they end, so one at degree cap + 1 does too
-            degree = min(order + 1, self.basis.cap + 1)
-            self._X = taylor_expand(self.V.components, self.V.chart, coords, 0.0, degree, self.basis)
-            self._W = self.W0[:, :, None]
-            self._terms = []
-            self._point = key
-        basis, d = self.basis, self.W0.shape[0]
-        while len(self._terms) <= j:
-            if self._terms:
-                # power n is needed to degree order + 1 - n, so w_lm X^m to one more
-                with np.errstate(all="ignore"):
-                    Q = basis.mul(self._W, self._X, order + 2 - len(self._terms)).sum(axis=1)
-                    G = basis.gradient(Q)
-                    self._W = basis.trim(G - G.swapaxes(0, 1))
-            S = self._W
-            dP = np.moveaxis(S[:, :, 1 : d + 1], 2, 0).copy() if S.shape[-1] > 1 else np.zeros((d, d, d))
-            self._terms.append((S[:, :, 0].copy(), dP))
+    def _coefficients(self, coords, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient j in t of W and of its gradient at the point: (w_j, dw_j)."""
+        # the field is autonomous and W0 constant, so the coefficients do not involve t
+        key = np.asarray(coords, dtype=float).tobytes()
+        if key != self._point or self._walk.gi_frame is None:  # a walk that raised has stopped
+            self._point, self._walk, self._terms = key, _taylor_transport(self.V, self.W0, coords), []
+        with np.errstate(all="ignore"):
+            while len(self._terms) <= j:
+                self._terms.append(next(self._walk))
         return self._terms[j]
 
     def _sum(self, coords, t: float, order: int, first=0, part=0, relative=False):
-        """sum_i t^i/i! times part (0: P, 1: dP) of power first + i, up to
-        the first term whose norm is below SERIES_STOP_NORM (times the
-        running sum's, if relative).  Returns (sum, terms, norm of the last
-        term)."""
-        total = self._at_point(coords, first, order)[part].copy()
-        coeff, i, last_norm = 1.0, 0, 0.0
+        """sum_i t^i/i! times part (0: P, 1: dP) of power first + i, first 0 or
+        1, up to the first term whose norm is below SERIES_STOP_NORM (times the
+        running sum's, if relative).  Returns (sum, terms, last term's norm)."""
+        total = self._coefficients(coords, first)[part].copy()
+        scale, i, last_norm = 1.0, 0, 0.0
         for i in range(1, order + 1 - first):
-            coeff *= t / i
-            term = coeff * self._at_point(coords, first + i, order)[part]
+            # t^i/i! P_{first+i} = t^i (first+i)!/i! w_{first+i}
+            scale *= t
+            term = (i + 1) ** first * scale * self._coefficients(coords, first + i)[part]
             total = total + term
             last_norm = float(np.max(np.abs(term)))
             if last_norm < SERIES_STOP_NORM * (max(1.0, float(np.max(np.abs(total)))) if relative else 1.0):
@@ -180,6 +171,12 @@ class SeriesPropagator:
             return W, SeriesInfo("linear-exact", 0, 0.0, False)
         if coords is None:
             raise ValueError("the generic series path needs an evaluation point")
+        size = (order + 1) ** 2 * len(self.W0) ** 3
+        if size > MAX_SERIES_PRODUCTS:
+            raise ExpressionSizeError(
+                f"a series of order {order} in {len(self.W0)} coordinates sums (order + 1)^2 d^3 = {size} "
+                f"products of d_k M coefficients (cap {MAX_SERIES_PRODUCTS})"
+            )
         total, terms, last_norm = self._sum(coords, t, order, relative=True)
         diverging = last_norm > max(1.0, float(np.max(np.abs(total))))
         if diverging:
@@ -365,14 +362,13 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
 class SeriesMetric(MetricField):
     """The series-propagated metric as a field with exact derivatives.
 
-    The jet sums the same per-point powers of the propagator, whose values
-    P_j and coordinate gradients dP_j are the degree-0 and degree-1 Taylor
-    coefficients of J^j W0 there, so dW/dt and dW/dx differentiate the
-    truncated series termwise.  The sums keep their truncation rules: the
-    relative stop of ``propagate`` for the value, an absolute
-    SERIES_STOP_NORM stop on the last term for the derivatives.  A field
-    with no Taylor expansion at the point (sqrt(u) at u = 0) fails the jet
-    with the DomainError naming the node.
+    The jet sums the propagator's coefficients at the point, those in t of
+    the pullback and of its coordinate gradient, so dW/dt and dW/dx
+    differentiate the truncated series termwise.  The sums keep their
+    truncation rules: the relative stop of ``propagate`` for the value, an
+    absolute SERIES_STOP_NORM stop on the last term for the derivatives.  A
+    field with no Taylor expansion at the point (sqrt(u) at u = 0) fails the
+    jet with the DomainError naming a node.
     """
 
     def __init__(self, V: VectorFieldSpec, W0, order: int = DEFAULT_SERIES_ORDER, mode: str = "auto"):

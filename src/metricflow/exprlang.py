@@ -19,7 +19,9 @@ Grammar (EBNF)::
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 import types
 from dataclasses import dataclass
@@ -354,11 +356,9 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
     Domain violations raise :class:`DomainError` naming the offending node
     instead of silently producing NaN; overflow gives inf.  The Taylor
-    expansion (:func:`taylor_expand`) takes its values from the same
-    operations, so it fails on the same nodes.  It also fails, naming the
-    node, where a varying argument has no expansion: sqrt(u), or u^b with
-    b not a non-negative integer, at u = 0, and u^v with a varying v at
-    u <= 0.
+    series (:func:`taylor_series`) takes its coefficient 0 from the same
+    operations, so it fails on the same nodes, and also where a varying
+    argument has no expansion.
     """
     if isinstance(e, Num):
         return e.value
@@ -377,212 +377,142 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncated multivariate Taylor series (Griewank & Walther, *Evaluating
-# Derivatives*, 2nd ed., ch. 13).  A series about a point is a float array
-# whose last axis holds its coefficients on the graded monomials of a
-# :class:`Monomials` basis: those of degree <= k are a prefix, so an array of
-# length sizes[k] has degree k.  Results are trimmed to their highest nonzero
-# degree, so a polynomial stays as short as it is.
+# Truncated Taylor series in one variable s, as lists of coefficients, by the recursive Taylor
+# method (Jorba & Zou, *Exp. Math.* 14(1), 2005; Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
 
-class Monomials:
-    """The monomials in d variables in graded order, grown on demand.
+def _conv(a, b, k: int) -> float:
+    """sum_{i=0}^{k} a_i b_{k-i}: coefficient k of a b."""
+    return sum(map(operator.mul, a[: k + 1], b[k::-1]))
 
-    Monomial 0 is 1 and monomials 1..d are x_1..x_d; exps[i] holds the
-    exponents of monomial i, and sizes[k] counts those of degree <= k.
-    Below the top degree, succ[i, k] is monomial i times x_k; above 0,
-    monomial i is parent[i] times x_var[i].
+
+def _rate(a, c, k: int) -> float:
+    """sum_{i=1}^{k} i a_i c_{k-i} / k: coefficient k of the integral of a' c.
+    The terms past a's end are left out, so a of length k leaves out i = k."""
+    return sum(map(operator.mul, map(operator.mul, range(1, k + 1), a[1 : k + 1]), c[k - 1 :: -1])) / k
+
+
+def _extend(c: list, k: int, rule) -> list:
+    """``c`` grown to coefficient k, coefficient m by rule(m)."""
+    while len(c) <= k:
+        c.append(rule(len(c)))
+    return c
+
+
+def _power_products(a: list, n: int):
+    """The rule of a^n, n an integer >= 0, by squarings, and products with a,
+    along the bits of n after its leading one: each partial power is a
+    series grown in order (exact for polynomials, also at a = 0)."""
+    levels = [([], [] if bit == "1" else None) for bit in bin(n)[3:]]
+
+    def rule(k: int) -> float:
+        power = a
+        for square, times_a in levels:
+            _extend(square, k, lambda m: _conv(power, power, m))
+            power = square if times_a is None else _extend(times_a, k, lambda m: _conv(square, a, m))
+        return power[k] if n else 0.0
+
+    return rule
+
+
+def _power_step(e: Expr, c: list, a: list, b: list):
+    """The rule of c = a^b by c' = (b log|a|)' c."""
+    log_a, exponent = [], []
+
+    def step(k: int) -> float:
+        if any(b[1 : k + 1]) and not a[0] > 0.0:
+            raise DomainError("no Taylor expansion at a non-positive base", e)
+        if a[0] == 0.0:
+            if any(a[1 : k + 1]):
+                raise DomainError("no Taylor expansion at 0", e)
+            return 0.0
+        _extend(log_a, k, lambda m: (a[m] - _rate(log_a, a, m)) / a[0] if m else math.log(abs(a[0])))
+        return _rate(_extend(exponent, k, lambda m: _conv(b, log_a, m)), c, k)
+
+    return step
+
+
+def _series_step(e: Expr, c: list, a: list | None = None, b: list | None = None):
+    """The rule that gives coefficient k of the node ``e``, whose coefficients
+    are ``c``, from those of its operands ``a`` and ``b``; coefficient 0 is
+    :func:`evaluate`'s value from theirs."""
+    if isinstance(e, Num):
+        return lambda k: 0.0 if k else e.value
+    if isinstance(e, Var):  # a is the leaf
+        return lambda k: a[k] if k < len(a) else 0.0
+    if isinstance(e, Neg):
+        return lambda k: -a[k]
+    rule = _series_rule(e, c, a, b)
+    if isinstance(e, Call):
+        return lambda k: rule(k) if k else _call_value(e, a[0])
+    return lambda k: rule(k) if k else _binop_value(e, a[0], b[0])
+
+
+def _series_rule(e: Expr, c: list, a: list, b: list | None):
+    """:func:`_series_step` for k >= 1 of an operator or function node."""
+    op = e.op if isinstance(e, BinOp) else e.func
+    if op in ("+", "-"):
+        return (lambda k: a[k] + b[k]) if op == "+" else (lambda k: a[k] - b[k])
+    if op == "*":
+        return lambda k: _conv(a, b, k)
+    if op == "/":
+        return lambda k: (a[k] - _conv(b[1:], c, k - 1)) / b[0]
+    if op == "exp":
+        return lambda k: _rate(a, c, k)
+    if op == "log":
+        return lambda k: (a[k] - _rate(c, a, k)) / a[0]
+    if op in ("sin", "cos"):  # each carries the other: sin' = a' cos, cos' = -a' sin
+        sign, other = (1.0 if op == "sin" else -1.0), []
+        first = math.cos if op == "sin" else math.sin
+        partner = lambda m: -sign * _rate(a, c, m) if m else first(a[0])  # noqa: E731
+        return lambda k: sign * _rate(a, _extend(other, k - 1, partner), k)
+    if op == "tanh":  # tanh' = a' (1 - tanh^2)
+        w = []
+        return lambda k: _rate(a, _extend(w, k - 1, lambda m: float(m == 0) - _conv(c, c, m)), k)
+    if op == "^" and isinstance(e.rhs, Num) and e.rhs.value >= 0.0 and e.rhs.value.is_integer():
+        return _power_products(a, int(e.rhs.value))
+    if op in ("^", "sqrt"):
+        return _power_step(e, c, a, b if op == "^" else [0.5])
+    raise ExprError(f"unknown node {e!r}")
+
+
+def taylor_series(exprs: Sequence[Expr], leaves: Mapping[str, list]):
+    """The Taylor coefficients in one variable s of ``exprs``, whose variables
+    are the series ``leaves``: each next() gives coefficient k = 0, 1, ...
+    of every expression.
+
+    A leaf is the list of its coefficients, which the caller may extend
+    between calls: coefficient k is read when coefficient k is asked for,
+    and one past the list's end is 0.  Coefficient 0 is :func:`evaluate`'s
+    value bit for bit, with its domain semantics; coefficient k of a node
+    follows from its operands' up to k and its own below k, ``/ exp log sin
+    cos tanh sqrt ^`` by the recurrences of their differential equations,
+    u^v as exp(v log|u|) but u^n, n a number node that is an integer >= 0,
+    by products.  An argument whose coefficients past 0 are zero needs no
+    expansion, so sqrt(q1 - q1) is 0; sqrt(u), and u^v but u^n, at u = 0
+    where u varies, and u^v with a varying v at u <= 0 raise DomainError.
     """
+    nodes, memo = [], {}
 
-    def __init__(self, d: int):
-        self.d = d
-        self.sizes = [1]
-        self.exps = np.zeros((1, d), dtype=np.intp)
-        self.parent = self.var = np.zeros(1, dtype=np.intp)
-        self.succ = np.zeros((0, d), dtype=np.intp)
-
-    def grow(self, degree: int) -> None:
-        """Extend the basis to every monomial of degree <= ``degree``."""
-        while len(self.sizes) <= degree:
-            lo, hi = self.sizes[-2] if len(self.sizes) > 1 else 0, self.sizes[-1]
-            products = (self.exps[lo:hi, None] + np.eye(self.d, dtype=np.intp)).reshape(-1, self.d)
-            # descending order puts x_1..x_d first
-            _, first, inverse = np.unique(-products, axis=0, return_index=True, return_inverse=True)
-            self.exps = np.concatenate([self.exps, products[first]])
-            self.parent = np.concatenate([self.parent, lo + first // self.d])
-            self.var = np.concatenate([self.var, first % self.d])
-            self.succ = np.concatenate([self.succ, hi + inverse.reshape(hi - lo, self.d)])
-            self.sizes.append(hi + len(first))
-
-    def degree(self, a: np.ndarray) -> int:
-        return self.sizes.index(a.shape[-1])
-
-    def trim(self, a: np.ndarray) -> np.ndarray:
-        """``a`` cut after its highest nonzero degree over all leading axes."""
-        nonzero = np.flatnonzero(np.any(a.reshape(-1, a.shape[-1]) != 0.0, axis=0))
-        top = int(np.searchsorted(self.sizes, nonzero[-1], side="right")) if len(nonzero) else 0
-        return a[..., : self.sizes[top]]
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(a.shape[-1], b.shape[-1]),))
-        out[..., : a.shape[-1]] += a
-        out[..., : b.shape[-1]] += b
-        return self.trim(out)
-
-    def mul(self, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-        """The product of two series truncated at ``degree``; leading axes broadcast."""
-        if a.shape[-1] < b.shape[-1]:
-            a, b = b, a
-        top = min(self.degree(a) + self.degree(b), degree)
-        self.grow(top)
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (self.sizes[top],))
-        # table[r, j] is monomial lo + r of the shorter factor times monomial j,
-        # built for one degree of that factor at a time from the one below
-        lo, table = 0, np.arange(min(a.shape[-1], out.shape[-1]))[None]
-        for s in range(min(self.degree(b), top) + 1):
-            if s:
-                prev, lo, hi = lo, self.sizes[s - 1], self.sizes[s]
-                cols = min(a.shape[-1], self.sizes[top - s])
-                table = self.succ[table[self.parent[lo:hi] - prev, :cols], self.var[lo:hi, None]]
-            for r, row in enumerate(table):
-                if b[..., lo + r].any():
-                    out[..., row] += b[..., lo + r, None] * a[..., : len(row)]
-        return self.trim(out)
-
-    def gradient(self, a: np.ndarray) -> np.ndarray:
-        """The partial derivatives (d, ...) of the series ``a``, one degree lower."""
-        top = self.degree(a)
-        if top == 0:
-            return np.zeros((self.d,) + a.shape)
-        n = self.sizes[top - 1]
-        return np.moveaxis(a[..., self.succ[:n]] * (self.exps[:n] + 1), -1, 0)
-
-    def compose(self, coeffs: list[float], u: np.ndarray, degree: int) -> np.ndarray:
-        """f(u) truncated at ``degree``, from f's Taylor coefficients
-        coeffs[n] = f^(n)(u0)/n! at u0 = u[0]: Horner's rule in u - u0."""
-        du = u.copy()
-        du[0] = 0.0
-        du = self.trim(du)
-        top = len(coeffs) - 1
-        while top and coeffs[top] == 0.0:
-            top -= 1
-        out = np.array(coeffs[top : top + 1])
-        for c in reversed(coeffs[:top]):
-            out = self.mul(out, du, degree)
-            out[0] += c
-        return out
-
-
-def _binomial(e: Expr, b: float, u0: float, degree: int) -> list[float]:
-    """Taylor coefficients of u^b at u0: binomial(b, n) u0^(b - n), up to
-    the first that is exactly zero (for an integer b >= 0, all after it are)."""
-    if u0 == 0.0:
-        if not (b >= 0.0 and float(b).is_integer()):
-            raise DomainError("no Taylor expansion at 0", e)
-        return [float(n == b) for n in range(int(min(degree, b)) + 1)]
-    out, c = [], 1.0
-    for n in range(degree + 1):
-        if not c:
-            break
-        out.append(c * _pow(u0, b - n))
-        c *= (b - n) / (n + 1)
-    return out
-
-
-def _function_coeffs(f: str, u0: float, value: float, degree: int) -> list[float]:
-    """Taylor coefficients of exp, log, sin, cos or tanh at u0, where it is ``value``."""
-    out = [value]
-    if f == "log":
-        return out + [(-1.0) ** (n + 1) / n * _pow(1.0 / u0, n) for n in range(1, degree + 1)]
-    if f == "tanh":
-        # y' = 1 - y^2, coefficient by coefficient
-        for n in range(degree):
-            out.append((float(n == 0) - sum(out[i] * out[n - i] for i in range(n + 1))) / (n + 1))
-        return out
-    if f == "exp":
-        cycle = (value,)
-    else:
-        s, c = math.sin(u0), math.cos(u0)
-        cycle = (s, c, -s, -c) if f == "sin" else (c, -s, -c, s)
-    scale = 1.0
-    for n in range(1, degree + 1):
-        scale /= n
-        out.append(cycle[n % len(cycle)] * scale)
-    return out
-
-
-def taylor_expand(
-    exprs: Sequence[Expr], chart: CoordinateChart, coords, time: float, degree: int, basis: Monomials
-) -> np.ndarray:
-    """Taylor coefficients of ``exprs`` in the chart coordinates about
-    ``coords``, truncated at ``degree``, with ``t`` held at ``time``.
-
-    Returns an array (len(exprs), basis.sizes[k]) trimmed to the highest
-    nonzero degree k.  Degree 0 is :func:`evaluate`'s value bit for bit,
-    with its domain semantics.  ``+ - *`` and ``/`` act on the
-    coefficients; ``exp sin cos tanh log sqrt ^`` compose the function's
-    Taylor coefficients at u0 with u - u0, u^v for a varying v as
-    exp(v log u).  An argument that does not vary with the coordinates
-    needs no expansion, so sqrt(q1 - q1) has zero partials.
-    """
-    env = chart.env(coords, time)
-    index = {name: k for k, name in enumerate(chart.names)}
-    memo: dict[int, np.ndarray] = {}
-
-    def walk(e: Expr) -> np.ndarray:
+    def visit(e: Expr) -> list:
         if id(e) not in memo:
-            memo[id(e)] = node(e)
+            if isinstance(e, Var):
+                if e.name not in leaves:
+                    raise UnboundVariableError(f"no binding for '{e.name}'")
+                args = [leaves[e.name]]
+            elif isinstance(e, BinOp):
+                args = [visit(e.lhs), visit(e.rhs)]
+            else:
+                args = [visit(e.arg)] if isinstance(e, (Neg, Call)) else []
+            memo[id(e)] = c = []
+            nodes.append((c, _series_step(e, c, *args)))
         return memo[id(e)]
 
-    def node(e: Expr) -> np.ndarray:
-        if isinstance(e, (Num, Var)):
-            out = np.array([evaluate(e, env)])
-            if isinstance(e, Var) and e.name in index and degree > 0:
-                basis.grow(1)
-                out = np.append(out, np.arange(basis.d) == index[e.name])
-            return out
-        if isinstance(e, Neg):
-            return -walk(e.arg)
-        if isinstance(e, Call):
-            args = [walk(e.arg)]
-            value = _call_value(e, float(args[0][0]))
-        elif isinstance(e, BinOp):
-            args = [walk(e.lhs), walk(e.rhs)]
-            value = _binop_value(e, float(args[0][0]), float(args[1][0]))
-        else:
-            raise ExprError(f"unknown node {e!r}")
-        if all(len(a) == 1 for a in args):  # nothing varies
-            return np.array([value])
-        out = call(e, *args, value) if isinstance(e, Call) else binop(e, *args, value)
-        out[0] = value
-        return out
-
-    def call(e: Call, a: np.ndarray, value: float) -> np.ndarray:
-        if e.func == "sqrt":
-            return basis.compose(_binomial(e, 0.5, float(a[0]), degree), a, degree)
-        return basis.compose(_function_coeffs(e.func, float(a[0]), value, degree), a, degree)
-
-    def binop(e: BinOp, a: np.ndarray, b: np.ndarray, value: float) -> np.ndarray:
-        if e.op in "+-":
-            return basis.add(a, b if e.op == "+" else -b)
-        if e.op == "*":
-            return basis.mul(a, b, degree)
-        if e.op == "/":
-            if len(b) == 1:
-                return a / b[0]
-            return basis.mul(a, basis.compose(_binomial(e, -1.0, float(b[0]), degree), b, degree), degree)
-        if len(b) == 1:  # a constant exponent
-            return basis.compose(_binomial(e, float(b[0]), float(a[0]), degree), a, degree)
-        if a[0] <= 0.0:
-            raise DomainError("no Taylor expansion at a non-positive base", e)
-        log_a = basis.compose(_function_coeffs("log", float(a[0]), math.log(a[0]), degree), a, degree)
-        v_log_a = basis.mul(b, log_a, degree)
-        return basis.compose(_function_coeffs("exp", float(v_log_a[0]), value, degree), v_log_a, degree)
-
-    with np.errstate(all="ignore"):
-        series = [walk(e) for e in exprs]
-    n = max(len(s) for s in series)
-    return np.array([np.pad(s, (0, n - len(s))) for s in series])
+    outputs = [visit(e) for e in exprs]
+    for k in itertools.count():
+        for c, step in nodes:
+            c.append(step(k))
+        yield [c[k] for c in outputs]
 
 
 def probe_points(count: int, low: Sequence[float], high: Sequence[float]) -> np.ndarray:
@@ -608,7 +538,7 @@ def _is_num(e: Expr, value: float | None = None) -> bool:
 
 
 # Per-node memos keyed by id; an entry holds its node, so the id is not reused.  A full memo is emptied.
-_FREE, _INACTIVE, _PARTIALS = {}, {}, {}
+_FREE, _INACTIVE, _PARTIALS, _SIMPLE = {}, {}, {}, {}
 
 
 def _remember(memo: dict, e: Expr, value):
@@ -621,16 +551,20 @@ def _remember(memo: dict, e: Expr, value):
 def simplify(e: Expr) -> Expr:
     """Bottom-up constant folding plus 0/1 identities; nothing fancier.
 
-    A node that no rule changes is returned itself, not copied.
+    A node that no rule changes is returned itself, not copied.  Results
+    are memoized per node: the chain rule simplifies shared operands again.
     """
     if isinstance(e, (Num, Var)):
         return e
+    hit = _SIMPLE.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, (Neg, Call)):
-        return _simplified(e, simplify(e.arg))
+        return _remember(_SIMPLE, e, _simplified(e, simplify(e.arg)))
     if isinstance(e, BinOp):
         a = simplify(e.lhs)
         # a zero factor wins whatever the other factor simplifies to
-        return ZERO if e.op == "*" and _is_num(a, 0.0) else _simplified(e, a, simplify(e.rhs))
+        return _remember(_SIMPLE, e, ZERO if e.op == "*" and _is_num(a, 0.0) else _simplified(e, a, simplify(e.rhs)))
     raise ExprError(f"unknown node {e!r}")
 
 

@@ -962,20 +962,28 @@ class TestMainEntry:
         assert error["kind"] == "domain"
         assert error["message"] == "log of non-positive value in 'log(q1)'"
 
+    @staticmethod
+    def quartic_chain(n, order):
+        """The coupled quartic chain sum p^2/2 + q^4/4 + q_i q_(i+1)/2 with
+        friction 0.5, a series and a tight pullback at t = 0.5."""
+        H = " + ".join([f"p{i}^2/2 + q{i}^4/4" for i in range(1, n + 1)] + [f"q{i}*q{i + 1}/2" for i in range(1, n)])
+        point = np.random.default_rng(0).uniform(-0.5, 0.5, 2 * n).tolist()
+        return {"n": n, "hamiltonian": H, "friction": 0.5, "metric": "canonical",
+                "series": {"order": order}, "methods": ["series", "pullback"], "t_grid": [0.5],
+                "integrator": {"abs_tol": 1e-13, "rel_tol": 1e-13}, "queries": [{"point": point, "time": 0.0}]}
+
     def test_series_beyond_the_coefficient_cap_exits_70(self, tmp_path, capsys):
-        # 1/(2 - q1) expands to degree order + 1 = 401: 4 * C(403, 2)
-        # coefficients per power exceed MAX_SERIES_COEFFS, which stops the
-        # basis growing
-        data = {"n": 1, "components": ["p1", "-q1 - p1/(2 - q1)"], "metric": "canonical",
-                "series": {"order": 400, "mode": "generic"}, "methods": ["series"], "t_grid": [0.5],
-                "queries": [{"point": [0.3, -0.2], "time": 0.0}]}
+        # order 20 in 24 coordinates sums 21^2 * 24^3 = 6096384 products of
+        # coefficients, past MAX_SERIES_PRODUCTS; order 12 runs (below)
+        data = self.quartic_chain(12, 20)
         assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_RUNTIME
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "evolution"
-        assert "cap 250000" in error["message"]
+        assert "6096384" in error["message"]
+        assert "cap 4000000" in error["message"]
 
     def test_a_huge_series_order_ends_at_the_cap(self, tmp_path, capsys):
-        # the expansion stops two degrees past the cap, so the powers reach it at once
+        # the cap is checked before the first coefficient
         W0 = [["0", "0.3", "1", "-0.2"], ["-0.3", "0", "0.1", "1"], ["-1", "-0.1", "0", "0.4"], ["0.2", "-1", "-0.4", "0"]]
         data = {"n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", "friction": 1.0, "metric": W0,
                 "series": {"order": 10**9, "mode": "generic"}, "methods": ["series"], "t_grid": [0.5],
@@ -985,7 +993,60 @@ class TestMainEntry:
         assert main(["evolve-metric", "--config", path]) == EXIT_RUNTIME
         assert time.perf_counter() - start < 0.2
         error = json.loads(capsys.readouterr().out)["error"]
-        assert error["kind"] == "evolution" and "cap 250000" in error["message"]
+        assert error["kind"] == "evolution" and "cap 4000000" in error["message"]
+
+    def series_and_pullback(self, tmp_path, capsys, data):
+        """The series and pullback rows of an evolve-metric run that exits 0."""
+        assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [r["method"] for r in rows] == ["series", "pullback"]
+        return rows
+
+    def test_a_high_order_series_stops_when_it_converges(self, tmp_path, capsys):
+        # order 400 is within the cap, and the relative stop ends the sum
+        # after a few dozen terms
+        data = {"n": 1, "components": ["p1", "-q1 - p1/(2 - q1)"], "metric": "canonical",
+                "series": {"order": 400, "mode": "generic"}, "methods": ["series", "pullback"], "t_grid": [0.5],
+                "integrator": {"abs_tol": 1e-13, "rel_tol": 1e-13}, "queries": [{"point": [0.3, -0.2], "time": 0.0}]}
+        series, pullback = self.series_and_pullback(tmp_path, capsys, data)
+        assert np.max(np.abs(metric_cells(series) - metric_cells(pullback))) < 1e-9
+        assert series["warning"] == ""
+
+    def test_a_24_dimensional_nonlinear_series_runs(self, tmp_path, capsys):
+        # the n = 12 coupled quartic chain, beyond any d-variate expansion
+        series, pullback = self.series_and_pullback(tmp_path, capsys, self.quartic_chain(12, 12))
+        assert np.max(np.abs(metric_cells(series) - metric_cells(pullback))) < 1e-9
+        assert float(series["invariance_residual"]) < 1e-9
+
+    def test_a_diverging_series_row_names_it_in_its_warning_cell(self, tmp_path, capsys):
+        # Van der Pol at order 30: t = 0.5 converges, t = 3 lies past the
+        # series' radius; the warning is the row's cell, not a Python warning
+        data = {"n": 1, "components": ["p1", "(1 - q1^2)*p1 - q1"], "metric": "canonical",
+                "series": {"order": 30, "mode": "generic"}, "t_grid": [0.5, 3.0],
+                "queries": [{"point": [0.3, -0.2], "time": 0.0}]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve-metric", "--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert caught == []
+        out = capsys.readouterr()
+        assert out.err == ""
+        _, rows = parse_csv(out.out)
+        assert [(r["t"], r["method"]) for r in rows] == [("0.5", "series"), ("0.5", "pullback"),
+                                                         ("3", "series"), ("3", "pullback")]
+        assert [r["warning"] for r in rows[:2]] + [rows[3]["warning"]] == ["", "", ""]
+        assert re.fullmatch(r"series term 30 has norm \S+, exceeding the running sum; "
+                            r"the truncated series is not converging", rows[2]["warning"])
+
+    @pytest.mark.parametrize("argv", [["audit"], ["bracket", "--A", "q1", "--B", "p1"]])
+    def test_a_huge_constant_field_starts_its_steps(self, tmp_path, capsys, argv):
+        # the field 1e300 overflows the initial-step norm, which then takes
+        # the small first step instead of underflowing at t = 0
+        path = write_config(tmp_path, {"n": 1, "components": ["1e300", "0"]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--config", path]) == EXIT_OK
+        assert caught == []
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("entry", ["sin(exp(1000))", "cos(-exp(1000*q1))"])
     def test_trig_of_overflow_names_the_entry(self, tmp_path, entry):

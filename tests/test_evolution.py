@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -97,10 +98,10 @@ class TestSeries:
     def test_expression_size_cap(self, chart1, monkeypatch):
         import metricflow.evolution as evolution
 
-        # state-dependent compressibility makes the powers grow in degree
+        # order 10 in 2 coordinates sums (10 + 1)^2 * 2^3 = 968 products
         V = VectorFieldSpec.from_components(chart1, ["p1", "-q1 - q1^2*p1"])
         SeriesPropagator(V, J2).propagate(0.1, [0.2, 0.1], order=10)
-        monkeypatch.setattr(evolution, "MAX_SERIES_COEFFS", 50)
+        monkeypatch.setattr(evolution, "MAX_SERIES_PRODUCTS", 967)
         with pytest.raises(evolution.ExpressionSizeError):
             SeriesPropagator(V, J2).propagate(0.1, [0.2, 0.1], order=10)
 
@@ -193,6 +194,7 @@ class TestSeriesForwardMode:
         return V, B - B.T
 
     def test_d_dx_makes_no_differentiate_calls(self, chart1, monkeypatch):
+        import metricflow.dynamics as dynamics
         import metricflow.evolution as evolution
         import metricflow.exprlang as exprlang
         V = self.van_der_pol(chart1)
@@ -207,15 +209,23 @@ class TestSeriesForwardMode:
 
         for name in ("differentiate", "gradient", "simplify"):
             wrapped = counting(name, getattr(exprlang, name))
-            monkeypatch.setattr(exprlang, name, wrapped)
-            monkeypatch.setattr(evolution, name, wrapped, raising=False)
-        # construction and every power at both points included
+            for module in (exprlang, dynamics, evolution):
+                monkeypatch.setattr(module, name, wrapped, raising=False)
+
+        def jets(M, points):
+            for coords in points:
+                M.value(coords, 0.5)
+                M.d_dt(coords, 0.5)
+                M.d_dx(coords, 0.5)
+
+        # the field's Jacobian and Hessian trees are built once, at the first
+        # point; more points, jets and orders differentiate nothing
         M = SeriesMetric(V, J2, order=6, mode="generic")
-        for coords in ([0.3, -0.4], [0.7, 0.1]):
-            M.value(coords, 0.5)
-            M.d_dt(coords, 0.5)
-            M.d_dx(coords, 0.5)
-        assert calls == []
+        jets(M, [[0.3, -0.4]])
+        setup = len(calls)
+        jets(M, [[0.7, 0.1], [-0.2, 0.5], [0.3, -0.4], [0.3, -0.4]])
+        jets(SeriesMetric(V, J2, order=9, mode="generic"), [[0.1, 0.2]])
+        assert len(calls) == setup
 
     @pytest.mark.parametrize("case", ["van_der_pol", "quartic_generic"])
     def test_d_dx_matches_termwise_symbolic(self, case, chart1, chart2):
@@ -226,7 +236,8 @@ class TestSeriesForwardMode:
         M = SeriesMetric(V, W0, order=order, mode="generic")
         terms = symbolic_at_point(symbolic_powers(V, W0, order), V.chart, coords)
         for j, (P, dP) in enumerate(terms):
-            got_P, got_dP = M.prop._at_point(coords, j, order)
+            # P_j = j! w_j for the Taylor coefficients w_j in t of the pullback
+            got_P, got_dP = (math.factorial(j) * w for w in M.prop._coefficients(coords, j))
             assert_relative(got_P, P, 1e-13)
             assert_relative(got_dP, dP, 1e-13)
         for time in (0.0, 0.5, -0.3):
@@ -243,22 +254,27 @@ class TestSeriesForwardMode:
             assert_relative(M.d_dt(coords, time), d_dt, 1e-13)
 
     def test_exact_zero_partial_of_sqrt(self, chart1):
-        from metricflow.exprlang import Monomials, differentiate, taylor_expand
+        from metricflow.exprlang import differentiate, taylor_series
+
+        def coefficients(text, leaves, count):
+            walk = taylor_series([parse(text, chart1)], leaves)
+            return [next(walk)[0] for _ in range(count)]
 
         env = chart1.env([0.3, 0.0])
         # sqrt of an argument that does not vary has no derivative to take:
-        # q1 - q1 expands to exactly 0, so sqrt(q1 - q1) is 0 with zero partials
-        s = taylor_expand([parse("sqrt(q1 - q1) + q1", chart1)], chart1, [0.3, 0.0], 0.0, 3, Monomials(2))
-        assert s.tolist() == [[0.3, 1.0, 0.0]]
-        # sqrt(p1) varies, and has no expansion at p1 = 0: every partial fails,
-        # also d/dq1, which differentiate folds to 0
+        # q1 - q1 expands to exactly 0, so sqrt(q1 - q1) is 0 along any path
+        assert coefficients("sqrt(q1 - q1) + q1", {"q1": [0.3, 1.0], "p1": [0.0, 1.0]}, 4) == [0.3, 1.0, 0.0, 0.0]
+        # sqrt(p1) has no expansion at p1 = 0 along a path that moves p1, also
+        # in q1*sqrt(p1), whose partial d/dq1 differentiate folds to 0
         assert evaluate(differentiate(parse("sqrt(p1)", chart1), "q1"), env) == 0.0
-        for text in ("sqrt(p1)", "q1*sqrt(p1) + q1"):
+        for text, along_q1 in (("sqrt(p1)", [0.0, 0.0, 0.0]), ("q1*sqrt(p1) + q1", [0.3, 1.0, 0.0])):
+            walk = taylor_series([parse(text, chart1)], {"q1": [0.3, 1.0], "p1": [0.0, 0.5]})
+            # coefficient 0 is the value alone
+            assert next(walk)[0] == evaluate(parse(text, chart1), env)
             with pytest.raises(DomainError, match=r"no Taylor expansion at 0 in 'sqrt\(p1\)'"):
-                taylor_expand([parse(text, chart1)], chart1, [0.3, 0.0], 0.0, 1, Monomials(2))
-            # degree 0 is the value alone
-            value = taylor_expand([parse(text, chart1)], chart1, [0.3, 0.0], 0.0, 0, Monomials(2))
-            assert value[0, 0] == evaluate(parse(text, chart1), env)
+                next(walk)
+            # a path that keeps p1 at 0 expands
+            assert coefficients(text, {"q1": [0.3, 1.0], "p1": [0.0]}, 3) == along_q1
 
     def test_expansion_domain_failure_reaches_every_method(self, chart1):
         # the field's sqrt(p1) has no expansion at p1 = 0, where its value is

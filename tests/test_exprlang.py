@@ -10,8 +10,8 @@ from metricflow.exprlang import (
     ExprSyntaxError,
     Neg,
     Num,
+    UnboundVariableError,
     UnknownIdentifierError,
-    Monomials,
     Var,
     compile_vector,
     differentiate,
@@ -19,7 +19,7 @@ from metricflow.exprlang import (
     free_vars,
     parse,
     simplify,
-    taylor_expand,
+    taylor_series,
     to_string,
 )
 
@@ -187,7 +187,7 @@ class TestEvaluate:
         chart = CoordinateChart(1)
         e = parse(text, chart)
         env = chart.env([1000.0, 0.0])
-        expand = lambda: taylor_expand([e], chart, [1000.0, 0.0], 0.0, 3, Monomials(2))  # noqa: E731
+        expand = lambda: next(taylor_series([e], {"q1": [1000.0, 1.0], "p1": [0.0, 1.0]}))  # noqa: E731
         for evaluator in (lambda: evaluate(e, env), expand):
             with pytest.raises(DomainError) as info:
                 evaluator()
@@ -196,49 +196,31 @@ class TestEvaluate:
         assert simplify(e).func == e.func
 
 
+def coefficients(exprs, leaves, count):
+    """The first ``count`` Taylor coefficients of each expression, (len(exprs), count)."""
+    walk = taylor_series(exprs, leaves)
+    return np.array([next(walk) for _ in range(count)]).T
+
+
 class TestTaylor:
-    """Truncated Taylor series on the graded monomial basis."""
-
-    @staticmethod
-    def polynomial(basis, coeffs, x):
-        return sum(c * np.prod(np.asarray(x) ** basis.exps[i]) for i, c in enumerate(coeffs))
-
-    def test_basis_is_graded_with_consistent_successors(self):
-        from math import comb
-
-        basis = Monomials(3)
-        basis.grow(4)
-        exps = [tuple(row) for row in basis.exps]
-        assert basis.sizes == [comb(k + 3, 3) for k in range(5)]
-        assert len(set(exps)) == len(exps)
-        assert [sum(e) for e in exps] == sorted(sum(e) for e in exps)
-        assert exps[1:4] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        index = {e: i for i, e in enumerate(exps)}
-        for i, e in enumerate(exps[: basis.sizes[3]]):
-            for k in range(3):
-                assert basis.succ[i, k] == index[tuple(np.add(e, np.eye(3, dtype=int)[k]))]
+    """Truncated Taylor series in one variable s, the leaves given as series."""
 
     def test_product_and_gradient_of_polynomials(self):
-        basis = Monomials(2)
-        basis.grow(3)
+        # polynomial leaves give the exact product of their polynomials, and
+        # coefficient 1 is the gradient along the leaves' velocity
+        chart = CoordinateChart(1)
         rng = np.random.default_rng(3)
-        a, b = rng.standard_normal(basis.sizes[2]), rng.standard_normal(basis.sizes[3])
-        x = rng.uniform(-1.0, 1.0, 2)
-        exact = basis.mul(a, b, 5)
-        assert len(exact) == basis.sizes[5]
-        assert self.polynomial(basis, exact, x) == pytest.approx(
-            self.polynomial(basis, a, x) * self.polynomial(basis, b, x), rel=1e-13
-        )
-        # truncation keeps the low degrees of the full product
-        assert np.array_equal(basis.mul(a, b, 3), exact[: basis.sizes[3]])
-        # d/dx_0 of x_0^2 x_1 is 2 x_0 x_1
-        cube = np.zeros(basis.sizes[3])
-        cube[basis.exps.tolist().index([2, 1])] = 1.0
-        grad = basis.gradient(cube)
-        assert grad.shape == (2, basis.sizes[2])
-        assert grad[0, basis.exps.tolist().index([1, 1])] == 2.0
-        assert grad[1, basis.exps.tolist().index([2, 0])] == 1.0
-        assert np.count_nonzero(grad) == 2
+        q, p = rng.standard_normal(3), rng.standard_normal(4)
+        got = coefficients([parse("q1*p1", chart), parse("q1^2*p1 - 3*p1", chart)], {"q1": list(q), "p1": list(p)}, 12)
+        product = np.polynomial.polynomial.polymul
+        assert np.allclose(got[0], np.pad(product(q, p), (0, 6)), rtol=1e-14, atol=0.0)
+        cubic = product(product(q, q), p) - np.pad(3 * p, (0, 4))
+        assert np.allclose(got[1], np.pad(cubic, (0, 4)), rtol=1e-13, atol=1e-14)
+        assert not got[0, 6:].any() and not got[1, 8:].any()
+        e = parse("q1^2*p1 - 3*p1", chart)
+        env = chart.env([q[0], p[0]])
+        directional = sum(v * evaluate(differentiate(e, name), env) for v, name in zip((q[1], p[1]), chart.names))
+        assert got[1, 1] == pytest.approx(directional, rel=1e-13)
 
     @pytest.mark.parametrize(
         "text",
@@ -246,25 +228,26 @@ class TestTaylor:
          "(q1 + 1)^2.5 / (q1 - p1)", "q1^3 - 2*p1/q1 + t"],
     )
     def test_expansion_matches_evaluate_and_differentiate(self, text):
+        # along x + s h, coefficient 0 is the value, coefficient 1 the
+        # gradient along h, and the sum at s = 1 the value at x + h
         chart = CoordinateChart(1)
         e = parse(text, chart)
-        x, time = np.array([0.7, 0.3]), 0.4
-        basis = Monomials(2)
-        s = taylor_expand([e], chart, x, time, 10, basis)[0]
-        assert s[0] == evaluate(e, chart.env(x, time))
-        for k, name in enumerate(chart.names):
-            assert s[1 + k] == pytest.approx(evaluate(differentiate(e, name), chart.env(x, time)), rel=1e-13)
-        h = np.array([0.01, -0.02])
-        assert self.polynomial(basis, s, h) == pytest.approx(evaluate(e, chart.env(x + h, time)), rel=1e-12)
+        x, h, time = np.array([0.7, 0.3]), np.array([0.01, -0.02]), 0.4
+        s = coefficients([e], {"q1": [x[0], h[0]], "p1": [x[1], h[1]], "t": [time]}, 11)[0]
+        env = chart.env(x, time)
+        assert s[0] == evaluate(e, env)
+        directional = sum(v * evaluate(differentiate(e, name), env) for v, name in zip(h, chart.names))
+        assert s[1] == pytest.approx(directional, rel=1e-13)
+        assert sum(s) == pytest.approx(evaluate(e, chart.env(x + h, time)), rel=1e-12)
 
     def test_polynomials_stay_short(self):
+        # products of polynomial leaves end exactly at their degree
         chart = CoordinateChart(2)
-        basis = Monomials(4)
-        s = taylor_expand([parse("q1^2*p2 - 3", chart), parse("q2", chart)], chart, [2.0, 0.5, 0.0, 1.0], 0.0, 20, basis)
-        assert s.shape == (2, basis.sizes[3])
-        assert basis.sizes[-1] == basis.sizes[3]
-        assert self.polynomial(basis, s[0], [0.1, 0.2, 0.3, -0.4]) == pytest.approx(2.1**2 * 0.6 - 3, rel=1e-14)
-        assert s[1].tolist() == [0.5, 0.0, 1.0] + [0.0] * (basis.sizes[3] - 3)
+        leaves = {"q1": [2.0, 0.1], "q2": [0.5], "p1": [0.0], "p2": [1.0, -0.4]}
+        s = coefficients([parse("q1^2*p2 - 3", chart), parse("q2", chart)], leaves, 21)
+        assert not s[0, 4:].any() and s[0, 3] != 0.0
+        assert sum(s[0]) == pytest.approx(2.1**2 * 0.6 - 3, rel=1e-14)
+        assert s[1].tolist() == [0.5] + [0.0] * 20
 
     @pytest.mark.parametrize(
         "text, point, message",
@@ -282,13 +265,40 @@ class TestTaylor:
         # has no expansion; an argument that does not vary needs none
         chart = CoordinateChart(1)
         e = parse(text, chart)
-        expand = lambda: taylor_expand([e], chart, point, 1.0, 4, Monomials(2))  # noqa: E731
+        expand = lambda: coefficients([e], {"q1": [point[0], 1.0], "p1": [point[1], 1.0], "t": [1.0]}, 5)  # noqa: E731
         if message is None:
             assert expand()[0, 0] == evaluate(e, chart.env(point, 1.0))
         else:
             with pytest.raises(DomainError) as info:
                 expand()
             assert str(info.value) == message
+
+    def test_unbound_leaf(self):
+        chart = CoordinateChart(1)
+        with pytest.raises(UnboundVariableError, match="no binding for 't'"):
+            next(taylor_series([parse("q1 + t", chart)], {"q1": [1.0], "p1": [0.0]}))
+
+    # each against sympy.series along leaves linear in s: q1 = 3/10 + 7/10 s
+    # and p1 = -2/5 + s/2, or where named, leaves through 0
+    @pytest.mark.parametrize(
+        "text, zero",
+        [("exp(q1) - 2*p1", ()), ("sin(q1) + cos(p1)", ()), ("log(2 + q1)", ()), ("sqrt(1 + p1^2)", ()),
+         ("tanh(q1)", ()), ("q1/(2 - p1)", ()), ("(1.5 + q1)^2.5", ()), ("q1^3 + q1^2*p1", ("q1",)),
+         ("(1 + q1)^p1", ("q1", "p1"))],
+    )
+    def test_coefficients_agree_with_sympy_series(self, text, zero):
+        sympy = pytest.importorskip("sympy")
+        chart = CoordinateChart(1)
+        s = sympy.Symbol("s")
+        start = {"q1": sympy.Rational(3, 10), "p1": sympy.Rational(-2, 5)}
+        velocity = {"q1": sympy.Rational(7, 10), "p1": sympy.Rational(1, 2)}
+        paths = {name: (0 if name in zero else start[name]) + velocity[name] * s for name in chart.names}
+        symbolic = sympy.sympify(text.replace("^", "**"), locals=paths)
+        series = sympy.series(symbolic, s, 0, 9).removeO()
+        ref = np.array([float(series.coeff(s, k)) for k in range(9)])
+        leaves = {name: [float(paths[name].coeff(s, k)) for k in range(2)] for name in chart.names}
+        got = coefficients([parse(text, chart)], leaves, 9)[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDifferentiate:
