@@ -7,7 +7,9 @@ and states at several times are a lane each.  Beside its trajectory a lane
 carries the tangent map from the variational equations, also its
 derivatives (:func:`flow_jet`), or the integral of the compressibility; a
 lane of a field that reads ``t`` also carries its time.  Backward flow
-integrates the field forward with its sign reversed.
+integrates the field forward with its sign reversed.  A run may start from a
+given step and returns the step its controller ends with, which the Strang
+sub-flows of one walk carry from each to the next.
 :func:`expm` is the matrix exponential of the linear and closed-form routes.
 """
 
@@ -376,7 +378,7 @@ def _eval_lanes(F, lanes: np.ndarray, Y: np.ndarray):
         return out, failed
 
 
-def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
+def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions, steps=None):
     """Integrate y' = F in the rows of Y0 (B, n), row b over [0, durations[b]],
     as the lanes of one array.
 
@@ -387,16 +389,18 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
     rejects only its lane's step, at h * 0.2.  A lane whose remaining time
     is at most 16 eps max(|t|, 1) has finished, with its last accepted
     state.  A lane that underflows or exceeds ``max_steps`` stops; at the
-    end the lowest-index failed lane raises.  Returns (Y_end, stats per
-    lane).
+    end the lowest-index failed lane raises.  A lane starts from steps[b],
+    clipped to its duration, or where that is None from the starting-step
+    estimate.  Returns (Y_end, stats per lane, each lane's step at its end).
     """
     atol, rtol = opts.abs_tol, opts.rel_tol
     Y, dur = np.array(Y0, dtype=float), [float(s) for s in durations]
     B, n = Y.shape
     lanes = np.array([b for b in range(B) if dur[b] > 0.0], dtype=int)  # a lane of zero duration keeps its start
+    h = [None] * B if steps is None else list(steps)
     if not len(lanes):
-        return Y, [IntegrationStats(0, 0, 0.0)] * B
-    t, h, counts = [0.0] * B, [0.0] * B, [[0, 0, 0.0] for _ in range(B)]
+        return Y, [IntegrationStats(0, 0, 0.0)] * B, h
+    t, counts = [0.0] * B, [[0, 0, 0.0] for _ in range(B)]
     failed: dict[int, IntegrationError] = {}
     y = Y[lanes]
     fy, bad = _eval_lanes(F, lanes, y)
@@ -406,20 +410,23 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
         keep = [r not in bad for r in range(len(lanes))]
         lanes, y, fy = lanes[keep], y[keep], fy[keep]
     ids = lanes.tolist()
-    # the initial step (Hairer, Norsett & Wanner, II.4) from the RMS norms d0, d1, d2;
-    # a d1 or max(d1, d2) that is not finite, as for a field of 1e300, takes the small step
-    with np.errstate(all="ignore"):
-        sc = atol + rtol * np.abs(y)
-        d0, d1 = ([math.sqrt(s / n) for s in np.add.reduce((v / sc) ** 2, axis=1).tolist()] for v in (y, fy))
-        h0 = [min(1e-6 if a < 1e-5 or not 1e-5 <= b < math.inf else 0.01 * a / b, dur[lane])
-              for a, b, lane in zip(d0, d1, ids)]
-        hs = np.array(h0)[:, None]
-        f1, bad = _eval_lanes(F, lanes, y + hs * fy)
-        d2 = (np.sqrt(np.add.reduce(((f1 - fy) / sc) ** 2, axis=1) / n) / hs[:, 0]).tolist()
-    for r, b in enumerate(ids):
-        dmax = max(d1[r], d2[r])
-        h1 = (0.01 / dmax) ** 0.2 if 1e-15 < dmax < math.inf else max(1e-6, h0[r] * 1e-3)
-        h[b] = min(h0[r] * 1e-3, dur[b]) if r in bad else min(100 * h0[r], h1, dur[b])
+    if any(h[b] is None for b in ids):
+        # the initial step (Hairer, Norsett & Wanner, II.4) from the RMS norms d0, d1, d2;
+        # a d1 or max(d1, d2) that is not finite, as for a field of 1e300, takes the small step
+        with np.errstate(all="ignore"):
+            sc = atol + rtol * np.abs(y)
+            d0, d1 = ([math.sqrt(s / n) for s in np.add.reduce((v / sc) ** 2, axis=1).tolist()] for v in (y, fy))
+            h0 = [min(1e-6 if a < 1e-5 or not 1e-5 <= b < math.inf else 0.01 * a / b, dur[lane])
+                  for a, b, lane in zip(d0, d1, ids)]
+            hs = np.array(h0)[:, None]
+            f1, bad = _eval_lanes(F, lanes, y + hs * fy)
+            d2 = (np.sqrt(np.add.reduce(((f1 - fy) / sc) ** 2, axis=1) / n) / hs[:, 0]).tolist()
+        for r, b in enumerate(ids):
+            dmax = max(d1[r], d2[r])
+            h1 = (0.01 / dmax) ** 0.2 if 1e-15 < dmax < math.inf else max(1e-6, h0[r] * 1e-3)
+            if h[b] is None:
+                h[b] = min(h0[r] * 1e-3, dur[b]) if r in bad else min(100 * h0[r], h1, dur[b])
+    hs = np.empty((len(ids), 1))
     # lanes, y, fy and the column hs of step sizes hold the running lanes;
     # they are rebuilt only when one stops
     while True:
@@ -436,13 +443,13 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
                     continue
                 failed[b] = StepSizeUnderflowError(f"step size underflow at t={t[b]:.6g}", t[b], y[r].copy())
             stop.append(r)
+        if len(stop) == len(ids):
+            break
         if stop:
             keep = np.ones(len(ids), dtype=bool)
             keep[stop] = False
             lanes, y, fy, hs = lanes[keep], y[keep], fy[keep], hs[keep]
             ids = lanes.tolist()
-        if not ids:
-            break
         # the sums over stages add left to right from +0.0, as Python's sum does;
         # a lane whose stage raised takes its later stages at its state y, where
         # F does not raise, and its step is rejected
@@ -480,11 +487,11 @@ def _integrate_lanes(F, Y0: np.ndarray, durations, opts: IntegratorOptions):
             y[acc], fy[acc] = yi[acc], K[6][acc]
     if failed:
         raise failed[min(failed)]
-    return Y, [IntegrationStats(*c) for c in counts]
+    return Y, [IntegrationStats(*c) for c in counts], h
 
 
 def flow_lanes(V: VectorFieldSpec, X0: np.ndarray, durations, opts: IntegratorOptions | None = None,
-               tangent: int = 1, T0=0.0) -> tuple[np.ndarray, list[IntegrationStats]]:
+               tangent: int = 1, T0=0.0, steps: list | None = None) -> tuple[np.ndarray, list[IntegrationStats]]:
     """The trajectories from the rows of X0 (B, d) at the start times T0 (a
     number or (B,)), row b for the time durations[b] (negative: backward),
     integrated as the lanes of one :func:`_integrate_lanes`.
@@ -495,39 +502,47 @@ def flow_lanes(V: VectorFieldSpec, X0: np.ndarray, durations, opts: IntegratorOp
     (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), and 0 (False) none,
     but the integral of the compressibility.  A lane of a field that reads t
     carries its time in a last column of derivative 1, dropped at the end.
-    Returns the end states, (B, d + d^2), (B, d + d^2 + d^3) or (B, d + 1),
-    with the end point first (the start itself for a zero duration), and
-    the :class:`IntegrationStats` of each lane."""
+    ``steps``, the lanes' start steps (None: estimated), receives their steps
+    at the end.  Returns the end states, (B, d + d^2), (B, d + d^2 + d^3) or
+    (B, d + 1), with the end point first (the start itself for a zero
+    duration), and the :class:`IntegrationStats` of each lane."""
     opts, d = opts or DEFAULT_OPTIONS, V.chart.dim
     T = [float(s) for s in durations]
-    sign = np.array([1.0 if s > 0 else -1.0 for s in T])  # backward lanes integrate -X forward
-
-    dd, jac, last = d * d, V.constant_jacobian, [None, None]  # last: F's last lane array, its signs
-    compiled = V._tangent_fn if tangent else V._volume_fn
+    dd, jac, timed = d * d, V.constant_jacobian, not V.autonomous
     n = d + (dd + (d**3 if tangent == 2 else 0) if tangent else 1)  # the state's width, without time
-    timed = not V.autonomous
+    sign, last = np.array([1.0 if s > 0 else -1.0 for s in T]), [None, None]  # last: F's last lanes, their signs
+    compiled = V._tangent_fn if tangent else V._volume_fn
+    if tangent == 2:  # each lane reads the compiled kernels on floats, D^2X into the nonzeros of T3
+        kernel, (index, (_, hess)), T3 = compiled[1], V._hess_fn, np.zeros((d, d, d))
+        T3_flat = T3.reshape(-1)
 
     def F(lanes, Y):
         X, B, out = Y[:, :d], len(Y), np.empty_like(Y)
         t = Y[:, n] if timed else 0.0
-        E = evaluate_batch(compiled, V.chart, X, t)  # the divergence or a varying DX, then X
-        if not tangent:
-            out[:, d] = E[:, 0]
-        elif tangent == 1:
-            A = E[:, :dd].reshape(B, d, d) if jac is None else jac
-            out[:, d:n] = (A @ Y[:, d:n].reshape(B, d, d)).reshape(B, dd)
-        else:  # row by row, the products of one lane's run
-            A = E[:, :dd].reshape(B, d, d) if jac is None else [jac] * B
-            for r in range(B):
-                x, a, y, o, s = X[r], A[r], Y[r], out[r], t[r] if timed else 0.0
+        if tangent == 2:  # row by row, the products of one lane's run
+            for y, o, s in zip(Y, out, t.tolist() if timed else [0.0] * B):
+                x = y[:d].tolist()
+                try:
+                    E, T3_flat[index] = np.array(kernel(x, s)), np.array(hess(x, s))
+                except (ArithmeticError, ValueError):  # inf, or the DomainError naming the node
+                    E, T3[:] = evaluate_compiled(compiled, V.chart, x, s), V.hessian(x, s)
+                a = E[:dd].reshape(d, d) if jac is None else jac
                 M, H = y[d : d + dd].reshape(d, d), y[d + dd : n].reshape(d, dd)
                 np.matmul(a, M, out=o[d : d + dd].reshape(d, d))
-                np.add((M.T @ (V.hessian(x, s) @ M)).reshape(d, dd), a @ H, out=o[d + dd : n].reshape(d, dd))
-        out[:, :d] = E[:, -d:]
+                np.add((M.T @ (T3 @ M)).reshape(d, dd), a @ H, out=o[d + dd : n].reshape(d, dd))
+                o[:d] = E[-d:]
+        else:
+            E = evaluate_batch(compiled, V.chart, X, t)  # the divergence or a varying DX, then X
+            if tangent:
+                A = E[:, :dd].reshape(B, d, d) if jac is None else jac
+                out[:, d:n] = (A @ Y[:, d:n].reshape(B, d, d)).reshape(B, dd)
+            else:
+                out[:, d] = E[:, 0]
+            out[:, :d] = E[:, -d:]
         if timed:
             out[:, n] = 1.0
         if last[0] is not lanes:
-            last[:] = lanes, sign[lanes, None]
+            last[:] = lanes, sign[lanes, None] if B > 1 else float(sign[lanes[0]])
         out *= last[1]
         return out
 
@@ -537,13 +552,16 @@ def flow_lanes(V: VectorFieldSpec, X0: np.ndarray, durations, opts: IntegratorOp
         Y0[:, d : d + dd : d + 1] = 1.0  # M = I
     if timed:
         Y0[:, n] = T0
-    Y, stats = _integrate_lanes(F, Y0, [abs(s) for s in T], opts)
+    Y, stats, ends = _integrate_lanes(F, Y0, [abs(s) for s in T], opts, steps)
+    if steps is not None:
+        steps[:] = ends
     return Y[:, :n], stats
 
 
-def _integrate(V: VectorFieldSpec, x0, duration: float, opts: IntegratorOptions | None, tangent: int, t0=0.0):
+def _integrate(V: VectorFieldSpec, x0, duration: float, opts: IntegratorOptions | None, tangent: int, t0=0.0,
+               steps=None):
     """One lane of :func:`flow_lanes` from the coordinates x0 at time t0: (end point, end state, stats)."""
-    Y, stats = flow_lanes(V, [x0], [duration], opts, tangent, t0)
+    Y, stats = flow_lanes(V, [x0], [duration], opts, tangent, t0, steps)
     return Y[0, : V.chart.dim], Y[0], stats[0]
 
 
@@ -563,7 +581,8 @@ def integrate_flow(
 
 
 def flow_jet(
-    V: VectorFieldSpec, coords, t: float, opts: IntegratorOptions | None = None, t0: float = 0.0
+    V: VectorFieldSpec, coords, t: float, opts: IntegratorOptions | None = None, t0: float = 0.0,
+    step: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flow of ``coords`` from time ``t0`` for the time ``t``, with its first two derivatives.
 
@@ -571,10 +590,11 @@ def flow_jet(
     H[i, j, k] = d_k M_ij, from the first- and second-order variational
     equations integrated in one run beside the flow (:func:`flow_lanes`).
     ``t`` may be negative.  For affine fields H is zero and is not
-    integrated.
+    integrated.  ``step``, a one-item list, carries the step size from one
+    call to the next: the run starts from step[0] (None: estimated) and leaves its last one there.
     """
     d, order = V.chart.dim, 1 if V.constant_jacobian is not None else 2
-    _, y, _ = _integrate(V, coords, t, opts, order, t0)
+    _, y, _ = _integrate(V, coords, t, opts, order, t0, step)
     H = y[d + d * d :].reshape(d, d, d) if order == 2 else np.zeros((d, d, d))
     return y[:d], y[d : d + d * d].reshape(d, d), H
 

@@ -19,10 +19,12 @@ the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
 
 Split and pullback are one walk over backward sub-flows
 (:func:`_transport_jet`): M is the product of their tangent maps, exact
-matrix exponentials for affine autonomous fields, DOPRI5 otherwise.  The walk also
-gives the exact derivatives of W in space and time (:func:`congruence_jet`),
-carrying those of each tangent map, from the second-order variational
-equation (Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), by the chain rule.
+matrix exponentials for affine autonomous fields, DOPRI5 otherwise, where
+each nonlinear Strang sub-flow after its field's first starts from the step
+the controller held at the end of the one before.  The walk also gives the
+exact derivatives of W in space and time (:func:`congruence_jet`), carrying
+those of each tangent map, from the second-order variational equation
+(Hairer, Norsett & Wanner, *Solving ODEs I*, I.14), by the chain rule.
 
 The invariance residual dw_kl/dt - d_k(w_lm X^m) + d_l(w_km X^m) measures
 how far a given field is from being conserved.
@@ -220,25 +222,26 @@ def _backward_subflow(X: VectorFieldSpec, h: float, rate: float, opts: Integrato
     them to their change with t when the sub-flow lasts h = rate * t.  For
     affine autonomous X, E and G are the same at every y, E is the exact
     exponential of the augmented generator and the second derivative is
-    None; otherwise DOPRI5 integrates the flow at ``opts``.
+    None; otherwise DOPRI5 integrates the flow at ``opts``, each run from the
+    step the previous run of this sub-flow ended with.
     """
     d, start = X.chart.dim, not X.autonomous
     A = X.constant_jacobian
     if A is None or start:
+        carried, E, G = [None], np.eye(d + 1), np.zeros((d + 1, d + 1))  # the step, and E and G filled per run
 
         def step(y):
-            end, D, D2 = flow_jet(X, y, -h, opts, h)
+            end, D, D2 = flow_jet(X, y, -h, opts, h, carried)
             at = y if start else end
             Xe, DX = (v[0] for v in X.eval_jacobian(at[None], h))
-            E = np.block([[D, (end - D @ y)[:, None]], [np.zeros(d), 1.0]])
-            G = np.block([[DX, (Xe - DX @ at)[:, None]], [np.zeros(d), 0.0]])
+            E[:d, :d], E[:d, d], G[:d, :d], G[:d, d] = D, end - D @ y, DX, Xe - DX @ at
             return E, rate * G, D2, start
 
         return step
     # affine X(y) = A y + b: exponentiate the augmented generator [[A, b], [0, 0]]
     G = np.block([[A, X.eval(np.zeros(d))[:, None]], [np.zeros(d), 0.0]])
-    E = expm(-h * G)
-    return lambda y: (E, rate * G, None, False)
+    E, G = expm(-h * G), rate * G
+    return lambda y: (E, G, None, False)
 
 
 def _transport_jet(sub_flows, M0: MetricField, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -207,8 +207,10 @@ def classify(
             _check_point(V.chart, x)
         X, T = np.array([x.coords for x in points]), np.array([x.time for x in points])
     W, D, _ = M.jet_batch(X, T)
-    for b in np.flatnonzero(degeneracy_ratios(W) < DEGENERACY_TOL):
-        warnings.warn(f"metric is degenerate at sampled point {X[b]}", DegenerateMetricWarning)
+    degenerate = np.flatnonzero(degeneracy_ratios(W) < DEGENERACY_TOL)
+    if len(degenerate):  # one warning per call, however many points
+        warnings.warn(f"metric is degenerate at sampled point {X[degenerate[0]]}, the first of "
+                      f"{len(degenerate)} of the {len(X)} sampled points where it is", DegenerateMetricWarning)
     residuals = helmholtz_residuals(V, X, T, W, D)
     per_point = tuple(np.abs(residuals).max(axis=(1, 2)).tolist())
     max_abs = max(per_point)

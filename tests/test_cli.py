@@ -659,6 +659,32 @@ def test_a_non_finite_row_is_an_evolution_error(tmp_path, capsys, data, method):
     assert err == "" and caught == []
 
 
+def test_audit_of_an_overflowing_metric_writes_nothing_to_stderr(tmp_path, capsys):
+    # exp(1e20 t) overflows in the closed form's G(t), and the residuals read
+    # inf - inf; the trajectories then fail at their start, exit 70
+    data = {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "friction": 1e20, "metric": "friction-analytic",
+            "samples": {"count": 5, "seed": 0, "box": 1.0}, "t_max": 1.0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["audit", "--config", write_config(tmp_path, data)]) == EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": {"kind": "integration", "message": "step size underflow at t=0"}}
+    assert err == "" and caught == []
+
+
+def test_classify_of_a_degenerate_metric_warns_once(tmp_path, capsys):
+    # the zero metric is degenerate at each of the 51 points; one warning counts them
+    from metricflow import DegenerateMetricWarning
+
+    data = {"n": 1, "hamiltonian": "p1^2/2 + q1^2/2", "metric": [["0", "0"], ["0", "0"]]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["classify", "--config", write_config(tmp_path, data)]) == EXIT_OK
+    assert [w.category for w in caught] == [DegenerateMetricWarning]
+    assert "the first of 51 of the 51 sampled points" in str(caught[0].message)
+    assert json.loads(capsys.readouterr().out)["verdict"] == "hamiltonian"
+
+
 def test_a_generator_whose_square_is_zero_transports_exactly(tmp_path, capsys):
     # X = (1e300, 0) keeps every metric; its augmented generator's exponential
     # was NaN, a non-finite row with exit 70

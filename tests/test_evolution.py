@@ -390,6 +390,95 @@ class TestSplit:
         assert np.max(np.abs(W - ref)) < 1e-10
 
 
+class TestCarriedStep:
+    """Within one split walk each nonlinear sub-flow starts from the step the
+    previous sub-flow of the same field ended with; the first estimates it."""
+
+    X = np.array([0.3, -0.2, 0.1, 0.4])
+    # the seed-1 query point of the benchmark's quartic_canonical config
+    X_BENCH = np.array([-0.16812760813189953, 0.11189597364565873, 0.007632659892416571, -0.3437018237276084])
+
+    @staticmethod
+    def quartic_and_generic_w0(chart2):
+        return TestTransportStencil.coupled_quartic(chart2), TestTransportStencil.generic_w0(chart2).matrix
+
+    @staticmethod
+    def cold(monkeypatch):
+        """Make every sub-flow estimate its start step, as a walk without a carried step."""
+        from metricflow import evolution
+
+        flow_jet = evolution.flow_jet
+        monkeypatch.setattr(evolution, "flow_jet", lambda X, y, t, opts, t0, step: flow_jet(X, y, t, opts, t0))
+
+    def test_a_jet_does_not_depend_on_earlier_jets(self, chart2, tmp_path, capsys):
+        import json
+
+        from metricflow.cli import main
+
+        V, W0 = self.quartic_and_generic_w0(chart2)
+        fresh = SplitMetric(V, W0, 8).jet(self.X, 0.5)
+        field = SplitMetric(V, W0, 8)
+        for other, t in (([0.1, 0.2, -0.3, 0.0], 0.3), (self.X, -0.2), (self.X_BENCH, 0.5)):
+            field.jet(other, t)
+        assert [a.tobytes() for a in field.jet(self.X, 0.5)] == [a.tobytes() for a in fresh]
+        # a row of evolve-metric keeps its cells after other rows
+        rows = []
+        for t_grid in ([0.5], [0.2, -0.3, 0.5]):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({
+                "n": 2, "hamiltonian": "(p1^2+p2^2)/2 + (q1^4+q2^4)/4 + q1*q2/2", "friction": 1.0,
+                "metric": "canonical", "t_grid": t_grid, "methods": ["split"], "splitting": {"steps": 8},
+                "queries": [{"point": list(self.X), "time": 0.0}],
+            }))
+            assert main(["evolve-metric", "--config", str(path)]) == 0
+            rows.append(capsys.readouterr().out.splitlines())
+        assert rows[0][-1] == rows[1][-1] and rows[0][-1].startswith("0.5,split,")
+
+    def test_a_warm_walk_matches_a_cold_one(self, chart2, monkeypatch):
+        V, W0 = self.quartic_and_generic_w0(chart2)
+        warm = SplitMetric(V, W0, 20).jet(self.X, 0.5)
+        self.cold(monkeypatch)
+        cold = SplitMetric(V, W0, 20).jet(self.X, 0.5)
+        for w, c in zip(warm, cold):
+            assert np.max(np.abs(w - c)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_second_order_convergence(self, chart2):
+        from metricflow.phasespace import ConstantMetric
+
+        V, W0 = self.quartic_and_generic_w0(chart2)
+        x = PhasePoint(self.X, 0.5)
+        ref = pullback_metric(V, ConstantMetric(chart2, W0), x, opts=IntegratorOptions(1e-13, 1e-13))
+        errs = [np.max(np.abs(SplitMetric(V, W0, N).value(x.coords, x.time) - ref)) for N in (10, 20, 40)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.6 <= coarse / fine <= 4.4
+
+    def test_the_benchmark_split_row_runs_near_the_floor(self, chart2, monkeypatch):
+        # h = 0.025 exceeds the step that the 1e-12 controller accepts at this
+        # point (0.013-0.019), so each of the 20 nonlinear sub-flows takes at
+        # least two steps of 6 right-hand sides after the one at its start;
+        # the first also evaluates one for the estimate and takes three steps
+        from metricflow import dynamics
+
+        calls = []
+        eval_lanes = dynamics._eval_lanes
+
+        def counting(F, lanes, Y):
+            calls.append(len(Y))
+            return eval_lanes(F, lanes, Y)
+
+        monkeypatch.setattr(dynamics, "_eval_lanes", counting)
+        V = TestTransportStencil.coupled_quartic(chart2)
+        field = SplitMetric(V, canonical_metric(V.chart).matrix, 20)
+        W = field.value(self.X_BENCH, 0.5)
+        warm = len(calls)
+        assert warm <= (1 + 1 + 3 * 6) + 19 * (1 + 2 * 6)
+        assert abs(W[0, 2] - math.exp(0.5)) <= 1e-13
+        self.cold(monkeypatch)
+        calls.clear()
+        field.value(self.X_BENCH, 0.5)
+        assert len(calls) >= 20 * (1 + 1 + 3 * 6) > warm
+
+
 class TestPullback:
     def test_t_zero(self, damped, canonical1):
         x = PhasePoint([0.2, -0.7], 0.0)
@@ -539,6 +628,22 @@ class TestTransportStencil:
         B = np.random.default_rng(5).standard_normal((4, 4))
         return ConstantMetric(chart2, B - B.T)
 
+    @staticmethod
+    def counting_kernels(V, calls):
+        """Wrap the compiled tangent (X with its Jacobian) and Hessian kernels
+        of V, so that each read appends its name to ``calls``."""
+        def counting(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call
+
+        exprs, kernel = V._tangent_fn
+        index, (hess_exprs, hess) = V._hess_fn
+        V.__dict__["_tangent_fn"] = exprs, counting("kernel", kernel)
+        V.__dict__["_hess_fn"] = index, (hess_exprs, counting("hess", hess))
+
     def test_stacked_rhs_makes_no_per_point_calls(self, chart2, monkeypatch):
         from metricflow import dynamics
 
@@ -553,7 +658,8 @@ class TestTransportStencil:
 
         for name in ("eval", "jacobian", "hessian", "eval_jacobian"):
             monkeypatch.setattr(VectorFieldSpec, name, counting(name, getattr(VectorFieldSpec, name)))
-        monkeypatch.setattr(dynamics, "evaluate_batch", counting("rhs", dynamics.evaluate_batch))
+        monkeypatch.setattr(dynamics, "evaluate_batch", counting("batch", dynamics.evaluate_batch))
+        monkeypatch.setattr(dynamics, "_eval_lanes", counting("rhs", dynamics._eval_lanes))
         # the affine chain is transported by the exponential of its augmented
         # generator, with no right-hand side
         V = self.affine_chain()
@@ -564,17 +670,23 @@ class TestTransportStencil:
         assert calls.count("rhs") == calls.count("eval_jacobian") == calls.count("hessian") == 0
         ref = congruence(scipy_expm(-0.5 * V.constant_jacobian), W0.matrix)
         assert np.max(np.abs(W - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # per right-hand side of (y, M, H) one read of the compiled kernel of X
+        # with its Jacobian and one of the second derivatives, and no other
+        # evaluation; after each nonlinear sub-flow one read of X with its
+        # Jacobian, itself one read of the kernel, gives dx0/dt and dM/dt.  The
+        # split's affine friction part reads its offset X(0) once per walk
         V = self.coupled_quartic(chart2)
-        field = TransportedMetric(canonical_metric(V.chart), V)
-        calls.clear()
-        field.value(np.linspace(-0.4, 0.5, V.chart.dim), 0.5)
-        # per right-hand side of (y, M, H) one compiled evaluation of X
-        # with its Jacobian and one of the second derivatives, none per
-        # column; one read of X with its Jacobian, itself one compiled
-        # evaluation, gives dx0/dt and dM/dt
-        n = calls.count("rhs") - 1
-        assert n > 1 and calls.count("eval_jacobian") == 1 and calls.count("eval") == calls.count("jacobian") == 0
-        assert calls.count("hessian") == n
+        self.counting_kernels(V, calls)
+        self.counting_kernels(V.parts[0], calls)
+        x = np.linspace(-0.4, 0.5, V.chart.dim)
+        for field, subflows, offsets in ((TransportedMetric(canonical_metric(V.chart), V), 1, 0),
+                                         (SplitMetric(V, canonical_metric(V.chart).matrix, 3), 3, 1)):
+            calls.clear()
+            field.value(x, 0.5)
+            n = calls.count("rhs")
+            assert n > 7 * subflows and calls.count("eval_jacobian") == calls.count("batch") == subflows
+            assert calls.count("kernel") == n + subflows and calls.count("hess") == n
+            assert calls.count("eval") == offsets and calls.count("jacobian") == calls.count("hessian") == 0
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     def test_affine_pullback_is_exact(self, damped, t):
@@ -684,8 +796,11 @@ class TestTransportStencil:
         x = PhasePoint([0.3, -0.2, 0.1, 0.4], 0.5)
         exact = np.max(np.abs(invariance_residual(V, TransportedMetric(M0, V), x)))
         assert exact < 1e-9
-        # H_k' without its D^2X(y)[M e_k, M] term stays zero
-        monkeypatch.setattr(VectorFieldSpec, "hessian", lambda self, coords, time=0.0: np.zeros((4, 4, 4)))
+        # H_k' without its D^2X(y)[M e_k, M] term stays zero: a Hessian kernel
+        # that reads zeros, on the lanes' compiled path and on the interpreted one
+        index, (exprs, _) = V._hess_fn
+        monkeypatch.setitem(V.__dict__, "_hess_fn", (index, (exprs, lambda x, t: [0.0] * len(index))))
+        assert not V.hessian(x.coords).any()
         wrong = np.max(np.abs(invariance_residual(V, TransportedMetric(M0, V), x)))
         assert wrong > 1e-6
 

@@ -143,6 +143,21 @@ class TestClassify:
             classify(harmonic, M, points=(PhasePoint([0.0, 0.0]), PhasePoint([0.5, 0.2])))
         assert len(record) == 1
 
+    @pytest.mark.parametrize("count", [5, 50])
+    def test_a_degenerate_metric_warns_once_per_call(self, harmonic, chart1, count):
+        # the zero metric is degenerate at the origin and at every sample
+        M = ExprMetric(chart1, [["0", "0"], ["0", "0"]])
+        with pytest.warns(DegenerateMetricWarning) as record:
+            classify(harmonic, M, count=count)
+        assert [str(w.message) for w in record] == [
+            f"metric is degenerate at sampled point [0. 0.], the first of {count + 1} of the "
+            f"{count + 1} sampled points where it is"]
+        # the sample [0.5, 0.2] is where the metric [[0, q1], [-q1, 0]] is not
+        M = ExprMetric(chart1, [["0", "q1"], ["-q1", "0"]])
+        with pytest.warns(DegenerateMetricWarning, match="the first of 2 of the 3 sampled points") as record:
+            classify(harmonic, M, points=(PhasePoint([0.5, 0.2]), PhasePoint([0.0, 0.3]), PhasePoint([0.0, 0.0])))
+        assert len(record) == 1 and "[0.  0.3]" in str(record[0].message)
+
     def test_requires_points(self, harmonic, canonical1):
         with pytest.raises(ValueError):
             classify(harmonic, canonical1, points=())

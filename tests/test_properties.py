@@ -836,6 +836,20 @@ def test_a_lane_that_cannot_start_raises_the_scalar_error():
     assert str(refs[1]) == "cannot evaluate the field at the start state: division by zero in '1/q1'"
 
 
+def test_second_order_lanes_outside_the_domain_match_the_reference():
+    # lane 0's stages put q1 < 0 into sqrt(q1) and its second derivatives,
+    # where the compiled kernels raise and the interpreter names the node: the
+    # step is rejected and retried, as in the reference; lane 1 of the second
+    # field cannot start, at its Jacobian's node
+    opts = IntegratorOptions(1e-6, 1e-6)
+    V = VectorFieldSpec.from_components(CHART1, ["-q1", "sqrt(q1)"])
+    refs = assert_lanes_match_scalar(V, [PhasePoint([1.0, 0.0]), PhasePoint([0.5, 0.2])], [20.0, 0.5], opts, 2)
+    assert refs[0][1].n_rejected > 0
+    V = VectorFieldSpec.from_components(CHART1, ["-q1", "1/q1 + q1^2*p1"])
+    refs = assert_lanes_match_scalar(V, [PhasePoint([0.5, 0.0]), PhasePoint([0.0, 0.3])], [1.0, 1.0], opts, 2)
+    assert str(refs[1]) == "cannot evaluate the field at the start state: division by zero in '-1/q1^2'"
+
+
 def assert_one_lane_matches_reference(call, V, x0, t1, opts, tangent):
     """call() gives the state that flow_lanes carries with ``tangent`` and
     the stats, or None for them, with the reference's bits; or it raises the
@@ -867,6 +881,32 @@ def test_a_lane_one_rounding_short_of_its_end_finishes():
         assert short_of_the_end(ref.value, -0.013) and ref.value.t_last < 0.013
         lane = lambda: (flow_lanes(V, x0.coords[None], [-0.013], opts, tangent)[0][0], None)  # noqa: E731
         assert assert_one_lane_matches_reference(lane, V, x0, -0.013, opts, tangent) is None
+
+
+@pytest.mark.parametrize("tangent", [0, 1, 2])
+def test_a_lane_given_the_estimated_start_step_keeps_its_bits(tangent):
+    # the reference's starting-step estimate for lane 0, given as its start
+    # step; lane 1 estimates its own, lane 2 lasts no time
+    V = VectorFieldSpec.from_components(CHART1, ["p1", "-q1 - q1^2*p1"])
+    opts, d = IntegratorOptions(1e-6, 1e-6), 2
+    X0, durations = np.array([[-1.0, 0.5], [1.0, 1.0], [0.5, 0.5]]), [1.5, -1.0, 0.0]
+    if tangent:
+        f = _joint_rhs(V, 1.0, tangent == 2)
+        y0 = np.concatenate([X0[0], np.eye(d).reshape(-1), np.zeros(d**3 if tangent == 2 else 0)])
+    else:
+        f, y0 = (lambda tau, s: np.append(V.eval(s[:d]), V.divergence(s[:d]))), np.append(X0[0], 0.0)
+    h0 = _initial_step(f, y0, f(0.0, y0), durations[0], opts.abs_tol, opts.rel_tol)
+    estimated = [None] * 3
+    Y, stats = flow_lanes(V, X0, durations, opts, tangent, steps=estimated)
+    given = [h0, None, 0.125]
+    Y_given, stats_given = flow_lanes(V, X0, durations, opts, tangent, steps=given)
+    assert [row.tobytes() for row in Y_given] == [row.tobytes() for row in Y] and stats_given == stats
+    # the steps the controllers hold at the end; a lane of no duration keeps its own
+    assert given[:2] == estimated[:2] and given[2] == 0.125 and estimated[2] is None
+    assert all(h > 0 for h in estimated[:2])
+    # another start step takes other steps
+    _, stats_other = flow_lanes(V, X0, durations, opts, tangent, steps=[h0 / 8, None, None])
+    assert stats_other[0].n_steps > stats[0].n_steps and stats_other[1:] == stats[1:]
 
 
 def jet_state(V, coords, t, opts):
