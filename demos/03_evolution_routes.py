@@ -1,7 +1,7 @@
-"""Three independent routes to the evolved metric.
+"""Three routes to the evolved metric.
 
 The conserved metric can be produced by (a) exponentiating the generating
-operator as a series (on linear systems, the congruence by expm(-tA)),
+operator as a series (on affine systems, the pullback that it sums to),
 (b) Strang splitting of that exponential over the Hamiltonian/friction
 parts, which is the Strang product of sub-flow pullbacks: each step follows
 the backward friction sub-flow for dt/2, the Hamiltonian sub-flow for dt

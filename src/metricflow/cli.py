@@ -554,6 +554,8 @@ def main(argv=None) -> int:
         return emit_error(EXIT_RUNTIME, "metric", str(exc))
     except EvolutionError as exc:
         return emit_error(EXIT_RUNTIME, "evolution", str(exc))
+    except MemoryError as exc:
+        return emit_error(EXIT_RUNTIME, "memory", str(exc) or "out of memory")
     _write_output(payload if isinstance(payload, str) else _dumps(payload) + "\n", args.out)
     return code
 

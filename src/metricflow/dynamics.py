@@ -10,7 +10,7 @@ lane of a field that reads ``t`` also carries its time.  Backward flow
 integrates the field forward with its sign reversed.  A run may start from a
 given step and returns the step its controller ends with, which the Strang
 sub-flows of one walk carry from each to the next.
-:func:`expm` is the matrix exponential of the linear and closed-form routes.
+:func:`expm` is the matrix exponential of affine sub-flows and the closed form.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ the congruence W = M^T w0 M by a tangent map M (:func:`congruence`):
 
 * an exponential series exp(tJ) W0 of the generating operator J, the Taylor
   series in t of the pullback, from the backward flow's state at a point in
-  truncated series in t (:class:`SeriesPropagator`); for a linear field
-  dx/dt = A x it is the congruence by expm(-tA) (Kronecker-sum identity),
+  truncated series in t (:class:`SeriesPropagator`); for an affine field the
+  series sums to the pullback itself, which the transport walk gives exactly,
 * Strang splitting of that exponential over the Hamiltonian/friction parts
   X = X1 + X2.  exp(hJ_X) is the pullback along the sub-flow of X (Lie
   series), so each step follows the backward sub-flows of X2 for dt/2, X1
@@ -113,9 +113,10 @@ def _taylor_transport(V: VectorFieldSpec, W0: np.ndarray, coords):
 class SeriesPropagator:
     """Exponential-series propagator for one (field, initial metric) pair.
 
-    Linear fields take the exact congruence by expm(-tA).  Otherwise the
-    series sum_j t^j/j! P_j, P_j = J^j W0, is the Taylor series of the
-    pullback (Grobner's Lie series), so P_j = j! w_j and its gradient j! dw_j
+    The series sum_j t^j/j! P_j, P_j = J^j W0, is the Taylor series of the
+    pullback (Grobner's Lie series).  On an affine field, in mode auto or
+    linear, it sums to the pullback, read off the exact transport walk
+    (:func:`pullback_jet`).  Otherwise P_j = j! w_j and its gradient j! dw_j
     for the coefficients of :func:`_taylor_transport`, grown on demand and
     kept for the most recent point.
     """
@@ -124,15 +125,26 @@ class SeriesPropagator:
         if not V.autonomous:
             raise EvolutionError("series propagation needs an autonomous vector field; this one reads t")
         self.V = V
-        self.W0 = ConstantMetric(V.chart, W0).matrix
+        self.initial = ConstantMetric(V.chart, W0)
         self._point: bytes | None = None
+
+    def _exact_jet(self, t: float, coords, order: int, mode: str):
+        """The pullback walk's jet at (coords, t) on an affine field in mode auto or linear, else None."""
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        if mode not in ("auto", "linear", "generic"):
+            raise ValueError(f"mode must be auto|linear|generic, got '{mode}'")
+        affine = mode != "generic" and self.V.constant_jacobian is not None
+        if mode == "linear" and not affine:
+            raise EvolutionError("vector field is not linear; cannot force the linear path")
+        return pullback_jet(self.V, self.initial, coords, t) if affine else None
 
     def _coefficients(self, coords, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient j in t of W and of its gradient at the point: (w_j, dw_j)."""
         # the field is autonomous and W0 constant, so the coefficients do not involve t
         key = np.asarray(coords, dtype=float).tobytes()
         if key != self._point or self._walk.gi_frame is None:  # a walk that raised has stopped
-            self._point, self._walk, self._terms = key, _taylor_transport(self.V, self.W0, coords), []
+            self._point, self._walk, self._terms = key, _taylor_transport(self.V, self.initial.matrix, coords), []
         with np.errstate(all="ignore"):
             while len(self._terms) <= j:
                 self._terms.append(next(self._walk))
@@ -154,29 +166,17 @@ class SeriesPropagator:
                 break
         return total, i, last_norm
 
-    def propagate(
-        self,
-        t: float,
-        coords=None,
-        order: int = DEFAULT_SERIES_ORDER,
-        mode: str = "auto",
-    ) -> tuple[np.ndarray, SeriesInfo]:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if mode not in ("auto", "linear", "generic"):
-            raise ValueError(f"mode must be auto|linear|generic, got '{mode}'")
-        A = self.V.constant_jacobian if mode in ("auto", "linear") else None
-        if mode == "linear" and A is None:
-            raise EvolutionError("vector field is not linear; cannot force the linear path")
-        if A is not None:
-            W = congruence(expm(-t * A), self.W0)
-            return W, SeriesInfo("linear-exact", 0, 0.0, False)
+    def propagate(self, t: float, coords=None, order: int = DEFAULT_SERIES_ORDER,
+                  mode: str = "auto") -> tuple[np.ndarray, SeriesInfo]:
+        # on an affine field W does not depend on the point, so no coords read it at the origin
+        if jet := self._exact_jet(t, np.zeros(self.V.chart.dim) if coords is None else coords, order, mode):
+            return jet[0], SeriesInfo("linear-exact", 0, 0.0, False)
         if coords is None:
             raise ValueError("the generic series path needs an evaluation point")
-        size = (order + 1) ** 2 * len(self.W0) ** 3
+        size = (order + 1) ** 2 * self.V.chart.dim ** 3
         if size > MAX_SERIES_PRODUCTS:
             raise ExpressionSizeError(
-                f"a series of order {order} in {len(self.W0)} coordinates sums (order + 1)^2 d^3 = {size} "
+                f"a series of order {order} in {self.V.chart.dim} coordinates sums (order + 1)^2 d^3 = {size} "
                 f"products of d_k M coefficients (cap {MAX_SERIES_PRODUCTS})"
             )
         total, terms, last_norm = self._sum(coords, t, order, relative=True)
@@ -288,7 +288,7 @@ def split_jet(V: VectorFieldSpec, M0: MetricField, steps: int, coords,
     X1, X2 = V.parts
     half = _backward_subflow(X2, 0.5 * dt, 0.5 / steps, TRANSPORT_OPTIONS)
     strang = (half, _backward_subflow(X1, dt, 1.0 / steps, TRANSPORT_OPTIONS), half)
-    return _transport_jet(strang * steps, M0, coords)
+    return _transport_jet(itertools.chain.from_iterable(itertools.repeat(strang, steps)), M0, coords)
 
 
 def pullback_jet(V: VectorFieldSpec, M0: MetricField, coords, time: float,
@@ -365,8 +365,9 @@ def invariance_residual(V: VectorFieldSpec, M: MetricField, x: PhasePoint) -> np
 class SeriesMetric(MetricField):
     """The series-propagated metric as a field with exact derivatives.
 
-    The jet sums the propagator's coefficients at the point, those in t of
-    the pullback and of its coordinate gradient, so dW/dt and dW/dx
+    An affine field's jet is one pullback walk's (:func:`pullback_jet`).
+    Otherwise the jet sums the propagator's coefficients at the point, those
+    in t of the pullback and of its gradient, so dW/dt and dW/dx
     differentiate the truncated series termwise.  The sums keep their
     truncation rules: the relative stop of ``propagate`` for the value, an
     absolute SERIES_STOP_NORM stop on the last term for the derivatives.  A
@@ -376,18 +377,14 @@ class SeriesMetric(MetricField):
 
     def __init__(self, V: VectorFieldSpec, W0, order: int = DEFAULT_SERIES_ORDER, mode: str = "auto"):
         self.chart = V.chart
-        self.V = V
         self.order = order
         self.mode = mode
         self.prop = SeriesPropagator(V, W0)
 
     def jet(self, coords, time):
-        W, info = self.prop.propagate(time, coords, order=self.order, mode=self.mode)
-        if info.path == "linear-exact":
-            # dW/dt = J W(t), one exact operator application
-            A = self.V.constant_jacobian
-            d = self.chart.dim
-            return W, np.zeros((d, d, d)), -(A.T @ W + W @ A)
+        if jet := self.prop._exact_jet(time, coords, self.order, self.mode):
+            return jet
+        W, _ = self.prop.propagate(time, coords, order=self.order, mode=self.mode)
         # the termwise derivatives; dW/dt is the index-shifted sum
         dx = self.prop._sum(coords, time, self.order, part=1)[0]
         return W, dx, self.prop._sum(coords, time, self.order, first=1)[0]

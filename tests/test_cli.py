@@ -659,6 +659,36 @@ def test_a_non_finite_row_is_an_evolution_error(tmp_path, capsys, data, method):
     assert err == "" and caught == []
 
 
+DEMO_CONFIGS = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))}
+
+
+@pytest.mark.parametrize("data", [*DEMO_CONFIGS.values(), {**DEMO_CONFIGS["damped_oscillator"], "friction": 100.0}],
+                         ids=[*DEMO_CONFIGS, "damped_oscillator-friction-100"])
+def test_linear_series_row_is_the_pullback_row(data):
+    # an affine field's series sums to the pullback, which the series row reads
+    # off the same walk: every cell agrees, the residuals too, also where
+    # strong friction leaves the transported W wrong
+    text, code = cmd_evolve_metric(load_config({**data, "methods": ["series", "pullback"]}))
+    rows = parse_csv(text)[1]
+    assert code == EXIT_OK and [r.pop("method") for r in rows] == ["series", "pullback"] * (len(rows) // 2)
+    assert rows[::2] == rows[1::2]
+
+
+@pytest.mark.parametrize("command", ["classify", "audit"])
+def test_out_of_memory_is_one_json_error(tmp_path, capsys, monkeypatch, command):
+    # both commands draw their samples first; an allocation that fails there exits 70
+    from metricflow.helmholtz import UniformStream
+
+    def uniform(self, low, high, shape):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(UniformStream, "uniform", uniform)
+    assert main([command, "--config", write_config(tmp_path, HARMONIC)]) == EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["kind"] == "memory" and err == ""
+
+
 def test_audit_of_an_overflowing_metric_writes_nothing_to_stderr(tmp_path, capsys):
     # exp(1e20 t) overflows in the closed form's G(t), and the residuals read
     # inf - inf; the trajectories then fail at their start, exit 70

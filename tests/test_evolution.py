@@ -7,6 +7,8 @@ from scipy.linalg import expm as scipy_expm
 
 from metricflow import (
     ConstantMetric,
+    CoordinateChart,
+    IntegrationError,
     IntegratorOptions,
     MetricError,
     PhasePoint,
@@ -23,7 +25,7 @@ from metricflow import (
     metric_determinant,
     pullback_metric,
 )
-from metricflow.evolution import EvolutionError, congruence
+from metricflow.evolution import EvolutionError, SeriesInfo, congruence, pullback_jet
 from metricflow.exprlang import DomainError, evaluate, parse
 from metricflow.friction import analytic_metric
 from metricflow.phasespace import ExprMetric
@@ -82,6 +84,31 @@ class TestSeries:
         assert info1.path == "linear-exact"
         assert W1[0, 1] == pytest.approx(np.e, abs=1e-12)
         assert W2[0, 1] == pytest.approx(np.exp(0.5), abs=1e-12)
+
+    def test_affine_propagate_without_a_point_reads_the_walk_at_the_origin(self, chart1):
+        V = VectorFieldSpec.from_components(chart1, ["p1 + 0.5", "-q1 - p1"])
+        W, info = SeriesPropagator(V, J2).propagate(0.7)
+        assert info == SeriesInfo("linear-exact", 0, 0.0, False)
+        assert np.array_equal(W, pullback_jet(V, ConstantMetric(chart1, J2), np.zeros(2), 0.7)[0])
+        assert np.array_equal(W, SeriesPropagator(V, J2).propagate(0.7, [0.3, -0.2])[0])
+
+    def test_damped_chain_matches_the_expm_congruence(self):
+        # the damped 24-oscillator chain of the linear_chain benchmark at t = 0.5:
+        # dq/dt = p, dp/dt = -(I + L) q - K p for the path Laplacian L
+        n, t = 24, 0.5
+        chart = CoordinateChart(n)
+        H = " + ".join([f"p{i}^2/2 + q{i}^2/2" for i in range(1, n + 1)]
+                       + [f"(q{i} - q{i + 1})^2/2" for i in range(1, n)])
+        rates = [(0.5, 1.0, 1.5)[i % 3] for i in range(n)]
+        L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        L[0, 0] = L[-1, -1] = 1.0
+        A = np.block([[np.zeros((n, n)), np.eye(n)], [-(np.eye(n) + L), -np.diag(rates)]])
+        W0 = canonical_metric(chart).matrix
+        E = scipy_expm(-t * A)
+        ref = E.T @ W0 @ E
+        V = VectorFieldSpec.from_hamiltonian(chart, H, np.diag(rates).tolist())
+        W = SeriesMetric(V, W0).value(np.random.default_rng(1).uniform(-1, 1, 2 * n), t)
+        assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_generic_series_field_is_self_consistent(self, chart1):
         # x-dependent powers: the field's time and space derivatives must
@@ -376,6 +403,14 @@ class TestSplit:
         ]
         for i in range(2):
             assert 1.8 <= np.log2(errs[i] / errs[i + 1]) <= 2.2
+
+    def test_a_walk_of_many_steps_fails_at_its_first_sub_flow(self, chart1):
+        # the 3 * 10^12 Strang sub-flows are walked as they come, so the walk
+        # fails where the Hamiltonian sub-flow leaves sqrt's domain, as at 3 steps
+        V = VectorFieldSpec.from_hamiltonian(chart1, "p1^2/2 + sqrt(q1)", [[1.0]])
+        for steps in (3, 10**12):
+            with pytest.raises(IntegrationError, match="sqrt of negative value"):
+                SplitMetric(V, J2, steps).jet([-0.5, 0.2], 0.5)
 
     def test_truncation_diagnostics(self, quartic_system, damped2_system):
         # affine parts take exact exponentials, the same map at every point
